@@ -80,6 +80,6 @@ from .identities import (
     tight_extension_compare,
     tight_identity_report,
 )
-from .linalg import EigenDecomposition, hermitian_eig, psd_apply
+from .linalg import EigenDecomposition, hermitian_eig, psd_apply, spectral_apply
 from .rng import SplitMix64
 from .sweeps import SUITE_NAMES, RunConfig, run_suite, run_suites

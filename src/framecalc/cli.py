@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import BadParams, FrameError, FrameFormatError
 from .frames import (
+    as_tolerance,
     canonical_dual,
     coefficients,
     complete_to_tight,
@@ -134,7 +135,10 @@ def _parse_vector_spec(spec: str, dim: int, field: str, rng: SplitMix64) -> np.n
         return g / norm if norm > 0 else g
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+                raise BadParams(f"vector file is not valid JSON: {exc}") from None
         if not isinstance(data, list):
             raise BadParams("vector file must hold a JSON array")
         out = np.empty(len(data), dtype=np.complex128)
@@ -488,6 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "tolerance", None) is not None:
+            as_tolerance(args.tolerance)
         env, code = args.func(args, argv)
     except (BadParams, FrameFormatError) as exc:
         print(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}), end="")

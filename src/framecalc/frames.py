@@ -5,7 +5,9 @@ tagged by `field`), stored row-wise. The frame operator
 
     S f = sum_i <f, f_i> f_i
 
-is cached on construction; inner products are linear in the first argument
+is cached on construction and its eigendecomposition on first use
+(`Frame.spectrum`), so every check that is a function of the spectrum of S
+shares one factorization; inner products are linear in the first argument
 and conjugate-linear in the second, so the coefficient vector is
 c_i = <f, f_i> = sum_j f[j] * conj(f_i[j]).
 
@@ -22,7 +24,9 @@ completions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +38,15 @@ from .errors import (
     NotAFrame,
     NotIsometry,
 )
-from .linalg import TAU_EIG, TAU_PSD_COEFF, frobenius, hermitian_eig, hermitize, psd_apply
+from .linalg import (
+    TAU_EIG,
+    TAU_PSD_COEFF,
+    EigenDecomposition,
+    frobenius,
+    hermitian_eig,
+    hermitize,
+    spectral_apply,
+)
 from .rng import SplitMix64
 
 TAU_ID = 1e-9
@@ -48,9 +60,17 @@ def as_vector(f, dim: int) -> np.ndarray:
     v = np.asarray(f, dtype=np.complex128)
     if v.shape != (dim,):
         raise DimensionMismatch(f"expected a vector of length {dim}, got shape {v.shape}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise BadParams("vector has non-finite entries")
     return v
+
+
+def as_tolerance(value) -> float:
+    """Coerce a check tolerance to a finite float > 0."""
+    tol = float(value)
+    if not 0.0 < tol < np.inf:
+        raise BadParams(f"tolerance must be a finite number > 0, got {value!r}")
+    return tol
 
 
 def norm_sq(v: np.ndarray) -> float:
@@ -59,7 +79,7 @@ def norm_sq(v: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Immutable vector family with its cached frame operator.
+    """Immutable vector family with its cached frame operator and spectrum.
 
     dim:      ambient dimension d >= 1
     vectors:  (n, d) complex128, row i is f_i; n = 0 is allowed and means
@@ -83,11 +103,11 @@ class Frame:
             raise DimensionMismatch(
                 f"vectors must have shape (n, {self.dim}), got {a.shape}"
             )
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        if not np.isfinite(a).all():
             raise BadParams("vectors have non-finite entries")
         if self.field not in _FIELDS:
             raise BadParams(f"field must be one of {_FIELDS}, got {self.field!r}")
-        if self.field == "real" and np.any(a.imag != 0.0):
+        if self.field == "real" and a.imag.any():
             raise BadParams("field tag 'real' but vectors have nonzero imaginary parts")
         a.setflags(write=False)
         s = hermitize(a.T @ a.conj()) if a.shape[0] else np.zeros(
@@ -96,6 +116,14 @@ class Frame:
         s.setflags(write=False)
         object.__setattr__(self, "vectors", a)
         object.__setattr__(self, "operator", s)
+
+    @cached_property
+    def spectrum(self) -> EigenDecomposition:
+        """Eigendecomposition of the frame operator, computed once on first use.
+
+        Its arrays are read-only, like `vectors` and `operator`.
+        """
+        return hermitian_eig(self.operator)
 
     @property
     def count(self) -> int:
@@ -106,6 +134,14 @@ class Frame:
         return Frame(self.dim, self.vectors * float(factor), self.field)
 
 
+def _as_indices(values) -> list[int]:
+    # operator.index accepts Python and numpy integers and rejects floats
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        raise BadParams("indices must be integers") from None
+
+
 @dataclass(frozen=True)
 class IndexSubset:
     """Strictly increasing tuple of vector indices; complement is computed."""
@@ -113,7 +149,7 @@ class IndexSubset:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_as_indices(self.indices))
         for a, b in zip(idx, idx[1:]):
             if a >= b:
                 raise BadParams("indices must be strictly increasing with no duplicates")
@@ -125,7 +161,7 @@ class IndexSubset:
     def coerce(cls, value) -> "IndexSubset":
         if isinstance(value, IndexSubset):
             return value
-        idx = sorted(int(i) for i in value)
+        idx = sorted(_as_indices(value))
         for a, b in zip(idx, idx[1:]):
             if a == b:
                 raise BadParams(f"duplicate index {a}")
@@ -179,7 +215,7 @@ def frame_operator(frame: Frame) -> np.ndarray:
 
 
 def frame_bounds(frame: Frame) -> FrameBounds:
-    w = hermitian_eig(frame.operator).eigenvalues
+    w = frame.spectrum.eigenvalues
     lower = max(float(w[0]), 0.0)
     upper = max(float(w[-1]), 0.0)
     is_frame = lower > TAU_FRAME_COEFF * upper
@@ -198,7 +234,7 @@ def frame_bounds(frame: Frame) -> FrameBounds:
 
 def tight_deviation(frame: Frame, lam: float) -> float:
     """max_i |lambda_i(S) - lam|, the distance from being lam-tight."""
-    w = hermitian_eig(frame.operator).eigenvalues
+    w = frame.spectrum.eigenvalues
     return float(np.max(np.abs(w - lam)))
 
 
@@ -220,7 +256,7 @@ def canonical_dual(frame: Frame) -> Frame:
     """
     if not frame_bounds(frame).is_frame:
         raise NotAFrame("lower frame bound is numerically zero")
-    s_inv = psd_apply(frame.operator, "inverse")
+    s_inv = spectral_apply(frame.spectrum, "inverse")
     rows = frame.vectors @ s_inv.T
     return Frame(frame.dim, _match_field(rows, frame.field), frame.field)
 
@@ -229,7 +265,7 @@ def parsevalize(frame: Frame) -> Frame:
     """Canonical Parseval companion S^{-1/2} f_i (same spans, operator I)."""
     if not frame_bounds(frame).is_frame:
         raise NotAFrame("lower frame bound is numerically zero")
-    t = psd_apply(frame.operator, "inv_sqrt")
+    t = spectral_apply(frame.spectrum, "inv_sqrt")
     rows = frame.vectors @ t.T
     return Frame(frame.dim, _match_field(rows, frame.field), frame.field)
 
@@ -352,7 +388,7 @@ def complete_to_tight(frame: Frame, lam: float | None = None, mix_seed: int | No
 
     Raises LambdaTooSmall when lam < lambda_max(S) beyond roundoff.
     """
-    dec = hermitian_eig(frame.operator)
+    dec = frame.spectrum
     w = dec.eigenvalues
     lam_max = float(w[-1])
     if lam is None:

@@ -159,15 +159,17 @@ def tight_identity_report(frame: Frame, subset, f, lam: float | None = None,
     lhs = lam * sum_J |<f, f_i>|^2 - ||S_J f||^2, rhs over the complement.
     With lam omitted, the mean eigenvalue of the frame operator is used.
 
-    Raises NotTight when some eigenvalue differs from lam by more than
-    tolerance * lam.
+    Raises NotTight when lam is not positive (the all-zero family would
+    otherwise pass at lam = 0, where the tolerance vanishes) or when some
+    eigenvalue differs from lam by more than tolerance * lam.
     """
     if lam is None:
-        w = hermitian_eig(frame.operator).eigenvalues
-        lam = float(np.mean(w))
+        lam = float(np.mean(frame.spectrum.eigenvalues))
     lam = float(lam)
+    if not lam > 0.0:
+        raise NotTight(f"tight value {lam:.6g} is not positive")
     dev = tight_deviation(frame, lam)
-    if dev > tolerance * max(lam, 0.0):
+    if dev > tolerance * lam:
         raise NotTight(f"eigenvalues deviate from {lam:.6g} by {dev:.3e}")
     _, _, _, _, sum_j, sum_jc, sj_f, sjc_f = _split_terms(frame, subset, f)
     norm_j, norm_jc = norm_sq(sj_f), norm_sq(sjc_f)
@@ -496,7 +498,7 @@ class SpanEquality:
 
 
 def _span_projector(frame: Frame) -> np.ndarray:
-    dec = hermitian_eig(frame.operator)
+    dec = frame.spectrum
     w = dec.eigenvalues
     top = max(float(w[-1]), 0.0)
     keep = w > TAU_FRAME_COEFF * top if top > 0.0 else np.zeros_like(w, dtype=bool)
@@ -556,13 +558,19 @@ def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame
     field = "complex" if "complex" in (
         base.field, added_first.field, added_second.field
     ) else "real"
+    # one block draw gives the same numbers as one draw per probe, because
+    # the stream is counter-based; a real probe draws whole Gaussian pairs,
+    # so an odd dimension discards the last column
     rng = SplitMix64(seed)
-    probes = [as_vector(f, base.dim)]
-    for _ in range(trials):
-        if field == "real":
-            g = rng.gaussians(base.dim).astype(np.complex128)
-        else:
-            g = rng.complex_gaussians(base.dim)
+    d = base.dim
+    if field == "real":
+        width = d + d % 2
+        block = rng.gaussians(trials * width).reshape(trials, width)[:, :d]
+        block = block.astype(np.complex128)
+    else:
+        block = rng.complex_gaussians(trials * d).reshape(trials, d)
+    probes = [as_vector(f, d)]
+    for g in block:
         norm = float(np.linalg.norm(g))
         if norm > 0.0:
             g = g / norm

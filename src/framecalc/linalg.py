@@ -34,7 +34,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise NotHermitian("matrix has non-finite entries")
     return a
 
@@ -106,6 +106,14 @@ def hermitian_eig(m) -> EigenDecomposition:
 def psd_apply(m, fn: str) -> np.ndarray:
     """Apply a spectral function to a positive semidefinite Hermitian matrix.
 
+    Same as spectral_apply(hermitian_eig(m), fn).
+    """
+    return spectral_apply(hermitian_eig(m), fn)
+
+
+def spectral_apply(dec: EigenDecomposition, fn: str) -> np.ndarray:
+    """Apply a spectral function to the PSD matrix with spectrum dec.
+
     fn is one of "inverse", "sqrt", "inv_sqrt". Eigenvalues in
     [-tau_psd, 0] are clamped to zero, tau_psd = 1e-12 * max(1, lambda_max).
 
@@ -115,7 +123,6 @@ def psd_apply(m, fn: str) -> np.ndarray:
     """
     if fn not in _SPECTRAL_FUNCTIONS:
         raise ValueError(f"fn must be one of {_SPECTRAL_FUNCTIONS}, got {fn!r}")
-    dec = hermitian_eig(m)
     w = dec.eigenvalues.copy()
     lam_max = float(w[-1]) if w.size else 0.0
     tau = TAU_PSD_COEFF * max(1.0, lam_max)

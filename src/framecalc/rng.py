@@ -77,9 +77,8 @@ class SplitMix64:
             raise ValueError("count must be >= 0")
         idx = np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64)
         self._pos += count
-        # uint64 multiply/add wrap mod 2^64, which is exactly what mix64 needs
-        with np.errstate(over="ignore"):
-            return mix64(self._seed + idx * _GOLDEN)
+        # uint64 array arithmetic wraps mod 2^64 without a warning, as mix64 needs
+        return mix64(self._seed + idx * _GOLDEN)
 
     def uniforms(self, count: int) -> np.ndarray:
         """float64 in [0, 1), top 53 bits of each raw output."""

@@ -22,6 +22,7 @@ from .errors import BadParams
 from .frames import (
     TAU_ID,
     Frame,
+    as_tolerance,
     bessel_inequality_check,
     canonical_dual,
     coefficients,
@@ -79,6 +80,8 @@ class RunConfig:
             raise BadParams(f"bad dim_range {self.dim_range}")
         if not d_min <= n_min <= n_max or n_max < d_max:
             raise BadParams(f"bad count_range {self.count_range} for dims {self.dim_range}")
+        if self.tolerance is not None:
+            as_tolerance(self.tolerance)
 
     @property
     def tol(self) -> float:

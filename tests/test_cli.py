@@ -154,6 +154,18 @@ def test_identity_overlap(capsys, mercedes_file):
     assert abs(report["lhs"] - 2.0 / 3.0) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", ["auto", "0"])
+def test_identity_tight_rejects_zero_family(capsys, tmp_path, lam):
+    path = str(tmp_path / "zero.json")
+    write_frame(Frame(2, np.zeros((3, 2)), "real"), path)
+    code, out = run_cli(
+        capsys, "identity", path, "--variant", "tight", "--lambda", lam,
+        "--J", "0", "--f", "1,0",
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "NotTight"
+
+
 def test_identity_subspace(capsys, mercedes_file):
     code, out = run_cli(
         capsys, "identity", mercedes_file, "--variant", "subspace",
@@ -251,10 +263,34 @@ def test_vector_spec_from_file(capsys, mercedes_file, tmp_path):
     assert abs(report["lhs"] - 2.0 / 9.0) <= 1e-12
 
 
+def test_vector_file_with_malformed_json(capsys, mercedes_file, tmp_path):
+    vec = tmp_path / "vec.json"
+    vec.write_text("[[1.0, 0.0], ")
+    code, out = run_cli(capsys, "identity", mercedes_file, "--f", f"@{vec}")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "BadParams"
+
+
 def test_vector_spec_rejected(capsys, mercedes_file):
     code, out = run_cli(capsys, "identity", mercedes_file, "--f", "1,spam")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "BadParams"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+@pytest.mark.parametrize("command", [
+    ["analyze", "{frame}", "--mode", "dual"],
+    ["identity", "{frame}"],
+    ["equiv", "{frame}"],
+    ["extend", "{frame}"],
+    ["property-run", "--suite", "pfi", "--trials", "1"],
+], ids=lambda c: c[0])
+def test_bad_tolerance_is_usage_error(capsys, mercedes_file, command, tol):
+    argv = [a.format(frame=mercedes_file) for a in command] + [f"--tolerance={tol}"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
+    assert doc["error"]["type"] == "BadParams"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Frame construction, derived families, subsets, completion, and file IO."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+
+import framecalc.frames
 
 from framecalc import (
     BadParams,
@@ -14,6 +17,7 @@ from framecalc import (
     IndexSubset,
     LambdaTooSmall,
     NotAFrame,
+    NotHermitian,
     NotIsometry,
     bessel_inequality_check,
     canonical_dual,
@@ -41,7 +45,9 @@ from framecalc import (
     union,
     write_frame,
 )
-from framecalc.frames import norm_sq
+from framecalc.frames import TAU_FRAME_COEFF, TAU_ID, FrameBounds, as_vector, norm_sq
+from framecalc.identities import span_equality_check, tight_identity_report
+from framecalc.linalg import TAU_PSD_COEFF, as_matrix, hermitian_eig, hermitize, psd_apply
 from framecalc.rng import SplitMix64
 
 E1 = [1.0, 0.0]
@@ -77,6 +83,20 @@ def test_frame_rejects_bad_inputs():
         Frame(2, [[1.0j, 0.0]], "real")
     with pytest.raises(BadParams):
         Frame(2, [E1], "rational")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build, error", [
+    (lambda a: Frame(2, a), BadParams),
+    (lambda a: as_vector(a[0], 2), BadParams),
+    (as_matrix, NotHermitian),
+], ids=["Frame", "as_vector", "as_matrix"])
+def test_non_finite_imaginary_part_rejected(build, error, bad):
+    a = np.eye(2, dtype=np.complex128)
+    a[0, 1] = complex(0.0, bad)
+    assert np.isfinite(a.real).all()
+    with pytest.raises(error, match="non-finite"):
+        build(a)
 
 
 def test_vectors_are_immutable():
@@ -117,6 +137,17 @@ def test_subset_rejects_duplicates():
         IndexSubset.coerce([1, 1])
     with pytest.raises(BadParams):
         IndexSubset((0, 0))
+
+
+def test_subset_rejects_non_integers():
+    with pytest.raises(BadParams):
+        IndexSubset.coerce([0.7, 2.9])
+    with pytest.raises(BadParams):
+        IndexSubset.coerce(np.array([1.0]))
+    with pytest.raises(BadParams):
+        IndexSubset((0.5,))
+    assert IndexSubset.coerce(np.array([3, 1])).indices == (1, 3)
+    assert IndexSubset.coerce([np.int32(2), 0]).indices == (0, 2)
 
 
 def test_subset_complement():
@@ -345,6 +376,95 @@ def test_mixed_completion_same_operator_different_vectors():
     assert np.linalg.norm(plain.operator - mixed.operator) <= 1e-12
     assert np.linalg.norm(plain.vectors - mixed.vectors) > 1e-3
     assert tight_deviation(union(base, mixed), 3.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# cached spectrum
+
+SPECTRUM_FRAMES = [
+    Frame(2, [E1, E1, E2], "real"),
+    mercedes(),
+    harmonic(3, 5),
+    random_gaussian(4, 9, 3, "real"),
+    random_gaussian(5, 7, 8, "complex"),
+]
+
+
+def test_spectrum_decomposes_once(monkeypatch):
+    calls = []
+
+    def counting_eig(m):
+        calls.append(m)
+        return hermitian_eig(m)
+
+    monkeypatch.setattr(framecalc.frames, "hermitian_eig", counting_eig)
+    for k, built in enumerate(SPECTRUM_FRAMES):
+        fr = Frame(built.dim, built.vectors, built.field)  # nothing cached yet
+        assert len(calls) == k
+        lam = 2.0 * frame_bounds(fr).upper
+        canonical_dual(fr)
+        parsevalize(fr)
+        complete_to_tight(fr)
+        complete_to_tight(fr, lam, mix_seed=4)
+        tight_deviation(fr, 1.0)
+        span_equality_check(fr, fr)
+        if frame_bounds(fr).is_tight:
+            tight_identity_report(fr, [0], np.eye(fr.dim)[0])
+        assert fr.spectrum is fr.spectrum
+        assert len(calls) == k + 1
+        assert calls[-1] is fr.operator
+
+
+def test_spectrum_is_read_only():
+    fr = random_gaussian(3, 5, 1, "complex")
+    with pytest.raises(ValueError):
+        fr.spectrum.eigenvalues[0] = 0.0
+    with pytest.raises(ValueError):
+        fr.spectrum.eigenvectors[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fr.spectrum = hermitian_eig(np.eye(3))
+
+
+def _match_real(rows, field):
+    return rows.real.astype(np.complex128) if field == "real" else rows
+
+
+def _fresh_bounds(fr):
+    w = hermitian_eig(fr.operator).eigenvalues
+    lower, upper = max(float(w[0]), 0.0), max(float(w[-1]), 0.0)
+    mean = float(np.mean(w))
+    is_tight = mean > 0.0 and bool(np.max(np.abs(w - mean)) <= TAU_ID * mean)
+    return FrameBounds(lower, upper, lower > TAU_FRAME_COEFF * upper,
+                       bool(np.max(np.abs(w - 1.0)) <= TAU_ID), is_tight,
+                       mean if is_tight else None)
+
+
+def _fresh_completion(fr, lam, mix_seed):
+    dec = hermitian_eig(fr.operator)
+    w = dec.eigenvalues
+    lam = float(w[-1]) if lam is None else lam
+    tau = TAU_PSD_COEFF * max(1.0, float(w[-1]), abs(lam))
+    wt = np.where(np.abs(lam - w) <= tau, 0.0, np.maximum(lam - w, 0.0))
+    v = dec.eigenvectors
+    root = hermitize((v * np.sqrt(wt)) @ v.conj().T)
+    cols = root[:, np.sum(np.abs(root) ** 2, axis=0) > tau]
+    if mix_seed is not None and cols.shape[1] > 0:
+        cols = cols @ random_unitary(cols.shape[1], mix_seed, fr.field)
+    return _match_real(cols.T, fr.field)
+
+
+@pytest.mark.parametrize("fr", SPECTRUM_FRAMES)
+def test_spectral_outputs_match_a_fresh_decomposition(fr):
+    fr.spectrum  # cached before any of the calls below
+    assert frame_bounds(fr) == _fresh_bounds(fr)
+    dual = _match_real(fr.vectors @ psd_apply(fr.operator, "inverse").T, fr.field)
+    assert canonical_dual(fr).vectors.tobytes() == dual.tobytes()
+    companion = _match_real(fr.vectors @ psd_apply(fr.operator, "inv_sqrt").T, fr.field)
+    assert parsevalize(fr).vectors.tobytes() == companion.tobytes()
+    lam = 1.5 * frame_bounds(fr).upper
+    for lam_arg, mix_seed in ((None, None), (lam, None), (lam, 6)):
+        got = complete_to_tight(fr, lam_arg, mix_seed=mix_seed)
+        assert got.vectors.tobytes() == _fresh_completion(fr, lam_arg, mix_seed).tobytes()
 
 
 # ---------------------------------------------------------------------------

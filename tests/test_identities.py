@@ -30,6 +30,14 @@ from framecalc import (
     tight_identity_report,
     embed_subspace_frame,
 )
+from framecalc.frames import (
+    TAU_ID,
+    coefficients,
+    complete_to_tight,
+    frame_bounds,
+    random_gaussian,
+)
+from framecalc.linalg import frobenius
 from framecalc.rng import SplitMix64
 
 E1 = [1.0, 0.0]
@@ -150,6 +158,13 @@ def test_tight_scaling_squares_the_sides():
 def test_tight_rejects_untight():
     with pytest.raises(NotTight):
         tight_identity_report(PAIR, [0], E1, lam=2.0)
+
+
+@pytest.mark.parametrize("lam", [None, 0.0, -1.0, float("nan")])
+def test_tight_rejects_non_positive_lambda(lam):
+    # the all-zero family is 0-tight, where a tolerance scaled by lam vanishes
+    with pytest.raises(NotTight, match="not positive"):
+        tight_identity_report(Frame(2, np.zeros((3, 2)), "real"), [0], E1, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -396,3 +411,49 @@ def test_extension_compare_hand_case():
 def test_extension_compare_rejects_untight_union():
     with pytest.raises(NotTight):
         tight_extension_compare(PAIR, Frame(2, [E1], "real"), Frame(2, [E2], "real"), 2.0, E1)
+
+
+def _extension_compare_reference(base, added_first, added_second, lam, f, trials, seed,
+                                 tolerance=TAU_ID):
+    """tight_extension_compare with one stream draw per probe, as first written."""
+    field = "complex" if "complex" in (
+        base.field, added_first.field, added_second.field
+    ) else "real"
+    rng = SplitMix64(seed)
+    probes = [np.asarray(f, dtype=np.complex128)]
+    for _ in range(trials):
+        if field == "real":
+            g = rng.gaussians(base.dim).astype(np.complex128)
+        else:
+            g = rng.complex_gaussians(base.dim)
+        norm = float(np.linalg.norm(g))
+        if norm > 0.0:
+            g = g / norm
+        probes.append(g)
+    max_rel = 0.0
+    for g in probes:
+        e1 = float(np.sum(np.abs(coefficients(added_first, g)) ** 2))
+        e2 = float(np.sum(np.abs(coefficients(added_second, g)) ** 2))
+        max_rel = max(max_rel, abs(e1 - e2) / max(1.0, e1, e2))
+    energy_equal = max_rel <= tolerance
+    s1, s2 = added_first.operator, added_second.operator
+    operator_equal = frobenius(s1 - s2) <= tolerance * max(1.0, frobenius(s1), frobenius(s2))
+    span_equal = span_equality_check(added_first, added_second, tolerance).spans_equal
+    return (max_rel, bool(energy_equal), bool(operator_equal), bool(span_equal),
+            bool(energy_equal and operator_equal and span_equal))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 15, 16])
+def test_extension_compare_block_probes_match_per_probe_draws(d, field):
+    for seed in (0, 11, 2**40 + 3):
+        base = random_gaussian(d, d + 3, seed, field)
+        lam = 1.5 * frame_bounds(base).upper
+        canonical = complete_to_tight(base, lam)
+        mixed = complete_to_tight(base, lam, mix_seed=seed + 1)
+        f = SplitMix64(seed + 2).gaussians(d)
+        for trials in (0, 1, 20, 100):
+            got = tight_extension_compare(base, canonical, mixed, lam, f, trials, seed + 3)
+            assert (got.max_energy_rel_diff, got.energy_equal, got.operator_equal,
+                    got.span_equal, got.passed) == _extension_compare_reference(
+                        base, canonical, mixed, lam, f, trials, seed + 3)

@@ -16,6 +16,9 @@ def test_config_validation():
         RunConfig(seed=0, trials=1, dim_range=(5, 2))
     with pytest.raises(BadParams):
         RunConfig(seed=0, trials=1, dim_range=(2, 16), count_range=(2, 8))
+    for tol in (float("nan"), float("inf"), -float("inf"), 0.0, -1e-9):
+        with pytest.raises(BadParams):
+            RunConfig(seed=0, trials=1, tolerance=tol)
     assert RunConfig(seed=0, trials=1).tol == 1e-9
     assert RunConfig(seed=0, trials=1, tolerance=1e-7).tol == 1e-7
 
