@@ -40,7 +40,6 @@ from .frames import (
     doubled_onb,
     embed_subspace_frame,
     frame_bounds,
-    frame_operator,
     generate,
     harmonic,
     mercedes,
@@ -51,7 +50,6 @@ from .frames import (
     random_gaussian,
     random_isometry,
     random_parseval,
-    random_unitary,
     subset_energy,
     tight_deviation,
     union,

@@ -12,7 +12,8 @@ object), 2 on usage or IO problems.
 
 Randomized inputs (--J random, --f random, embeddings) draw from
 deterministic streams derived from --seed: child 0 feeds J, child 1
-feeds E, child 2 feeds f, child 3 feeds the embedding isometry.
+feeds E, child 2 feeds f, and the subspace embedding isometry is drawn
+from SplitMix64(--seed) itself.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import BadParams, FrameError, FrameFormatError
 from .frames import (
+    _GENERATORS,
     as_tolerance,
     canonical_dual,
     coefficients,
@@ -35,6 +37,7 @@ from .frames import (
     embed_subspace_frame,
     frame_bounds,
     generate,
+    norm_sq,
     parsevalize,
     random_isometry,
     tight_deviation,
@@ -53,16 +56,6 @@ from .identities import (
 from .rng import SplitMix64
 from .sweeps import SUITE_NAMES, RunConfig, run_suites
 
-_GEN_KINDS = (
-    "onb",
-    "doubled-onb",
-    "mercedes",
-    "harmonic",
-    "random-gaussian",
-    "random-parseval",
-)
-
-
 def _json_default(obj):
     if isinstance(obj, np.integer):
         return int(obj)
@@ -73,8 +66,14 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+def _dump(doc, indent: int | None = 2) -> str:
+    """Strict JSON: a NaN or infinity raises FrameError, never reaches stdout."""
+    try:
+        text = json.dumps(doc, indent=indent, sort_keys=True, default=_json_default,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise FrameError(f"result is not finite: {exc}") from None
+    return text + "\n"
 
 
 def _envelope(argv: list[str], config: dict, results: list, summary: dict) -> dict:
@@ -127,12 +126,7 @@ def _parse_subset_spec(spec: str, n: int, rng: SplitMix64) -> list[int]:
 def _parse_vector_spec(spec: str, dim: int, field: str, rng: SplitMix64) -> np.ndarray:
     spec = spec.strip()
     if spec == "random":
-        if field == "real":
-            g = rng.gaussians(dim).astype(np.complex128)
-        else:
-            g = rng.complex_gaussians(dim)
-        norm = float(np.linalg.norm(g))
-        return g / norm if norm > 0 else g
+        return rng.unit_vector(dim, field)
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
             try:
@@ -149,16 +143,20 @@ def _parse_vector_spec(spec: str, dim: int, field: str, rng: SplitMix64) -> np.n
                 out[i] = complex(float(entry), 0.0)
             else:
                 raise BadParams(f"vector entry {i} must be a number or [re, im]")
-        return out
-    parts = [p for p in spec.split(",") if p.strip() != ""]
-    if not parts:
-        raise BadParams(f"empty vector spec {spec!r}")
-    out = np.empty(len(parts), dtype=np.complex128)
-    for i, part in enumerate(parts):
-        try:
-            out[i] = complex(part.strip().replace(" ", ""))
-        except ValueError:
-            raise BadParams(f"bad vector component {part!r}") from None
+    else:
+        parts = [p for p in spec.split(",") if p.strip() != ""]
+        if not parts:
+            raise BadParams(f"empty vector spec {spec!r}")
+        out = np.empty(len(parts), dtype=np.complex128)
+        for i, part in enumerate(parts):
+            try:
+                out[i] = complex(part.strip().replace(" ", ""))
+            except ValueError:
+                raise BadParams(f"bad vector component {part!r}") from None
+    # every identity term is degree 2 in f, so ||f||^2 must be finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(norm_sq(out)):
+            raise BadParams("vector has a non-finite squared norm")
     return out
 
 
@@ -166,17 +164,16 @@ def _vector_echo(v: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in v]
 
 
-def _report_dict(report) -> dict:
-    return dataclasses.asdict(report)
-
-
 def _parse_lambda(text: str | None) -> float | None:
     if text is None or text == "auto":
         return None
     try:
-        return float(text)
+        lam = float(text)
     except ValueError:
         raise BadParams(f"bad lambda {text!r}; use a number or 'auto'") from None
+    if not np.isfinite(lam):
+        raise BadParams(f"lambda must be finite, got {text!r}")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +283,7 @@ def cmd_identity(args, argv: list[str]) -> tuple[dict | None, int]:
             result["subset_e"] = e
             report = overlap_identity_report(frame, subset, e, f, tol)
     result["f"] = _vector_echo(f)
-    result["report"] = _report_dict(report)
+    result["report"] = dataclasses.asdict(report)
     config = {
         "frame": args.frame,
         "variant": args.variant,
@@ -398,7 +395,7 @@ def cmd_property_run(args, argv: list[str]) -> tuple[dict | None, int]:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_dump(env))
     if args.quiet:
-        print(json.dumps(summary, sort_keys=True, default=_json_default))
+        print(_dump(summary, indent=None), end="")
         return None, 0 if summary["failed"] == 0 else 1
     return env, 0 if summary["failed"] == 0 else 1
 
@@ -423,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a frame and write it as JSON")
-    p.add_argument("kind", choices=_GEN_KINDS)
+    p.add_argument("kind", choices=[k.replace("_", "-") for k in _GENERATORS])
     p.add_argument("--dim", type=int)
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int, default=0)
@@ -495,17 +492,14 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "tolerance", None) is not None:
             as_tolerance(args.tolerance)
         env, code = args.func(args, argv)
-    except (BadParams, FrameFormatError) as exc:
-        print(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}), end="")
-        return 2
-    except OSError as exc:
+        if env is not None:
+            print(_dump(env), end="")
+    except (BadParams, FrameFormatError, OSError) as exc:
         print(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}), end="")
         return 2
     except FrameError as exc:
         print(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}), end="")
         return 1
-    if env is not None:
-        print(_dump(env), end="")
     return code
 
 

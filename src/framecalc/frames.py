@@ -183,12 +183,6 @@ class IndexSubset:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __contains__(self, i) -> bool:
-        return i in self.indices
-
 
 @dataclass(frozen=True)
 class FrameBounds:
@@ -207,11 +201,6 @@ class FrameBounds:
     is_parseval: bool
     is_tight: bool
     tight_value: float | None
-
-
-def frame_operator(frame: Frame) -> np.ndarray:
-    """The cached operator sum_i f_i f_i^* (read-only view)."""
-    return frame.operator
 
 
 def frame_bounds(frame: Frame) -> FrameBounds:
@@ -405,35 +394,20 @@ def complete_to_tight(frame: Frame, lam: float | None = None, mix_seed: int | No
     keep = col_energy > tau
     cols = root[:, keep]
     if mix_seed is not None and cols.shape[1] > 0:
-        u = random_unitary(cols.shape[1], mix_seed, frame.field)
-        cols = cols @ u
+        k = cols.shape[1]
+        cols = cols @ random_isometry(k, k, mix_seed, frame.field)
     return Frame(frame.dim, _match_field(cols.T, frame.field), frame.field)
 
 
-def random_unitary(size: int, seed: int, field: str = "complex") -> np.ndarray:
-    """Seeded Haar-style unitary (orthogonal for field "real") via QR."""
-    if size < 1:
-        raise BadParams("size must be >= 1")
-    rng = SplitMix64(seed)
-    if field == "real":
-        g = rng.gaussians(size * size).reshape(size, size).astype(np.complex128)
-    else:
-        g = rng.complex_gaussians(size * size).reshape(size, size)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r).copy()
-    d[np.abs(d) == 0.0] = 1.0
-    return q * (d / np.abs(d))
-
-
 def random_isometry(ambient_dim: int, dim: int, seed: int, field: str = "complex") -> np.ndarray:
-    """Seeded ambient_dim x dim matrix with orthonormal columns."""
+    """Seeded ambient_dim x dim matrix with orthonormal columns, via QR.
+
+    With ambient_dim == dim it is a Haar-style unitary (orthogonal for
+    field "real").
+    """
     if not 1 <= dim <= ambient_dim:
         raise BadParams(f"need 1 <= dim <= ambient_dim, got {dim}, {ambient_dim}")
-    rng = SplitMix64(seed)
-    if field == "real":
-        g = rng.gaussians(ambient_dim * dim).reshape(ambient_dim, dim).astype(np.complex128)
-    else:
-        g = rng.complex_gaussians(ambient_dim * dim).reshape(ambient_dim, dim)
+    g = SplitMix64(seed).normals(ambient_dim * dim, field).reshape(ambient_dim, dim)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r).copy()
     d[np.abs(d) == 0.0] = 1.0
@@ -485,11 +459,7 @@ def random_gaussian(dim: int, count: int, seed: int, field: str = "real") -> Fra
         raise BadParams(f"need dim >= 1 and count >= 1, got dim={dim}, count={count}")
     if field not in _FIELDS:
         raise BadParams(f"field must be one of {_FIELDS}, got {field!r}")
-    rng = SplitMix64(seed)
-    if field == "real":
-        rows = rng.gaussians(count * dim).reshape(count, dim).astype(np.complex128)
-    else:
-        rows = rng.complex_gaussians(count * dim).reshape(count, dim)
+    rows = SplitMix64(seed).normals(count * dim, field).reshape(count, dim)
     return Frame(dim, rows, field)
 
 

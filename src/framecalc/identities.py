@@ -88,18 +88,40 @@ def _require_parseval(frame: Frame, tolerance: float) -> None:
         )
 
 
-def _split_terms(frame: Frame, subset, f):
-    """Coefficient energies and partial-sum vectors for J and its complement."""
-    j = IndexSubset.coerce(subset).validate_for(frame.count)
-    jc = j.complement(frame.count)
-    v = as_vector(f, frame.dim)
-    c = coefficients(frame, v)
-    idx, idxc = j.as_array(), jc.as_array()
-    sum_j = float(np.sum(np.abs(c[idx]) ** 2))
-    sum_jc = float(np.sum(np.abs(c[idxc]) ** 2))
-    sj_f = c[idx] @ frame.vectors[idx]
-    sjc_f = c[idxc] @ frame.vectors[idxc]
-    return j, jc, v, c, sum_j, sum_jc, sj_f, sjc_f
+def _mask(subset, n: int) -> np.ndarray:
+    """Boolean membership mask of a validated index subset of range(n)."""
+    mask = np.zeros(n, dtype=bool)
+    mask[IndexSubset.coerce(subset).validate_for(n).as_array()] = True
+    return mask
+
+
+def _energy(c: np.ndarray, mask: np.ndarray) -> float:
+    return float(np.sum(np.abs(c[mask]) ** 2))
+
+
+def _energy_split(frame: Frame, c: np.ndarray, mask: np.ndarray, weight: float = 1.0,
+                  metric=norm_sq) -> list:
+    """[weight * sum_J |c_i|^2, metric(S_J f)], then the same pair over Jc.
+
+    c = F f are the analysis coefficients of f and J is the mask. With
+    S_J + S_Jc = S, every identity below is "weighted subset energy minus
+    a metric of the partial sum" on both sides; the variants differ only
+    in the weight, the metric, and the masks they pass.
+    """
+    sides = []
+    for m in (mask, ~mask):
+        sides += [weight * _energy(c, m), metric(c[m] @ frame.vectors[m])]
+    return sides
+
+
+def _split_report(names: tuple[str, ...], sides: list, tolerance: float,
+                  **extra) -> IdentityReport:
+    """lhs = sides[0] - sides[1], rhs = sides[2] - sides[3]; sides become the named terms."""
+    return _report(sides[0] - sides[1], sides[2] - sides[3],
+                   dict(zip(names, sides)), tolerance, **extra)
+
+
+_PARSEVAL_TERMS = ("sum_j", "norm_sj_f", "sum_jc", "norm_sjc_f")
 
 
 def parseval_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID) -> IdentityReport:
@@ -113,17 +135,9 @@ def parseval_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID)
     tolerance.
     """
     _require_parseval(frame, tolerance)
-    _, _, _, _, sum_j, sum_jc, sj_f, sjc_f = _split_terms(frame, subset, f)
-    norm_j, norm_jc = norm_sq(sj_f), norm_sq(sjc_f)
-    lhs = sum_j - norm_j
-    rhs = sum_jc - norm_jc
-    terms = {
-        "sum_j": sum_j,
-        "norm_sj_f": norm_j,
-        "sum_jc": sum_jc,
-        "norm_sjc_f": norm_jc,
-    }
-    return _report(lhs, rhs, terms, tolerance)
+    mask = _mask(subset, frame.count)
+    c = coefficients(frame, f)
+    return _split_report(_PARSEVAL_TERMS, _energy_split(frame, c, mask), tolerance)
 
 
 def general_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID,
@@ -138,18 +152,15 @@ def general_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID,
     """
     if dual is None:
         dual = canonical_dual(frame)
-    _, _, _, _, sum_j, sum_jc, sj_f, sjc_f = _split_terms(frame, subset, f)
-    dual_j = float(np.sum(np.abs(coefficients(dual, sj_f)) ** 2))
-    dual_jc = float(np.sum(np.abs(coefficients(dual, sjc_f)) ** 2))
-    lhs = sum_j - dual_j
-    rhs = sum_jc - dual_jc
-    terms = {
-        "sum_j": sum_j,
-        "dual_energy_sj_f": dual_j,
-        "sum_jc": sum_jc,
-        "dual_energy_sjc_f": dual_jc,
-    }
-    return _report(lhs, rhs, terms, tolerance)
+    mask = _mask(subset, frame.count)
+    c = coefficients(frame, f)
+
+    def dual_energy(g: np.ndarray) -> float:
+        return float(np.sum(np.abs(coefficients(dual, g)) ** 2))
+
+    sides = _energy_split(frame, c, mask, metric=dual_energy)
+    return _split_report(("sum_j", "dual_energy_sj_f", "sum_jc", "dual_energy_sjc_f"),
+                         sides, tolerance)
 
 
 def tight_identity_report(frame: Frame, subset, f, lam: float | None = None,
@@ -171,17 +182,10 @@ def tight_identity_report(frame: Frame, subset, f, lam: float | None = None,
     dev = tight_deviation(frame, lam)
     if dev > tolerance * lam:
         raise NotTight(f"eigenvalues deviate from {lam:.6g} by {dev:.3e}")
-    _, _, _, _, sum_j, sum_jc, sj_f, sjc_f = _split_terms(frame, subset, f)
-    norm_j, norm_jc = norm_sq(sj_f), norm_sq(sjc_f)
-    lhs = lam * sum_j - norm_j
-    rhs = lam * sum_jc - norm_jc
-    terms = {
-        "lam_sum_j": lam * sum_j,
-        "norm_sj_f": norm_j,
-        "lam_sum_jc": lam * sum_jc,
-        "norm_sjc_f": norm_jc,
-    }
-    return _report(lhs, rhs, terms, tolerance)
+    mask = _mask(subset, frame.count)
+    c = coefficients(frame, f)
+    return _split_report(("lam_sum_j", "norm_sj_f", "lam_sum_jc", "norm_sjc_f"),
+                         _energy_split(frame, c, mask, weight=lam), tolerance)
 
 
 def overlap_identity_report(frame: Frame, subset_j, subset_e, f,
@@ -194,27 +198,15 @@ def overlap_identity_report(frame: Frame, subset_j, subset_e, f,
     Raises EOverlapsJ when E meets J, NotParseval as usual.
     """
     _require_parseval(frame, tolerance)
-    j = IndexSubset.coerce(subset_j).validate_for(frame.count)
-    e = IndexSubset.coerce(subset_e).validate_for(frame.count)
-    overlap = sorted(set(j.indices) & set(e.indices))
+    j = _mask(subset_j, frame.count)
+    e = _mask(subset_e, frame.count)
+    overlap = np.flatnonzero(j & e).tolist()
     if overlap:
         raise EOverlapsJ(f"E meets J at {overlap}")
-    jc = j.complement(frame.count)
-    v = as_vector(f, frame.dim)
-    c = coefficients(frame, v)
-
-    def split_norm(indices: tuple[int, ...]) -> float:
-        idx = np.asarray(indices, dtype=np.int64)
-        return norm_sq(c[idx] @ frame.vectors[idx])
-
-    j_union_e = tuple(sorted(set(j.indices) | set(e.indices)))
-    jc_minus_e = tuple(i for i in jc.indices if i not in set(e.indices))
-    e_idx = e.as_array()
-    energy_e = float(np.sum(np.abs(c[e_idx]) ** 2))
-    n_je = split_norm(j_union_e)
-    n_jce = split_norm(jc_minus_e)
-    n_j = split_norm(j.indices)
-    n_jc = split_norm(jc.indices)
+    c = coefficients(frame, f)
+    energy_e = _energy(c, e)
+    _, n_je, _, n_jce = _energy_split(frame, c, j | e)
+    _, n_j, _, n_jc = _energy_split(frame, c, j)
     lhs = n_je - n_jce
     rhs = n_j - n_jc + 2.0 * energy_e
     terms = {
@@ -248,28 +240,13 @@ def subspace_identity_report(sub: SubspaceFrame, subset, f,
             f"embedded operator deviates from the span projector by {dev:.3e}"
         )
     v = as_vector(f, sub.ambient_dim)
-    pv = p @ v
-
-    def sides(g: np.ndarray):
-        _, _, _, _, sum_j, sum_jc, sj_g, sjc_g = _split_terms(emb, subset, g)
-        return sum_j, norm_sq(sj_g), sum_jc, norm_sq(sjc_g)
-
-    t_f = sides(v)
-    t_pf = sides(pv)
+    mask = _mask(subset, emb.count)
+    t_f = _energy_split(emb, coefficients(emb, v), mask)
+    t_pf = _energy_split(emb, coefficients(emb, p @ v), mask)
     projection_dev = max(abs(a - b) for a, b in zip(t_f, t_pf))
-    sum_j, norm_j, sum_jc, norm_jc = t_f
-    lhs = sum_j - norm_j
-    rhs = sum_jc - norm_jc
-    terms = {
-        "sum_j": sum_j,
-        "norm_sj_f": norm_j,
-        "sum_jc": sum_jc,
-        "norm_sjc_f": norm_jc,
-        "projection_dev": projection_dev,
-    }
     scale = max(1.0, *(abs(t) for t in t_f))
-    return _report(lhs, rhs, terms, tolerance,
-                   extra_ok=projection_dev <= tolerance * scale)
+    return _split_report(_PARSEVAL_TERMS + ("projection_dev",), t_f + [projection_dev],
+                         tolerance, extra_ok=projection_dev <= tolerance * scale)
 
 
 @dataclass(frozen=True)
@@ -290,9 +267,11 @@ class BoundCheck:
 def _mixed_bound_check(frame: Frame, subset, f, coefficient: float,
                        tolerance: float) -> BoundCheck:
     _require_parseval(frame, tolerance)
-    _, _, v, _, sum_j, sum_jc, sj_f, sjc_f = _split_terms(frame, subset, f)
-    value = sum_j + norm_sq(sjc_f)
-    complement_value = sum_jc + norm_sq(sj_f)
+    mask = _mask(subset, frame.count)
+    v = as_vector(f, frame.dim)
+    sum_j, norm_j, sum_jc, norm_jc = _energy_split(frame, coefficients(frame, v), mask)
+    value = sum_j + norm_jc
+    complement_value = sum_jc + norm_j
     bound = coefficient * norm_sq(v)
     scale = max(1.0, value, complement_value, norm_sq(v))
     symmetry_rel_diff = abs(value - complement_value) / scale
@@ -453,15 +432,18 @@ class EquivalenceReport:
 def equivalence_conditions(frame: Frame, subset, f,
                            tolerance: float = TAU_ID) -> EquivalenceReport:
     _require_parseval(frame, tolerance)
-    j, jc, v, c, sum_j, sum_jc, sj_f, sjc_f = _split_terms(frame, subset, f)
-    idx, idxc = j.as_array(), jc.as_array()
+    mask = _mask(subset, frame.count)
+    v = as_vector(f, frame.dim)
+    # the identity metric keeps the partial sums S_J f and S_Jc f themselves
+    sum_j, sj_f, sum_jc, sjc_f = _energy_split(frame, coefficients(frame, v), mask,
+                                               metric=lambda g: g)
 
-    def apply_subset(indices: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def apply_subset(g: np.ndarray) -> np.ndarray:
         cg = coefficients(frame, g)
-        return cg[indices] @ frame.vectors[indices]
+        return cg[mask] @ frame.vectors[mask]
 
-    sj_sj_f = apply_subset(idx, sj_f)
-    sj_sjc_f = apply_subset(idx, sjc_f)
+    sj_sj_f = apply_subset(sj_f)
+    sj_sjc_f = apply_subset(sjc_f)
     scale = max(1.0, norm_sq(v))
     residuals = (
         ("i", abs(sum_j - norm_sq(sj_f))),
@@ -561,14 +543,9 @@ def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame
     # one block draw gives the same numbers as one draw per probe, because
     # the stream is counter-based; a real probe draws whole Gaussian pairs,
     # so an odd dimension discards the last column
-    rng = SplitMix64(seed)
     d = base.dim
-    if field == "real":
-        width = d + d % 2
-        block = rng.gaussians(trials * width).reshape(trials, width)[:, :d]
-        block = block.astype(np.complex128)
-    else:
-        block = rng.complex_gaussians(trials * d).reshape(trials, d)
+    width = d + d % 2 if field == "real" else d
+    block = SplitMix64(seed).normals(trials * width, field).reshape(trials, width)[:, :d]
     probes = [as_vector(f, d)]
     for g in block:
         norm = float(np.linalg.norm(g))

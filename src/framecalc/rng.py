@@ -21,7 +21,10 @@ Uniform doubles take the top 53 bits: (x >> 11) * 2**-53, giving values in
 pairs (u1, u2): r = sqrt(-2 log(1 - u1)), theta = 2 pi u2, yielding
 r cos(theta) then r sin(theta); drawing an odd count consumes a full pair
 and discards the last sine. Complex standard-normal entries are
-(g[2k] + i g[2k+1]) / sqrt(2) from consecutive gaussians.
+(g[2k] + i g[2k+1]) / sqrt(2) from consecutive gaussians. Every random
+vector and matrix in the package is drawn through normals(count, field),
+which picks one of the two by field, and random unit vectors through
+unit_vector(dim, field).
 
 The uint64 sequence is bit-reproducible everywhere; floating-point outputs
 are deterministic for a given platform's libm.
@@ -104,6 +107,24 @@ class SplitMix64:
         """Standard complex normal: (x + iy)/sqrt(2) with x, y standard normal."""
         g = self.gaussians(2 * count)
         return (g[0::2] + 1j * g[1::2]) / np.sqrt(2.0)
+
+    def normals(self, count: int, field: str) -> np.ndarray:
+        """`count` normals as complex128: gaussians with zero imaginary part
+        for field "real", complex_gaussians otherwise."""
+        if field == "real":
+            return self.gaussians(count).astype(np.complex128)
+        return self.complex_gaussians(count)
+
+    def unit_vector(self, dim: int, field: str) -> np.ndarray:
+        """normals(dim, field) scaled to unit norm; a draw with norm <= 1e-12
+        is discarded and drawn again."""
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        while True:
+            g = self.normals(dim, field)
+            norm = float(np.linalg.norm(g))
+            if norm > 1e-12:
+                return g / norm
 
     def integers(self, count: int, bound: int) -> np.ndarray:
         """Integers in [0, bound) by modulo reduction (bias < 2**-50 for bound <= 2**14)."""

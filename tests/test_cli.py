@@ -293,6 +293,32 @@ def test_bad_tolerance_is_usage_error(capsys, mercedes_file, command, tol):
     assert doc["error"]["type"] == "BadParams"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    pytest.param(["extend", "{pair}", "--lambda", "inf"], id="extend-lambda-inf"),
+    pytest.param(["extend", "{pair}", "--lambda", "nan"], id="extend-lambda-nan"),
+    pytest.param(["identity", "{quad}", "--variant", "tight", "--lambda", "inf"],
+                 id="tight-lambda-inf"),
+    pytest.param(["identity", "{merc}", "--J", "0", "--f", "1e308,1e308"], id="f-overflows"),
+    pytest.param(["identity", "{merc}", "--J", "0", "--f", "inf,0"], id="f-infinite"),
+    pytest.param(["equiv", "{merc}", "--f", "1e200,1e200"], id="equiv-f-overflows"),
+])
+def test_non_finite_input_is_usage_error(capsys, pair_file, quad_file, mercedes_file, command):
+    argv = [a.format(pair=pair_file, quad=quad_file, merc=mercedes_file) for a in command]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
+    assert doc["error"]["type"] == "BadParams"
+
+
+def test_non_finite_result_is_a_json_error(capsys, monkeypatch, pair_file):
+    monkeypatch.setattr("framecalc.cli.tight_deviation", lambda frame, lam: float("nan"))
+    code, out = run_cli(capsys, "analyze", pair_file, "--mode", "parsevalize")
+    assert code == 1
+    doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
+    assert doc["error"]["type"] == "FrameError"
+
+
 # ---------------------------------------------------------------------------
 # equiv and extend
 

@@ -38,7 +38,6 @@ from framecalc import (
     random_gaussian,
     random_isometry,
     random_parseval,
-    random_unitary,
     read_frame,
     subset_energy,
     tight_deviation,
@@ -449,7 +448,7 @@ def _fresh_completion(fr, lam, mix_seed):
     root = hermitize((v * np.sqrt(wt)) @ v.conj().T)
     cols = root[:, np.sum(np.abs(root) ** 2, axis=0) > tau]
     if mix_seed is not None and cols.shape[1] > 0:
-        cols = cols @ random_unitary(cols.shape[1], mix_seed, fr.field)
+        cols = cols @ random_isometry(cols.shape[1], cols.shape[1], mix_seed, fr.field)
     return _match_real(cols.T, fr.field)
 
 
@@ -471,9 +470,9 @@ def test_spectral_outputs_match_a_fresh_decomposition(fr):
 # unitaries, isometries, embeddings
 
 
-def test_random_unitary_is_unitary():
+def test_square_random_isometry_is_unitary():
     for field in ("real", "complex"):
-        u = random_unitary(4, 3, field)
+        u = random_isometry(4, 4, 3, field)
         assert np.linalg.norm(u @ u.conj().T - np.eye(4)) <= 1e-12
         if field == "real":
             assert not np.any(u.imag)

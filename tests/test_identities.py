@@ -1,7 +1,11 @@
 """Hand-derived oracle values and invariants for every identity and check."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from bruteforce import general_sides, overlap_sides, tight_sides
 
 from framecalc import (
     EOverlapsJ,
@@ -457,3 +461,72 @@ def test_extension_compare_block_probes_match_per_probe_draws(d, field):
             assert (got.max_energy_rel_diff, got.energy_equal, got.operator_equal,
                     got.span_equal, got.passed) == _extension_compare_reference(
                         base, canonical, mixed, lam, f, trials, seed + 3)
+
+
+# ---------------------------------------------------------------------------
+# pure-Python oracle on the small exhaustive corpus
+
+SMALL_CORPUS = [
+    mercedes(),
+    doubled_onb(2),
+    harmonic(2, 4),
+    random_parseval(2, 3, 11, "real"),
+    random_parseval(2, 4, 12, "complex"),
+    random_parseval(2, 5, 13, "real"),
+    random_parseval(3, 4, 14, "complex"),
+    random_parseval(3, 5, 15, "real"),
+]
+# general frames that are neither Parseval nor tight, for the dual-weighted form
+GAUSSIAN_CORPUS = [
+    random_gaussian(2, 3, 21, "real"),
+    random_gaussian(2, 5, 22, "complex"),
+    random_gaussian(3, 4, 23, "complex"),
+    random_gaussian(3, 5, 24, "real"),
+]
+
+
+def _oracle_cases(frames):
+    """(frame, its vectors as lists, probe) for e_0 and two seeded unit vectors."""
+    for which, fr in enumerate(frames):
+        rng = SplitMix64(303).derive(which)
+        probes = [np.eye(fr.dim, dtype=np.complex128)[0]]
+        probes += [rng.unit_vector(fr.dim, fr.field) for _ in range(2)]
+        vecs = [[complex(z) for z in row] for row in fr.vectors]
+        for f in probes:
+            yield fr, vecs, [complex(z) for z in f]
+
+
+def _assert_matches_oracle(rep, oracle):
+    lhs, rhs, terms = oracle
+    assert set(rep.terms) == set(terms)
+    for got, want in [(rep.lhs, lhs), (rep.rhs, rhs)] + [(rep.terms[k], terms[k]) for k in terms]:
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_tight_report_matches_oracle_on_every_subset():
+    lam = 2.5
+    for fr, vecs, f in _oracle_cases(SMALL_CORPUS):
+        scaled = fr.scaled(np.sqrt(lam))
+        svecs = [[z * math.sqrt(lam) for z in row] for row in vecs]
+        for subset in itertools.product((False, True), repeat=fr.count):
+            j = [i for i in range(fr.count) if subset[i]]
+            rep = tight_identity_report(scaled, j, f, lam=lam, tolerance=1e-10)
+            _assert_matches_oracle(rep, tight_sides(svecs, j, f, lam))
+
+
+def test_general_report_matches_oracle_on_every_subset():
+    for fr, vecs, f in _oracle_cases(SMALL_CORPUS + GAUSSIAN_CORPUS):
+        for subset in itertools.product((False, True), repeat=fr.count):
+            j = [i for i in range(fr.count) if subset[i]]
+            rep = general_identity_report(fr, j, f, tolerance=1e-10)
+            _assert_matches_oracle(rep, general_sides(vecs, j, f))
+
+
+def test_overlap_report_matches_oracle_on_every_disjoint_pair():
+    for fr, vecs, f in _oracle_cases(SMALL_CORPUS):
+        # each index lies in J (1), in E (2), or in neither (0)
+        for labels in itertools.product((0, 1, 2), repeat=fr.count):
+            j = [i for i in range(fr.count) if labels[i] == 1]
+            e = [i for i in range(fr.count) if labels[i] == 2]
+            rep = overlap_identity_report(fr, j, e, f, tolerance=1e-10)
+            _assert_matches_oracle(rep, overlap_sides(vecs, j, e, f))

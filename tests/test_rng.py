@@ -102,3 +102,17 @@ def test_sample_distinct_sorted():
     assert SplitMix64(9).sample(5, 0) == []
     with pytest.raises(ValueError):
         SplitMix64(9).sample(3, 4)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_normals_and_unit_vector_follow_the_field(field):
+    direct = SplitMix64(31).gaussians(5) if field == "real" else SplitMix64(31).complex_gaussians(5)
+    got = SplitMix64(31).normals(5, field)
+    assert got.dtype == np.complex128
+    assert got.tobytes() == direct.astype(np.complex128).tobytes()
+    u = SplitMix64(31).unit_vector(5, field)
+    assert u.tobytes() == (got / np.linalg.norm(got)).tobytes()
+    if field == "real":
+        assert not np.any(u.imag)
+    with pytest.raises(ValueError):
+        SplitMix64(31).unit_vector(0, field)
