@@ -32,7 +32,6 @@ from .frames import (
     _GENERATORS,
     as_tolerance,
     canonical_dual,
-    coefficients,
     complete_to_tight,
     embed_subspace_frame,
     frame_bounds,
@@ -53,6 +52,7 @@ from .identities import (
     tight_extension_compare,
     tight_identity_report,
 )
+from .linalg import frobenius
 from .rng import SplitMix64
 from .sweeps import SUITE_NAMES, RunConfig, run_suites
 
@@ -225,11 +225,11 @@ def cmd_analyze(args, argv: list[str]) -> tuple[dict | None, int]:
         return env, 0
     if args.mode == "dual":
         derived = canonical_dual(frame)
-        # reconstruction through the dual must give back the input vector
-        probe = np.zeros(frame.dim, dtype=np.complex128)
-        probe[0] = 1.0
-        recon = coefficients(derived, probe) @ frame.vectors
-        err = float(np.linalg.norm(recon - probe))
+        # reconstruction through the dual is the identity operator,
+        # sum_i f_i dual_i^* = I; the error is relative to ||I||_F
+        identity = np.eye(frame.dim)
+        recon = frame.vectors.T @ derived.vectors.conj()
+        err = frobenius(recon - identity) / frobenius(identity)
         passed = err <= tol
         result = {
             "mode": "dual",

@@ -110,9 +110,12 @@ class Frame:
         if self.field == "real" and a.imag.any():
             raise BadParams("field tag 'real' but vectors have nonzero imaginary parts")
         a.setflags(write=False)
-        s = hermitize(a.T @ a.conj()) if a.shape[0] else np.zeros(
-            (self.dim, self.dim), dtype=np.complex128
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # finite vectors can overflow S
+            s = hermitize(a.T @ a.conj()) if a.shape[0] else np.zeros(
+                (self.dim, self.dim), dtype=np.complex128
+            )
+        if not np.isfinite(s).all():
+            raise BadParams("frame operator overflows: vectors are too large")
         s.setflags(write=False)
         object.__setattr__(self, "vectors", a)
         object.__setattr__(self, "operator", s)
@@ -481,7 +484,7 @@ def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Fra
         bounds = frame_bounds(frame)
         if bounds.is_frame and bounds.upper <= 1.0e3 * bounds.lower:
             return parsevalize(frame)
-        attempt_seed = int(stream.raw(1)[0])
+        attempt_seed = stream.next_raw()
     raise RuntimeError("no well-conditioned Gaussian draw found")  # pragma: no cover
 
 

@@ -17,14 +17,15 @@ derive(index): the child seed is mix64(parent_seed + (index + 1) * GOLDEN),
 which does not touch the parent's position.
 
 Uniform doubles take the top 53 bits: (x >> 11) * 2**-53, giving values in
-[0, 1). Gaussians use the Box-Muller transform on consecutive uniform
-pairs (u1, u2): r = sqrt(-2 log(1 - u1)), theta = 2 pi u2, yielding
-r cos(theta) then r sin(theta); drawing an odd count consumes a full pair
-and discards the last sine. Complex standard-normal entries are
-(g[2k] + i g[2k+1]) / sqrt(2) from consecutive gaussians. Every random
-vector and matrix in the package is drawn through normals(count, field),
-which picks one of the two by field, and random unit vectors through
-unit_vector(dim, field).
+[0, 1). next_raw() and uniform() are raw(1)[0] and uniforms(1)[0] as Python
+numbers, bitwise, at the same stream position. Gaussians use the Box-Muller
+transform on consecutive uniform pairs (u1, u2): r = sqrt(-2 log(1 - u1)),
+theta = 2 pi u2, yielding r cos(theta) then r sin(theta); drawing an odd
+count consumes a full pair and discards the last sine. Complex
+standard-normal entries are (g[2k] + i g[2k+1]) / sqrt(2) from consecutive
+gaussians. Every random vector and matrix in the package is drawn through
+normals(count, field), which picks one of the two by field, and random unit
+vectors through unit_vector(dim, field).
 
 The uint64 sequence is bit-reproducible everywhere; floating-point outputs
 are deterministic for a given platform's libm.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = (1 << 64) - 1
@@ -60,19 +61,18 @@ class SplitMix64:
     """One deterministic stream; all draws advance an integer position."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & _MASK64)
+        self._seed = int(seed) & _MASK64
         self._pos = 0
 
     @property
     def seed(self) -> int:
-        return int(self._seed)
+        return self._seed
 
     def derive(self, index: int) -> "SplitMix64":
         """Child stream index >= 0, independent of this stream's position."""
         if index < 0:
             raise ValueError("derive index must be >= 0")
-        child = (int(self._seed) + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-        return SplitMix64(mix64_int(child))
+        return SplitMix64(mix64_int(self._seed + (index + 1) * _GOLDEN))
 
     def raw(self, count: int) -> np.ndarray:
         """Next `count` raw uint64 outputs."""
@@ -82,6 +82,15 @@ class SplitMix64:
         self._pos += count
         # uint64 array arithmetic wraps mod 2^64 without a warning, as mix64 needs
         return mix64(self._seed + idx * _GOLDEN)
+
+    def next_raw(self) -> int:
+        """raw(1)[0] as a Python int."""
+        self._pos += 1
+        return mix64_int(self._seed + self._pos * _GOLDEN)
+
+    def uniform(self) -> float:
+        """uniforms(1)[0] as a Python float."""
+        return (self.next_raw() >> 11) * _INV_2_53
 
     def uniforms(self, count: int) -> np.ndarray:
         """float64 in [0, 1), top 53 bits of each raw output."""
@@ -134,8 +143,7 @@ class SplitMix64:
 
     def subset(self, n: int) -> list[int]:
         """Each index of range(n) kept independently with probability 1/2."""
-        keep = self.uniforms(n) < 0.5
-        return [i for i in range(n) if keep[i]]
+        return np.flatnonzero(self.uniforms(n) < 0.5).tolist()
 
     def sample(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), by sorting uniform keys."""

@@ -24,6 +24,7 @@ from .errors import BadParams
 from .frames import (
     TAU_ID,
     Frame,
+    IndexSubset,
     as_tolerance,
     bessel_inequality_check,
     canonical_dual,
@@ -95,12 +96,12 @@ def _trial_rng(config: RunConfig, suite: str, trial: int) -> SplitMix64:
 
 def _randint(rng: SplitMix64, lo: int, hi: int) -> int:
     # inclusive bounds
-    return lo + int(rng.integers(1, hi - lo + 1)[0])
+    return lo + rng.next_raw() % (hi - lo + 1)
 
 
 def _draw_shape(rng: SplitMix64, config: RunConfig) -> tuple[str, int, int]:
     """Fixed draw order: field flag, then d, then n (forced >= d)."""
-    field = "real" if float(rng.uniforms(1)[0]) < 0.5 else "complex"
+    field = "real" if rng.uniform() < 0.5 else "complex"
     d_min, d_max = config.dim_range
     n_min, n_max = config.count_range
     d = _randint(rng, d_min, d_max)
@@ -108,14 +109,10 @@ def _draw_shape(rng: SplitMix64, config: RunConfig) -> tuple[str, int, int]:
     return field, d, n
 
 
-def _seed_from(rng: SplitMix64) -> int:
-    return int(rng.raw(1)[0])
-
-
 def _conditioned_gaussian(rng: SplitMix64, dim: int, count: int, field: str) -> tuple[Frame, float]:
     """Seeded Gaussian frame resampled until cond(S) <= 1e3."""
     for _ in range(_RESAMPLE_LIMIT):
-        frame = random_gaussian(dim, count, _seed_from(rng), field)
+        frame = random_gaussian(dim, count, rng.next_raw(), field)
         bounds = frame_bounds(frame)
         if bounds.is_frame:
             cond = bounds.upper / bounds.lower
@@ -133,7 +130,7 @@ def _pfi_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     rescaling consistency, and (every 10th trial) a subspace embedding."""
     tol = config.tol
     field, d, n = _draw_shape(rng, config)
-    frame = random_parseval(d, n, _seed_from(rng), field)
+    frame = random_parseval(d, n, rng.next_raw(), field)
     subset = rng.subset(n)
     f = rng.unit_vector(d, field)
     rep = parseval_identity_report(frame, subset, f, tol)
@@ -144,7 +141,7 @@ def _pfi_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
 
     # scaling by sqrt(lam) multiplies every degree-2 term by lam and the
     # extra lam prefactor doubles it: tight sides = lam^2 * Parseval sides
-    lam_t = 0.25 + 3.0 * float(rng.uniforms(1)[0])
+    lam_t = 0.25 + 3.0 * rng.uniform()
     tight = tight_identity_report(frame.scaled(np.sqrt(lam_t)), subset, f, lam=lam_t,
                                   tolerance=tol)
     factor = lam_t * lam_t
@@ -174,7 +171,7 @@ def _pfi_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     }
     if t % 10 == 0:
         ambient = d + 1 + _randint(rng, 0, 3)
-        iso = random_isometry(ambient, d, _seed_from(rng), field)
+        iso = random_isometry(ambient, d, rng.next_raw(), field)
         sub = embed_subspace_frame(frame, ambient, iso)
         f_amb = rng.unit_vector(ambient, field)
         rep_s = subspace_identity_report(sub, subset, f_amb, tol)
@@ -205,7 +202,7 @@ def _general_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     }
     if t % 10 == 0:
         # on a Parseval frame the dual term collapses to the plain norm
-        pframe = random_parseval(d, n, _seed_from(rng), field)
+        pframe = random_parseval(d, n, rng.next_raw(), field)
         sub2 = rng.subset(n)
         f2 = rng.unit_vector(d, field)
         rep_g = general_identity_report(pframe, sub2, f2, tol)
@@ -224,11 +221,10 @@ def _general_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
 def _overlap_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     """Disjoint-growth identity: J extended by random E inside the complement."""
     field, d, n = _draw_shape(rng, config)
-    frame = random_parseval(d, n, _seed_from(rng), field)
+    frame = random_parseval(d, n, rng.next_raw(), field)
     subset = rng.subset(n)
-    rest = [i for i in range(n) if i not in set(subset)]
-    pick = rng.uniforms(len(rest)) < 0.5 if rest else np.zeros(0, dtype=bool)
-    e = [i for k, i in enumerate(rest) if pick[k]]
+    rest = IndexSubset.coerce(subset).complement(n).indices
+    e = [i for i, keep in zip(rest, rng.uniforms(len(rest)) < 0.5) if keep]
     f = rng.unit_vector(d, field)
     rep = overlap_identity_report(frame, subset, e, f, config.tol)
     return {"d": d, "n": n, "field": field, "rel_diff": rep.rel_diff, "passed": rep.passed}
@@ -256,7 +252,7 @@ def _bounds_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
 
     subset = rng.subset(n)
     s_sum = partial_operator_matrix(frame, subset) + partial_operator_matrix(
-        frame, [i for i in range(n) if i not in set(subset)]
+        frame, IndexSubset.coerce(subset).complement(n)
     )
     additivity_err = frobenius(s_sum - frame.operator) / max(
         1.0, frobenius(frame.operator)
@@ -290,9 +286,9 @@ def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[Frame, list[
     """Parseval frame split into two parts with orthogonal spans; the first
     part's indices make every equivalence condition hold."""
     r = _randint(rng, 1, d - 1)
-    u = random_isometry(d, d, _seed_from(rng), field)
-    first = random_parseval(r, _randint(rng, r, 2 * r), _seed_from(rng), field)
-    second = random_parseval(d - r, _randint(rng, d - r, 2 * (d - r)), _seed_from(rng), field)
+    u = random_isometry(d, d, rng.next_raw(), field)
+    first = random_parseval(r, _randint(rng, r, 2 * r), rng.next_raw(), field)
+    second = random_parseval(d - r, _randint(rng, d - r, 2 * (d - r)), rng.next_raw(), field)
     rows_first = first.vectors @ u[:, :r].T
     rows_second = second.vectors @ u[:, r:].T
     if field == "real":
@@ -311,7 +307,7 @@ def _equivalence_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
         frame, subset = _orthogonal_union(rng, d, field)
         n = frame.count
     else:
-        frame = random_parseval(d, n, _seed_from(rng), field)
+        frame = random_parseval(d, n, rng.next_raw(), field)
         subset = rng.subset(n)
     f = rng.unit_vector(d, field)
     rep = equivalence_conditions(frame, subset, f, config.tol)
@@ -334,13 +330,11 @@ def _sj_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     Hermitian and non-Hermitian resolutions every 5th)."""
     tol = config.tol
     field, d, n = _draw_shape(rng, config)
-    frame = random_parseval(d, n, _seed_from(rng), field)
+    frame = random_parseval(d, n, rng.next_raw(), field)
     subset = rng.subset(n)
     structure = partial_structure_check(frame, subset, tol)
     s_j = partial_operator_matrix(frame, subset)
-    s_jc = partial_operator_matrix(
-        frame, [i for i in range(n) if i not in set(subset)]
-    )
+    s_jc = partial_operator_matrix(frame, IndexSubset.coerce(subset).complement(n))
     op_check = operator_identity_check(s_j, s_jc, tol)
     sa_check = self_adjoint_product_check(s_j, s_jc, tol)
     row = {
@@ -379,16 +373,15 @@ def _extension_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     """Canonical vs unitary-mixed tight completions: equal added energy,
     operator, and span; lam alternates between lambda_max and a larger value."""
     field, d, n = _draw_shape(rng, config)
-    frame = random_gaussian(d, n, _seed_from(rng), field)
+    frame = random_gaussian(d, n, rng.next_raw(), field)
     upper = frame_bounds(frame).upper
-    use_auto = float(rng.uniforms(1)[0]) < 0.5
-    lam = upper if use_auto else upper * (1.0 + float(rng.uniforms(1)[0]))
-    mix_seed = _seed_from(rng)
+    lam = upper if rng.uniform() < 0.5 else upper * (1.0 + rng.uniform())
+    mix_seed = rng.next_raw()
     canonical = complete_to_tight(frame, lam)
     mixed = complete_to_tight(frame, lam, mix_seed=mix_seed)
     f = rng.unit_vector(d, field)
     cmp = tight_extension_compare(
-        frame, canonical, mixed, lam, f, trials=20, seed=_seed_from(rng),
+        frame, canonical, mixed, lam, f, trials=20, seed=rng.next_raw(),
         tolerance=config.tol,
     )
     return {

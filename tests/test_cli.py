@@ -1,11 +1,16 @@
 """Command behavior through the console entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from framecalc import Frame, read_frame, write_frame
+import framecalc
+from framecalc import Frame, canonical_dual, read_frame, write_frame
 from framecalc.cli import main
 
 E1 = [1.0, 0.0]
@@ -96,6 +101,27 @@ def test_analyze_dual(capsys, pair_file):
     assert result["reconstruction_err"] <= 1e-9
     got = np.array(result["frame"]["vectors"])[:, :, 0]
     np.testing.assert_allclose(got, [[0.5, 0.0], [0.5, 0.0], [0.0, 1.0]], atol=1e-12)
+
+
+def test_analyze_dual_checks_the_whole_reconstruction(capsys, monkeypatch, pair_file):
+    code, out = run_cli(capsys, "analyze", pair_file, "--mode", "dual")
+    assert code == 0
+    assert json.loads(out)["results"][0]["reconstruction_err"] <= 1e-12
+
+    # shift only the second component of every dual vector: reconstructing
+    # e_0 alone does not see it, the operator sum_i f_i dual_i^* does
+    def perturbed_dual(frame):
+        dual = canonical_dual(frame)
+        return Frame(dual.dim, dual.vectors + np.array([0.0, 1e-6]), dual.field)
+
+    monkeypatch.setattr("framecalc.cli.canonical_dual", perturbed_dual)
+    code, out = run_cli(capsys, "analyze", pair_file, "--mode", "dual")
+    assert code == 1
+    doc = json.loads(out)
+    err = doc["results"][0]["reconstruction_err"]
+    # sum_i f_i = (2, 1), so the defect is 1e-6 * sqrt(5) over ||I||_F = sqrt(2)
+    assert err == pytest.approx(1e-6 * np.sqrt(5.0 / 2.0), rel=1e-6)
+    assert doc["summary"]["failed"] == 1
 
 
 def test_analyze_parsevalize_out(capsys, pair_file, tmp_path):
@@ -308,6 +334,28 @@ def test_non_finite_input_is_usage_error(capsys, pair_file, quad_file, mercedes_
     code, out = run_cli(capsys, *argv)
     assert code == 2
     doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
+    assert doc["error"]["type"] == "BadParams"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"],
+    ["identity", "--variant", "general", "--J", "0", "--f", "1,0"],
+], ids=lambda c: c[0])
+def test_overflowing_frame_file_is_usage_error(tmp_path, command):
+    # finite entries whose frame operator overflows; run in a fresh
+    # interpreter under -W error, so any RuntimeWarning would be a traceback
+    path = tmp_path / "big.json"
+    big = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]
+    path.write_text(json.dumps({"dim": 2, "field": "real", "vectors": big}))
+    src = str(Path(framecalc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "framecalc.cli", command[0], str(path),
+         *command[1:]],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+    doc = json.loads(proc.stdout, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
     assert doc["error"]["type"] == "BadParams"
 
 

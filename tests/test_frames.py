@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,18 @@ def test_non_finite_imaginary_part_rejected(build, error, bad):
     assert np.isfinite(a.real).all()
     with pytest.raises(error, match="non-finite"):
         build(a)
+
+
+def test_frame_rejects_overflowing_operator():
+    # finite vectors whose frame operator overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match="overflows"):
+            Frame(2, [[1e200, 0.0], [0.0, 1e200]], "real")
+        with pytest.raises(BadParams, match="overflows"):
+            Frame(2, [[1e155, 1e155j]], "complex")
+    # entries whose squares stay finite still build
+    assert np.isfinite(Frame(2, [[1e150, 0.0]], "real").operator).all()
 
 
 def test_vectors_are_immutable():

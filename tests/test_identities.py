@@ -41,6 +41,7 @@ from framecalc.frames import (
     frame_bounds,
     random_gaussian,
 )
+from framecalc.identities import _probe_block
 from framecalc.linalg import frobenius
 from framecalc.rng import SplitMix64
 
@@ -417,25 +418,31 @@ def test_extension_compare_rejects_untight_union():
         tight_extension_compare(PAIR, Frame(2, [E1], "real"), Frame(2, [E2], "real"), 2.0, E1)
 
 
-def _extension_compare_reference(base, added_first, added_second, lam, f, trials, seed,
-                                 tolerance=TAU_ID):
-    """tight_extension_compare with one stream draw per probe, as first written."""
-    field = "complex" if "complex" in (
-        base.field, added_first.field, added_second.field
-    ) else "real"
+def _per_probe_draws(f, d, field, trials, seed):
+    """The probes of tight_extension_compare drawn one stream call per
+    probe and normalized one at a time, as first written."""
     rng = SplitMix64(seed)
     probes = [np.asarray(f, dtype=np.complex128)]
     for _ in range(trials):
         if field == "real":
-            g = rng.gaussians(base.dim).astype(np.complex128)
+            g = rng.gaussians(d).astype(np.complex128)
         else:
-            g = rng.complex_gaussians(base.dim)
+            g = rng.complex_gaussians(d)
         norm = float(np.linalg.norm(g))
         if norm > 0.0:
             g = g / norm
         probes.append(g)
+    return probes
+
+
+def _extension_compare_reference(base, added_first, added_second, lam, f, trials, seed,
+                                 tolerance=TAU_ID):
+    """tight_extension_compare with per-probe draws and per-probe energies."""
+    field = "complex" if "complex" in (
+        base.field, added_first.field, added_second.field
+    ) else "real"
     max_rel = 0.0
-    for g in probes:
+    for g in _per_probe_draws(f, base.dim, field, trials, seed):
         e1 = float(np.sum(np.abs(coefficients(added_first, g)) ** 2))
         e2 = float(np.sum(np.abs(coefficients(added_second, g)) ** 2))
         max_rel = max(max_rel, abs(e1 - e2) / max(1.0, e1, e2))
@@ -447,20 +454,81 @@ def _extension_compare_reference(base, added_first, added_second, lam, f, trials
             bool(energy_equal and operator_equal and span_equal))
 
 
+def _assert_matches_reference(got, ref):
+    # every verdict is exact; the blocked energies sum in another order than
+    # the per-probe ones, so the residual agrees only to roundoff
+    assert (got.energy_equal, got.operator_equal, got.span_equal, got.passed) == ref[1:]
+    assert abs(got.max_energy_rel_diff - ref[0]) <= 1e-14
+    assert got.max_energy_rel_diff <= 1e-12 and ref[0] <= 1e-12
+
+
+_PROBE_SEEDS = (0, 11, 2**40 + 3)
+_PROBE_TRIALS = (0, 1, 20, 100)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 15, 16])
+def test_probe_block_is_bitwise_the_per_probe_draws(d, field):
+    for seed in _PROBE_SEEDS:
+        f = SplitMix64(seed + 2).gaussians(d)
+        for trials in _PROBE_TRIALS:
+            block = _probe_block(f, d, field, trials, seed + 3)
+            ref = np.array(_per_probe_draws(f, d, field, trials, seed + 3))
+            assert block.shape == ref.shape == (trials + 1, d)
+            assert block.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 15, 16])
 def test_extension_compare_block_probes_match_per_probe_draws(d, field):
-    for seed in (0, 11, 2**40 + 3):
+    for seed in _PROBE_SEEDS:
         base = random_gaussian(d, d + 3, seed, field)
         lam = 1.5 * frame_bounds(base).upper
         canonical = complete_to_tight(base, lam)
         mixed = complete_to_tight(base, lam, mix_seed=seed + 1)
         f = SplitMix64(seed + 2).gaussians(d)
-        for trials in (0, 1, 20, 100):
+        for trials in _PROBE_TRIALS:
             got = tight_extension_compare(base, canonical, mixed, lam, f, trials, seed + 3)
-            assert (got.max_energy_rel_diff, got.energy_equal, got.operator_equal,
-                    got.span_equal, got.passed) == _extension_compare_reference(
-                        base, canonical, mixed, lam, f, trials, seed + 3)
+            _assert_matches_reference(got, _extension_compare_reference(
+                base, canonical, mixed, lam, f, trials, seed + 3))
+
+
+def test_extension_compare_empty_added_family():
+    # onb(3) is already 1-tight: the canonical completion adds no vectors,
+    # and a family of zero vectors adds nothing either
+    base = onb(3)
+    empty = complete_to_tight(base, 1.0)
+    zeros = Frame(3, np.zeros((2, 3)), "real")
+    assert empty.count == 0
+    for first, second in ((empty, empty), (empty, zeros)):
+        got = tight_extension_compare(base, first, second, 1.0, [1.0, 2.0, 0.0], 20, 5)
+        assert got.passed
+        assert got.max_energy_rel_diff == 0.0
+        _assert_matches_reference(got, _extension_compare_reference(
+            base, first, second, 1.0, [1.0, 2.0, 0.0], 20, 5))
+
+
+def test_extension_compare_zero_norm_probe_is_left_unnormalized(monkeypatch):
+    draw = SplitMix64.normals
+
+    def normals_with_a_zero_row(self, count, field):
+        g = draw(self, count, field)
+        g[: count // 5] = 0.0  # five probes are drawn: zero the first
+        return g
+
+    monkeypatch.setattr(SplitMix64, "normals", normals_with_a_zero_row)
+    for field, d in (("real", 3), ("complex", 5)):
+        with np.errstate(all="raise"):
+            block = _probe_block(np.ones(d), d, field, 5, 1)
+        assert not block[1].any()
+        assert np.allclose(np.linalg.norm(block[2:], axis=1), 1.0)
+    base = PAIR
+    first = Frame(2, [E2], "real")
+    r = 1.0 / np.sqrt(2.0)
+    second = Frame(2, [[0.0, r], [0.0, r]], "real")
+    got = tight_extension_compare(base, first, second, 2.0, E1, 5, 1)
+    assert got.passed
+    assert got.max_energy_rel_diff <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framecalc.rng import SplitMix64, mix64, mix64_int
 
@@ -116,3 +117,50 @@ def test_normals_and_unit_vector_follow_the_field(field):
         assert not np.any(u.imag)
     with pytest.raises(ValueError):
         SplitMix64(31).unit_vector(0, field)
+
+
+# ---------------------------------------------------------------------------
+# scalar draws: next_raw() and uniform() are raw(1) and uniforms(1) as Python
+# numbers, at any stream position
+
+_DRAWS = {
+    "raw": lambda rng, k: rng.raw(k),
+    "uniforms": lambda rng, k: rng.uniforms(k),
+    "gaussians": lambda rng, k: rng.gaussians(k),
+    "normals": lambda rng, k: rng.normals(k, "complex"),
+    "integers": lambda rng, k: rng.integers(k, 7),
+    "subset": lambda rng, k: rng.subset(k),
+    "unit_vector": lambda rng, k: rng.unit_vector(k + 1, "real"),
+    "next_raw": lambda rng, k: rng.next_raw(),
+    "uniform": lambda rng, k: rng.uniform(),
+}
+_SCALAR_VS_BLOCK = {
+    "next_raw": (lambda rng, lo, k: rng.next_raw(),
+                 lambda rng, lo, k: int(rng.raw(1)[0])),
+    "uniform": (lambda rng, lo, k: rng.uniform(),
+                lambda rng, lo, k: float(rng.uniforms(1)[0])),
+    "randint": (lambda rng, lo, k: lo + rng.next_raw() % k,
+                lambda rng, lo, k: lo + int(rng.integers(1, k)[0])),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_SCALAR_VS_BLOCK))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    prefix=st.lists(st.tuples(st.sampled_from(sorted(_DRAWS)), st.integers(0, 9)), max_size=8),
+    lo=st.integers(-5, 5),
+    k=st.integers(1, 2**14),
+)
+def test_scalar_draw_equals_block_draw(pair, seed, prefix, lo, k):
+    scalar, block = _SCALAR_VS_BLOCK[pair]
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    for name, count in prefix:
+        _DRAWS[name](a, count)
+        _DRAWS[name](b, count)
+    x, y = scalar(a, lo, k), block(b, lo, k)
+    assert type(x) is type(y)
+    assert x == y
+    # t -> mix64(seed + t * GOLDEN) is injective, so equal next outputs
+    # mean both streams advanced to the same position
+    assert a.raw(2).tolist() == b.raw(2).tolist()

@@ -13,6 +13,12 @@ the command writes one. Comparing the output of two checkouts shows
 whether a change kept every byte the CLI prints:
 
     python3 tools/cli_digest.py --src path/to/src
+
+With `--against OTHER_SRC` it digests both trees and prints only the
+commands whose `exit sha256 stderr-bytes` differ, as a `-` line for
+OTHER_SRC and a `+` line for `--src`; it exits 1 when any command differs:
+
+    python3 tools/cli_digest.py --against path/to/parent/src
 """
 
 from __future__ import annotations
@@ -91,9 +97,18 @@ def main() -> None:
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the framecalc package (default: this checkout)")
+    parser.add_argument("--against", type=Path,
+                        help="another framecalc source tree; print only the commands that differ")
     args = parser.parse_args()
-    for line in digest(args.src.resolve()):
-        print(line, flush=True)
+    if args.against is None:
+        for line in digest(args.src.resolve()):
+            print(line, flush=True)
+        return
+    changed = [(old, new) for old, new in zip(digest(args.against.resolve()),
+                                              digest(args.src.resolve())) if old != new]
+    for old, new in changed:
+        print(f"- {old}\n+ {new}", flush=True)
+    sys.exit(1 if changed else 0)
 
 
 if __name__ == "__main__":
