@@ -31,7 +31,6 @@ from .errors import (
 from .frames import (
     Frame,
     FrameBounds,
-    IndexSubset,
     SubspaceFrame,
     bessel_inequality_check,
     canonical_dual,
@@ -51,6 +50,7 @@ from .frames import (
     random_isometry,
     random_parseval,
     subset_energy,
+    subset_mask,
     tight_deviation,
     union,
 )

@@ -22,9 +22,7 @@ from typing import Any
 import numpy as np
 
 from .errors import FrameFormatError
-from .frames import Frame
-
-_FIELDS = ("real", "complex")
+from .frames import _FIELDS, Frame
 
 
 def frame_to_document(frame: Frame) -> dict[str, Any]:

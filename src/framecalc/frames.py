@@ -111,9 +111,7 @@ class Frame:
             raise BadParams("field tag 'real' but vectors have nonzero imaginary parts")
         a.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):  # finite vectors can overflow S
-            s = hermitize(a.T @ a.conj()) if a.shape[0] else np.zeros(
-                (self.dim, self.dim), dtype=np.complex128
-            )
+            s = hermitize(a.T @ a.conj())
         if not np.isfinite(s).all():
             raise BadParams("frame operator overflows: vectors are too large")
         s.setflags(write=False)
@@ -137,54 +135,27 @@ class Frame:
         return Frame(self.dim, self.vectors * float(factor), self.field)
 
 
-def _as_indices(values) -> list[int]:
-    # operator.index accepts Python and numpy integers and rejects floats
+def subset_mask(subset, n: int) -> np.ndarray:
+    """Boolean membership mask of an index subset J of range(n).
+
+    The one place a subset is checked. Indices must be Python or numpy
+    integers (floats are rejected), distinct, and inside [0, n); the
+    first failing check, in that order, raises.
+    """
     try:
-        return list(map(operator.index, values))
+        idx = sorted(map(operator.index, subset))
     except TypeError:
         raise BadParams("indices must be integers") from None
-
-
-@dataclass(frozen=True)
-class IndexSubset:
-    """Strictly increasing tuple of vector indices; complement is computed."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(_as_indices(self.indices))
-        for a, b in zip(idx, idx[1:]):
-            if a >= b:
-                raise BadParams("indices must be strictly increasing with no duplicates")
-        if idx and idx[0] < 0:
-            raise IndexOutOfRange(f"negative index {idx[0]}")
-        object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def coerce(cls, value) -> "IndexSubset":
-        if isinstance(value, IndexSubset):
-            return value
-        idx = sorted(_as_indices(value))
-        for a, b in zip(idx, idx[1:]):
-            if a == b:
-                raise BadParams(f"duplicate index {a}")
-        return cls(tuple(idx))
-
-    def validate_for(self, n: int) -> "IndexSubset":
-        if self.indices and self.indices[-1] >= n:
-            raise IndexOutOfRange(f"index {self.indices[-1]} outside [0, {n})")
-        return self
-
-    def complement(self, n: int) -> "IndexSubset":
-        self.validate_for(n)
-        members = set(self.indices)
-        return IndexSubset(tuple(i for i in range(n) if i not in members))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.indices)
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            raise BadParams(f"duplicate index {a}")
+    if idx and idx[0] < 0:
+        raise IndexOutOfRange(f"negative index {idx[0]}")
+    if idx and idx[-1] >= n:
+        raise IndexOutOfRange(f"index {idx[-1]} outside [0, {n})")
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -268,27 +239,23 @@ def coefficients(frame: Frame, f) -> np.ndarray:
     return frame.vectors.conj() @ v
 
 
-def subset_energy(frame: Frame, subset: IndexSubset, f) -> float:
+def subset_energy(frame: Frame, subset, f) -> float:
     """sum over i in J of |<f, f_i>|^2."""
-    j = IndexSubset.coerce(subset).validate_for(frame.count)
+    mask = subset_mask(subset, frame.count)
     c = coefficients(frame, f)
-    return float(np.sum(np.abs(c[j.as_array()]) ** 2))
+    return float(np.sum(np.abs(c[mask]) ** 2))
 
 
-def partial_apply(frame: Frame, subset: IndexSubset, f) -> np.ndarray:
+def partial_apply(frame: Frame, subset, f) -> np.ndarray:
     """S_J f = sum over i in J of <f, f_i> f_i."""
-    j = IndexSubset.coerce(subset).validate_for(frame.count)
+    mask = subset_mask(subset, frame.count)
     c = coefficients(frame, f)
-    idx = j.as_array()
-    return c[idx] @ frame.vectors[idx]
+    return c[mask] @ frame.vectors[mask]
 
 
-def partial_operator_matrix(frame: Frame, subset: IndexSubset) -> np.ndarray:
-    """Dense d x d matrix of S_J (Hermitian, PSD)."""
-    j = IndexSubset.coerce(subset).validate_for(frame.count)
-    rows = frame.vectors[j.as_array()]
-    if rows.shape[0] == 0:
-        return np.zeros((frame.dim, frame.dim), dtype=np.complex128)
+def partial_operator_matrix(frame: Frame, subset) -> np.ndarray:
+    """Dense d x d matrix of S_J (Hermitian, PSD; zero for the empty J)."""
+    rows = frame.vectors[subset_mask(subset, frame.count)]
     return hermitize(rows.T @ rows.conj())
 
 

@@ -18,7 +18,8 @@ Every equality produces an IdentityReport. Residuals are scaled by
 max(1, |lhs|, |rhs|, largest recorded term) so that verdicts are invariant
 under scaling f or the frame: the interesting quantities are small
 differences of the recorded degree-2 terms, and the terms set the
-cancellation scale.
+cancellation scale. This holds while every term is finite; a term that
+overflows makes the report non-finite.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ from .frames import (
     TAU_FRAME_COEFF,
     TAU_ID,
     Frame,
-    IndexSubset,
     SubspaceFrame,
     as_vector,
     canonical_dual,
     coefficients,
     norm_sq,
-    partial_operator_matrix,
+    subset_mask,
     tight_deviation,
     union,
 )
@@ -88,13 +88,6 @@ def _require_parseval(frame: Frame, tolerance: float) -> None:
         )
 
 
-def _mask(subset, n: int) -> np.ndarray:
-    """Boolean membership mask of a validated index subset of range(n)."""
-    mask = np.zeros(n, dtype=bool)
-    mask[IndexSubset.coerce(subset).validate_for(n).as_array()] = True
-    return mask
-
-
 def _energy(c: np.ndarray, mask: np.ndarray) -> float:
     return float(np.sum(np.abs(c[mask]) ** 2))
 
@@ -135,7 +128,7 @@ def parseval_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID)
     tolerance.
     """
     _require_parseval(frame, tolerance)
-    mask = _mask(subset, frame.count)
+    mask = subset_mask(subset, frame.count)
     c = coefficients(frame, f)
     return _split_report(_PARSEVAL_TERMS, _energy_split(frame, c, mask), tolerance)
 
@@ -152,7 +145,7 @@ def general_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID,
     """
     if dual is None:
         dual = canonical_dual(frame)
-    mask = _mask(subset, frame.count)
+    mask = subset_mask(subset, frame.count)
     c = coefficients(frame, f)
 
     def dual_energy(g: np.ndarray) -> float:
@@ -182,7 +175,7 @@ def tight_identity_report(frame: Frame, subset, f, lam: float | None = None,
     dev = tight_deviation(frame, lam)
     if dev > tolerance * lam:
         raise NotTight(f"eigenvalues deviate from {lam:.6g} by {dev:.3e}")
-    mask = _mask(subset, frame.count)
+    mask = subset_mask(subset, frame.count)
     c = coefficients(frame, f)
     return _split_report(("lam_sum_j", "norm_sj_f", "lam_sum_jc", "norm_sjc_f"),
                          _energy_split(frame, c, mask, weight=lam), tolerance)
@@ -198,8 +191,8 @@ def overlap_identity_report(frame: Frame, subset_j, subset_e, f,
     Raises EOverlapsJ when E meets J, NotParseval as usual.
     """
     _require_parseval(frame, tolerance)
-    j = _mask(subset_j, frame.count)
-    e = _mask(subset_e, frame.count)
+    j = subset_mask(subset_j, frame.count)
+    e = subset_mask(subset_e, frame.count)
     overlap = np.flatnonzero(j & e).tolist()
     if overlap:
         raise EOverlapsJ(f"E meets J at {overlap}")
@@ -240,7 +233,7 @@ def subspace_identity_report(sub: SubspaceFrame, subset, f,
             f"embedded operator deviates from the span projector by {dev:.3e}"
         )
     v = as_vector(f, sub.ambient_dim)
-    mask = _mask(subset, emb.count)
+    mask = subset_mask(subset, emb.count)
     t_f = _energy_split(emb, coefficients(emb, v), mask)
     t_pf = _energy_split(emb, coefficients(emb, p @ v), mask)
     projection_dev = max(abs(a - b) for a, b in zip(t_f, t_pf))
@@ -267,7 +260,7 @@ class BoundCheck:
 def _mixed_bound_check(frame: Frame, subset, f, coefficient: float,
                        tolerance: float) -> BoundCheck:
     _require_parseval(frame, tolerance)
-    mask = _mask(subset, frame.count)
+    mask = subset_mask(subset, frame.count)
     v = as_vector(f, frame.dim)
     sum_j, norm_j, sum_jc, norm_jc = _energy_split(frame, coefficients(frame, v), mask)
     value = sum_j + norm_jc
@@ -318,10 +311,9 @@ class PartialStructure:
 
 def partial_structure_check(frame: Frame, subset, tolerance: float = TAU_ID) -> PartialStructure:
     _require_parseval(frame, tolerance)
-    j = IndexSubset.coerce(subset).validate_for(frame.count)
-    jc = j.complement(frame.count)
-    s_j = partial_operator_matrix(frame, j)
-    s_jc = partial_operator_matrix(frame, jc)
+    mask = subset_mask(subset, frame.count)
+    s_j, s_jc = (hermitize(rows.T @ rows.conj())
+                 for rows in (frame.vectors[mask], frame.vectors[~mask]))
     product = s_j @ s_jc
     gap = s_j - s_j @ s_j
     residual = frobenius(gap - product)
@@ -432,7 +424,7 @@ class EquivalenceReport:
 def equivalence_conditions(frame: Frame, subset, f,
                            tolerance: float = TAU_ID) -> EquivalenceReport:
     _require_parseval(frame, tolerance)
-    mask = _mask(subset, frame.count)
+    mask = subset_mask(subset, frame.count)
     v = as_vector(f, frame.dim)
     # the identity metric keeps the partial sums S_J f and S_Jc f themselves
     sum_j, sj_f, sum_jc, sjc_f = _energy_split(frame, coefficients(frame, v), mask,

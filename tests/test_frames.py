@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import framecalc.frames
 
@@ -15,7 +16,6 @@ from framecalc import (
     Frame,
     FrameFormatError,
     IndexOutOfRange,
-    IndexSubset,
     LambdaTooSmall,
     NotAFrame,
     NotHermitian,
@@ -41,6 +41,7 @@ from framecalc import (
     random_parseval,
     read_frame,
     subset_energy,
+    subset_mask,
     tight_deviation,
     union,
     write_frame,
@@ -140,38 +141,51 @@ def test_union_dim_mismatch():
 # index subsets
 
 
+def _members(mask):
+    return tuple(np.flatnonzero(mask).tolist())
+
+
 def test_subset_coerce_sorts():
-    assert IndexSubset.coerce([2, 0]).indices == (0, 2)
+    mask = subset_mask([2, 0], 3)
+    assert mask.dtype == bool and mask.shape == (3,)
+    assert _members(mask) == (0, 2)
 
 
 def test_subset_rejects_duplicates():
-    with pytest.raises(BadParams):
-        IndexSubset.coerce([1, 1])
-    with pytest.raises(BadParams):
-        IndexSubset((0, 0))
+    with pytest.raises(BadParams, match="^duplicate index 1$"):
+        subset_mask([1, 1], 3)
+    with pytest.raises(BadParams, match="^duplicate index 0$"):
+        subset_mask((0, 0), 3)
+    # the duplicate check comes before the range checks
+    with pytest.raises(BadParams, match="^duplicate index 5$"):
+        subset_mask([5, 5, -1], 3)
 
 
 def test_subset_rejects_non_integers():
-    with pytest.raises(BadParams):
-        IndexSubset.coerce([0.7, 2.9])
-    with pytest.raises(BadParams):
-        IndexSubset.coerce(np.array([1.0]))
-    with pytest.raises(BadParams):
-        IndexSubset((0.5,))
-    assert IndexSubset.coerce(np.array([3, 1])).indices == (1, 3)
-    assert IndexSubset.coerce([np.int32(2), 0]).indices == (0, 2)
+    with pytest.raises(BadParams, match="^indices must be integers$"):
+        subset_mask([0.7, 2.9], 3)
+    with pytest.raises(BadParams, match="^indices must be integers$"):
+        subset_mask(np.array([1.0]), 3)
+    with pytest.raises(BadParams, match="^indices must be integers$"):
+        subset_mask((0.5,), 3)
+    with pytest.raises(BadParams, match="^indices must be integers$"):
+        subset_mask([1, 1, 0.5], 3)
+    assert _members(subset_mask(np.array([3, 1]), 4)) == (1, 3)
+    assert _members(subset_mask([np.int32(2), 0], 3)) == (0, 2)
 
 
 def test_subset_complement():
-    assert IndexSubset((0, 2)).complement(4).indices == (1, 3)
-    assert IndexSubset(()).complement(3).indices == (0, 1, 2)
+    assert _members(~subset_mask((0, 2), 4)) == (1, 3)
+    assert _members(~subset_mask((), 3)) == (0, 1, 2)
 
 
 def test_subset_range_checks():
-    with pytest.raises(IndexOutOfRange):
-        IndexSubset((0, 5)).validate_for(3)
-    with pytest.raises(IndexOutOfRange):
-        IndexSubset((-1, 2))
+    with pytest.raises(IndexOutOfRange, match=r"^index 5 outside \[0, 3\)$"):
+        subset_mask((0, 5), 3)
+    with pytest.raises(IndexOutOfRange, match="^negative index -1$"):
+        subset_mask((-1, 2), 3)
+    with pytest.raises(IndexOutOfRange, match="^negative index -3$"):
+        subset_mask([7, -3], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +553,36 @@ def test_round_trip_complex(tmp_path):
     fr = harmonic(3, 5)
     write_frame(fr, path)
     assert np.array_equal(read_frame(path).vectors, fr.vectors)
+
+
+# |x| <= 1e150 keeps every entry of S = sum_i f_i f_i^* finite at these sizes
+_ENTRIES = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, -1e150)),
+    st.floats(min_value=-1e150, max_value=1e150),
+)
+
+
+@st.composite
+def _frames(draw):
+    field = draw(st.sampled_from(("real", "complex")))
+    dim, count = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    size = dim * count
+    # a real frame has zero imaginary parts, of either sign
+    im_entries = st.sampled_from((0.0, -0.0)) if field == "real" else _ENTRIES
+    rows = np.empty(size, dtype=np.complex128)
+    rows.real = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+    rows.imag = draw(st.lists(im_entries, min_size=size, max_size=size))
+    return Frame(dim, rows.reshape(count, dim), field)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fr=_frames())
+def test_write_read_round_trip_is_bit_exact(tmp_path_factory, fr):
+    path = str(tmp_path_factory.mktemp("round_trip") / "f.json")
+    write_frame(fr, path)
+    back = read_frame(path)
+    assert (back.dim, back.field) == (fr.dim, fr.field)
+    assert back.vectors.tobytes() == fr.vectors.tobytes()
 
 
 def test_document_round_trip():

@@ -8,8 +8,11 @@ import pytest
 from bruteforce import general_sides, overlap_sides, tight_sides
 
 from framecalc import (
+    BadParams,
     EOverlapsJ,
     Frame,
+    FrameError,
+    IndexOutOfRange,
     NotParseval,
     NotTight,
     PreconditionFailed,
@@ -23,11 +26,13 @@ from framecalc import (
     operator_identity_check,
     overlap_identity_report,
     parseval_identity_report,
+    partial_apply,
     partial_operator_matrix,
     partial_structure_check,
     random_parseval,
     self_adjoint_product_check,
     span_equality_check,
+    subset_energy,
     subspace_identity_report,
     three_quarters_check,
     tight_extension_compare,
@@ -529,6 +534,43 @@ def test_extension_compare_zero_norm_probe_is_left_unnormalized(monkeypatch):
     got = tight_extension_compare(base, first, second, 2.0, E1, 5, 1)
     assert got.passed
     assert got.max_energy_rel_diff <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the index subset J, checked by every entry that takes one
+
+_BAD_SUBSETS = {
+    "duplicate": ([1, 1], BadParams, "duplicate index 1"),
+    "too_large": ([0, 3], IndexOutOfRange, "index 3 outside [0, 3)"),
+    "negative": ([-1], IndexOutOfRange, "negative index -1"),
+    "float": ([0.5], BadParams, "indices must be integers"),
+}
+_IN_R3 = embed_subspace_frame(mercedes(), 3, np.eye(3)[:, :2])
+_SUBSET_ENTRIES = {
+    "parseval": lambda j: parseval_identity_report(mercedes(), j, E1),
+    "general": lambda j: general_identity_report(mercedes(), j, E1),
+    "tight": lambda j: tight_identity_report(mercedes(), j, E1),
+    "overlap_j": lambda j: overlap_identity_report(mercedes(), j, [], E1),
+    "overlap_e": lambda j: overlap_identity_report(mercedes(), [], j, E1),
+    "subspace": lambda j: subspace_identity_report(_IN_R3, j, [1.0, 0.0, 0.0]),
+    "half": lambda j: half_bound_check(mercedes(), j, E1),
+    "three_quarters": lambda j: three_quarters_check(mercedes(), j, E1),
+    "partial_structure": lambda j: partial_structure_check(mercedes(), j),
+    "equivalence": lambda j: equivalence_conditions(mercedes(), j, E1),
+    "subset_energy": lambda j: subset_energy(mercedes(), j, E1),
+    "partial_apply": lambda j: partial_apply(mercedes(), j, E1),
+    "partial_operator_matrix": lambda j: partial_operator_matrix(mercedes(), j),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_SUBSETS))
+@pytest.mark.parametrize("entry", sorted(_SUBSET_ENTRIES))
+def test_every_subset_entry_rejects_a_bad_subset(entry, bad):
+    subset, error, message = _BAD_SUBSETS[bad]
+    with pytest.raises(FrameError) as excinfo:
+        _SUBSET_ENTRIES[entry](subset)
+    assert excinfo.type is error
+    assert str(excinfo.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,13 @@ COMMANDS = [
     # exit 1: a check fails or the input is outside a domain
     "identity g16.json",
     "extend merc.json --lambda 0.1",
+    "identity merc.json --J 0,5",
+    "identity p16.json --variant overlap --J 0,1 --E 1,2",
+    "equiv merc.json --J 3 --f 1,0",
     # exit 2: usage and IO errors
     "identity missing.json",
     "identity merc.json --J 1-x",
+    "identity merc.json --J 1,1",
     "identity merc.json --f 1,2,3",
     # non-finite inputs
     "extend g16.json --lambda inf",
