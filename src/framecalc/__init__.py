@@ -44,12 +44,10 @@ from .frames import (
     mercedes,
     onb,
     parsevalize,
-    partial_apply,
     partial_operator_matrix,
     random_gaussian,
     random_isometry,
     random_parseval,
-    subset_energy,
     subset_mask,
     tight_deviation,
     union,

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import BadParams, FrameError, FrameFormatError
+from .errors import BadParams, FrameError, FrameFormatError, IndexOutOfRange
 from .frames import (
     _GENERATORS,
     as_tolerance,
@@ -39,6 +39,7 @@ from .frames import (
     norm_sq,
     parsevalize,
     random_isometry,
+    subset_mask,
     tight_deviation,
     union,
 )
@@ -97,6 +98,17 @@ def _single_summary(passed: bool, rel_diff: float = 0.0, borderline: bool = Fals
 
 
 def _parse_subset_spec(spec: str, n: int, rng: SplitMix64) -> list[int]:
+    """The index list a --J or --E spec names, checked against the frame's n:
+    an index that does not fit the frame is a usage error, as a repeated one is."""
+    subset = _subset_from_spec(spec, n, rng)
+    try:
+        subset_mask(subset, n)
+    except IndexOutOfRange as exc:
+        raise BadParams(str(exc)) from None
+    return subset
+
+
+def _subset_from_spec(spec: str, n: int, rng: SplitMix64) -> list[int]:
     spec = spec.strip()
     if spec == "":
         return []

@@ -17,6 +17,10 @@ operations derive standard companions: canonical dual (S^{-1} f_i),
 Parseval conversion (S^{-1/2} f_i), subspace embeddings through isometries,
 and completion to a tight frame by appending columns of sqrt(lam*I - S).
 
+The kernels behind the frame operator, the analysis coefficients, S_J and
+Parseval conversion also take zero-padded stacks of families, shape
+(..., n, d); a zero row adds nothing to any of them.
+
 Real-tagged frames keep exactly zero imaginary parts; derived operations
 strip sub-tolerance imaginary roundoff so the tag survives duals and
 completions.
@@ -42,6 +46,7 @@ from .linalg import (
     TAU_EIG,
     TAU_PSD_COEFF,
     EigenDecomposition,
+    _first_failure,
     frobenius,
     hermitian_eig,
     hermitize,
@@ -51,6 +56,7 @@ from .rng import SplitMix64
 
 TAU_ID = 1e-9
 TAU_FRAME_COEFF = 1e-10
+MAX_COND = 1.0e3  # largest cond(S) a random Parseval or conditioned Gaussian draw accepts
 
 _FIELDS = ("real", "complex")
 
@@ -73,8 +79,10 @@ def as_tolerance(value) -> float:
     return tol
 
 
-def norm_sq(v: np.ndarray) -> float:
-    return float(np.vdot(v, v).real)
+def norm_sq(v: np.ndarray):
+    """||v||^2 as a float; over a stack (..., d), an array of one per vector."""
+    sq = np.vecdot(v, v).real
+    return float(sq) if v.ndim == 1 else sq
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +119,7 @@ class Frame:
             raise BadParams("field tag 'real' but vectors have nonzero imaginary parts")
         a.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):  # finite vectors can overflow S
-            s = hermitize(a.T @ a.conj())
+            s = _operator(a)
         if not np.isfinite(s).all():
             raise BadParams("frame operator overflows: vectors are too large")
         s.setflags(write=False)
@@ -133,6 +141,22 @@ class Frame:
     def scaled(self, factor: float) -> "Frame":
         """Every vector multiplied by factor (frame operator scales by factor^2)."""
         return Frame(self.dim, self.vectors * float(factor), self.field)
+
+
+def _operator(rows: np.ndarray) -> np.ndarray:
+    """sum_i f_i f_i^*, hermitized, of the rows f_i in the last two axes."""
+    return hermitize(rows.swapaxes(-1, -2) @ rows.conj())
+
+
+def _partial_operator(vectors: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """S_J of each family in a stack, (..., n, d) with J's mask (..., n)."""
+    return _operator(np.where(mask[..., None], vectors, 0.0))
+
+
+def _analysis(vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """c_i = <f, f_i> for each family and vector in a stack: (..., n), from
+    vectors (..., n, d) and f (..., d)."""
+    return (vectors.conj() @ f[..., None])[..., 0]
 
 
 def subset_mask(subset, n: int) -> np.ndarray:
@@ -202,13 +226,15 @@ def tight_deviation(frame: Frame, lam: float) -> float:
 
 
 def _match_field(vectors: np.ndarray, field: str) -> np.ndarray:
-    # complex spectral factors of a real matrix can leave per-column phase fuzz
+    # complex spectral factors of a real matrix can leave per-column phase fuzz;
+    # checked per family over the last two axes
     if field != "real":
         return vectors
-    fuzz = float(np.max(np.abs(vectors.imag))) if vectors.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(vectors.real))) if vectors.size else 0.0)
-    if fuzz > 1e-8 * scale:
-        raise BadParams(f"real-tagged result has imaginary residue {fuzz:.3e}")
+    fuzz = np.abs(vectors.imag).max(axis=(-2, -1), initial=0.0)
+    scale = np.maximum(1.0, np.abs(vectors.real).max(axis=(-2, -1), initial=0.0))
+    k = _first_failure(fuzz > 1e-8 * scale)
+    if k is not None:
+        raise BadParams(f"real-tagged result has imaginary residue {np.ravel(fuzz)[k]:.3e}")
     return vectors.real.astype(np.complex128)
 
 
@@ -235,28 +261,12 @@ def parsevalize(frame: Frame) -> Frame:
 
 def coefficients(frame: Frame, f) -> np.ndarray:
     """Analysis coefficients c_i = <f, f_i>, length n."""
-    v = as_vector(f, frame.dim)
-    return frame.vectors.conj() @ v
-
-
-def subset_energy(frame: Frame, subset, f) -> float:
-    """sum over i in J of |<f, f_i>|^2."""
-    mask = subset_mask(subset, frame.count)
-    c = coefficients(frame, f)
-    return float(np.sum(np.abs(c[mask]) ** 2))
-
-
-def partial_apply(frame: Frame, subset, f) -> np.ndarray:
-    """S_J f = sum over i in J of <f, f_i> f_i."""
-    mask = subset_mask(subset, frame.count)
-    c = coefficients(frame, f)
-    return c[mask] @ frame.vectors[mask]
+    return _analysis(frame.vectors, as_vector(f, frame.dim))
 
 
 def partial_operator_matrix(frame: Frame, subset) -> np.ndarray:
     """Dense d x d matrix of S_J (Hermitian, PSD; zero for the empty J)."""
-    rows = frame.vectors[subset_mask(subset, frame.count)]
-    return hermitize(rows.T @ rows.conj())
+    return _partial_operator(frame.vectors, subset_mask(subset, frame.count))
 
 
 @dataclass(frozen=True)
@@ -423,14 +433,25 @@ def harmonic(dim: int, count: int) -> Frame:
     return Frame(dim, rows, "complex")
 
 
+def _gaussian_rows(dim: int, count: int, seed: int, field: str) -> np.ndarray:
+    return SplitMix64(seed).normals(count * dim, field).reshape(count, dim)
+
+
 def random_gaussian(dim: int, count: int, seed: int, field: str = "real") -> Frame:
     """Independent standard normal entries (complex normal for field "complex")."""
     if dim < 1 or count < 1:
         raise BadParams(f"need dim >= 1 and count >= 1, got dim={dim}, count={count}")
     if field not in _FIELDS:
         raise BadParams(f"field must be one of {_FIELDS}, got {field!r}")
-    rows = SplitMix64(seed).normals(count * dim, field).reshape(count, dim)
-    return Frame(dim, rows, field)
+    return Frame(dim, _gaussian_rows(dim, count, seed, field), field)
+
+
+def _well_conditioned(eigenvalues: np.ndarray) -> np.ndarray:
+    """A frame (lower bound above TAU_FRAME_COEFF * upper) with cond(S) <= MAX_COND,
+    judged from each ascending spectrum in (..., d)."""
+    lower = np.maximum(eigenvalues[..., 0], 0.0)
+    upper = np.maximum(eigenvalues[..., -1], 0.0)
+    return (lower > TAU_FRAME_COEFF * upper) & (upper <= MAX_COND * lower)
 
 
 def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Frame:
@@ -448,11 +469,31 @@ def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Fra
     attempt_seed = int(seed)
     for _ in range(100):
         frame = random_gaussian(dim, count, attempt_seed, field)
-        bounds = frame_bounds(frame)
-        if bounds.is_frame and bounds.upper <= 1.0e3 * bounds.lower:
+        if _well_conditioned(frame.spectrum.eigenvalues):
             return parsevalize(frame)
         attempt_seed = stream.next_raw()
     raise RuntimeError("no well-conditioned Gaussian draw found")  # pragma: no cover
+
+
+def _parseval_stack(dim: int, counts: list[int], seeds: list[int], field: str) -> np.ndarray:
+    """random_parseval(dim, n, seed, field).vectors for each (n, seed), zero-padded
+    into one (len(counts), max(counts), dim) stack.
+
+    The first attempts are drawn as random_parseval draws them and converted
+    together, one eigendecomposition and one S^{-1/2} for the stack. A first
+    draw that random_parseval would reject is redrawn by random_parseval
+    itself. A row differs from the single conversion only in rounding.
+    """
+    gauss = np.zeros((len(counts), max(counts), dim), dtype=np.complex128)
+    for k, (n, seed) in enumerate(zip(counts, seeds)):
+        gauss[k, :n] = _gaussian_rows(dim, n, seed, field)
+    dec = hermitian_eig(_operator(gauss))
+    ok = _well_conditioned(dec.eigenvalues)
+    t = spectral_apply(EigenDecomposition(dec.eigenvalues[ok], dec.eigenvectors[ok]), "inv_sqrt")
+    gauss[ok] = _match_field(gauss[ok] @ t.swapaxes(-1, -2), field)
+    for k in np.flatnonzero(~ok):
+        gauss[k, :counts[k]] = random_parseval(dim, counts[k], seeds[k], field).vectors
+    return gauss
 
 
 _GENERATORS = {

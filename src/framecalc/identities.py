@@ -34,6 +34,8 @@ from .frames import (
     TAU_ID,
     Frame,
     SubspaceFrame,
+    _analysis,
+    _partial_operator,
     as_vector,
     canonical_dual,
     coefficients,
@@ -42,7 +44,16 @@ from .frames import (
     tight_deviation,
     union,
 )
-from .linalg import TAU_HERM, as_matrix, frobenius, hermitian_defect, hermitian_eig, hermitize
+from .linalg import (
+    TAU_HERM,
+    _adjoint,
+    _first_failure,
+    as_matrix,
+    frobenius,
+    hermitian_defect,
+    hermitian_eig,
+    hermitize,
+)
 from .rng import SplitMix64
 
 
@@ -75,39 +86,71 @@ def _report(lhs: float, rhs: float, terms: dict[str, float], tolerance: float,
     )
 
 
-def _inner(f: np.ndarray, g: np.ndarray) -> complex:
-    # linear in the first argument, conjugate-linear in the second
-    return complex(np.vdot(g, f))
-
-
-def _require_parseval(frame: Frame, tolerance: float) -> None:
-    dev = tight_deviation(frame, 1.0)
-    if dev > tolerance:
+def _require_parseval(eigenvalues: np.ndarray, tolerance: float) -> None:
+    """NotParseval unless each spectrum in (..., d) lies within tolerance of 1."""
+    dev = np.abs(eigenvalues - 1.0).max(axis=-1)
+    k = _first_failure(dev > tolerance)
+    if k is not None:
         raise NotParseval(
-            f"frame operator deviates from identity by {dev:.3e} (> {tolerance:.1e})"
+            f"frame operator deviates from identity by {np.ravel(dev)[k]:.3e} (> {tolerance:.1e})"
         )
 
 
-def _energy(c: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.sum(np.abs(c[mask]) ** 2))
+def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> None:
+    """NotTight unless each lam is positive (the all-zero family would
+    otherwise pass at lam = 0, where the tolerance vanishes) and each
+    spectrum in (..., d) lies within tolerance * lam of its lam."""
+    lam = np.asarray(lam, dtype=np.float64)
+    k = _first_failure(~(lam > 0.0))
+    if k is not None:
+        raise NotTight(f"tight value {np.ravel(lam)[k]:.6g} is not positive")
+    dev = np.abs(eigenvalues - lam[..., None]).max(axis=-1)
+    k = _first_failure(dev > tolerance * lam)
+    if k is not None:
+        raise NotTight(
+            f"eigenvalues deviate from {np.ravel(lam)[k]:.6g} by {np.ravel(dev)[k]:.3e}"
+        )
 
 
-def _energy_split(frame: Frame, c: np.ndarray, mask: np.ndarray, weight: float = 1.0,
-                  metric=norm_sq) -> list:
-    """[weight * sum_J |c_i|^2, metric(S_J f)], then the same pair over Jc.
+# ---------------------------------------------------------------------------
+# kernels: arrays in, arrays out, broadcast over any leading batch axes. A
+# family is vectors (..., n, d), possibly zero-padded to a common n; c = F f
+# (..., n) are the analysis coefficients of f and mask (..., n) is J. A
+# padded row is zero in vectors and in c, so it adds nothing on either side.
+# The public reports validate their inputs, call a kernel on one family, and
+# wrap the result; the sweeps call the same kernels on a whole stack.
 
-    c = F f are the analysis coefficients of f and J is the mask. With
-    S_J + S_Jc = S, every identity below is "weighted subset energy minus
-    a metric of the partial sum" on both sides; the variants differ only
-    in the weight, the metric, and the masks they pass.
+
+def _synthesis(vectors: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_i c_i f_i, shape (..., d)."""
+    return (c[..., None, :] @ vectors)[..., 0, :]
+
+
+def _energy_split(vectors: np.ndarray, c: np.ndarray, mask: np.ndarray,
+                  weight=1.0) -> list:
+    """[weight * sum_J |c_i|^2, S_J f, weight * sum_Jc |c_i|^2, S_Jc f].
+
+    With c_J the coefficients zeroed outside J, sum_J |c_i|^2 = ||c_J||^2
+    and S_J f = sum_i (c_J)_i f_i. With S_J + S_Jc = S, every identity below
+    is "weighted subset energy minus a metric of the partial sum" on both
+    sides; the variants differ only in the weight (a scalar or one per
+    family), the metric, and the masks they pass.
     """
     sides = []
     for m in (mask, ~mask):
-        sides += [weight * _energy(c, m), metric(c[m] @ frame.vectors[m])]
+        c_m = np.where(m, c, 0.0)
+        sides += [weight * norm_sq(c_m), _synthesis(vectors, c_m)]
     return sides
 
 
-def _split_report(names: tuple[str, ...], sides: list, tolerance: float,
+def _norm_sides(vectors: np.ndarray, c: np.ndarray, mask: np.ndarray, weight=1.0) -> list:
+    """_energy_split with the squared-norm metric:
+    [energy_J, ||S_J f||^2, energy_Jc, ||S_Jc f||^2]."""
+    e_j, sj_f, e_jc, sjc_f = _energy_split(vectors, c, mask, weight)
+    return [e_j, norm_sq(sj_f), e_jc, norm_sq(sjc_f)]
+
+
+def _split_report(names: tuple[str, ...], sides, tolerance: float,
                   **extra) -> IdentityReport:
     """lhs = sides[0] - sides[1], rhs = sides[2] - sides[3]; sides become the named terms."""
     return _report(sides[0] - sides[1], sides[2] - sides[3],
@@ -115,6 +158,7 @@ def _split_report(names: tuple[str, ...], sides: list, tolerance: float,
 
 
 _PARSEVAL_TERMS = ("sum_j", "norm_sj_f", "sum_jc", "norm_sjc_f")
+_TIGHT_TERMS = ("lam_sum_j", "norm_sj_f", "lam_sum_jc", "norm_sjc_f")
 
 
 def parseval_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID) -> IdentityReport:
@@ -127,10 +171,10 @@ def parseval_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID)
     Raises NotParseval when the frame operator is not the identity within
     tolerance.
     """
-    _require_parseval(frame, tolerance)
+    _require_parseval(frame.spectrum.eigenvalues, tolerance)
     mask = subset_mask(subset, frame.count)
     c = coefficients(frame, f)
-    return _split_report(_PARSEVAL_TERMS, _energy_split(frame, c, mask), tolerance)
+    return _split_report(_PARSEVAL_TERMS, _norm_sides(frame.vectors, c, mask), tolerance)
 
 
 def general_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID,
@@ -151,9 +195,9 @@ def general_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID,
     def dual_energy(g: np.ndarray) -> float:
         return float(np.sum(np.abs(coefficients(dual, g)) ** 2))
 
-    sides = _energy_split(frame, c, mask, metric=dual_energy)
+    e_j, sj_f, e_jc, sjc_f = _energy_split(frame.vectors, c, mask)
     return _split_report(("sum_j", "dual_energy_sj_f", "sum_jc", "dual_energy_sjc_f"),
-                         sides, tolerance)
+                         [e_j, dual_energy(sj_f), e_jc, dual_energy(sjc_f)], tolerance)
 
 
 def tight_identity_report(frame: Frame, subset, f, lam: float | None = None,
@@ -167,18 +211,30 @@ def tight_identity_report(frame: Frame, subset, f, lam: float | None = None,
     otherwise pass at lam = 0, where the tolerance vanishes) or when some
     eigenvalue differs from lam by more than tolerance * lam.
     """
-    if lam is None:
-        lam = float(np.mean(frame.spectrum.eigenvalues))
-    lam = float(lam)
-    if not lam > 0.0:
-        raise NotTight(f"tight value {lam:.6g} is not positive")
-    dev = tight_deviation(frame, lam)
-    if dev > tolerance * lam:
-        raise NotTight(f"eigenvalues deviate from {lam:.6g} by {dev:.3e}")
+    w = frame.spectrum.eigenvalues
+    lam = float(np.mean(w)) if lam is None else float(lam)
+    _require_tight(w, lam, tolerance)
     mask = subset_mask(subset, frame.count)
     c = coefficients(frame, f)
-    return _split_report(("lam_sum_j", "norm_sj_f", "lam_sum_jc", "norm_sjc_f"),
-                         _energy_split(frame, c, mask, weight=lam), tolerance)
+    return _split_report(_TIGHT_TERMS, _norm_sides(frame.vectors, c, mask, weight=lam),
+                         tolerance)
+
+
+_OVERLAP_TERMS = ("norm_s_j_union_e_f", "norm_s_jc_minus_e_f", "norm_sj_f", "norm_sjc_f",
+                  "twice_energy_e")
+
+
+def _overlap_sides(vectors: np.ndarray, c: np.ndarray, j: np.ndarray, e: np.ndarray) -> list:
+    """The _OVERLAP_TERMS, for J and a disjoint E."""
+    _, n_je, _, n_jce = _norm_sides(vectors, c, j | e)
+    _, n_j, _, n_jc = _norm_sides(vectors, c, j)
+    return [n_je, n_jce, n_j, n_jc, 2.0 * norm_sq(np.where(e, c, 0.0))]
+
+
+def _overlap_report(terms, tolerance: float) -> IdentityReport:
+    n_je, n_jce, n_j, n_jc, twice_energy_e = terms
+    return _report(n_je - n_jce, n_j - n_jc + twice_energy_e,
+                   dict(zip(_OVERLAP_TERMS, terms)), tolerance)
 
 
 def overlap_identity_report(frame: Frame, subset_j, subset_e, f,
@@ -190,26 +246,14 @@ def overlap_identity_report(frame: Frame, subset_j, subset_e, f,
 
     Raises EOverlapsJ when E meets J, NotParseval as usual.
     """
-    _require_parseval(frame, tolerance)
+    _require_parseval(frame.spectrum.eigenvalues, tolerance)
     j = subset_mask(subset_j, frame.count)
     e = subset_mask(subset_e, frame.count)
     overlap = np.flatnonzero(j & e).tolist()
     if overlap:
         raise EOverlapsJ(f"E meets J at {overlap}")
     c = coefficients(frame, f)
-    energy_e = _energy(c, e)
-    _, n_je, _, n_jce = _energy_split(frame, c, j | e)
-    _, n_j, _, n_jc = _energy_split(frame, c, j)
-    lhs = n_je - n_jce
-    rhs = n_j - n_jc + 2.0 * energy_e
-    terms = {
-        "norm_s_j_union_e_f": n_je,
-        "norm_s_jc_minus_e_f": n_jce,
-        "norm_sj_f": n_j,
-        "norm_sjc_f": n_jc,
-        "twice_energy_e": 2.0 * energy_e,
-    }
-    return _report(lhs, rhs, terms, tolerance)
+    return _overlap_report(_overlap_sides(frame.vectors, c, j, e), tolerance)
 
 
 def subspace_identity_report(sub: SubspaceFrame, subset, f,
@@ -234,8 +278,8 @@ def subspace_identity_report(sub: SubspaceFrame, subset, f,
         )
     v = as_vector(f, sub.ambient_dim)
     mask = subset_mask(subset, emb.count)
-    t_f = _energy_split(emb, coefficients(emb, v), mask)
-    t_pf = _energy_split(emb, coefficients(emb, p @ v), mask)
+    t_f = _norm_sides(emb.vectors, coefficients(emb, v), mask)
+    t_pf = _norm_sides(emb.vectors, coefficients(emb, p @ v), mask)
     projection_dev = max(abs(a - b) for a, b in zip(t_f, t_pf))
     scale = max(1.0, *(abs(t) for t in t_f))
     return _split_report(_PARSEVAL_TERMS + ("projection_dev",), t_f + [projection_dev],
@@ -257,16 +301,13 @@ class BoundCheck:
     passed: bool
 
 
-def _mixed_bound_check(frame: Frame, subset, f, coefficient: float,
-                       tolerance: float) -> BoundCheck:
-    _require_parseval(frame, tolerance)
-    mask = subset_mask(subset, frame.count)
-    v = as_vector(f, frame.dim)
-    sum_j, norm_j, sum_jc, norm_jc = _energy_split(frame, coefficients(frame, v), mask)
+def _bound_check(sides, norm_f: float, coefficient: float, tolerance: float) -> BoundCheck:
+    """The bound coefficient * ||f||^2 from the Parseval sides of f."""
+    sum_j, norm_j, sum_jc, norm_jc = sides
     value = sum_j + norm_jc
     complement_value = sum_jc + norm_j
-    bound = coefficient * norm_sq(v)
-    scale = max(1.0, value, complement_value, norm_sq(v))
+    bound = coefficient * norm_f
+    scale = max(1.0, value, complement_value, norm_f)
     symmetry_rel_diff = abs(value - complement_value) / scale
     ok = (
         value >= bound - tolerance * scale
@@ -280,6 +321,15 @@ def _mixed_bound_check(frame: Frame, subset, f, coefficient: float,
         symmetry_rel_diff=float(symmetry_rel_diff),
         passed=bool(ok),
     )
+
+
+def _mixed_bound_check(frame: Frame, subset, f, coefficient: float,
+                       tolerance: float) -> BoundCheck:
+    _require_parseval(frame.spectrum.eigenvalues, tolerance)
+    mask = subset_mask(subset, frame.count)
+    v = as_vector(f, frame.dim)
+    sides = _norm_sides(frame.vectors, coefficients(frame, v), mask)
+    return _bound_check(sides, norm_sq(v), coefficient, tolerance)
 
 
 def half_bound_check(frame: Frame, subset, f, tolerance: float = TAU_ID) -> BoundCheck:
@@ -309,28 +359,33 @@ class PartialStructure:
     passed: bool
 
 
-def partial_structure_check(frame: Frame, subset, tolerance: float = TAU_ID) -> PartialStructure:
-    _require_parseval(frame, tolerance)
-    mask = subset_mask(subset, frame.count)
-    s_j, s_jc = (hermitize(rows.T @ rows.conj())
-                 for rows in (frame.vectors[mask], frame.vectors[~mask]))
+def _partial_structure(s_j: np.ndarray, s_jc: np.ndarray, tolerance: float) -> tuple:
+    """The PartialStructure fields of each (S_J, S_Jc) pair in (..., d, d)."""
     product = s_j @ s_jc
     gap = s_j - s_j @ s_j
     residual = frobenius(gap - product)
     herm_defect = hermitian_defect(product)
-    min_eig_product = float(hermitian_eig(hermitize(product)).eigenvalues[0])
-    min_eig_gap = float(hermitian_eig(hermitize(gap)).eigenvalues[0])
-    scale = max(1.0, frobenius(s_j), frobenius(s_jc))
+    min_eig_product = hermitian_eig(hermitize(product)).eigenvalues[..., 0]
+    min_eig_gap = hermitian_eig(hermitize(gap)).eigenvalues[..., 0]
+    scale = np.maximum(1.0, np.maximum(frobenius(s_j), frobenius(s_jc)))
     ok = (
-        residual <= tolerance * scale
-        and min_eig_product >= -tolerance
-        and min_eig_gap >= -tolerance
-        and herm_defect <= TAU_HERM * max(1.0, frobenius(product))
+        (residual <= tolerance * scale)
+        & (min_eig_product >= -tolerance)
+        & (min_eig_gap >= -tolerance)
+        & (herm_defect <= TAU_HERM * np.maximum(1.0, frobenius(product)))
     )
+    return residual, min_eig_product, min_eig_gap, herm_defect, ok
+
+
+def partial_structure_check(frame: Frame, subset, tolerance: float = TAU_ID) -> PartialStructure:
+    _require_parseval(frame.spectrum.eigenvalues, tolerance)
+    mask = subset_mask(subset, frame.count)
+    residual, min_eig_product, min_eig_gap, herm_defect, ok = _partial_structure(
+        _partial_operator(frame.vectors, mask), _partial_operator(frame.vectors, ~mask), tolerance)
     return PartialStructure(
         residual_identity=float(residual),
-        min_eig_product=min_eig_product,
-        min_eig_gap=min_eig_gap,
+        min_eig_product=float(min_eig_product),
+        min_eig_gap=float(min_eig_gap),
         herm_defect_product=float(herm_defect),
         passed=bool(ok),
     )
@@ -345,22 +400,28 @@ class OperatorIdentityCheck:
 
 
 def _require_resolution(s: np.ndarray, t: np.ndarray, tolerance: float) -> None:
+    """PreconditionFailed unless each S + T in (..., d, d) is I within tolerance."""
     if s.shape != t.shape:
         raise PreconditionFailed(f"shapes differ: {s.shape} vs {t.shape}")
-    gap = frobenius(s + t - np.eye(s.shape[0]))
-    if gap > tolerance * max(1.0, frobenius(s), frobenius(t)):
-        raise PreconditionFailed(f"S + T differs from I by {gap:.3e}")
+    gap = frobenius(s + t - np.eye(s.shape[-1]))
+    k = _first_failure(gap > tolerance * np.maximum(1.0, np.maximum(frobenius(s), frobenius(t))))
+    if k is not None:
+        raise PreconditionFailed(f"S + T differs from I by {np.ravel(gap)[k]:.3e}")
+
+
+def _operator_identity(s: np.ndarray, t: np.ndarray, tolerance: float) -> tuple:
+    """(residual, passed) of S - T = S^2 - T^2 for each pair in (..., d, d)."""
+    residual = frobenius((s - t) - (s @ s - t @ t))
+    scale = np.maximum(1.0, np.maximum(frobenius(s) ** 2, frobenius(t) ** 2))
+    return residual, residual <= tolerance * scale
 
 
 def operator_identity_check(s, t, tolerance: float = TAU_ID) -> OperatorIdentityCheck:
     s = as_matrix(s)
     t = as_matrix(t)
     _require_resolution(s, t, tolerance)
-    residual = frobenius((s - t) - (s @ s - t @ t))
-    scale = max(1.0, frobenius(s) ** 2, frobenius(t) ** 2)
-    return OperatorIdentityCheck(
-        residual=float(residual), passed=bool(residual <= tolerance * scale)
-    )
+    residual, passed = _operator_identity(s, t, tolerance)
+    return OperatorIdentityCheck(residual=float(residual), passed=bool(passed))
 
 
 @dataclass(frozen=True)
@@ -373,22 +434,25 @@ class SelfAdjointProductCheck:
     equivalence_holds: bool
 
 
+def _self_adjoint_product(s: np.ndarray, t: np.ndarray) -> tuple:
+    """Whether S, T and S* T are self-adjoint within TAU_HERM, for each pair in (..., d, d)."""
+
+    def self_adjoint(m: np.ndarray):
+        return hermitian_defect(m) <= TAU_HERM * np.maximum(1.0, frobenius(m))
+
+    return self_adjoint(s), self_adjoint(t), self_adjoint(_adjoint(s) @ t)
+
+
 def self_adjoint_product_check(s, t, tolerance: float = TAU_ID) -> SelfAdjointProductCheck:
     s = as_matrix(s)
     t = as_matrix(t)
     _require_resolution(s, t, tolerance)
-
-    def self_adjoint(m: np.ndarray) -> bool:
-        return hermitian_defect(m) <= TAU_HERM * max(1.0, frobenius(m))
-
-    s_sa = self_adjoint(s)
-    t_sa = self_adjoint(t)
-    p_sa = self_adjoint(s.conj().T @ t)
+    s_sa, t_sa, p_sa = map(bool, _self_adjoint_product(s, t))
     return SelfAdjointProductCheck(
         s_self_adjoint=s_sa,
         t_self_adjoint=t_sa,
         product_self_adjoint=p_sa,
-        equivalence_holds=bool((s_sa and t_sa) == p_sa),
+        equivalence_holds=(s_sa and t_sa) == p_sa,
     )
 
 
@@ -421,33 +485,29 @@ class EquivalenceReport:
     tolerance: float
 
 
-def equivalence_conditions(frame: Frame, subset, f,
-                           tolerance: float = TAU_ID) -> EquivalenceReport:
-    _require_parseval(frame, tolerance)
-    mask = subset_mask(subset, frame.count)
-    v = as_vector(f, frame.dim)
-    # the identity metric keeps the partial sums S_J f and S_Jc f themselves
-    sum_j, sj_f, sum_jc, sjc_f = _energy_split(frame, coefficients(frame, v), mask,
-                                               metric=lambda g: g)
+_CONDITION_LABELS = ("i", "ii", "iii", "iv", "v", "vi")
 
-    def apply_subset(g: np.ndarray) -> np.ndarray:
-        cg = coefficients(frame, g)
-        return cg[mask] @ frame.vectors[mask]
 
-    sj_sj_f = apply_subset(sj_f)
-    sj_sjc_f = apply_subset(sjc_f)
-    scale = max(1.0, norm_sq(v))
-    residuals = (
-        ("i", abs(sum_j - norm_sq(sj_f))),
-        ("ii", abs(sum_jc - norm_sq(sjc_f))),
-        ("iii", abs(_inner(sj_f, sjc_f))),
-        ("iv", abs(_inner(v, sj_sjc_f))),
-        ("v", float(np.linalg.norm(sj_f - sj_sj_f))),
-        ("vi", float(np.linalg.norm(sj_sjc_f))),
-    )
+def _equivalence_residuals(vectors: np.ndarray, v: np.ndarray, mask: np.ndarray) -> list:
+    """The six unscaled residuals, in label order."""
+    sum_j, sj_f, sum_jc, sjc_f = _energy_split(vectors, _analysis(vectors, v), mask)
+    sj_sj_f, sj_sjc_f = (_synthesis(vectors, np.where(mask, _analysis(vectors, g), 0.0))
+                         for g in (sj_f, sjc_f))
+    # |<x, y>| = |vecdot(y, x)|: vecdot conjugates its first argument
+    return [
+        abs(sum_j - norm_sq(sj_f)),
+        abs(sum_jc - norm_sq(sjc_f)),
+        abs(np.vecdot(sjc_f, sj_f)),
+        abs(np.vecdot(sj_sjc_f, v)),
+        np.sqrt(norm_sq(sj_f - sj_sj_f)),
+        np.sqrt(norm_sq(sj_sjc_f)),
+    ]
+
+
+def _equivalence_report(residuals, scale: float, tolerance: float) -> EquivalenceReport:
     conditions = tuple(
         ConditionResult(label=lab, residual=float(r / scale), holds=bool(r / scale <= tolerance))
-        for lab, r in residuals
+        for lab, r in zip(_CONDITION_LABELS, residuals)
     )
     flags = [c.holds for c in conditions]
     consistent = all(flags) or not any(flags)
@@ -460,6 +520,15 @@ def equivalence_conditions(frame: Frame, subset, f,
         borderline=bool(borderline),
         tolerance=float(tolerance),
     )
+
+
+def equivalence_conditions(frame: Frame, subset, f,
+                           tolerance: float = TAU_ID) -> EquivalenceReport:
+    _require_parseval(frame.spectrum.eigenvalues, tolerance)
+    mask = subset_mask(subset, frame.count)
+    v = as_vector(f, frame.dim)
+    residuals = _equivalence_residuals(frame.vectors, v, mask)
+    return _equivalence_report(residuals, max(1.0, norm_sq(v)), tolerance)
 
 
 @dataclass(frozen=True)

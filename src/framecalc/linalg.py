@@ -8,6 +8,12 @@ spectral functions clamp tiny negative eigenvalues (inevitable when the
 matrix is a Gram-type product) to zero instead of letting them poison a
 square root.
 
+Every function here except as_matrix also takes a stack of matrices,
+shape (..., d, d), and works matrix by matrix along the leading axes: one
+call factorizes a whole stack, and a failed check raises for the first
+failing matrix in C order. A stacked eigendecomposition is bitwise the
+per-matrix one.
+
 Tolerances:
     TAU_HERM  relative Hermitian-defect bound, ||M - M*||_F <= TAU_HERM * max(1, ||M||_F)
     TAU_EIG   relative reconstruction bound for the factorization
@@ -29,47 +35,80 @@ TAU_PSD_COEFF = 1e-12
 _SPECTRAL_FUNCTIONS = ("inverse", "sqrt", "inv_sqrt")
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite square complex128 array."""
+def _as_matrices(m) -> np.ndarray:
+    """Coerce to a finite complex128 stack (..., d, d) of square matrices."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NotHermitian("matrix has non-finite entries")
     return a
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+def as_matrix(m) -> np.ndarray:
+    """Coerce to a finite square complex128 matrix."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2:
+        raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
+    return _as_matrices(a)
 
 
-def hermitian_defect(m: np.ndarray) -> float:
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """M* of each matrix in the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _first_failure(flags) -> int | None:
+    """Flat index of the first True in a boolean array, None when there is none."""
+    if not flags.any():
+        return None
+    return int(np.flatnonzero(flags)[0])
+
+
+def frobenius(m: np.ndarray):
+    """||M||_F as a float; over a stack, an array of one norm per matrix.
+
+    The stacked form sums squared real and imaginary parts of each
+    C-ordered matrix with vecdot, the dot that np.linalg.norm itself
+    reduces to, so each entry is bitwise the norm of that matrix alone. A
+    single matrix keeps np.linalg.norm, the faster of the two on one matrix.
+    """
+    if m.ndim == 2:
+        return float(np.linalg.norm(m))
+    flat = np.ascontiguousarray(m).reshape(*m.shape[:-2], -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def hermitian_defect(m: np.ndarray):
     """||M - M*||_F, zero exactly when M is Hermitian."""
-    return float(np.linalg.norm(m - m.conj().T))
+    return frobenius(m - _adjoint(m))
 
 
-def require_hermitian(m: np.ndarray, tol: float = TAU_HERM) -> np.ndarray:
-    a = as_matrix(m)
+def require_hermitian(m, tol: float = TAU_HERM) -> np.ndarray:
+    a = _as_matrices(m)
     defect = hermitian_defect(a)
-    scale = max(1.0, frobenius(a))
-    if defect > tol * scale:
+    scale = np.maximum(1.0, frobenius(a))
+    k = _first_failure(defect > tol * scale)
+    if k is not None:
         raise NotHermitian(
-            f"Hermitian defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"Hermitian defect {np.ravel(defect)[k]:.3e} exceeds {tol:.1e} * "
+            f"{np.ravel(scale)[k]:.3e}"
         )
     return a
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Nearest Hermitian matrix, (M + M*)/2."""
-    return (m + m.conj().T) / 2.0
+    return (m + _adjoint(m)) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Spectral factorization M = V diag(w) V* with w ascending.
 
-    eigenvalues:  real float64, sorted ascending
-    eigenvectors: complex128, columns orthonormal, column k pairs with w[k]
+    eigenvalues:  real float64, sorted ascending, shape (..., d)
+    eigenvectors: complex128, columns orthonormal, column k pairs with w[k],
+                  shape (..., d, d)
     """
 
     eigenvalues: np.ndarray
@@ -77,7 +116,7 @@ class EigenDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ _adjoint(v)
 
 
 def hermitian_eig(m) -> EigenDecomposition:
@@ -124,13 +163,18 @@ def spectral_apply(dec: EigenDecomposition, fn: str) -> np.ndarray:
     if fn not in _SPECTRAL_FUNCTIONS:
         raise ValueError(f"fn must be one of {_SPECTRAL_FUNCTIONS}, got {fn!r}")
     w = dec.eigenvalues.copy()
-    lam_max = float(w[-1]) if w.size else 0.0
-    tau = TAU_PSD_COEFF * max(1.0, lam_max)
-    lam_min = float(w[0]) if w.size else 0.0
-    if lam_min < -tau:
-        raise NotPSD(f"eigenvalue {lam_min:.3e} below -{tau:.1e}")
-    if fn in ("inverse", "inv_sqrt") and lam_min <= tau:
-        raise SingularMatrix(f"eigenvalue {lam_min:.3e} within {tau:.1e} of zero")
+    if w.shape[-1]:
+        lam_min, lam_max = w[..., 0], w[..., -1]
+    else:  # a 0 x 0 matrix
+        lam_min = lam_max = np.zeros(w.shape[:-1])
+    tau = TAU_PSD_COEFF * np.maximum(1.0, lam_max)
+    # the inverse family also fails on lambda_min in [-tau, tau]
+    k = _first_failure(lam_min <= tau if fn != "sqrt" else lam_min < -tau)
+    if k is not None:
+        lam_k, tau_k = np.ravel(lam_min)[k], np.ravel(tau)[k]
+        if lam_k < -tau_k:
+            raise NotPSD(f"eigenvalue {lam_k:.3e} below -{tau_k:.1e}")
+        raise SingularMatrix(f"eigenvalue {lam_k:.3e} within {tau_k:.1e} of zero")
     np.clip(w, 0.0, None, out=w)
     if fn == "inverse":
         fw = 1.0 / w
@@ -139,4 +183,4 @@ def spectral_apply(dec: EigenDecomposition, fn: str) -> np.ndarray:
     else:
         fw = 1.0 / np.sqrt(w)
     v = dec.eigenvectors
-    return hermitize((v * fw) @ v.conj().T)
+    return hermitize((v * fw[..., None, :]) @ _adjoint(v))

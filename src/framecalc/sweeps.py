@@ -7,9 +7,23 @@ inside a trial happens in a fixed documented order, so a run is a pure
 function of (suite, seed, trials, ranges) and the suite section of an
 "all" run is byte-identical to the same suite run alone.
 
-A suite is a trial function, (rng, t, config) -> row, plus the reducers
-that fold its rows into a summary; `run_suite` owns the loop. Results are
-JSON-ready dicts, one per trial; the summary counts
+A suite is a runner, which turns a block of consecutive trials into one
+row each, plus the reducers that fold its rows into a summary;
+`run_suite` feeds it blocks of at most _BLOCK trials, so memory stays
+bounded at any trial count. The general, bounds and extension suites run
+one trial function per trial. The pfi, overlap, equivalence and sj
+suites are batched: every trial of the block first makes all of its draws
+from its own stream, in the same order as a trial run alone would, and
+then each (field, d) group of the block goes through the algebra at once,
+as zero-padded stacks (one stacked eigendecomposition per spectral step).
+Per-trial extras (the pfi subspace embedding, the equivalence
+orthogonal-union construction, the sj raw resolutions) stay public
+function calls. A batched row agrees with its scalar replay, one trial
+through the public functions, to 1e-12 * max(1, |v|) in every float and
+exactly in every count, flag and string; it depends on the other trials
+of its group only in rounding.
+
+Results are JSON-ready dicts, one per trial; the summary counts
 passed/failed/borderline (borderline only ever nonzero for the
 equivalence suite) and tracks the worst residuals seen.
 """
@@ -22,8 +36,13 @@ import numpy as np
 
 from .errors import BadParams
 from .frames import (
+    MAX_COND,
     TAU_ID,
     Frame,
+    _analysis,
+    _operator,
+    _parseval_stack,
+    _partial_operator,
     as_tolerance,
     bessel_inequality_check,
     canonical_dual,
@@ -33,7 +52,6 @@ from .frames import (
     frame_bounds,
     norm_sq,
     parsevalize,
-    partial_operator_matrix,
     random_gaussian,
     random_isometry,
     random_parseval,
@@ -41,26 +59,35 @@ from .frames import (
     union,
 )
 from .identities import (
-    equivalence_conditions,
+    _PARSEVAL_TERMS,
+    _TIGHT_TERMS,
+    _bound_check,
+    _equivalence_report,
+    _equivalence_residuals,
+    _norm_sides,
+    _operator_identity,
+    _overlap_report,
+    _overlap_sides,
+    _partial_structure,
+    _require_parseval,
+    _require_resolution,
+    _require_tight,
+    _self_adjoint_product,
+    _split_report,
     general_identity_report,
-    half_bound_check,
     operator_identity_check,
-    overlap_identity_report,
     parseval_identity_report,
-    partial_structure_check,
     self_adjoint_product_check,
     subspace_identity_report,
-    three_quarters_check,
-    tight_identity_report,
     tight_extension_compare,
 )
-from .linalg import frobenius, hermitize
+from .linalg import frobenius, hermitian_eig, hermitize
 from .rng import SplitMix64
 
 SUITE_NAMES = ("pfi", "general", "overlap", "bounds", "equivalence", "sj", "extension")
 
-_MAX_COND = 1.0e3
 _RESAMPLE_LIMIT = 1000
+_BLOCK = 1024  # trials drawn and solved together; bounds the size of the stacks
 
 
 @dataclass(frozen=True)
@@ -116,74 +143,13 @@ def _conditioned_gaussian(rng: SplitMix64, dim: int, count: int, field: str) -> 
         bounds = frame_bounds(frame)
         if bounds.is_frame:
             cond = bounds.upper / bounds.lower
-            if cond <= _MAX_COND:
+            if cond <= MAX_COND:
                 return frame, float(cond)
     raise RuntimeError("could not draw a well-conditioned frame")  # pragma: no cover
 
 
-def _complement(subset: list[int], n: int) -> list[int]:
-    """The indices of range(n) outside subset, increasing."""
-    return np.flatnonzero(~subset_mask(subset, n)).tolist()
-
-
 # ---------------------------------------------------------------------------
 # trials: one row each, drawn from the trial's own stream
-
-
-def _pfi_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    """Parseval energy-split identity, plus the bound checks, the tight
-    rescaling consistency, and (every 10th trial) a subspace embedding."""
-    tol = config.tol
-    field, d, n = _draw_shape(rng, config)
-    frame = random_parseval(d, n, rng.next_raw(), field)
-    subset = rng.subset(n)
-    f = rng.unit_vector(d, field)
-    rep = parseval_identity_report(frame, subset, f, tol)
-    half = half_bound_check(frame, subset, f, tol)
-    tq = three_quarters_check(frame, subset, f, tol)
-    min_side = min(rep.lhs, rep.rhs)
-    bound_ratio = tq.value / norm_sq(f)
-
-    # scaling by sqrt(lam) multiplies every degree-2 term by lam and the
-    # extra lam prefactor doubles it: tight sides = lam^2 * Parseval sides
-    lam_t = 0.25 + 3.0 * rng.uniform()
-    tight = tight_identity_report(frame.scaled(np.sqrt(lam_t)), subset, f, lam=lam_t,
-                                  tolerance=tol)
-    factor = lam_t * lam_t
-    tight_rel = max(
-        abs(tight.lhs - factor * rep.lhs), abs(tight.rhs - factor * rep.rhs)
-    ) / max(1.0, factor)
-
-    row = {
-        "d": d,
-        "n": n,
-        "field": field,
-        "rel_diff": rep.rel_diff,
-        "min_side": min_side,
-        "bound_ratio": bound_ratio,
-        "half_passed": half.passed,
-        "tq_passed": tq.passed,
-        "tight_reduction_rel": tight_rel,
-        "subspace_rel": None,
-        "projection_dev": None,
-        "passed": bool(
-            rep.passed
-            and half.passed
-            and tq.passed
-            and min_side >= -tol
-            and tight_rel <= tol
-        ),
-    }
-    if t % 10 == 0:
-        ambient = d + 1 + _randint(rng, 0, 3)
-        iso = random_isometry(ambient, d, rng.next_raw(), field)
-        sub = embed_subspace_frame(frame, ambient, iso)
-        f_amb = rng.unit_vector(ambient, field)
-        rep_s = subspace_identity_report(sub, subset, f_amb, tol)
-        row["subspace_rel"] = rep_s.rel_diff
-        row["projection_dev"] = rep_s.terms["projection_dev"]
-        row["passed"] = bool(row["passed"] and rep_s.passed)
-    return row
 
 
 def _general_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
@@ -223,18 +189,6 @@ def _general_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     return row
 
 
-def _overlap_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    """Disjoint-growth identity: J extended by random E inside the complement."""
-    field, d, n = _draw_shape(rng, config)
-    frame = random_parseval(d, n, rng.next_raw(), field)
-    subset = rng.subset(n)
-    rest = _complement(subset, n)
-    e = [i for i, keep in zip(rest, rng.uniforms(len(rest)) < 0.5) if keep]
-    f = rng.unit_vector(d, field)
-    rep = overlap_identity_report(frame, subset, e, f, config.tol)
-    return {"d": d, "n": n, "field": field, "rel_diff": rep.rel_diff, "passed": rep.passed}
-
-
 def _bounds_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     """Frame inequality, operator-norm sandwich, dual reconstruction,
     partial-operator additivity, and Parseval conversion."""
@@ -255,10 +209,8 @@ def _bounds_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     recon = coefficients(dual, f) @ frame.vectors
     recon_err = float(np.linalg.norm(recon - f)) / max(1.0, float(np.linalg.norm(f)))
 
-    subset = rng.subset(n)
-    s_sum = partial_operator_matrix(frame, subset) + partial_operator_matrix(
-        frame, _complement(subset, n)
-    )
+    mask = subset_mask(rng.subset(n), n)
+    s_sum = _partial_operator(frame.vectors, mask) + _partial_operator(frame.vectors, ~mask)
     additivity_err = frobenius(s_sum - frame.operator) / max(
         1.0, frobenius(frame.operator)
     )
@@ -303,77 +255,6 @@ def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[Frame, list[
     return combined, list(range(first.count))
 
 
-def _equivalence_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    """Six-way equivalence: random Parseval splits (generically all-false)
-    and, every 5th trial, an orthogonal-union construction (all-true)."""
-    field, d, n = _draw_shape(rng, config)
-    structured = t % 5 == 0 and d >= 2
-    if structured:
-        frame, subset = _orthogonal_union(rng, d, field)
-        n = frame.count
-    else:
-        frame = random_parseval(d, n, rng.next_raw(), field)
-        subset = rng.subset(n)
-    f = rng.unit_vector(d, field)
-    rep = equivalence_conditions(frame, subset, f, config.tol)
-    return {
-        "d": d,
-        "n": n,
-        "field": field,
-        "structured": structured,
-        "pattern": "".join("T" if c.holds else "F" for c in rep.conditions),
-        "consistent": rep.consistent,
-        "borderline": rep.borderline,
-        "rel_diff": 0.0,
-        "passed": rep.consistent,
-    }
-
-
-def _sj_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    """Partial-operator structure, the resolution-difference identity, and
-    the self-adjoint product equivalence (frame splits every trial; raw
-    Hermitian and non-Hermitian resolutions every 5th)."""
-    tol = config.tol
-    field, d, n = _draw_shape(rng, config)
-    frame = random_parseval(d, n, rng.next_raw(), field)
-    subset = rng.subset(n)
-    structure = partial_structure_check(frame, subset, tol)
-    s_j = partial_operator_matrix(frame, subset)
-    s_jc = partial_operator_matrix(frame, _complement(subset, n))
-    op_check = operator_identity_check(s_j, s_jc, tol)
-    sa_check = self_adjoint_product_check(s_j, s_jc, tol)
-    row = {
-        "d": d,
-        "n": n,
-        "field": field,
-        "residual_identity": structure.residual_identity,
-        "min_eig_product": structure.min_eig_product,
-        "min_eig_gap": structure.min_eig_gap,
-        "op_residual": op_check.residual,
-        "rel_diff": max(structure.residual_identity, op_check.residual),
-        "passed": bool(
-            structure.passed and op_check.passed and sa_check.equivalence_holds
-            and sa_check.product_self_adjoint
-        ),
-    }
-    if t % 5 == 0:
-        # raw resolutions of the identity, Hermitian and not
-        g = rng.normals(d * d, field).reshape(d, d)
-        h = hermitize(g)
-        op_h = operator_identity_check(h, np.eye(d) - h, tol)
-        sa_h = self_adjoint_product_check(h, np.eye(d) - h, tol)
-        op_n = operator_identity_check(g, np.eye(d) - g, tol)
-        sa_n = self_adjoint_product_check(g, np.eye(d) - g, tol)
-        row["rel_diff"] = max(row["rel_diff"], op_h.residual, op_n.residual)
-        row["passed"] = bool(
-            row["passed"]
-            and op_h.passed and sa_h.equivalence_holds and sa_h.product_self_adjoint
-            and op_n.passed and sa_n.equivalence_holds
-            and not sa_n.product_self_adjoint
-        )
-    return row
-
-
 def _extension_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     """Canonical vs unitary-mixed tight completions: equal added energy,
     operator, and span; lam alternates between lambda_max and a larger value."""
@@ -402,6 +283,255 @@ def _extension_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
         "rel_diff": cmp.max_energy_rel_diff,
         "passed": cmp.passed,
     }
+
+
+# ---------------------------------------------------------------------------
+# batched suites: per-trial draws, then the algebra once per (field, d) group
+#
+# A draw is a dict holding the trial's shape ("field", "d", "n") and every
+# input it drew, in draw order; "seed" is its random_parseval seed, or
+# "vectors" a family it built itself, and "subset" is J as an index list.
+
+
+def _masks(group: list[dict], key: str, width: int) -> np.ndarray:
+    """The index lists group[k][key] as a (len(group), width) boolean stack."""
+    mask = np.zeros((len(group), width), dtype=bool)
+    for k, draw in enumerate(group):
+        mask[k, draw[key]] = True
+    return mask
+
+
+def _parseval_group(group: list[dict], tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The group's Parseval families, zero-padded, and their J masks; raises
+    NotParseval, as each trial's first report would, unless every frame
+    operator is the identity within tol."""
+    field, d = group[0]["field"], group[0]["d"]
+    vectors = np.zeros((len(group), max(draw["n"] for draw in group), d), dtype=np.complex128)
+    seeded = [k for k, draw in enumerate(group) if "seed" in draw]
+    if seeded:
+        stack = _parseval_stack(d, [group[k]["n"] for k in seeded],
+                                [group[k]["seed"] for k in seeded], field)
+        vectors[seeded, :stack.shape[1]] = stack
+    for k, draw in enumerate(group):
+        if "vectors" in draw:
+            vectors[k, :draw["n"]] = draw["vectors"]
+    _require_parseval(hermitian_eig(_operator(vectors)).eigenvalues, tol)
+    return vectors, _masks(group, "subset", vectors.shape[1])
+
+
+def _columns(arrays) -> list[tuple]:
+    """One tuple of Python numbers per family from stacked (B,) arrays."""
+    return list(zip(*(a.tolist() for a in arrays)))
+
+
+def _shape(draw: dict) -> dict:
+    return {"d": draw["d"], "n": draw["n"], "field": draw["field"]}
+
+
+def _pfi_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
+    field, d, n = _draw_shape(rng, config)
+    draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "subset": rng.subset(n),
+            "f": rng.unit_vector(d, field), "lam": 0.25 + 3.0 * rng.uniform()}
+    if t % 10 == 0:
+        ambient = d + 1 + _randint(rng, 0, 3)
+        draw["embedding"] = (ambient, rng.next_raw(), rng.unit_vector(ambient, field))
+    return draw
+
+
+def _pfi_solve(group: list[dict], config: RunConfig) -> list[dict]:
+    """Parseval energy-split identity, plus the bound checks, the tight
+    rescaling consistency, and (every 10th trial) a subspace embedding."""
+    tol = config.tol
+    vectors, mask = _parseval_group(group, tol)
+    f = np.array([draw["f"] for draw in group])
+    lam = np.array([draw["lam"] for draw in group])
+    sides = _columns(_norm_sides(vectors, _analysis(vectors, f), mask))
+    # scaling by sqrt(lam) multiplies every degree-2 term by lam and the
+    # extra lam prefactor doubles it: tight sides = lam^2 * Parseval sides
+    scaled = vectors * np.sqrt(lam)[:, None, None]
+    _require_tight(hermitian_eig(_operator(scaled)).eigenvalues, lam, tol)
+    tight_sides = _columns(_norm_sides(scaled, _analysis(scaled, f), mask, weight=lam))
+    rows = []
+    for k, (draw, nf) in enumerate(zip(group, norm_sq(f).tolist())):
+        rep = _split_report(_PARSEVAL_TERMS, sides[k], tol)
+        half = _bound_check(sides[k], nf, 0.5, tol)
+        tq = _bound_check(sides[k], nf, 0.75, tol)
+        min_side = min(rep.lhs, rep.rhs)
+        tight = _split_report(_TIGHT_TERMS, tight_sides[k], tol)
+        factor = draw["lam"] * draw["lam"]
+        tight_rel = max(
+            abs(tight.lhs - factor * rep.lhs), abs(tight.rhs - factor * rep.rhs)
+        ) / max(1.0, factor)
+        row = {
+            **_shape(draw),
+            "rel_diff": rep.rel_diff,
+            "min_side": min_side,
+            "bound_ratio": tq.value / nf,
+            "half_passed": half.passed,
+            "tq_passed": tq.passed,
+            "tight_reduction_rel": tight_rel,
+            "subspace_rel": None,
+            "projection_dev": None,
+            "passed": bool(
+                rep.passed
+                and half.passed
+                and tq.passed
+                and min_side >= -tol
+                and tight_rel <= tol
+            ),
+        }
+        if "embedding" in draw:
+            ambient, iso_seed, f_amb = draw["embedding"]
+            d, field = draw["d"], draw["field"]
+            frame = Frame(d, vectors[k, :draw["n"]], field)
+            sub = embed_subspace_frame(frame, ambient,
+                                       random_isometry(ambient, d, iso_seed, field))
+            rep_s = subspace_identity_report(sub, draw["subset"], f_amb, tol)
+            row["subspace_rel"] = rep_s.rel_diff
+            row["projection_dev"] = rep_s.terms["projection_dev"]
+            row["passed"] = bool(row["passed"] and rep_s.passed)
+        rows.append(row)
+    return rows
+
+
+def _overlap_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
+    field, d, n = _draw_shape(rng, config)
+    draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "subset": rng.subset(n)}
+    outside = np.ones(n, dtype=bool)
+    outside[draw["subset"]] = False
+    rest = np.flatnonzero(outside)
+    draw["e"] = rest[rng.uniforms(rest.size) < 0.5].tolist()
+    draw["f"] = rng.unit_vector(d, field)
+    return draw
+
+
+def _overlap_solve(group: list[dict], config: RunConfig) -> list[dict]:
+    """Disjoint-growth identity: J extended by random E inside the complement."""
+    vectors, mask = _parseval_group(group, config.tol)
+    f = np.array([draw["f"] for draw in group])
+    e = _masks(group, "e", vectors.shape[1])
+    rows = []
+    for draw, terms in zip(group, _columns(_overlap_sides(vectors, _analysis(vectors, f),
+                                                          mask, e))):
+        rep = _overlap_report(terms, config.tol)
+        rows.append({**_shape(draw), "rel_diff": rep.rel_diff, "passed": rep.passed})
+    return rows
+
+
+def _equivalence_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
+    field, d, n = _draw_shape(rng, config)
+    draw = {"field": field, "d": d, "structured": t % 5 == 0 and d >= 2}
+    if draw["structured"]:
+        frame, subset = _orthogonal_union(rng, d, field)
+        draw.update(n=frame.count, vectors=frame.vectors, subset=subset)
+    else:
+        draw.update(n=n, seed=rng.next_raw(), subset=rng.subset(n))
+    draw["f"] = rng.unit_vector(d, field)
+    return draw
+
+
+def _equivalence_solve(group: list[dict], config: RunConfig) -> list[dict]:
+    """Six-way equivalence: random Parseval splits (generically all-false)
+    and, every 5th trial, an orthogonal-union construction (all-true)."""
+    vectors, mask = _parseval_group(group, config.tol)
+    f = np.array([draw["f"] for draw in group])
+    residuals = _columns(_equivalence_residuals(vectors, f, mask))
+    rows = []
+    for draw, res, nf in zip(group, residuals, norm_sq(f).tolist()):
+        rep = _equivalence_report(res, max(1.0, nf), config.tol)
+        rows.append({
+            **_shape(draw),
+            "structured": draw["structured"],
+            "pattern": "".join("T" if c.holds else "F" for c in rep.conditions),
+            "consistent": rep.consistent,
+            "borderline": rep.borderline,
+            "rel_diff": 0.0,
+            "passed": rep.consistent,
+        })
+    return rows
+
+
+def _sj_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
+    field, d, n = _draw_shape(rng, config)
+    draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "subset": rng.subset(n)}
+    if t % 5 == 0:
+        draw["raw"] = rng.normals(d * d, field).reshape(d, d)
+    return draw
+
+
+def _sj_solve(group: list[dict], config: RunConfig) -> list[dict]:
+    """Partial-operator structure, the resolution-difference identity, and
+    the self-adjoint product equivalence (frame splits every trial; raw
+    Hermitian and non-Hermitian resolutions every 5th)."""
+    tol = config.tol
+    vectors, mask = _parseval_group(group, tol)
+    s_j = _partial_operator(vectors, mask)
+    s_jc = _partial_operator(vectors, ~mask)
+    structure = _columns(_partial_structure(s_j, s_jc, tol))
+    _require_resolution(s_j, s_jc, tol)
+    op_check = _columns(_operator_identity(s_j, s_jc, tol))
+    sa_check = _columns(_self_adjoint_product(s_j, s_jc))
+    rows = []
+    for k, draw in enumerate(group):
+        residual, min_eig_product, min_eig_gap, _, structure_ok = structure[k]
+        op_res, op_ok = op_check[k]
+        s_sa, t_sa, p_sa = sa_check[k]
+        row = {
+            **_shape(draw),
+            "residual_identity": residual,
+            "min_eig_product": min_eig_product,
+            "min_eig_gap": min_eig_gap,
+            "op_residual": op_res,
+            "rel_diff": max(residual, op_res),
+            "passed": bool(
+                structure_ok and op_ok and ((s_sa and t_sa) == p_sa) and p_sa
+            ),
+        }
+        if "raw" in draw:
+            # raw resolutions of the identity, Hermitian and not
+            g = draw["raw"]
+            eye = np.eye(draw["d"])
+            h = hermitize(g)
+            op_h = operator_identity_check(h, eye - h, tol)
+            sa_h = self_adjoint_product_check(h, eye - h, tol)
+            op_n = operator_identity_check(g, eye - g, tol)
+            sa_n = self_adjoint_product_check(g, eye - g, tol)
+            row["rel_diff"] = max(row["rel_diff"], op_h.residual, op_n.residual)
+            row["passed"] = bool(
+                row["passed"]
+                and op_h.passed and sa_h.equivalence_holds and sa_h.product_self_adjoint
+                and op_n.passed and sa_n.equivalence_holds
+                and not sa_n.product_self_adjoint
+            )
+        rows.append(row)
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# runners: a block of trials in, one row per trial out, in trial order
+
+
+def _per_trial(trial):
+    """Runner that builds each row from its own trial alone."""
+    def run(name: str, trials: range, config: RunConfig) -> list[dict]:
+        return [trial(_trial_rng(config, name, t), t, config) for t in trials]
+    return run
+
+
+def _batched(draw, solve):
+    """Runner that makes every trial's draws, then solves each (field, d)
+    group of draws at once."""
+    def run(name: str, trials: range, config: RunConfig) -> list[dict]:
+        draws = [draw(_trial_rng(config, name, t), t, config) for t in trials]
+        groups: dict[tuple[str, int], list[int]] = {}
+        for k, dr in enumerate(draws):
+            groups.setdefault((dr["field"], dr["d"]), []).append(k)
+        rows: list = [None] * len(draws)
+        for members in groups.values():
+            for k, row in zip(members, solve([draws[k] for k in members], config)):
+                rows[k] = row
+        return rows
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +574,7 @@ def _pattern_kind(row: dict) -> str | None:
 
 
 _SUITES = {
-    "pfi": (_pfi_trial, (
+    "pfi": (_batched(_pfi_draw, _pfi_solve), (
         ("max_rel_diff", max, 0.0,
          lambda row: (row["rel_diff"], row["tight_reduction_rel"], row["subspace_rel"] or 0.0)),
         ("min_side", min, _INF, "min_side"),
@@ -454,32 +584,35 @@ _SUITES = {
         ("max_subspace_rel", max, 0.0, "subspace_rel"),
         ("max_projection_dev", max, 0.0, "projection_dev"),
     )),
-    "general": (_general_trial, (
+    "general": (_per_trial(_general_trial), (
         _MAX_REL,
         ("max_cond", max, 0.0, "cond"),
         ("reduction_trials", _count, 0, lambda row: (row["reduction_dev"] is not None,)),
         ("max_reduction_dev", max, 0.0, "reduction_dev"),
     )),
-    "overlap": (_overlap_trial, (_MAX_REL,)),
-    "bounds": (_bounds_trial, (
+    "overlap": (_batched(_overlap_draw, _overlap_solve), (_MAX_REL,)),
+    "bounds": (_per_trial(_bounds_trial), (
         _MAX_REL,
         ("max_recon_err", max, 0.0, "recon_err"),
         ("max_additivity_err", max, 0.0, "additivity_err"),
         ("max_parseval_dev", max, 0.0, "parseval_dev"),
     )),
-    "equivalence": (_equivalence_trial, (
+    "equivalence": (_batched(_equivalence_draw, _equivalence_solve), (
         _MAX_REL,
         ("all_true", _count, 0, lambda row: (_pattern_kind(row) == "all_true",)),
         ("all_false", _count, 0, lambda row: (_pattern_kind(row) == "all_false",)),
         ("split", _count, 0, lambda row: (_pattern_kind(row) == "split",)),
     )),
-    "sj": (_sj_trial, (
+    "sj": (_batched(_sj_draw, _sj_solve), (
         _MAX_REL,
         ("min_eig_product", min, _INF, "min_eig_product"),
         ("min_eig_gap", min, _INF, "min_eig_gap"),
         ("max_identity_residual", max, 0.0, "residual_identity"),
     )),
-    "extension": (_extension_trial, (_MAX_REL, ("max_operator_diff", max, 0.0, "operator_diff"))),
+    "extension": (_per_trial(_extension_trial), (
+        _MAX_REL,
+        ("max_operator_diff", max, 0.0, "operator_diff"),
+    )),
 }
 
 
@@ -496,13 +629,16 @@ def _summarize(rows: list[dict], reducers) -> dict:
 
 def run_suite(name: str, config: RunConfig) -> tuple[list[dict], dict]:
     try:
-        trial, reducers = _SUITES[name]
+        runner, reducers = _SUITES[name]
     except KeyError:
         raise BadParams(
             f"unknown suite {name!r}; expected one of {list(SUITE_NAMES) + ['all']}"
         ) from None
-    rows = [{"suite": name, "trial": t, **trial(_trial_rng(config, name, t), t, config)}
-            for t in range(config.trials)]
+    rows = []
+    for start in range(0, config.trials, _BLOCK):
+        block = range(start, min(start + _BLOCK, config.trials))
+        rows += [{"suite": name, "trial": t, **row}
+                 for t, row in zip(block, runner(name, block, config))]
     return rows, _summarize(rows, _TALLY + reducers)
 
 

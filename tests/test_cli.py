@@ -267,6 +267,25 @@ def test_subset_spec_rejected(capsys, mercedes_file):
         assert json.loads(out)["error"]["type"] == "BadParams"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["identity", "--J", "0,5"], "index 5 outside [0, 3)"),
+    (["identity", "--J", "3-4"], "index 4 outside [0, 3)"),
+    (["identity", "--variant", "overlap", "--J", "0", "--E", "1,3"], "index 3 outside [0, 3)"),
+    (["identity", "--variant", "subspace", "--ambient-dim", "4", "--J", "7"],
+     "index 7 outside [0, 3)"),
+    (["identity", "--J", "1,1"], "duplicate index 1"),
+    (["equiv", "--J", "3"], "index 3 outside [0, 3)"),
+    (["equiv", "--J", "2,2"], "duplicate index 2"),
+], ids=["identity-J", "identity-J-range", "identity-E", "identity-subspace-J",
+        "identity-J-duplicate", "equiv-J", "equiv-J-duplicate"])
+def test_subset_that_does_not_fit_the_frame_is_usage_error(capsys, mercedes_file, argv,
+                                                           message):
+    command, *rest = argv
+    code, out = run_cli(capsys, command, mercedes_file, *rest, "--f", "1,0")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "BadParams", "message": message}
+
+
 def test_vector_spec_complex_components(capsys, tmp_path):
     path = str(tmp_path / "h.json")
     assert main(["gen", "harmonic", "--dim", "2", "--count", "4", "--out", path]) == 0

@@ -34,20 +34,24 @@ from framecalc import (
     mercedes,
     onb,
     parsevalize,
-    partial_apply,
     partial_operator_matrix,
     random_gaussian,
     random_isometry,
     random_parseval,
     read_frame,
-    subset_energy,
     subset_mask,
     tight_deviation,
     union,
     write_frame,
 )
 from framecalc.frames import TAU_FRAME_COEFF, TAU_ID, FrameBounds, as_vector, norm_sq
-from framecalc.identities import span_equality_check, tight_identity_report
+from framecalc.identities import (
+    equivalence_conditions,
+    general_identity_report,
+    parseval_identity_report,
+    span_equality_check,
+    tight_identity_report,
+)
 from framecalc.linalg import TAU_PSD_COEFF, as_matrix, hermitian_eig, hermitize, psd_apply
 from framecalc.rng import SplitMix64
 
@@ -280,9 +284,17 @@ def test_coefficients_conjugate_linear_in_family():
     assert c[0] == pytest.approx(-1.0j)
 
 
-def test_partial_apply_hand_case():
-    got = partial_apply(mercedes(), [0], [1.0, 0.0])
-    np.testing.assert_allclose(got, [2.0 / 3.0, 0.0], atol=1e-15)
+def test_partial_sum_hand_case():
+    # Mercedes frame, J = {0}, f = e_1: S_J f = (2/3, 0) and S_Jc f = (1/3, 0)
+    terms = parseval_identity_report(mercedes(), [0], E1).terms
+    assert terms["sum_j"] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert terms["norm_sj_f"] == pytest.approx(4.0 / 9.0, abs=1e-15)
+    assert terms["sum_jc"] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert terms["norm_sjc_f"] == pytest.approx(1.0 / 9.0, abs=1e-15)
+    # each condition misses by 2/9, e.g. ||S_J f - S_J^2 f|| = ||(2/3 - 4/9, 0)||
+    report = equivalence_conditions(mercedes(), [0], E1)
+    for cond in report.conditions:
+        assert cond.residual == pytest.approx(2.0 / 9.0, abs=1e-15)
 
 
 def test_partial_operator_hand_case():
@@ -305,7 +317,8 @@ def test_partial_operators_add_up():
             1.0, np.linalg.norm(fr.operator)
         )
         f = rng.complex_gaussians(d)
-        e_total = subset_energy(fr, j, f) + subset_energy(fr, jc, f)
+        terms = general_identity_report(fr, j, f).terms
+        e_total = terms["sum_j"] + terms["sum_jc"]
         energy = float(np.sum(np.abs(coefficients(fr, f)) ** 2))
         assert abs(e_total - energy) <= 1e-10 * max(1.0, energy)
 

@@ -26,13 +26,11 @@ from framecalc import (
     operator_identity_check,
     overlap_identity_report,
     parseval_identity_report,
-    partial_apply,
     partial_operator_matrix,
     partial_structure_check,
     random_parseval,
     self_adjoint_product_check,
     span_equality_check,
-    subset_energy,
     subspace_identity_report,
     three_quarters_check,
     tight_extension_compare,
@@ -557,8 +555,6 @@ _SUBSET_ENTRIES = {
     "three_quarters": lambda j: three_quarters_check(mercedes(), j, E1),
     "partial_structure": lambda j: partial_structure_check(mercedes(), j),
     "equivalence": lambda j: equivalence_conditions(mercedes(), j, E1),
-    "subset_energy": lambda j: subset_energy(mercedes(), j, E1),
-    "partial_apply": lambda j: partial_apply(mercedes(), j, E1),
     "partial_operator_matrix": lambda j: partial_operator_matrix(mercedes(), j),
 }
 

@@ -11,6 +11,7 @@ from framecalc.linalg import (
     hermitize,
     psd_apply,
     require_hermitian,
+    spectral_apply,
 )
 from framecalc.rng import SplitMix64
 
@@ -107,3 +108,46 @@ def test_roundoff_negative_clamped_to_zero():
 def test_unknown_spectral_function():
     with pytest.raises(ValueError):
         psd_apply(np.eye(2), "log")
+
+
+def _stack(seed: int, k: int, d: int) -> np.ndarray:
+    return SplitMix64(seed).complex_gaussians(k * d * d).reshape(k, d, d)
+
+
+def test_stacked_norms_are_bitwise_the_per_matrix_norms():
+    for d in range(1, 17):
+        for k in (1, 2, 7, 20):
+            for m in (_stack(100 * d + k, k, d), _stack(100 * d + k, k, d).real):
+                want = np.array([np.linalg.norm(x) for x in m])
+                assert frobenius(m).tobytes() == want.tobytes()
+                want = np.array([np.linalg.norm(x - x.conj().T) for x in m])
+                assert hermitian_defect(m).tobytes() == want.tobytes()
+
+
+def test_stacked_spectral_calls_are_bitwise_the_per_matrix_calls():
+    for d in (1, 3, 8, 16):
+        g = _stack(d, 5, d)
+        m = hermitize(g @ g.conj().swapaxes(-1, -2)) + np.eye(d)
+        dec = hermitian_eig(m)
+        for fn in ("inverse", "sqrt", "inv_sqrt"):
+            stacked = spectral_apply(dec, fn)
+            for k in range(len(m)):
+                single = hermitian_eig(m[k])
+                assert single.eigenvalues.tobytes() == dec.eigenvalues[k].tobytes()
+                assert single.eigenvectors.tobytes() == dec.eigenvectors[k].tobytes()
+                assert spectral_apply(single, fn).tobytes() == stacked[k].tobytes()
+
+
+def test_stacked_checks_name_the_first_failing_matrix():
+    singular = np.stack([np.eye(2), np.diag([3.0, 1e-13]), np.diag([1.0, 0.0])])
+    with pytest.raises(SingularMatrix, match="eigenvalue 1.000e-13 within 3.0e-12"):
+        psd_apply(singular, "inverse")
+    negative = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.diag([2.0, -1.0])])
+    with pytest.raises(NotPSD, match="eigenvalue -1.000e\\+00 below -1.0e-12"):
+        psd_apply(negative, "sqrt")
+    # each matrix fails its own first check: the singular one comes first
+    with pytest.raises(SingularMatrix, match="eigenvalue 1.000e-13 within 3.0e-12"):
+        psd_apply(np.concatenate([singular, negative]), "inv_sqrt")
+    skew = np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+    with pytest.raises(NotHermitian, match="defect 1.414e\\+00"):
+        hermitian_eig(skew)

@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from scalar_trials import SCALAR_TRIALS, scalar_rows
 
 from framecalc import BadParams, RunConfig, SUITE_NAMES, run_suite, run_suites
+from framecalc import frames, sweeps
+from framecalc.frames import frame_bounds, random_gaussian, random_parseval
 
 SMALL = RunConfig(seed=5, trials=40, dim_range=(2, 6), count_range=(2, 16))
 
@@ -100,3 +103,74 @@ def test_sj_summary_fields():
     assert summary["min_eig_product"] >= -1e-9
     assert summary["min_eig_gap"] >= -1e-9
     assert summary["max_identity_residual"] <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched suites against their scalar replay (tests/scalar_trials.py)
+
+ORACLE_CONFIGS = {
+    "seed101": RunConfig(seed=101, trials=200),
+    "seed918273": RunConfig(seed=918273, trials=200),
+    # 16 of the 60 pfi first draws fail random_parseval's cond test
+    "redraws": RunConfig(seed=5, trials=60, dim_range=(6, 6), count_range=(6, 7)),
+    # d = 1, and (field, d) groups of one trial
+    "small_d": RunConfig(seed=3, trials=50, dim_range=(1, 3), count_range=(1, 5)),
+    "one_trial": RunConfig(seed=9, trials=1),
+}
+
+
+def assert_rows_match(rows, reference):
+    """Identical ints, bools, strings and Nones; floats within 1e-12 * max(1, |v|)."""
+    assert len(rows) == len(reference)
+    for row, want in zip(rows, reference):
+        assert row.keys() == want.keys()
+        for key, value in want.items():
+            got = row[key]
+            assert type(got) is type(value), (row["trial"], key)
+            if type(value) is float:
+                assert abs(got - value) <= 1e-12 * max(1.0, abs(value)), (row["trial"], key)
+            else:
+                assert got == value, (row["trial"], key)
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS.keys())
+@pytest.mark.parametrize("name", sorted(SCALAR_TRIALS))
+def test_batched_rows_match_their_scalar_replay(name, config):
+    rows, _ = run_suite(name, config)
+    assert_rows_match(rows, scalar_rows(name, config))
+
+
+def test_a_row_does_not_depend_on_its_group():
+    config = ORACLE_CONFIGS["seed101"]
+    short = RunConfig(seed=config.seed, trials=60)
+    for name in sorted(SCALAR_TRIALS):
+        assert_rows_match(run_suite(name, config)[0][:60], run_suite(name, short)[0])
+
+
+def test_trial_blocks_keep_trial_order(monkeypatch):
+    config = RunConfig(seed=12, trials=30)
+    whole = {name: run_suite(name, config)[0] for name in SUITE_NAMES}
+    monkeypatch.setattr(sweeps, "_BLOCK", 7)
+    for name in SUITE_NAMES:
+        rows, summary = run_suite(name, config)
+        assert [row["trial"] for row in rows] == list(range(config.trials))
+        assert_rows_match(rows, whole[name])
+        assert summary["total"] == config.trials
+
+
+def test_rejected_first_draws_are_redrawn(monkeypatch):
+    config = ORACLE_CONFIGS["redraws"]
+    rejected = 0
+    for t in range(config.trials):
+        rng = sweeps._trial_rng(config, "pfi", t)
+        field, d, n = sweeps._draw_shape(rng, config)
+        bounds = frame_bounds(random_gaussian(d, n, rng.next_raw(), field))
+        rejected += not (bounds.is_frame and bounds.upper <= 1e3 * bounds.lower)
+    calls = []
+    monkeypatch.setattr(frames, "random_parseval",
+                        lambda *args: calls.append(args) or random_parseval(*args))
+    rows, summary = run_suite("pfi", config)
+    assert rejected > 0
+    assert len(calls) == rejected
+    assert summary["failed"] == 0
+    assert_rows_match(rows, scalar_rows("pfi", config))

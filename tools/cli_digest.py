@@ -19,12 +19,23 @@ commands whose `exit sha256 stderr-bytes` differ, as a `-` line for
 OTHER_SRC and a `+` line for `--src`; it exits 1 when any command differs:
 
     python3 tools/cli_digest.py --against path/to/parent/src
+
+Adding `--leaves` checks that a difference is only in floating-point
+digits. Both stdouts (and `--out` files) of each differing command are
+parsed as JSON and compared leaf by leaf; a line after the pair gives the
+number of float leaves that differ and the worst gap |new - old| /
+max(1, |old|). The command fails the check, and the tool exits 1, when
+its exit code, its stderr length or any non-float leaf differs, or when a
+float gap exceeds 1e-12:
+
+    python3 tools/cli_digest.py --against path/to/parent/src --leaves
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -59,10 +70,10 @@ COMMANDS = [
     # exit 1: a check fails or the input is outside a domain
     "identity g16.json",
     "extend merc.json --lambda 0.1",
-    "identity merc.json --J 0,5",
     "identity p16.json --variant overlap --J 0,1 --E 1,2",
-    "equiv merc.json --J 3 --f 1,0",
     # exit 2: usage and IO errors
+    "identity merc.json --J 0,5",
+    "equiv merc.json --J 3 --f 1,0",
     "identity missing.json",
     "identity merc.json --J 1-x",
     "identity merc.json --J 1,1",
@@ -74,13 +85,17 @@ COMMANDS = [
 ]
 
 
+FLOAT_GAP = 1e-12
+
+
 def _out_file(argv: list[str]) -> str | None:
     return argv[argv.index("--out") + 1] if "--out" in argv else None
 
 
-def digest(src: Path) -> list[str]:
+def run_commands(src: Path) -> list[tuple[str, int, bytes, bytes | None, int]]:
+    """(command, exit code, stdout, --out file bytes or None, stderr length) per command."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    lines = []
+    runs = []
     with tempfile.TemporaryDirectory() as work:
         for command in COMMANDS:
             argv = command.split()
@@ -88,12 +103,65 @@ def digest(src: Path) -> list[str]:
                 [sys.executable, "-W", "error", "-m", "framecalc.cli", *argv],
                 cwd=work, env=env, capture_output=True, check=False,
             )
-            h = hashlib.sha256(proc.stdout)
             out = _out_file(argv)
-            if out is not None and (Path(work) / out).exists():
-                h.update((Path(work) / out).read_bytes())
-            lines.append(f"{proc.returncode} {h.hexdigest()} {len(proc.stderr)} {command}")
-    return lines
+            path = Path(work) / out if out is not None else None
+            written = path.read_bytes() if path is not None and path.exists() else None
+            runs.append((command, proc.returncode, proc.stdout, written, len(proc.stderr)))
+    return runs
+
+
+def digest_line(run) -> str:
+    command, code, stdout, written, stderr_bytes = run
+    h = hashlib.sha256(stdout)
+    if written is not None:
+        h.update(written)
+    return f"{code} {h.hexdigest()} {stderr_bytes} {command}"
+
+
+def digest(src: Path) -> list[str]:
+    return [digest_line(run) for run in run_commands(src)]
+
+
+def compare_leaves(old, new, path: str = "") -> tuple[list[str], list[float]]:
+    """(paths of non-float leaves that differ, gaps of float leaves that differ)."""
+    if type(old) is float and type(new) is float:
+        return [], ([abs(new - old) / max(1.0, abs(old))] if new != old else [])
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        pairs = [(old[k], new[k], f"{path}/{k}") for k in sorted(old)]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        pairs = [(a, b, f"{path}/{i}") for i, (a, b) in enumerate(zip(old, new))]
+    else:
+        return ([] if old == new and type(old) is type(new) else [path or "/"]), []
+    mismatches, gaps = [], []
+    for a, b, p in pairs:
+        m, g = compare_leaves(a, b, p)
+        mismatches += m
+        gaps += g
+    return mismatches, gaps
+
+
+def _documents(run) -> list:
+    _, _, stdout, written, _ = run
+    docs = [stdout] + ([written] if written is not None else [])
+    return [json.loads(doc) for doc in docs]
+
+
+def leaf_check(old_run, new_run) -> tuple[bool, str]:
+    """Whether new_run differs from old_run only in float digits, and a summary line."""
+    if old_run[1] != new_run[1] or old_run[4] != new_run[4]:
+        return False, (f"exit {old_run[1]} -> {new_run[1]}, stderr bytes "
+                       f"{old_run[4]} -> {new_run[4]}")
+    try:
+        old_docs, new_docs = _documents(old_run), _documents(new_run)
+    except ValueError as exc:
+        return False, f"output is not JSON: {exc}"
+    mismatches, gaps = compare_leaves(old_docs, new_docs)
+    worst = max(gaps, default=0.0)
+    ok = not mismatches and worst <= FLOAT_GAP
+    line = f"{len(gaps)} float leaves differ, worst gap {worst:.3e}"
+    if mismatches:
+        line += f"; {len(mismatches)} other leaves differ, first at {mismatches[0]}"
+    return ok, line
 
 
 def main() -> None:
@@ -103,16 +171,25 @@ def main() -> None:
                         help="directory holding the framecalc package (default: this checkout)")
     parser.add_argument("--against", type=Path,
                         help="another framecalc source tree; print only the commands that differ")
+    parser.add_argument("--leaves", action="store_true",
+                        help="with --against: pass commands that differ only in float digits")
     args = parser.parse_args()
     if args.against is None:
         for line in digest(args.src.resolve()):
             print(line, flush=True)
         return
-    changed = [(old, new) for old, new in zip(digest(args.against.resolve()),
-                                              digest(args.src.resolve())) if old != new]
-    for old, new in changed:
-        print(f"- {old}\n+ {new}", flush=True)
-    sys.exit(1 if changed else 0)
+    failed = False
+    for old, new in zip(run_commands(args.against.resolve()), run_commands(args.src.resolve())):
+        if digest_line(old) == digest_line(new):
+            continue
+        print(f"- {digest_line(old)}\n+ {digest_line(new)}", flush=True)
+        if args.leaves:
+            ok, line = leaf_check(old, new)
+            print(f"  {'ok' if ok else 'FAIL'}: {line}", flush=True)
+            failed = failed or not ok
+        else:
+            failed = True
+    sys.exit(1 if failed else 0)
 
 
 if __name__ == "__main__":
