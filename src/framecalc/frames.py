@@ -17,9 +17,11 @@ operations derive standard companions: canonical dual (S^{-1} f_i),
 Parseval conversion (S^{-1/2} f_i), subspace embeddings through isometries,
 and completion to a tight frame by appending columns of sqrt(lam*I - S).
 
-The kernels behind the frame operator, the analysis coefficients, S_J and
-Parseval conversion also take zero-padded stacks of families, shape
-(..., n, d); a zero row adds nothing to any of them.
+The kernels behind the frame operator, the analysis coefficients, S_J,
+the canonical dual and Parseval conversion, the Bessel sandwich and the
+tight completion also take zero-padded stacks of families, shape
+(..., n, d); a zero row adds nothing to any of them. The public functions
+validate their inputs and call the same kernels on one family.
 
 Real-tagged frames keep exactly zero imaginary parts; derived operations
 strip sub-tolerance imaginary roundoff so the tag survives duals and
@@ -46,6 +48,7 @@ from .linalg import (
     TAU_EIG,
     TAU_PSD_COEFF,
     EigenDecomposition,
+    _adjoint,
     _first_failure,
     frobenius,
     hermitian_eig,
@@ -118,10 +121,7 @@ class Frame:
         if self.field == "real" and a.imag.any():
             raise BadParams("field tag 'real' but vectors have nonzero imaginary parts")
         a.setflags(write=False)
-        with np.errstate(over="ignore", invalid="ignore"):  # finite vectors can overflow S
-            s = _operator(a)
-        if not np.isfinite(s).all():
-            raise BadParams("frame operator overflows: vectors are too large")
+        s = _finite_operator(a)
         s.setflags(write=False)
         object.__setattr__(self, "vectors", a)
         object.__setattr__(self, "operator", s)
@@ -148,6 +148,16 @@ def _operator(rows: np.ndarray) -> np.ndarray:
     return hermitize(rows.swapaxes(-1, -2) @ rows.conj())
 
 
+def _finite_operator(rows: np.ndarray) -> np.ndarray:
+    """_operator of finite rows, raising BadParams for the first family whose
+    operator overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # finite vectors can overflow S
+        s = _operator(rows)
+    if not np.isfinite(s).all():
+        raise BadParams("frame operator overflows: vectors are too large")
+    return s
+
+
 def _partial_operator(vectors: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """S_J of each family in a stack, (..., n, d) with J's mask (..., n)."""
     return _operator(np.where(mask[..., None], vectors, 0.0))
@@ -157,6 +167,16 @@ def _analysis(vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
     """c_i = <f, f_i> for each family and vector in a stack: (..., n), from
     vectors (..., n, d) and f (..., d)."""
     return (vectors.conj() @ f[..., None])[..., 0]
+
+
+def _synthesis(vectors: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_i c_i f_i, shape (..., d)."""
+    return (c[..., None, :] @ vectors)[..., 0, :]
+
+
+def _energy(c: np.ndarray):
+    """sum_i |c_i|^2 over the last axis."""
+    return np.sum(np.abs(c) ** 2, axis=-1)
 
 
 def subset_mask(subset, n: int) -> np.ndarray:
@@ -238,6 +258,13 @@ def _match_field(vectors: np.ndarray, field: str) -> np.ndarray:
     return vectors.real.astype(np.complex128)
 
 
+def _spectral_rows(vectors: np.ndarray, dec: EigenDecomposition, fn: str,
+                   field: str) -> np.ndarray:
+    """The rows g(S) f_i of each family in a stack, (..., n, d), where dec is
+    the spectrum of its S and g the spectral function fn."""
+    return _match_field(vectors @ spectral_apply(dec, fn).swapaxes(-1, -2), field)
+
+
 def canonical_dual(frame: Frame) -> Frame:
     """Dual family S^{-1} f_i; reconstruction sum <f, dual_i> f_i = f.
 
@@ -245,18 +272,16 @@ def canonical_dual(frame: Frame) -> Frame:
     """
     if not frame_bounds(frame).is_frame:
         raise NotAFrame("lower frame bound is numerically zero")
-    s_inv = spectral_apply(frame.spectrum, "inverse")
-    rows = frame.vectors @ s_inv.T
-    return Frame(frame.dim, _match_field(rows, frame.field), frame.field)
+    return Frame(frame.dim, _spectral_rows(frame.vectors, frame.spectrum, "inverse", frame.field),
+                 frame.field)
 
 
 def parsevalize(frame: Frame) -> Frame:
     """Canonical Parseval companion S^{-1/2} f_i (same spans, operator I)."""
     if not frame_bounds(frame).is_frame:
         raise NotAFrame("lower frame bound is numerically zero")
-    t = spectral_apply(frame.spectrum, "inv_sqrt")
-    rows = frame.vectors @ t.T
-    return Frame(frame.dim, _match_field(rows, frame.field), frame.field)
+    return Frame(frame.dim, _spectral_rows(frame.vectors, frame.spectrum, "inv_sqrt", frame.field),
+                 frame.field)
 
 
 def coefficients(frame: Frame, f) -> np.ndarray:
@@ -284,21 +309,26 @@ class BesselCheck:
     passed: bool
 
 
+def _bessel(vectors: np.ndarray, c: np.ndarray, lower, upper) -> tuple:
+    """The BesselCheck fields of each family in a stack, from its coefficients
+    c (..., n) and its frame bounds; lhs2 is the coefficient energy."""
+    energy = _energy(c)
+    sf_sq = norm_sq(_synthesis(vectors, c))
+    lhs1, rhs1 = sf_sq, upper * energy
+    lhs2, rhs2 = energy, (1.0 / lower) * sf_sq
+    ok1 = lhs1 <= rhs1 + TAU_ID * np.maximum(1.0, np.maximum(lhs1, rhs1))
+    ok2 = lhs2 <= rhs2 + TAU_ID * np.maximum(1.0, np.maximum(lhs2, rhs2))
+    return lhs1, rhs1, lhs2, rhs2, ok1 & ok2
+
+
 def bessel_inequality_check(frame: Frame, f) -> BesselCheck:
     """Check both energy inequalities; needs a frame for the inverse side."""
     bounds = frame_bounds(frame)
     if not bounds.is_frame:
         raise NotAFrame("inverse-norm inequality needs a nonzero lower bound")
-    v = as_vector(f, frame.dim)
-    c = coefficients(frame, v)
-    energy = float(np.sum(np.abs(c) ** 2))
-    sf = c @ frame.vectors
-    sf_sq = norm_sq(sf)
-    lhs1, rhs1 = sf_sq, bounds.upper * energy
-    lhs2, rhs2 = energy, (1.0 / bounds.lower) * sf_sq
-    ok1 = lhs1 <= rhs1 + TAU_ID * max(1.0, lhs1, rhs1)
-    ok2 = lhs2 <= rhs2 + TAU_ID * max(1.0, lhs2, rhs2)
-    return BesselCheck(lhs1=lhs1, rhs1=rhs1, lhs2=lhs2, rhs2=rhs2, passed=ok1 and ok2)
+    c = coefficients(frame, f)
+    *sides, passed = map(float, _bessel(frame.vectors, c, bounds.lower, bounds.upper))
+    return BesselCheck(*sides, passed=bool(passed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,25 +388,32 @@ def complete_to_tight(frame: Frame, lam: float | None = None, mix_seed: int | No
     Raises LambdaTooSmall when lam < lambda_max(S) beyond roundoff.
     """
     dec = frame.spectrum
-    w = dec.eigenvalues
-    lam_max = float(w[-1])
-    if lam is None:
-        lam = lam_max
-    lam = float(lam)
-    tau = TAU_PSD_COEFF * max(1.0, lam_max, abs(lam))
-    if lam < lam_max - tau:
-        raise LambdaTooSmall(f"lam {lam:.6g} below lambda_max {lam_max:.6g}")
-    wt = lam - w
-    wt = np.where(np.abs(wt) <= tau, 0.0, np.maximum(wt, 0.0))
-    v = dec.eigenvectors
-    root = hermitize((v * np.sqrt(wt)) @ v.conj().T)
-    col_energy = np.sum(np.abs(root) ** 2, axis=0)
-    keep = col_energy > tau
+    root, keep = _completion(dec, dec.eigenvalues[-1] if lam is None else float(lam))
     cols = root[:, keep]
     if mix_seed is not None and cols.shape[1] > 0:
         k = cols.shape[1]
         cols = cols @ random_isometry(k, k, mix_seed, frame.field)
     return Frame(frame.dim, _match_field(cols.T, frame.field), frame.field)
+
+
+def _completion(dec: EigenDecomposition, lam) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(lam*I - S) for each spectrum dec of S in a stack and its lam,
+    (..., d, d), and the mask (..., d) of its columns that are not
+    numerically zero. Raises LambdaTooSmall for the first lam below its
+    lambda_max beyond roundoff."""
+    w = dec.eigenvalues
+    lam = np.asarray(lam, dtype=np.float64)
+    lam_max = w[..., -1]
+    tau = TAU_PSD_COEFF * np.maximum(np.maximum(1.0, lam_max), np.abs(lam))
+    k = _first_failure(lam < lam_max - tau)
+    if k is not None:
+        raise LambdaTooSmall(
+            f"lam {np.ravel(lam)[k]:.6g} below lambda_max {np.ravel(lam_max)[k]:.6g}")
+    wt = lam[..., None] - w
+    wt = np.where(np.abs(wt) <= tau[..., None], 0.0, np.maximum(wt, 0.0))
+    v = dec.eigenvectors
+    root = hermitize((v * np.sqrt(wt)[..., None, :]) @ _adjoint(v))
+    return root, np.sum(np.abs(root) ** 2, axis=-2) > tau[..., None]
 
 
 def random_isometry(ambient_dim: int, dim: int, seed: int, field: str = "complex") -> np.ndarray:
@@ -437,6 +474,15 @@ def _gaussian_rows(dim: int, count: int, seed: int, field: str) -> np.ndarray:
     return SplitMix64(seed).normals(count * dim, field).reshape(count, dim)
 
 
+def _gaussian_stack(dim: int, counts: list[int], seeds: list[int], field: str) -> np.ndarray:
+    """random_gaussian(dim, n, seed, field).vectors for each (n, seed), zero-padded
+    into one (len(counts), max(counts), dim) stack."""
+    gauss = np.zeros((len(counts), max(counts), dim), dtype=np.complex128)
+    for k, (n, seed) in enumerate(zip(counts, seeds)):
+        gauss[k, :n] = _gaussian_rows(dim, n, seed, field)
+    return gauss
+
+
 def random_gaussian(dim: int, count: int, seed: int, field: str = "real") -> Frame:
     """Independent standard normal entries (complex normal for field "complex")."""
     if dim < 1 or count < 1:
@@ -446,12 +492,16 @@ def random_gaussian(dim: int, count: int, seed: int, field: str = "real") -> Fra
     return Frame(dim, _gaussian_rows(dim, count, seed, field), field)
 
 
-def _well_conditioned(eigenvalues: np.ndarray) -> np.ndarray:
-    """A frame (lower bound above TAU_FRAME_COEFF * upper) with cond(S) <= MAX_COND,
-    judged from each ascending spectrum in (..., d)."""
+def _conditioning(eigenvalues: np.ndarray) -> tuple:
+    """(accepted, cond(S)) of each ascending spectrum of S in (..., d): a draw
+    is accepted when it is a frame (lower bound above TAU_FRAME_COEFF *
+    upper, both clamped at zero) with cond(S) = upper / lower <= MAX_COND."""
     lower = np.maximum(eigenvalues[..., 0], 0.0)
     upper = np.maximum(eigenvalues[..., -1], 0.0)
-    return (lower > TAU_FRAME_COEFF * upper) & (upper <= MAX_COND * lower)
+    is_frame = lower > TAU_FRAME_COEFF * upper
+    # divide only where lower > 0; cond < 1e10 there, so nothing overflows
+    cond = upper / np.where(is_frame, lower, 1.0)
+    return is_frame & (cond <= MAX_COND), cond
 
 
 def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Frame:
@@ -469,7 +519,7 @@ def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Fra
     attempt_seed = int(seed)
     for _ in range(100):
         frame = random_gaussian(dim, count, attempt_seed, field)
-        if _well_conditioned(frame.spectrum.eigenvalues):
+        if _conditioning(frame.spectrum.eigenvalues)[0]:
             return parsevalize(frame)
         attempt_seed = stream.next_raw()
     raise RuntimeError("no well-conditioned Gaussian draw found")  # pragma: no cover
@@ -484,13 +534,11 @@ def _parseval_stack(dim: int, counts: list[int], seeds: list[int], field: str) -
     draw that random_parseval would reject is redrawn by random_parseval
     itself. A row differs from the single conversion only in rounding.
     """
-    gauss = np.zeros((len(counts), max(counts), dim), dtype=np.complex128)
-    for k, (n, seed) in enumerate(zip(counts, seeds)):
-        gauss[k, :n] = _gaussian_rows(dim, n, seed, field)
+    gauss = _gaussian_stack(dim, counts, seeds, field)
     dec = hermitian_eig(_operator(gauss))
-    ok = _well_conditioned(dec.eigenvalues)
-    t = spectral_apply(EigenDecomposition(dec.eigenvalues[ok], dec.eigenvectors[ok]), "inv_sqrt")
-    gauss[ok] = _match_field(gauss[ok] @ t.swapaxes(-1, -2), field)
+    ok = _conditioning(dec.eigenvalues)[0]
+    gauss[ok] = _spectral_rows(
+        gauss[ok], EigenDecomposition(dec.eigenvalues[ok], dec.eigenvectors[ok]), "inv_sqrt", field)
     for k in np.flatnonzero(~ok):
         gauss[k, :counts[k]] = random_parseval(dim, counts[k], seeds[k], field).vectors
     return gauss

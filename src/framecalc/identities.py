@@ -35,17 +35,19 @@ from .frames import (
     Frame,
     SubspaceFrame,
     _analysis,
+    _energy,
     _partial_operator,
+    _synthesis,
     as_vector,
     canonical_dual,
     coefficients,
     norm_sq,
     subset_mask,
-    tight_deviation,
     union,
 )
 from .linalg import (
     TAU_HERM,
+    EigenDecomposition,
     _adjoint,
     _first_failure,
     as_matrix,
@@ -121,11 +123,6 @@ def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> None:
 # wrap the result; the sweeps call the same kernels on a whole stack.
 
 
-def _synthesis(vectors: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_i c_i f_i, shape (..., d)."""
-    return (c[..., None, :] @ vectors)[..., 0, :]
-
-
 def _energy_split(vectors: np.ndarray, c: np.ndarray, mask: np.ndarray,
                   weight=1.0) -> list:
     """[weight * sum_J |c_i|^2, S_J f, weight * sum_Jc |c_i|^2, S_Jc f].
@@ -159,6 +156,15 @@ def _split_report(names: tuple[str, ...], sides, tolerance: float,
 
 _PARSEVAL_TERMS = ("sum_j", "norm_sj_f", "sum_jc", "norm_sjc_f")
 _TIGHT_TERMS = ("lam_sum_j", "norm_sj_f", "lam_sum_jc", "norm_sjc_f")
+_GENERAL_TERMS = ("sum_j", "dual_energy_sj_f", "sum_jc", "dual_energy_sjc_f")
+
+
+def _general_sides(vectors: np.ndarray, dual: np.ndarray, c: np.ndarray,
+                   mask: np.ndarray) -> list:
+    """_energy_split with the dual-energy metric, sum_i |<g, dual_i>|^2 of
+    g = S_J f and g = S_Jc f: the _GENERAL_TERMS."""
+    e_j, sj_f, e_jc, sjc_f = _energy_split(vectors, c, mask)
+    return [e_j, _energy(_analysis(dual, sj_f)), e_jc, _energy(_analysis(dual, sjc_f))]
 
 
 def parseval_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID) -> IdentityReport:
@@ -191,13 +197,8 @@ def general_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID,
         dual = canonical_dual(frame)
     mask = subset_mask(subset, frame.count)
     c = coefficients(frame, f)
-
-    def dual_energy(g: np.ndarray) -> float:
-        return float(np.sum(np.abs(coefficients(dual, g)) ** 2))
-
-    e_j, sj_f, e_jc, sjc_f = _energy_split(frame.vectors, c, mask)
-    return _split_report(("sum_j", "dual_energy_sj_f", "sum_jc", "dual_energy_sjc_f"),
-                         [e_j, dual_energy(sj_f), e_jc, dual_energy(sjc_f)], tolerance)
+    return _split_report(_GENERAL_TERMS, _general_sides(frame.vectors, dual.vectors, c, mask),
+                         tolerance)
 
 
 def tight_identity_report(frame: Frame, subset, f, lam: float | None = None,
@@ -540,27 +541,36 @@ class SpanEquality:
     lemma_respected: bool
 
 
-def _span_projector(frame: Frame) -> np.ndarray:
-    dec = frame.spectrum
+def _span_projector(dec: EigenDecomposition) -> np.ndarray:
+    """Orthogonal projector onto the range of each PSD matrix with spectrum
+    dec: its eigenvectors for eigenvalues above TAU_FRAME_COEFF * the top one."""
     w = dec.eigenvalues
-    top = max(float(w[-1]), 0.0)
-    keep = w > TAU_FRAME_COEFF * top if top > 0.0 else np.zeros_like(w, dtype=bool)
-    v = dec.eigenvectors[:, keep]
-    return hermitize(v @ v.conj().T)
+    # with a top eigenvalue <= 0 no eigenvalue is > 0, so the range is {0}
+    keep = w > TAU_FRAME_COEFF * np.maximum(w[..., -1:], 0.0)
+    v = dec.eigenvectors * keep[..., None, :]
+    return hermitize(v @ _adjoint(v))
+
+
+def _close(a: np.ndarray, b: np.ndarray, tolerance: float):
+    """||A - B||_F <= tolerance * max(1, ||A||_F, ||B||_F), per pair in (..., d, d)."""
+    return frobenius(a - b) <= tolerance * np.maximum(1.0, np.maximum(frobenius(a),
+                                                                      frobenius(b)))
+
+
+def _span_equality(s1: np.ndarray, s2: np.ndarray, dec1: EigenDecomposition,
+                   dec2: EigenDecomposition, tolerance: float) -> tuple:
+    """(operators equal, spans equal) of each pair of frame operators with
+    their spectra."""
+    return (_close(s1, s2, tolerance),
+            _close(_span_projector(dec1), _span_projector(dec2), tolerance))
 
 
 def span_equality_check(first: Frame, second: Frame,
                         tolerance: float = TAU_ID) -> SpanEquality:
     if first.dim != second.dim:
         raise PreconditionFailed(f"dims differ: {first.dim} vs {second.dim}")
-    s1, s2 = first.operator, second.operator
-    operators_equal = frobenius(s1 - s2) <= tolerance * max(
-        1.0, frobenius(s1), frobenius(s2)
-    )
-    p1, p2 = _span_projector(first), _span_projector(second)
-    spans_equal = frobenius(p1 - p2) <= tolerance * max(
-        1.0, frobenius(p1), frobenius(p2)
-    )
+    operators_equal, spans_equal = _span_equality(first.operator, second.operator,
+                                                  first.spectrum, second.spectrum, tolerance)
     return SpanEquality(
         operators_equal=bool(operators_equal),
         spans_equal=bool(spans_equal),
@@ -593,6 +603,30 @@ def _probe_block(f, d: int, field: str, trials: int, seed: int) -> np.ndarray:
     return np.vstack([v, block / np.where(norms > 0.0, norms, 1.0)[:, None]])
 
 
+def _require_tight_union(eigenvalues: np.ndarray, lam, tolerance: float) -> None:
+    """NotTight unless each union spectrum in (..., d) lies within
+    tolerance * max(1, lam) of its lam."""
+    lam = np.asarray(lam, dtype=np.float64)
+    dev = np.abs(eigenvalues - lam[..., None]).max(axis=-1)
+    k = _first_failure(dev > tolerance * np.maximum(1.0, lam))
+    if k is not None:
+        raise NotTight(
+            f"union deviates from {np.ravel(lam)[k]:.6g}-tight by {np.ravel(dev)[k]:.3e}")
+
+
+def _extension_compare(probes: np.ndarray, first: np.ndarray, second: np.ndarray,
+                       s1: np.ndarray, s2: np.ndarray, dec1: EigenDecomposition,
+                       dec2: EigenDecomposition, tolerance: float) -> tuple:
+    """(max energy rel diff, energy equal, operator equal, span equal) of each
+    pair of added families (..., k, d), with their operators and spectra,
+    over the probe vectors (..., m, d)."""
+    e1, e2 = (_energy(probes @ _adjoint(added)) for added in (first, second))
+    # fmax skips a NaN ratio, as the running max over single probes did
+    max_rel = np.fmax.reduce(np.abs(e1 - e2) / np.maximum(np.maximum(e1, e2), 1.0),
+                             axis=-1, initial=0.0)
+    return (max_rel, max_rel <= tolerance) + _span_equality(s1, s2, dec1, dec2, tolerance)
+
+
 def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame,
                             lam: float, f, trials: int = 100, seed: int = 0,
                             tolerance: float = TAU_ID) -> TightExtensionCompare:
@@ -606,28 +640,18 @@ def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame
     """
     lam = float(lam)
     for added in (added_first, added_second):
-        dev = tight_deviation(union(base, added), lam)
-        if dev > tolerance * max(1.0, lam):
-            raise NotTight(f"union deviates from {lam:.6g}-tight by {dev:.3e}")
+        _require_tight_union(union(base, added).spectrum.eigenvalues, lam, tolerance)
     fields = (base.field, added_first.field, added_second.field)
     field = "complex" if "complex" in fields else "real"
     probes = _probe_block(f, base.dim, field, trials, seed)
-    e1, e2 = (np.sum(np.abs(probes @ added.vectors.conj().T) ** 2, axis=1)
-              for added in (added_first, added_second))
-    # fmax skips a NaN ratio, as the running max over single probes did
-    max_rel = float(np.fmax.reduce(np.abs(e1 - e2) / np.maximum(np.maximum(e1, e2), 1.0),
-                                   initial=0.0))
-    energy_equal = max_rel <= tolerance
-    s1, s2 = added_first.operator, added_second.operator
-    operator_equal = frobenius(s1 - s2) <= tolerance * max(
-        1.0, frobenius(s1), frobenius(s2)
-    )
-    span_equal = span_equality_check(added_first, added_second, tolerance).spans_equal
+    max_rel, energy_equal, operator_equal, span_equal = _extension_compare(
+        probes, added_first.vectors, added_second.vectors, added_first.operator,
+        added_second.operator, added_first.spectrum, added_second.spectrum, tolerance)
     return TightExtensionCompare(
         both_tight=True,
         energy_equal=bool(energy_equal),
         operator_equal=bool(operator_equal),
         span_equal=bool(span_equal),
-        max_energy_rel_diff=max_rel,
+        max_energy_rel_diff=float(max_rel),
         passed=bool(energy_equal and operator_equal and span_equal),
     )

@@ -7,21 +7,27 @@ inside a trial happens in a fixed documented order, so a run is a pure
 function of (suite, seed, trials, ranges) and the suite section of an
 "all" run is byte-identical to the same suite run alone.
 
-A suite is a runner, which turns a block of consecutive trials into one
-row each, plus the reducers that fold its rows into a summary;
-`run_suite` feeds it blocks of at most _BLOCK trials, so memory stays
-bounded at any trial count. The general, bounds and extension suites run
-one trial function per trial. The pfi, overlap, equivalence and sj
-suites are batched: every trial of the block first makes all of its draws
+A suite is a draw function, a solve function and the reducers that fold
+its rows into a summary; `run_suite` feeds blocks of at most _BLOCK
+trials to the one runner, so memory stays bounded at any trial count.
+Every suite is batched: every trial of the block first makes its draws
 from its own stream, in the same order as a trial run alone would, and
 then each (field, d) group of the block goes through the algebra at once,
 as zero-padded stacks (one stacked eigendecomposition per spectral step).
-Per-trial extras (the pfi subspace embedding, the equivalence
-orthogonal-union construction, the sj raw resolutions) stay public
-function calls. A batched row agrees with its scalar replay, one trial
-through the public functions, to 1e-12 * max(1, |v|) in every float and
-exactly in every count, flag and string; it depends on the other trials
-of its group only in rounding.
+The general and bounds trials draw a conditioned Gaussian frame, whose
+first attempt decides how much of the stream comes before the rest of
+the trial's draws: their draw stops at the first attempt's seed, the
+solve tests every first attempt of the group with one stacked
+eigendecomposition, a rejected trial falls back to drawing further
+attempts from its own stream, and only then are the trial's remaining
+inputs drawn. Per-trial extras (the pfi subspace embedding, the general
+Parseval reduction, the equivalence orthogonal-union construction, the sj
+raw resolutions, the extension mixing unitary) stay per-trial calls. A
+row agrees with its scalar replay, one trial through the public
+functions, to 1e-12 * max(1, |v|) in every float and exactly in every
+count, flag and string; it depends on the other trials of its group only
+in rounding. A failing check raises for the first failing trial of the
+group at that check.
 
 Results are JSON-ready dicts, one per trial; the summary counts
 passed/failed/borderline (borderline only ever nonzero for the
@@ -36,42 +42,46 @@ import numpy as np
 
 from .errors import BadParams
 from .frames import (
-    MAX_COND,
     TAU_ID,
     Frame,
     _analysis,
+    _bessel,
+    _completion,
+    _conditioning,
+    _finite_operator,
+    _gaussian_stack,
+    _match_field,
     _operator,
     _parseval_stack,
     _partial_operator,
+    _spectral_rows,
+    _synthesis,
     as_tolerance,
-    bessel_inequality_check,
-    canonical_dual,
-    coefficients,
-    complete_to_tight,
     embed_subspace_frame,
-    frame_bounds,
     norm_sq,
-    parsevalize,
     random_gaussian,
     random_isometry,
     random_parseval,
-    subset_mask,
-    union,
 )
 from .identities import (
+    _GENERAL_TERMS,
     _PARSEVAL_TERMS,
     _TIGHT_TERMS,
     _bound_check,
     _equivalence_report,
     _equivalence_residuals,
+    _extension_compare,
+    _general_sides,
     _norm_sides,
     _operator_identity,
     _overlap_report,
     _overlap_sides,
     _partial_structure,
+    _probe_block,
     _require_parseval,
     _require_resolution,
     _require_tight,
+    _require_tight_union,
     _self_adjoint_product,
     _split_report,
     general_identity_report,
@@ -79,9 +89,8 @@ from .identities import (
     parseval_identity_report,
     self_adjoint_product_check,
     subspace_identity_report,
-    tight_extension_compare,
 )
-from .linalg import frobenius, hermitian_eig, hermitize
+from .linalg import EigenDecomposition, frobenius, hermitian_eig, hermitize
 from .rng import SplitMix64
 
 SUITE_NAMES = ("pfi", "general", "overlap", "bounds", "equivalence", "sj", "extension")
@@ -137,160 +146,41 @@ def _draw_shape(rng: SplitMix64, config: RunConfig) -> tuple[str, int, int]:
 
 
 def _conditioned_gaussian(rng: SplitMix64, dim: int, count: int, field: str) -> tuple[Frame, float]:
-    """Seeded Gaussian frame resampled until cond(S) <= 1e3."""
-    for _ in range(_RESAMPLE_LIMIT):
+    """Seeded Gaussian frame resampled until cond(S) <= 1e3, for a trial
+    whose first attempt was rejected: each further attempt is seeded by the
+    stream's next raw output, and the limit counts the first attempt too."""
+    for _ in range(1, _RESAMPLE_LIMIT):
         frame = random_gaussian(dim, count, rng.next_raw(), field)
-        bounds = frame_bounds(frame)
-        if bounds.is_frame:
-            cond = bounds.upper / bounds.lower
-            if cond <= MAX_COND:
-                return frame, float(cond)
+        accepted, cond = _conditioning(frame.spectrum.eigenvalues)
+        if accepted:
+            return frame, float(cond)
     raise RuntimeError("could not draw a well-conditioned frame")  # pragma: no cover
 
 
-# ---------------------------------------------------------------------------
-# trials: one row each, drawn from the trial's own stream
-
-
-def _general_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    """Dual-weighted energy split on conditioned Gaussian frames; every
-    10th trial cross-checks the Parseval reduction term by term."""
-    tol = config.tol
-    field, d, n = _draw_shape(rng, config)
-    frame, cond = _conditioned_gaussian(rng, d, n, field)
-    dual = canonical_dual(frame)
-    subset = rng.subset(n)
-    f = rng.unit_vector(d, field)
-    rep = general_identity_report(frame, subset, f, tol, dual=dual)
-    row = {
-        "d": d,
-        "n": n,
-        "field": field,
-        "cond": cond,
-        "rel_diff": rep.rel_diff,
-        "reduction_dev": None,
-        "passed": rep.passed,
-    }
-    if t % 10 == 0:
-        # on a Parseval frame the dual term collapses to the plain norm
-        pframe = random_parseval(d, n, rng.next_raw(), field)
-        sub2 = rng.subset(n)
-        f2 = rng.unit_vector(d, field)
-        rep_g = general_identity_report(pframe, sub2, f2, tol)
-        rep_p = parseval_identity_report(pframe, sub2, f2, tol)
-        dev = max(
-            abs(rep_g.terms["dual_energy_sj_f"] - rep_p.terms["norm_sj_f"]),
-            abs(rep_g.terms["dual_energy_sjc_f"] - rep_p.terms["norm_sjc_f"]),
-            abs(rep_g.lhs - rep_p.lhs),
-            abs(rep_g.rhs - rep_p.rhs),
-        )
-        row["reduction_dev"] = dev
-        row["passed"] = bool(row["passed"] and rep_g.passed and dev <= tol)
-    return row
-
-
-def _bounds_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    """Frame inequality, operator-norm sandwich, dual reconstruction,
-    partial-operator additivity, and Parseval conversion."""
-    tol = config.tol
-    field, d, n = _draw_shape(rng, config)
-    frame, cond = _conditioned_gaussian(rng, d, n, field)
-    bounds = frame_bounds(frame)
-    f = rng.unit_vector(d, field)
-    energy = float(np.sum(np.abs(coefficients(frame, f)) ** 2))
-    nf = norm_sq(f)
-    slack = tol * max(1.0, energy, bounds.upper * nf)
-    inequality_ok = (
-        bounds.lower * nf - slack <= energy <= bounds.upper * nf + slack
-    )
-    sandwich_ok = bessel_inequality_check(frame, f).passed
-
-    dual = canonical_dual(frame)
-    recon = coefficients(dual, f) @ frame.vectors
-    recon_err = float(np.linalg.norm(recon - f)) / max(1.0, float(np.linalg.norm(f)))
-
-    mask = subset_mask(rng.subset(n), n)
-    s_sum = _partial_operator(frame.vectors, mask) + _partial_operator(frame.vectors, ~mask)
-    additivity_err = frobenius(s_sum - frame.operator) / max(
-        1.0, frobenius(frame.operator)
-    )
-
-    pframe = parsevalize(frame)
-    parseval_dev = frobenius(pframe.operator - np.eye(d))
-
-    return {
-        "d": d,
-        "n": n,
-        "field": field,
-        "cond": cond,
-        "inequality_ok": bool(inequality_ok),
-        "sandwich_ok": bool(sandwich_ok),
-        "recon_err": recon_err,
-        "additivity_err": additivity_err,
-        "parseval_dev": parseval_dev,
-        "rel_diff": max(recon_err, additivity_err, parseval_dev),
-        "passed": bool(
-            inequality_ok
-            and sandwich_ok
-            and recon_err <= tol
-            and additivity_err <= 1e-12
-            and parseval_dev <= tol
-        ),
-    }
-
-
-def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[Frame, list[int]]:
-    """Parseval frame split into two parts with orthogonal spans; the first
-    part's indices make every equivalence condition hold."""
+def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[np.ndarray, list[int]]:
+    """Rows of a Parseval frame split into two parts with orthogonal spans;
+    the first part's indices make every equivalence condition hold."""
     r = _randint(rng, 1, d - 1)
     u = random_isometry(d, d, rng.next_raw(), field)
     first = random_parseval(r, _randint(rng, r, 2 * r), rng.next_raw(), field)
     second = random_parseval(d - r, _randint(rng, d - r, 2 * (d - r)), rng.next_raw(), field)
-    rows_first = first.vectors @ u[:, :r].T
-    rows_second = second.vectors @ u[:, r:].T
+    rows = np.vstack([first.vectors @ u[:, :r].T, second.vectors @ u[:, r:].T])
     if field == "real":
-        rows_first = rows_first.real.astype(np.complex128)
-        rows_second = rows_second.real.astype(np.complex128)
-    combined = union(Frame(d, rows_first, field), Frame(d, rows_second, field))
-    return combined, list(range(first.count))
-
-
-def _extension_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    """Canonical vs unitary-mixed tight completions: equal added energy,
-    operator, and span; lam alternates between lambda_max and a larger value."""
-    field, d, n = _draw_shape(rng, config)
-    frame = random_gaussian(d, n, rng.next_raw(), field)
-    upper = frame_bounds(frame).upper
-    lam = upper if rng.uniform() < 0.5 else upper * (1.0 + rng.uniform())
-    mix_seed = rng.next_raw()
-    canonical = complete_to_tight(frame, lam)
-    mixed = complete_to_tight(frame, lam, mix_seed=mix_seed)
-    f = rng.unit_vector(d, field)
-    cmp = tight_extension_compare(
-        frame, canonical, mixed, lam, f, trials=20, seed=rng.next_raw(),
-        tolerance=config.tol,
-    )
-    return {
-        "d": d,
-        "n": n,
-        "field": field,
-        "lam": lam,
-        "added_count": canonical.count,
-        "energy_equal": cmp.energy_equal,
-        "operator_equal": cmp.operator_equal,
-        "span_equal": cmp.span_equal,
-        "operator_diff": frobenius(canonical.operator - mixed.operator),
-        "rel_diff": cmp.max_energy_rel_diff,
-        "passed": cmp.passed,
-    }
+        rows = rows.real.astype(np.complex128)
+    return rows, list(range(first.count))
 
 
 # ---------------------------------------------------------------------------
-# batched suites: per-trial draws, then the algebra once per (field, d) group
+# suites: per-trial draws, then the algebra once per (field, d) group
 #
 # A draw is a dict holding the trial's shape ("field", "d", "n") and every
-# input it drew, in draw order; "seed" is its random_parseval seed, or
-# "vectors" a family it built itself, and "subset" is J as an index list.
+# input it drew, in draw order; "seed" is the seed of its first random
+# family, or "vectors" a family it built itself, and "subset" is J as an
+# index list. The general and bounds draws stop at the seed of their first
+# Gaussian attempt and keep the trial's stream as "rng": whether that
+# attempt is accepted decides how many stream positions come before J and
+# f, so their solve tests it first and then makes the trial's remaining
+# draws, in the same order as a trial run alone.
 
 
 def _masks(group: list[dict], key: str, width: int) -> np.ndarray:
@@ -301,10 +191,10 @@ def _masks(group: list[dict], key: str, width: int) -> np.ndarray:
     return mask
 
 
-def _parseval_group(group: list[dict], tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The group's Parseval families, zero-padded, and their J masks; raises
-    NotParseval, as each trial's first report would, unless every frame
-    operator is the identity within tol."""
+def _parseval_group(group: list[dict], tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The group's Parseval families, zero-padded, their J masks and the
+    spectra of their frame operators; raises NotParseval, as each trial's
+    first report would, unless every frame operator is the identity within tol."""
     field, d = group[0]["field"], group[0]["d"]
     vectors = np.zeros((len(group), max(draw["n"] for draw in group), d), dtype=np.complex128)
     seeded = [k for k, draw in enumerate(group) if "seed" in draw]
@@ -315,8 +205,33 @@ def _parseval_group(group: list[dict], tol: float) -> tuple[np.ndarray, np.ndarr
     for k, draw in enumerate(group):
         if "vectors" in draw:
             vectors[k, :draw["n"]] = draw["vectors"]
-    _require_parseval(hermitian_eig(_operator(vectors)).eigenvalues, tol)
-    return vectors, _masks(group, "subset", vectors.shape[1])
+    w = hermitian_eig(_operator(vectors)).eigenvalues
+    _require_parseval(w, tol)
+    return vectors, _masks(group, "subset", vectors.shape[1]), w
+
+
+def _conditioned_group(group: list[dict]) -> tuple:
+    """The group's conditioned Gaussian frames, zero-padded, with their frame
+    operators, spectra and cond(S).
+
+    The first attempts are tested together, with one stacked
+    eigendecomposition. A trial whose first attempt is rejected goes on
+    through _conditioned_gaussian on its own stream, as a trial run alone
+    would, and its accepted frame replaces the first attempt in every array.
+    """
+    field, d = group[0]["field"], group[0]["d"]
+    vectors = _gaussian_stack(d, [draw["n"] for draw in group],
+                              [draw["seed"] for draw in group], field)
+    s = _operator(vectors)
+    dec = hermitian_eig(s)
+    w, v = dec.eigenvalues.copy(), dec.eigenvectors.copy()
+    accepted, cond = _conditioning(w)
+    for k in np.flatnonzero(~accepted):
+        draw = group[k]
+        frame, cond[k] = _conditioned_gaussian(draw["rng"], d, draw["n"], field)
+        vectors[k, :draw["n"]] = frame.vectors
+        s[k], w[k], v[k] = frame.operator, frame.spectrum.eigenvalues, frame.spectrum.eigenvectors
+    return vectors, s, EigenDecomposition(w, v), cond
 
 
 def _columns(arrays) -> list[tuple]:
@@ -342,14 +257,17 @@ def _pfi_solve(group: list[dict], config: RunConfig) -> list[dict]:
     """Parseval energy-split identity, plus the bound checks, the tight
     rescaling consistency, and (every 10th trial) a subspace embedding."""
     tol = config.tol
-    vectors, mask = _parseval_group(group, tol)
+    vectors, mask, w = _parseval_group(group, tol)
     f = np.array([draw["f"] for draw in group])
     lam = np.array([draw["lam"] for draw in group])
     sides = _columns(_norm_sides(vectors, _analysis(vectors, f), mask))
     # scaling by sqrt(lam) multiplies every degree-2 term by lam and the
     # extra lam prefactor doubles it: tight sides = lam^2 * Parseval sides
     scaled = vectors * np.sqrt(lam)[:, None, None]
-    _require_tight(hermitian_eig(_operator(scaled)).eigenvalues, lam, tol)
+    # The scaled frame operator is lam * S entry by entry, up to one rounding
+    # per entry, so its spectrum is lam * w to within a few ulps of lam: the
+    # same lam-tightness test, at the same tolerance, as decomposing it again.
+    _require_tight(lam[:, None] * w, lam, tol)
     tight_sides = _columns(_norm_sides(scaled, _analysis(scaled, f), mask, weight=lam))
     rows = []
     for k, (draw, nf) in enumerate(zip(group, norm_sq(f).tolist())):
@@ -407,7 +325,7 @@ def _overlap_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
 
 def _overlap_solve(group: list[dict], config: RunConfig) -> list[dict]:
     """Disjoint-growth identity: J extended by random E inside the complement."""
-    vectors, mask = _parseval_group(group, config.tol)
+    vectors, mask, _ = _parseval_group(group, config.tol)
     f = np.array([draw["f"] for draw in group])
     e = _masks(group, "e", vectors.shape[1])
     rows = []
@@ -422,8 +340,8 @@ def _equivalence_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     field, d, n = _draw_shape(rng, config)
     draw = {"field": field, "d": d, "structured": t % 5 == 0 and d >= 2}
     if draw["structured"]:
-        frame, subset = _orthogonal_union(rng, d, field)
-        draw.update(n=frame.count, vectors=frame.vectors, subset=subset)
+        vectors, subset = _orthogonal_union(rng, d, field)
+        draw.update(n=len(vectors), vectors=vectors, subset=subset)
     else:
         draw.update(n=n, seed=rng.next_raw(), subset=rng.subset(n))
     draw["f"] = rng.unit_vector(d, field)
@@ -433,7 +351,7 @@ def _equivalence_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
 def _equivalence_solve(group: list[dict], config: RunConfig) -> list[dict]:
     """Six-way equivalence: random Parseval splits (generically all-false)
     and, every 5th trial, an orthogonal-union construction (all-true)."""
-    vectors, mask = _parseval_group(group, config.tol)
+    vectors, mask, _ = _parseval_group(group, config.tol)
     f = np.array([draw["f"] for draw in group])
     residuals = _columns(_equivalence_residuals(vectors, f, mask))
     rows = []
@@ -464,7 +382,7 @@ def _sj_solve(group: list[dict], config: RunConfig) -> list[dict]:
     the self-adjoint product equivalence (frame splits every trial; raw
     Hermitian and non-Hermitian resolutions every 5th)."""
     tol = config.tol
-    vectors, mask = _parseval_group(group, tol)
+    vectors, mask, _ = _parseval_group(group, tol)
     s_j = _partial_operator(vectors, mask)
     s_jc = _partial_operator(vectors, ~mask)
     structure = _columns(_partial_structure(s_j, s_jc, tol))
@@ -507,31 +425,187 @@ def _sj_solve(group: list[dict], config: RunConfig) -> list[dict]:
     return rows
 
 
+def _general_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
+    field, d, n = _draw_shape(rng, config)
+    return {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "rng": rng,
+            "reduction": t % 10 == 0}
+
+
+def _general_solve(group: list[dict], config: RunConfig) -> list[dict]:
+    """Dual-weighted energy split on conditioned Gaussian frames; every
+    10th trial cross-checks the Parseval reduction term by term."""
+    tol = config.tol
+    field, d = group[0]["field"], group[0]["d"]
+    vectors, _, dec, cond = _conditioned_group(group)
+    for draw in group:
+        rng, n = draw["rng"], draw["n"]
+        draw["subset"] = rng.subset(n)
+        draw["f"] = rng.unit_vector(d, field)
+        if draw["reduction"]:
+            draw["reduction"] = (rng.next_raw(), rng.subset(n), rng.unit_vector(d, field))
+    f = np.array([draw["f"] for draw in group])
+    dual = _spectral_rows(vectors, dec, "inverse", field)
+    sides = _columns(_general_sides(vectors, dual, _analysis(vectors, f),
+                                    _masks(group, "subset", vectors.shape[1])))
+    rows = []
+    for draw, cond_k, sides_k in zip(group, cond.tolist(), sides):
+        rep = _split_report(_GENERAL_TERMS, sides_k, tol)
+        row = {
+            **_shape(draw),
+            "cond": cond_k,
+            "rel_diff": rep.rel_diff,
+            "reduction_dev": None,
+            "passed": rep.passed,
+        }
+        if draw["reduction"]:
+            # on a Parseval frame the dual term collapses to the plain norm
+            seed, sub2, f2 = draw["reduction"]
+            pframe = random_parseval(d, draw["n"], seed, field)
+            rep_g = general_identity_report(pframe, sub2, f2, tol)
+            rep_p = parseval_identity_report(pframe, sub2, f2, tol)
+            dev = max(
+                abs(rep_g.terms["dual_energy_sj_f"] - rep_p.terms["norm_sj_f"]),
+                abs(rep_g.terms["dual_energy_sjc_f"] - rep_p.terms["norm_sjc_f"]),
+                abs(rep_g.lhs - rep_p.lhs),
+                abs(rep_g.rhs - rep_p.rhs),
+            )
+            row["reduction_dev"] = dev
+            row["passed"] = bool(row["passed"] and rep_g.passed and dev <= tol)
+        rows.append(row)
+    return rows
+
+
+def _bounds_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
+    field, d, n = _draw_shape(rng, config)
+    return {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "rng": rng}
+
+
+def _bounds_solve(group: list[dict], config: RunConfig) -> list[dict]:
+    """Frame inequality, operator-norm sandwich, dual reconstruction,
+    partial-operator additivity, and Parseval conversion."""
+    tol = config.tol
+    field, d = group[0]["field"], group[0]["d"]
+    vectors, s, dec, cond = _conditioned_group(group)
+    for draw in group:
+        draw["f"] = draw["rng"].unit_vector(d, field)
+        draw["subset"] = draw["rng"].subset(draw["n"])
+    f = np.array([draw["f"] for draw in group])
+    nf = norm_sq(f)
+    w = dec.eigenvalues
+    lower, upper = np.maximum(w[:, 0], 0.0), np.maximum(w[:, -1], 0.0)
+    _, _, energy, _, sandwich_ok = _bessel(vectors, _analysis(vectors, f), lower, upper)
+    slack = tol * np.maximum(np.maximum(1.0, energy), upper * nf)
+    inequality_ok = (lower * nf - slack <= energy) & (energy <= upper * nf + slack)
+
+    recon = _synthesis(vectors, _analysis(_spectral_rows(vectors, dec, "inverse", field), f))
+    recon_err = np.sqrt(norm_sq(recon - f)) / np.maximum(1.0, np.sqrt(nf))
+
+    mask = _masks(group, "subset", vectors.shape[1])
+    s_sum = _partial_operator(vectors, mask) + _partial_operator(vectors, ~mask)
+    additivity_err = frobenius(s_sum - s) / np.maximum(1.0, frobenius(s))
+
+    parseval = _spectral_rows(vectors, dec, "inv_sqrt", field)
+    parseval_dev = frobenius(_operator(parseval) - np.eye(d))
+
+    rows = []
+    for draw, (cond_k, ineq, sandwich, recon_k, additivity, pdev) in zip(group, _columns(
+            (cond, inequality_ok, sandwich_ok, recon_err, additivity_err, parseval_dev))):
+        rows.append({
+            **_shape(draw),
+            "cond": cond_k,
+            "inequality_ok": ineq,
+            "sandwich_ok": sandwich,
+            "recon_err": recon_k,
+            "additivity_err": additivity,
+            "parseval_dev": pdev,
+            "rel_diff": max(recon_k, additivity, pdev),
+            "passed": bool(
+                ineq
+                and sandwich
+                and recon_k <= tol
+                and additivity <= 1e-12
+                and pdev <= tol
+            ),
+        })
+    return rows
+
+
+def _extension_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
+    field, d, n = _draw_shape(rng, config)
+    draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(),
+            "stretch": None if rng.uniform() < 0.5 else 1.0 + rng.uniform(),
+            "mix_seed": rng.next_raw()}
+    f = rng.unit_vector(d, field)
+    draw["probes"] = _probe_block(f, d, field, 20, rng.next_raw())
+    return draw
+
+
+def _extension_solve(group: list[dict], config: RunConfig) -> list[dict]:
+    """Canonical vs unitary-mixed tight completions: equal added energy,
+    operator, and span; lam alternates between lambda_max and a larger value.
+
+    A completion keeps its dropped columns as zero rows, so both added
+    families of a trial are (d, d) under the mask of kept columns; the
+    mixing unitary acts on the kept positions only.
+    """
+    tol = config.tol
+    field, d = group[0]["field"], group[0]["d"]
+    base = _gaussian_stack(d, [draw["n"] for draw in group],
+                           [draw["seed"] for draw in group], field)
+    dec = hermitian_eig(_finite_operator(base))
+    upper = np.maximum(dec.eigenvalues[:, -1], 0.0).tolist()
+    lam = np.array([u if draw["stretch"] is None else u * draw["stretch"]
+                    for u, draw in zip(upper, group)])
+    root, keep = _completion(dec, lam)
+    canonical = np.where(keep[:, None, :], root, 0.0)
+    mix = np.zeros((len(group), d, d), dtype=np.complex128)
+    for k, draw in enumerate(group):
+        kept = np.flatnonzero(keep[k])
+        if kept.size:
+            mix[k][np.ix_(kept, kept)] = random_isometry(kept.size, kept.size,
+                                                         draw["mix_seed"], field)
+    added = [_match_field(cols.swapaxes(-1, -2), field) for cols in (canonical, canonical @ mix)]
+    ops = [_finite_operator(rows) for rows in added]
+    for rows in added:
+        union = _finite_operator(np.concatenate([base, rows], axis=-2))
+        _require_tight_union(hermitian_eig(union).eigenvalues, lam, tol)
+    probes = np.array([draw["probes"] for draw in group])
+    max_rel, energy_equal, operator_equal, span_equal = _extension_compare(
+        probes, *added, *ops, *map(hermitian_eig, ops), tol)
+    rows = []
+    for draw, (lam_k, count, energy_eq, operator_eq, span_eq, diff, rel) in zip(group, _columns(
+            (lam, keep.sum(axis=-1), energy_equal, operator_equal, span_equal,
+             frobenius(ops[0] - ops[1]), max_rel))):
+        rows.append({
+            **_shape(draw),
+            "lam": lam_k,
+            "added_count": count,
+            "energy_equal": energy_eq,
+            "operator_equal": operator_eq,
+            "span_equal": span_eq,
+            "operator_diff": diff,
+            "rel_diff": rel,
+            "passed": energy_eq and operator_eq and span_eq,
+        })
+    return rows
+
+
 # ---------------------------------------------------------------------------
-# runners: a block of trials in, one row per trial out, in trial order
+# the runner: a block of trials in, one row per trial out, in trial order
 
 
-def _per_trial(trial):
-    """Runner that builds each row from its own trial alone."""
-    def run(name: str, trials: range, config: RunConfig) -> list[dict]:
-        return [trial(_trial_rng(config, name, t), t, config) for t in trials]
-    return run
-
-
-def _batched(draw, solve):
-    """Runner that makes every trial's draws, then solves each (field, d)
-    group of draws at once."""
-    def run(name: str, trials: range, config: RunConfig) -> list[dict]:
-        draws = [draw(_trial_rng(config, name, t), t, config) for t in trials]
-        groups: dict[tuple[str, int], list[int]] = {}
-        for k, dr in enumerate(draws):
-            groups.setdefault((dr["field"], dr["d"]), []).append(k)
-        rows: list = [None] * len(draws)
-        for members in groups.values():
-            for k, row in zip(members, solve([draws[k] for k in members], config)):
-                rows[k] = row
-        return rows
-    return run
+def _run_block(name: str, trials: range, config: RunConfig) -> list[dict]:
+    """Every trial's draws, then each (field, d) group of draws solved at once."""
+    draw, solve, _ = _SUITES[name]
+    draws = [draw(_trial_rng(config, name, t), t, config) for t in trials]
+    groups: dict[tuple[str, int], list[int]] = {}
+    for k, dr in enumerate(draws):
+        groups.setdefault((dr["field"], dr["d"]), []).append(k)
+    rows: list = [None] * len(draws)
+    for members in groups.values():
+        for k, row in zip(members, solve([draws[k] for k in members], config)):
+            rows[k] = row
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +648,7 @@ def _pattern_kind(row: dict) -> str | None:
 
 
 _SUITES = {
-    "pfi": (_batched(_pfi_draw, _pfi_solve), (
+    "pfi": (_pfi_draw, _pfi_solve, (
         ("max_rel_diff", max, 0.0,
          lambda row: (row["rel_diff"], row["tight_reduction_rel"], row["subspace_rel"] or 0.0)),
         ("min_side", min, _INF, "min_side"),
@@ -584,32 +658,32 @@ _SUITES = {
         ("max_subspace_rel", max, 0.0, "subspace_rel"),
         ("max_projection_dev", max, 0.0, "projection_dev"),
     )),
-    "general": (_per_trial(_general_trial), (
+    "general": (_general_draw, _general_solve, (
         _MAX_REL,
         ("max_cond", max, 0.0, "cond"),
         ("reduction_trials", _count, 0, lambda row: (row["reduction_dev"] is not None,)),
         ("max_reduction_dev", max, 0.0, "reduction_dev"),
     )),
-    "overlap": (_batched(_overlap_draw, _overlap_solve), (_MAX_REL,)),
-    "bounds": (_per_trial(_bounds_trial), (
+    "overlap": (_overlap_draw, _overlap_solve, (_MAX_REL,)),
+    "bounds": (_bounds_draw, _bounds_solve, (
         _MAX_REL,
         ("max_recon_err", max, 0.0, "recon_err"),
         ("max_additivity_err", max, 0.0, "additivity_err"),
         ("max_parseval_dev", max, 0.0, "parseval_dev"),
     )),
-    "equivalence": (_batched(_equivalence_draw, _equivalence_solve), (
+    "equivalence": (_equivalence_draw, _equivalence_solve, (
         _MAX_REL,
         ("all_true", _count, 0, lambda row: (_pattern_kind(row) == "all_true",)),
         ("all_false", _count, 0, lambda row: (_pattern_kind(row) == "all_false",)),
         ("split", _count, 0, lambda row: (_pattern_kind(row) == "split",)),
     )),
-    "sj": (_batched(_sj_draw, _sj_solve), (
+    "sj": (_sj_draw, _sj_solve, (
         _MAX_REL,
         ("min_eig_product", min, _INF, "min_eig_product"),
         ("min_eig_gap", min, _INF, "min_eig_gap"),
         ("max_identity_residual", max, 0.0, "residual_identity"),
     )),
-    "extension": (_per_trial(_extension_trial), (
+    "extension": (_extension_draw, _extension_solve, (
         _MAX_REL,
         ("max_operator_diff", max, 0.0, "operator_diff"),
     )),
@@ -629,7 +703,7 @@ def _summarize(rows: list[dict], reducers) -> dict:
 
 def run_suite(name: str, config: RunConfig) -> tuple[list[dict], dict]:
     try:
-        runner, reducers = _SUITES[name]
+        reducers = _SUITES[name][2]
     except KeyError:
         raise BadParams(
             f"unknown suite {name!r}; expected one of {list(SUITE_NAMES) + ['all']}"
@@ -638,7 +712,7 @@ def run_suite(name: str, config: RunConfig) -> tuple[list[dict], dict]:
     for start in range(0, config.trials, _BLOCK):
         block = range(start, min(start + _BLOCK, config.trials))
         rows += [{"suite": name, "trial": t, **row}
-                 for t, row in zip(block, runner(name, block, config))]
+                 for t, row in zip(block, _run_block(name, block, config))]
     return rows, _summarize(rows, _TALLY + reducers)
 
 

@@ -1,8 +1,8 @@
 """Scalar reference for the batched sweep suites.
 
-Each function below runs one trial of the pfi, overlap, equivalence or sj
-suite on its own: every draw from the trial's stream and every check
-through the public, validating functions, one trial at a time.
+Each function below runs one trial of one suite on its own: every draw
+from the trial's stream and every check through the public, validating
+functions, one trial at a time.
 `tests/test_sweeps.py` replays them and compares each batched row with
 its replay.
 """
@@ -12,15 +12,26 @@ from __future__ import annotations
 import numpy as np
 
 from framecalc.frames import (
+    MAX_COND,
+    Frame,
+    _partial_operator,
+    bessel_inequality_check,
+    canonical_dual,
+    coefficients,
+    complete_to_tight,
     embed_subspace_frame,
+    frame_bounds,
     norm_sq,
+    parsevalize,
     partial_operator_matrix,
+    random_gaussian,
     random_isometry,
     random_parseval,
     subset_mask,
 )
 from framecalc.identities import (
     equivalence_conditions,
+    general_identity_report,
     half_bound_check,
     operator_identity_check,
     overlap_identity_report,
@@ -29,11 +40,31 @@ from framecalc.identities import (
     self_adjoint_product_check,
     subspace_identity_report,
     three_quarters_check,
+    tight_extension_compare,
     tight_identity_report,
 )
-from framecalc.linalg import hermitize
+from framecalc.linalg import frobenius, hermitize
 from framecalc.rng import SplitMix64
-from framecalc.sweeps import RunConfig, _draw_shape, _orthogonal_union, _randint, _trial_rng
+from framecalc.sweeps import (
+    _RESAMPLE_LIMIT,
+    RunConfig,
+    _draw_shape,
+    _orthogonal_union,
+    _randint,
+    _trial_rng,
+)
+
+
+def _conditioned_gaussian(rng: SplitMix64, dim: int, count: int, field: str) -> tuple[Frame, float]:
+    """Seeded Gaussian frame resampled until cond(S) <= 1e3."""
+    for _ in range(_RESAMPLE_LIMIT):
+        frame = random_gaussian(dim, count, rng.next_raw(), field)
+        bounds = frame_bounds(frame)
+        if bounds.is_frame:
+            cond = bounds.upper / bounds.lower
+            if cond <= MAX_COND:
+                return frame, float(cond)
+    raise RuntimeError("could not draw a well-conditioned frame")  # pragma: no cover
 
 
 def _complement(subset: list[int], n: int) -> list[int]:
@@ -97,6 +128,93 @@ def _pfi_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     return row
 
 
+def _general_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
+    """Dual-weighted energy split on conditioned Gaussian frames; every
+    10th trial cross-checks the Parseval reduction term by term."""
+    tol = config.tol
+    field, d, n = _draw_shape(rng, config)
+    frame, cond = _conditioned_gaussian(rng, d, n, field)
+    dual = canonical_dual(frame)
+    subset = rng.subset(n)
+    f = rng.unit_vector(d, field)
+    rep = general_identity_report(frame, subset, f, tol, dual=dual)
+    row = {
+        "d": d,
+        "n": n,
+        "field": field,
+        "cond": cond,
+        "rel_diff": rep.rel_diff,
+        "reduction_dev": None,
+        "passed": rep.passed,
+    }
+    if t % 10 == 0:
+        # on a Parseval frame the dual term collapses to the plain norm
+        pframe = random_parseval(d, n, rng.next_raw(), field)
+        sub2 = rng.subset(n)
+        f2 = rng.unit_vector(d, field)
+        rep_g = general_identity_report(pframe, sub2, f2, tol)
+        rep_p = parseval_identity_report(pframe, sub2, f2, tol)
+        dev = max(
+            abs(rep_g.terms["dual_energy_sj_f"] - rep_p.terms["norm_sj_f"]),
+            abs(rep_g.terms["dual_energy_sjc_f"] - rep_p.terms["norm_sjc_f"]),
+            abs(rep_g.lhs - rep_p.lhs),
+            abs(rep_g.rhs - rep_p.rhs),
+        )
+        row["reduction_dev"] = dev
+        row["passed"] = bool(row["passed"] and rep_g.passed and dev <= tol)
+    return row
+
+
+def _bounds_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
+    """Frame inequality, operator-norm sandwich, dual reconstruction,
+    partial-operator additivity, and Parseval conversion."""
+    tol = config.tol
+    field, d, n = _draw_shape(rng, config)
+    frame, cond = _conditioned_gaussian(rng, d, n, field)
+    bounds = frame_bounds(frame)
+    f = rng.unit_vector(d, field)
+    energy = float(np.sum(np.abs(coefficients(frame, f)) ** 2))
+    nf = norm_sq(f)
+    slack = tol * max(1.0, energy, bounds.upper * nf)
+    inequality_ok = (
+        bounds.lower * nf - slack <= energy <= bounds.upper * nf + slack
+    )
+    sandwich_ok = bessel_inequality_check(frame, f).passed
+
+    dual = canonical_dual(frame)
+    recon = coefficients(dual, f) @ frame.vectors
+    recon_err = float(np.linalg.norm(recon - f)) / max(1.0, float(np.linalg.norm(f)))
+
+    mask = subset_mask(rng.subset(n), n)
+    s_sum = _partial_operator(frame.vectors, mask) + _partial_operator(frame.vectors, ~mask)
+    additivity_err = frobenius(s_sum - frame.operator) / max(
+        1.0, frobenius(frame.operator)
+    )
+
+    pframe = parsevalize(frame)
+    parseval_dev = frobenius(pframe.operator - np.eye(d))
+
+    return {
+        "d": d,
+        "n": n,
+        "field": field,
+        "cond": cond,
+        "inequality_ok": bool(inequality_ok),
+        "sandwich_ok": bool(sandwich_ok),
+        "recon_err": recon_err,
+        "additivity_err": additivity_err,
+        "parseval_dev": parseval_dev,
+        "rel_diff": max(recon_err, additivity_err, parseval_dev),
+        "passed": bool(
+            inequality_ok
+            and sandwich_ok
+            and recon_err <= tol
+            and additivity_err <= 1e-12
+            and parseval_dev <= tol
+        ),
+    }
+
+
 def _overlap_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     """Disjoint-growth identity: J extended by random E inside the complement."""
     field, d, n = _draw_shape(rng, config)
@@ -115,7 +233,8 @@ def _equivalence_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     field, d, n = _draw_shape(rng, config)
     structured = t % 5 == 0 and d >= 2
     if structured:
-        frame, subset = _orthogonal_union(rng, d, field)
+        rows, subset = _orthogonal_union(rng, d, field)
+        frame = Frame(d, rows, field)
         n = frame.count
     else:
         frame = random_parseval(d, n, rng.next_raw(), field)
@@ -180,11 +299,44 @@ def _sj_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
     return row
 
 
+def _extension_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
+    """Canonical vs unitary-mixed tight completions: equal added energy,
+    operator, and span; lam alternates between lambda_max and a larger value."""
+    field, d, n = _draw_shape(rng, config)
+    frame = random_gaussian(d, n, rng.next_raw(), field)
+    upper = frame_bounds(frame).upper
+    lam = upper if rng.uniform() < 0.5 else upper * (1.0 + rng.uniform())
+    mix_seed = rng.next_raw()
+    canonical = complete_to_tight(frame, lam)
+    mixed = complete_to_tight(frame, lam, mix_seed=mix_seed)
+    f = rng.unit_vector(d, field)
+    cmp = tight_extension_compare(
+        frame, canonical, mixed, lam, f, trials=20, seed=rng.next_raw(),
+        tolerance=config.tol,
+    )
+    return {
+        "d": d,
+        "n": n,
+        "field": field,
+        "lam": lam,
+        "added_count": canonical.count,
+        "energy_equal": cmp.energy_equal,
+        "operator_equal": cmp.operator_equal,
+        "span_equal": cmp.span_equal,
+        "operator_diff": frobenius(canonical.operator - mixed.operator),
+        "rel_diff": cmp.max_energy_rel_diff,
+        "passed": cmp.passed,
+    }
+
+
 SCALAR_TRIALS = {
     "pfi": _pfi_trial,
+    "general": _general_trial,
     "overlap": _overlap_trial,
+    "bounds": _bounds_trial,
     "equivalence": _equivalence_trial,
     "sj": _sj_trial,
+    "extension": _extension_trial,
 }
 
 

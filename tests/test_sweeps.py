@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 from scalar_trials import SCALAR_TRIALS, scalar_rows
 
-from framecalc import BadParams, RunConfig, SUITE_NAMES, run_suite, run_suites
+from framecalc import BadParams, NotParseval, NotTight, RunConfig, SUITE_NAMES, run_suite, run_suites
 from framecalc import frames, sweeps
-from framecalc.frames import frame_bounds, random_gaussian, random_parseval
+from framecalc.frames import complete_to_tight, frame_bounds, random_gaussian, random_parseval
 
 SMALL = RunConfig(seed=5, trials=40, dim_range=(2, 6), count_range=(2, 16))
 
@@ -111,9 +112,10 @@ def test_sj_summary_fields():
 ORACLE_CONFIGS = {
     "seed101": RunConfig(seed=101, trials=200),
     "seed918273": RunConfig(seed=918273, trials=200),
-    # 16 of the 60 pfi first draws fail random_parseval's cond test
+    # 16 of the 60 pfi first draws fail random_parseval's cond test, and 8
+    # of the 60 general and of the 60 bounds first draws the sweeps' own
     "redraws": RunConfig(seed=5, trials=60, dim_range=(6, 6), count_range=(6, 7)),
-    # d = 1, and (field, d) groups of one trial
+    # d = 1, (field, d) groups of one trial, and 11 empty completions
     "small_d": RunConfig(seed=3, trials=50, dim_range=(1, 3), count_range=(1, 5)),
     "one_trial": RunConfig(seed=9, trials=1),
 }
@@ -174,3 +176,90 @@ def test_rejected_first_draws_are_redrawn(monkeypatch):
     assert len(calls) == rejected
     assert summary["failed"] == 0
     assert_rows_match(rows, scalar_rows("pfi", config))
+
+
+def _rejected_first_gaussian_draws(name: str, config: RunConfig) -> int:
+    """First conditioned-Gaussian attempts that fail the cond test, counted
+    from the public frame bounds."""
+    rejected = 0
+    for t in range(config.trials):
+        rng = sweeps._trial_rng(config, name, t)
+        field, d, n = sweeps._draw_shape(rng, config)
+        bounds = frame_bounds(random_gaussian(d, n, rng.next_raw(), field))
+        rejected += not (bounds.is_frame and bounds.upper <= 1e3 * bounds.lower)
+    return rejected
+
+
+@pytest.mark.parametrize("name", ["general", "bounds"])
+def test_rejected_first_gaussian_draws_go_on_in_their_own_stream(monkeypatch, name):
+    config = ORACLE_CONFIGS["redraws"]
+    rejected = _rejected_first_gaussian_draws(name, config)
+    calls = []
+    fallback = sweeps._conditioned_gaussian
+    monkeypatch.setattr(sweeps, "_conditioned_gaussian",
+                        lambda *args: calls.append(args) or fallback(*args))
+    rows, summary = run_suite(name, config)
+    assert rejected == 8
+    assert len(calls) == rejected
+    assert summary["failed"] == 0
+    assert_rows_match(rows, scalar_rows(name, config))
+
+
+def test_empty_and_nonempty_completions_share_a_group():
+    rows, summary = run_suite("extension", ORACLE_CONFIGS["small_d"])
+    empty = {(row["field"], row["d"]) for row in rows if row["added_count"] == 0}
+    kept = {(row["field"], row["d"]) for row in rows if row["added_count"] > 0}
+    assert sum(row["added_count"] == 0 for row in rows) == 11
+    assert {d for _, d in empty} == {1}
+    assert empty & kept
+    assert summary["failed"] == 0
+
+
+def test_batched_completions_are_the_public_ones(monkeypatch):
+    # a row sees the mixing unitary only in rounding, so compare the added
+    # families themselves: kept rows, in order, against complete_to_tight
+    draw, solve, reducers = sweeps._SUITES["extension"]
+    compare = sweeps._extension_compare
+    groups, added = [], []
+    monkeypatch.setitem(sweeps._SUITES, "extension", (
+        draw, lambda group, config: groups.append(group) or solve(group, config), reducers))
+    monkeypatch.setattr(sweeps, "_extension_compare", lambda probes, first, second, *rest: (
+        added.append((first, second)) or compare(probes, first, second, *rest)))
+    run_suite("extension", RunConfig(seed=101, trials=60))
+    mixed_in_groups = 0
+    for group, (first, second) in zip(groups, added, strict=True):
+        for k, dr in enumerate(group):
+            frame = random_gaussian(dr["d"], dr["n"], dr["seed"], dr["field"])
+            upper = frame_bounds(frame).upper
+            lam = upper if dr["stretch"] is None else upper * dr["stretch"]
+            kept = np.abs(first[k]).max(axis=-1) > 0.0
+            for got, mix_seed in ((first[k], None), (second[k], dr["mix_seed"])):
+                want = complete_to_tight(frame, lam, mix_seed=mix_seed).vectors
+                np.testing.assert_allclose(got[kept], want, rtol=0.0, atol=1e-12 * max(1.0, lam))
+            mixed_in_groups += len(group) > 1 and kept.any()
+    assert mixed_in_groups > 20
+
+
+def test_bounds_equalities_at_d_1_pass_through_their_slack():
+    # at d = 1 the frame inequality and both Bessel inequalities hold with
+    # equality, so only their slack lets these rows pass
+    rows, summary = run_suite("bounds", ORACLE_CONFIGS["small_d"])
+    assert sum(row["d"] == 1 for row in rows) > 5
+    assert summary["failed"] == 0
+
+
+TINY_TOLERANCE = RunConfig(seed=101, trials=20, tolerance=1e-18)
+
+
+@pytest.mark.parametrize("name, error", [("general", NotParseval), ("extension", NotTight)])
+def test_a_tolerance_below_rounding_raises_as_the_scalar_trials_do(name, error):
+    for run in (scalar_rows, run_suite):
+        with pytest.raises(error) as exc:
+            run(name, TINY_TOLERANCE)
+        assert type(exc.value) is error
+
+
+def test_a_tolerance_below_rounding_fails_every_bounds_row():
+    rows, summary = run_suite("bounds", TINY_TOLERANCE)
+    assert summary["failed"] == TINY_TOLERANCE.trials
+    assert_rows_match(rows, scalar_rows("bounds", TINY_TOLERANCE))

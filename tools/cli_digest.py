@@ -67,6 +67,10 @@ COMMANDS = [
     "property-run --suite all --trials 300 --seed 918273",
     "property-run --suite all --trials 300 --seed 7",
     "property-run --suite all --trials 300 --seed 2024",
+    # every row through --leaves: empty completions, conditioned-draw fallbacks
+    "property-run --suite extension --trials 50 --seed 3 --dim-range 1,3 --count-range 1,5",
+    "property-run --suite general --trials 60 --seed 5 --dim-range 6,6 --count-range 6,7",
+    "property-run --suite bounds --trials 60 --seed 5 --dim-range 6,6 --count-range 6,7",
     # exit 1: a check fails or the input is outside a domain
     "identity g16.json",
     "extend merc.json --lambda 0.1",
