@@ -29,6 +29,18 @@ count, flag and string; it depends on the other trials of its group only
 in rounding. A failing check raises for the first failing trial of the
 group at that check.
 
+A block of at least 2 * _SPLIT_TRIALS trials, in a process that runs no
+other Python thread, shares its (field, d) groups out between this
+process and forked children: at most one process per CPU it may run on
+and one per _SPLIT_TRIALS trials, with a greedy balance of sum(n * d^2)
+per group. A group's draws and solve do not depend on where it runs, so
+the rows, and every byte printed from them, are those of a run on one
+process (`taskset -c 0` gives one). Each process draws all its groups
+before it solves any, and errors merge in serial order: the block raises
+the exception, type and message, that a run on one process raises, that
+of the first group, in order of first appearance, whose draw raises, or
+else of the first group whose solve raises.
+
 Results are JSON-ready dicts, one per trial; the summary counts
 passed/failed/borderline (borderline only ever nonzero for the
 equivalence suite) and tracks the worst residuals seen.
@@ -36,11 +48,15 @@ equivalence suite) and tracks the worst residuals seen.
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams
+from .errors import BadParams, FrameError
 from .frames import (
     TAU_ID,
     Frame,
@@ -97,6 +113,12 @@ SUITE_NAMES = ("pfi", "general", "overlap", "bounds", "equivalence", "sj", "exte
 
 _RESAMPLE_LIMIT = 1000
 _BLOCK = 1024  # trials drawn and solved together; bounds the size of the stacks
+# processes a block's (field, d) groups are shared out to, at most one per CPU
+# this process may run on, and the trials per process below which the fork
+# costs more than it saves (a 40-trial block stays on one process)
+_PROCS = (len(os.sched_getaffinity(0))
+          if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+_SPLIT_TRIALS = 50
 
 
 @dataclass(frozen=True)
@@ -173,10 +195,11 @@ def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 # suites: per-trial draws, then the algebra once per (field, d) group
 #
-# A draw is a dict holding the trial's shape ("field", "d", "n") and every
-# input it drew, in draw order; "seed" is the seed of its first random
-# family, or "vectors" a family it built itself, and "subset" is J as an
-# index list. The general and bounds draws stop at the seed of their first
+# A draw function takes the trial's stream just after the runner drew the
+# trial's shape (field, d, n) from it, and returns a dict holding the shape
+# ("field", "d", "n") and every input it drew, in draw order; "seed" is the
+# seed of its first random family, or "vectors" a family it built itself,
+# and "subset" is J as an index list. The general and bounds draws stop at the seed of their first
 # Gaussian attempt and keep the trial's stream as "rng": whether that
 # attempt is accepted decides how many stream positions come before J and
 # f, so their solve tests it first and then makes the trial's remaining
@@ -243,8 +266,7 @@ def _shape(draw: dict) -> dict:
     return {"d": draw["d"], "n": draw["n"], "field": draw["field"]}
 
 
-def _pfi_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    field, d, n = _draw_shape(rng, config)
+def _pfi_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
     draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "subset": rng.subset(n),
             "f": rng.unit_vector(d, field), "lam": 0.25 + 3.0 * rng.uniform()}
     if t % 10 == 0:
@@ -312,8 +334,7 @@ def _pfi_solve(group: list[dict], config: RunConfig) -> list[dict]:
     return rows
 
 
-def _overlap_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    field, d, n = _draw_shape(rng, config)
+def _overlap_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
     draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "subset": rng.subset(n)}
     outside = np.ones(n, dtype=bool)
     outside[draw["subset"]] = False
@@ -336,8 +357,7 @@ def _overlap_solve(group: list[dict], config: RunConfig) -> list[dict]:
     return rows
 
 
-def _equivalence_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    field, d, n = _draw_shape(rng, config)
+def _equivalence_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
     draw = {"field": field, "d": d, "structured": t % 5 == 0 and d >= 2}
     if draw["structured"]:
         vectors, subset = _orthogonal_union(rng, d, field)
@@ -369,8 +389,7 @@ def _equivalence_solve(group: list[dict], config: RunConfig) -> list[dict]:
     return rows
 
 
-def _sj_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    field, d, n = _draw_shape(rng, config)
+def _sj_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
     draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "subset": rng.subset(n)}
     if t % 5 == 0:
         draw["raw"] = rng.normals(d * d, field).reshape(d, d)
@@ -415,18 +434,19 @@ def _sj_solve(group: list[dict], config: RunConfig) -> list[dict]:
             op_n = operator_identity_check(g, eye - g, tol)
             sa_n = self_adjoint_product_check(g, eye - g, tol)
             row["rel_diff"] = max(row["rel_diff"], op_h.residual, op_n.residual)
+            # a real 1x1 draw is self-adjoint, so only a larger or complex
+            # draw must give a product that is not
             row["passed"] = bool(
                 row["passed"]
                 and op_h.passed and sa_h.equivalence_holds and sa_h.product_self_adjoint
                 and op_n.passed and sa_n.equivalence_holds
-                and not sa_n.product_self_adjoint
+                and (not sa_n.product_self_adjoint or (draw["d"] == 1 and draw["field"] == "real"))
             )
         rows.append(row)
     return rows
 
 
-def _general_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    field, d, n = _draw_shape(rng, config)
+def _general_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
     return {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "rng": rng,
             "reduction": t % 10 == 0}
 
@@ -475,8 +495,7 @@ def _general_solve(group: list[dict], config: RunConfig) -> list[dict]:
     return rows
 
 
-def _bounds_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    field, d, n = _draw_shape(rng, config)
+def _bounds_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
     return {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "rng": rng}
 
 
@@ -530,8 +549,7 @@ def _bounds_solve(group: list[dict], config: RunConfig) -> list[dict]:
     return rows
 
 
-def _extension_draw(rng: SplitMix64, t: int, config: RunConfig) -> dict:
-    field, d, n = _draw_shape(rng, config)
+def _extension_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
     draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(),
             "stretch": None if rng.uniform() < 0.5 else 1.0 + rng.uniform(),
             "mix_seed": rng.next_raw()}
@@ -595,17 +613,112 @@ def _extension_solve(group: list[dict], config: RunConfig) -> list[dict]:
 
 
 def _run_block(name: str, trials: range, config: RunConfig) -> list[dict]:
-    """Every trial's draws, then each (field, d) group of draws solved at once."""
+    """One row per trial of the block, in trial order.
+
+    A shape pre-pass groups the trials by (field, d), and the groups are
+    shared out between this process and forked children (see the module
+    docstring); each process draws and solves its own groups.
+    """
+    groups: dict[tuple[str, int], list[tuple[int, SplitMix64, int]]] = {}
+    cost: dict[tuple[str, int], int] = {}
+    for t in trials:
+        rng = _trial_rng(config, name, t)
+        field, d, n = _draw_shape(rng, config)
+        groups.setdefault((field, d), []).append((t, rng, n))
+        cost[field, d] = cost.get((field, d), 0) + n * d * d
+    procs = max(1, min(_PROCS, len(trials) // _SPLIT_TRIALS, len(groups)))
+    if threading.active_count() > 1:  # fork copies no other thread of this process
+        procs = 1
+    owner: dict[tuple[str, int], int] = {}
+    loads = [0] * procs
+    for key in sorted(groups, key=lambda key: -cost[key]):  # the costliest to the least loaded
+        owner[key] = p = loads.index(min(loads))
+        loads[p] += cost[key]
+    parts = [[(index, key, members) for index, (key, members) in enumerate(groups.items())
+              if owner[key] == p] for p in range(len(loads))]
+    local, children = parts[:1], []
+    try:
+        for part in parts[1:]:
+            try:
+                children.append(_fork_part(name, part, config))
+            except OSError:  # no process to spare: solve the part here
+                local.append(part)
+        results = [_solve_part(name, part, config) for part in local]
+        while children:
+            results.append(_collect(name, *children.pop(0)))
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            os.waitpid(pid, 0)
+    rows = {t: row for part_rows, _ in results for t, row in part_rows.items()}
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
+    return [rows[t] for t in trials]
+
+
+def _solve_part(name: str, part: list[tuple], config: RunConfig) -> tuple[dict, tuple | None]:
+    """Rows by trial of the groups in `part`, each (serial index, (field, d),
+    [(trial, stream after the shape, n), ...]), and the first failure as
+    (step, serial index, exception), or None. Every group of the part is
+    drawn (step 0) before the groups are solved (step 1), both in serial
+    group order, as on one process; a failure stops the part."""
     draw, solve, _ = _SUITES[name]
-    draws = [draw(_trial_rng(config, name, t), t, config) for t in trials]
-    groups: dict[tuple[str, int], list[int]] = {}
-    for k, dr in enumerate(draws):
-        groups.setdefault((dr["field"], dr["d"]), []).append(k)
-    rows: list = [None] * len(draws)
-    for members in groups.values():
-        for k, row in zip(members, solve([draws[k] for k in members], config)):
-            rows[k] = row
-    return rows
+    rows: dict[int, dict] = {}
+    step = index = 0
+    try:
+        draws = []
+        for index, (field, d), members in part:
+            draws.append([draw(rng, t, field, d, n) for t, rng, n in members])
+        step = 1
+        for (index, _, members), group in zip(part, draws):
+            rows.update(zip((t for t, _, _ in members), solve(group, config)))
+    except Exception as exc:  # carried to the merge, which raises it in serial order
+        return rows, (step, index, exc)
+    return rows, None
+
+
+def _collect(name: str, pid: int, fd: int) -> tuple:
+    """The result a forked child pickled into the pipe `fd`, once the child
+    has been reaped; FrameError if it exited without sending one."""
+    try:
+        with open(fd, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise FrameError(f"a {name} sweep worker exited with status {status} "
+                         f"before sending its rows")
+    return pickle.loads(payload)
+
+
+def _fork_part(name: str, part: list[tuple], config: RunConfig) -> tuple[int, int]:
+    """Fork a child that solves `part` and writes its pickled result to a
+    pipe; returns the child's pid and the pipe's read end. The child always
+    leaves through os._exit, so it never returns into the caller's stack or
+    flushes the stdio buffers it inherited."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork while BLAS worker threads exist;
+            # OpenBLAS parks its pool across fork, and no Python thread runs
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(_solve_part(name, part, config), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
 
 
 # ---------------------------------------------------------------------------

@@ -294,7 +294,7 @@ def _sj_trial(rng: SplitMix64, t: int, config: RunConfig) -> dict:
             row["passed"]
             and op_h.passed and sa_h.equivalence_holds and sa_h.product_self_adjoint
             and op_n.passed and sa_n.equivalence_holds
-            and not sa_n.product_self_adjoint
+            and (not sa_n.product_self_adjoint or (d == 1 and field == "real"))
         )
     return row
 

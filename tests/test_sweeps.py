@@ -1,13 +1,24 @@
 """Randomized suites: determinism, slicing, and small-scale health."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 from scalar_trials import SCALAR_TRIALS, scalar_rows
 
-from framecalc import BadParams, NotParseval, NotTight, RunConfig, SUITE_NAMES, run_suite, run_suites
-from framecalc import frames, sweeps
+from framecalc import (
+    BadParams,
+    FrameError,
+    NotParseval,
+    NotTight,
+    RunConfig,
+    SUITE_NAMES,
+    run_suite,
+    run_suites,
+)
+from framecalc import cli, frames, sweeps
 from framecalc.frames import complete_to_tight, frame_bounds, random_gaussian, random_parseval
 
 SMALL = RunConfig(seed=5, trials=40, dim_range=(2, 6), count_range=(2, 16))
@@ -161,6 +172,8 @@ def test_trial_blocks_keep_trial_order(monkeypatch):
 
 
 def test_rejected_first_draws_are_redrawn(monkeypatch):
+    # calls made in a forked child are not seen here, so count on one process
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
     config = ORACLE_CONFIGS["redraws"]
     rejected = 0
     for t in range(config.trials):
@@ -192,6 +205,7 @@ def _rejected_first_gaussian_draws(name: str, config: RunConfig) -> int:
 
 @pytest.mark.parametrize("name", ["general", "bounds"])
 def test_rejected_first_gaussian_draws_go_on_in_their_own_stream(monkeypatch, name):
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
     config = ORACLE_CONFIGS["redraws"]
     rejected = _rejected_first_gaussian_draws(name, config)
     calls = []
@@ -218,6 +232,7 @@ def test_empty_and_nonempty_completions_share_a_group():
 def test_batched_completions_are_the_public_ones(monkeypatch):
     # a row sees the mixing unitary only in rounding, so compare the added
     # families themselves: kept rows, in order, against complete_to_tight
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
     draw, solve, reducers = sweeps._SUITES["extension"]
     compare = sweeps._extension_compare
     groups, added = [], []
@@ -263,3 +278,174 @@ def test_a_tolerance_below_rounding_fails_every_bounds_row():
     rows, summary = run_suite("bounds", TINY_TOLERANCE)
     assert summary["failed"] == TINY_TOLERANCE.trials
     assert_rows_match(rows, scalar_rows("bounds", TINY_TOLERANCE))
+
+
+def test_sj_real_one_by_one_draws_are_not_demanded_non_hermitian():
+    # a real 1x1 "non-Hermitian" raw resolution is self-adjoint, so trial 35
+    # (real, d = 1) used to fail although every identity held
+    rows, summary = run_suite("sj", ORACLE_CONFIGS["small_d"])
+    assert (rows[35]["field"], rows[35]["d"]) == ("real", 1)
+    assert rows[35]["passed"]
+    assert summary["failed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# a block's (field, d) groups split between this process and forked children
+
+SPLIT = RunConfig(seed=101, trials=200)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _solve_in_parent_only(monkeypatch, name, action):
+    """Make `name`'s group solve call action() in every process but this one."""
+    draw, solve, reducers = sweeps._SUITES[name]
+    parent = os.getpid()
+
+    def guarded(group, config):
+        if os.getpid() != parent:
+            action()
+        return solve(group, config)
+
+    monkeypatch.setitem(sweeps._SUITES, name, (draw, guarded, reducers))
+
+
+@pytest.mark.parametrize("procs", [2, 3])
+def test_split_runs_are_bitwise_the_serial_run(monkeypatch, procs):
+    monkeypatch.setattr(sweeps, "_BLOCK", 64)
+    monkeypatch.setattr(sweeps, "_SPLIT_TRIALS", 16)  # split the 64-trial blocks, not the last 8
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
+    serial = run_suites(list(SUITE_NAMES), SPLIT)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(sweeps, "_PROCS", procs)
+    split = run_suites(list(SUITE_NAMES), SPLIT)
+    assert json.dumps(split) == json.dumps(serial)
+    assert len(forks) == len(SUITE_NAMES) * 3 * (procs - 1)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", ["general", "extension", "pfi"])
+def test_a_split_run_raises_the_serial_error(monkeypatch, name):
+    config = RunConfig(seed=101, trials=200, tolerance=1e-18)
+    raised = []
+    for procs in (1, 2):
+        monkeypatch.setattr(sweeps, "_PROCS", procs)
+        with pytest.raises(FrameError) as exc:
+            run_suite(name, config)
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[0] == raised[1]
+    assert_no_child_left()
+
+
+def test_a_draw_error_ranks_before_every_solve_error_as_on_one_process(monkeypatch):
+    # the draw fails only in the group that comes last in serial order, and
+    # every solve fails, so each process holds a failure of its own
+    keys = set()
+    for t in range(SPLIT.trials):
+        field, d, _ = sweeps._draw_shape(sweeps._trial_rng(SPLIT, "overlap", t), SPLIT)
+        if (field, d) not in keys:
+            keys.add((field, d))
+            last = t
+    draw, solve, reducers = sweeps._SUITES["overlap"]
+
+    def failing_draw(rng, t, *shape):
+        if t == last:
+            raise ValueError(f"draw {t}")
+        return draw(rng, t, *shape)
+
+    def failing_solve(group, config):
+        raise ValueError(f"solve {group[0]['d']}")
+
+    monkeypatch.setitem(sweeps._SUITES, "overlap", (failing_draw, failing_solve, reducers))
+    raised = []
+    for procs in (1, 2):
+        monkeypatch.setattr(sweeps, "_PROCS", procs)
+        with pytest.raises(ValueError) as exc:
+            run_suite("overlap", SPLIT)
+        raised.append(str(exc.value))
+    assert raised[0] == raised[1] == f"draw {last}"
+    assert_no_child_left()
+
+
+def test_a_split_run_with_no_process_to_spare_solves_every_part_here(monkeypatch):
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
+    serial = run_suite("pfi", SPLIT)
+
+    def no_fork():
+        raise BlockingIOError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(sweeps, "_PROCS", 2)
+    assert run_suite("pfi", SPLIT) == serial
+
+
+def test_a_process_running_other_threads_does_not_fork(monkeypatch):
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
+    serial = run_suite("pfi", SPLIT)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(sweeps, "_PROCS", 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        assert run_suite("pfi", SPLIT) == serial
+    finally:
+        release.set()
+        waiter.join(60)
+    assert not waiter.is_alive()
+    assert forks == []
+
+
+def test_a_dead_worker_is_a_frame_error(monkeypatch):
+    monkeypatch.setattr(sweeps, "_PROCS", 2)
+    _solve_in_parent_only(monkeypatch, "pfi", lambda: os._exit(1))
+    with pytest.raises(FrameError, match="exited with status 1 before sending its rows"):
+        run_suite("pfi", SPLIT)
+    assert_no_child_left()
+
+
+def test_an_interrupt_in_the_parent_reaps_the_worker(monkeypatch):
+    monkeypatch.setattr(sweeps, "_PROCS", 2)
+    draw, solve, reducers = sweeps._SUITES["pfi"]
+    parent = os.getpid()
+
+    def interrupted(group, config):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return solve(group, config)
+
+    monkeypatch.setitem(sweeps._SUITES, "pfi", (draw, interrupted, reducers))
+    with pytest.raises(KeyboardInterrupt):
+        run_suite("pfi", SPLIT)
+    assert_no_child_left()
+
+
+def test_split_cli_output_is_the_serial_output(monkeypatch, capfd):
+    # capfd reads file descriptors 1 and 2, which the worker shares
+    argv = ["property-run", "--suite", "all", "--trials", "200", "--seed", "101"]
+    printed = []
+    for procs in (1, 2):
+        monkeypatch.setattr(sweeps, "_PROCS", procs)
+        assert cli.main(argv) == 0
+        printed.append(capfd.readouterr())
+    (out1, err1), (out2, err2) = printed
+    assert out1 == out2
+    assert json.loads(out1)["summary"]["failed"] == 0
+    assert err1 == err2 == ""
+
+
+def test_a_dead_worker_is_a_json_error_from_the_cli(monkeypatch, capfd):
+    monkeypatch.setattr(sweeps, "_PROCS", 2)
+    _solve_in_parent_only(monkeypatch, "pfi", lambda: os._exit(1))
+    assert cli.main(["property-run", "--suite", "pfi", "--trials", "200"]) == 1
+    out, err = capfd.readouterr()
+    assert json.loads(out)["error"]["type"] == "FrameError"
+    assert err == ""
+    assert_no_child_left()

@@ -67,6 +67,8 @@ COMMANDS = [
     "property-run --suite all --trials 300 --seed 918273",
     "property-run --suite all --trials 300 --seed 7",
     "property-run --suite all --trials 300 --seed 2024",
+    # two blocks, each split between processes
+    "property-run --suite pfi --trials 1100 --seed 11 --quiet",
     # every row through --leaves: empty completions, conditioned-draw fallbacks
     "property-run --suite extension --trials 50 --seed 3 --dim-range 1,3 --count-range 1,5",
     "property-run --suite general --trials 60 --seed 5 --dim-range 6,6 --count-range 6,7",
