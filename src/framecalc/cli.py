@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import SUITE_NAMES, __version__
 from .errors import BadParams, FrameError, FrameFormatError, IndexOutOfRange
 from .frames import (
     _GENERATORS,
@@ -44,18 +44,8 @@ from .frames import (
     union,
 )
 from .frame_io import frame_to_document, read_frame, write_frame
-from .identities import (
-    equivalence_conditions,
-    general_identity_report,
-    overlap_identity_report,
-    parseval_identity_report,
-    subspace_identity_report,
-    tight_extension_compare,
-    tight_identity_report,
-)
 from .linalg import frobenius
 from .rng import SplitMix64
-from .sweeps import SUITE_NAMES, RunConfig, run_suites
 
 def _json_default(obj):
     if isinstance(obj, np.integer):
@@ -275,25 +265,37 @@ def cmd_identity(args, argv: list[str]) -> tuple[dict | None, int]:
     master = SplitMix64(args.seed)
     subset = _parse_subset_spec(args.J, frame.count, master.derive(0))
     result: dict = {"variant": args.variant, "subset": subset}
+    dim = frame.dim
     if args.variant == "subspace":
         if args.ambient_dim is None:
             raise BadParams("--ambient-dim is required for --variant subspace")
         iso = random_isometry(args.ambient_dim, frame.dim, args.seed, frame.field)
         sub = embed_subspace_frame(frame, args.ambient_dim, iso)
-        f = _parse_vector_spec(args.f, args.ambient_dim, frame.field, master.derive(2))
-        report = subspace_identity_report(sub, subset, f, tol)
+        dim = args.ambient_dim
+    f = _parse_vector_spec(args.f, dim, frame.field, master.derive(2))
+    if args.variant == "tight":
+        lam = _parse_lambda(args.lam)
+    elif args.variant == "overlap":
+        result["subset_e"] = _parse_subset_spec(args.E, frame.count, master.derive(1))
+    # imported only once every input has parsed: a usage error never loads it
+    from .identities import (
+        general_identity_report,
+        overlap_identity_report,
+        parseval_identity_report,
+        subspace_identity_report,
+        tight_identity_report,
+    )
+
+    if args.variant == "pfi":
+        report = parseval_identity_report(frame, subset, f, tol)
+    elif args.variant == "general":
+        report = general_identity_report(frame, subset, f, tol)
+    elif args.variant == "tight":
+        report = tight_identity_report(frame, subset, f, lam, tol)
+    elif args.variant == "overlap":
+        report = overlap_identity_report(frame, subset, result["subset_e"], f, tol)
     else:
-        f = _parse_vector_spec(args.f, frame.dim, frame.field, master.derive(2))
-        if args.variant == "pfi":
-            report = parseval_identity_report(frame, subset, f, tol)
-        elif args.variant == "general":
-            report = general_identity_report(frame, subset, f, tol)
-        elif args.variant == "tight":
-            report = tight_identity_report(frame, subset, f, _parse_lambda(args.lam), tol)
-        else:
-            e = _parse_subset_spec(args.E, frame.count, master.derive(1))
-            result["subset_e"] = e
-            report = overlap_identity_report(frame, subset, e, f, tol)
+        report = subspace_identity_report(sub, subset, f, tol)
     result["f"] = _vector_echo(f)
     result["report"] = dataclasses.asdict(report)
     config = {
@@ -320,6 +322,8 @@ def cmd_equiv(args, argv: list[str]) -> tuple[dict | None, int]:
     master = SplitMix64(args.seed)
     subset = _parse_subset_spec(args.J, frame.count, master.derive(0))
     f = _parse_vector_spec(args.f, frame.dim, frame.field, master.derive(2))
+    from .identities import equivalence_conditions
+
     report = equivalence_conditions(frame, subset, f, tol)
     result = {
         "subset": subset,
@@ -357,6 +361,8 @@ def cmd_extend(args, argv: list[str]) -> tuple[dict | None, int]:
     second = complete_to_tight(frame, lam, mix_seed=base_mix + 2)
     probe = np.zeros(frame.dim, dtype=np.complex128)
     probe[0] = 1.0
+    from .identities import tight_extension_compare
+
     cmp = tight_extension_compare(
         frame, first, second, lam_used, probe, trials=100, seed=base_mix, tolerance=tol
     )
@@ -385,6 +391,8 @@ def cmd_extend(args, argv: list[str]) -> tuple[dict | None, int]:
 
 
 def cmd_property_run(args, argv: list[str]) -> tuple[dict | None, int]:
+    from .sweeps import RunConfig, run_suites
+
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     config = RunConfig(
         seed=args.seed,

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import SUITE_NAMES
 from .errors import BadParams, FrameError
 from .frames import (
     TAU_ID,
@@ -108,8 +109,6 @@ from .identities import (
 )
 from .linalg import EigenDecomposition, frobenius, hermitian_eig, hermitize
 from .rng import SplitMix64
-
-SUITE_NAMES = ("pfi", "general", "overlap", "bounds", "equivalence", "sj", "extension")
 
 _RESAMPLE_LIMIT = 1000
 _BLOCK = 1024  # trials drawn and solved together; bounds the size of the stacks

@@ -1,9 +1,11 @@
 """Command behavior through the console entry point."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -523,3 +525,75 @@ def test_unknown_command_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the package surface, and what each command imports
+
+
+def test_every_public_name_is_the_object_in_its_home_module():
+    for name in framecalc.__all__:
+        obj = getattr(framecalc, name)
+        home = importlib.import_module(getattr(obj, "__module__", "framecalc"))
+        assert getattr(home, name) is obj, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from framecalc import *", namespace)
+    public = [name for name in dir(framecalc) if not name.startswith("_")
+              and not isinstance(getattr(framecalc, name), types.ModuleType)]
+    assert "run_suites" in public and "parseval_identity_report" in public
+    for name in public:
+        assert namespace[name] is getattr(framecalc, name), name
+
+
+def test_an_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError) as exc:
+        framecalc.no_such_name
+    assert str(exc.value) == "module 'framecalc' has no attribute 'no_such_name'"
+    assert not hasattr(framecalc, "no_such_name")
+
+
+def test_resolving_a_lazy_name_stores_nothing_in_the_package():
+    for home in ("framecalc.identities", "framecalc.sweeps"):
+        importlib.import_module(home)
+    before = {name: id(value) for name, value in vars(framecalc).items()}
+    for name in framecalc.__all__:
+        getattr(framecalc, name)
+    assert {name: id(value) for name, value in vars(framecalc).items()} == before
+
+
+def test_a_name_rebound_in_its_home_module_is_what_the_package_returns(monkeypatch):
+    sweeps = importlib.import_module("framecalc.sweeps")
+    replacement = object()
+    monkeypatch.setattr(sweeps, "run_suites", replacement)
+    assert framecalc.run_suites is replacement
+
+
+_LOADED = """
+import sys
+from framecalc.cli import main
+code = main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.startswith("framecalc.")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command, code, loaded", [
+    (["analyze", "FRAME"], 0, set()),
+    (["identity", "FRAME", "--J", "1-x"], 2, set()),
+    (["identity", "FRAME", "--J", "0", "--f", "1,0"], 0, {"identities"}),
+    (["property-run", "--trials", "2", "--quiet"], 0, {"identities", "sweeps"}),
+], ids=["analyze", "identity-usage-error", "identity", "property-run"])
+def test_a_command_imports_only_the_modules_it_runs(mercedes_file, command, code, loaded):
+    # one fresh interpreter per command: the test process has every module loaded
+    src = str(Path(framecalc.__file__).resolve().parent.parent)
+    argv = [mercedes_file if arg == "FRAME" else arg for arg in command]
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=False)
+    assert proc.returncode == code
+    modules = set(proc.stderr.decode().split())
+    assert {"framecalc.frames", "framecalc.frame_io"} <= modules
+    assert modules & {"framecalc.identities", "framecalc.sweeps"} == {
+        f"framecalc.{name}" for name in loaded}

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from bruteforce import general_sides, overlap_sides, tight_sides
+from hypothesis import given, settings, strategies as st
 
 from framecalc import (
     BadParams,
@@ -28,6 +29,7 @@ from framecalc import (
     parseval_identity_report,
     partial_operator_matrix,
     partial_structure_check,
+    random_isometry,
     random_parseval,
     self_adjoint_product_check,
     span_equality_check,
@@ -39,6 +41,7 @@ from framecalc import (
 )
 from framecalc.frames import (
     TAU_ID,
+    canonical_dual,
     coefficients,
     complete_to_tight,
     frame_bounds,
@@ -636,3 +639,94 @@ def test_overlap_report_matches_oracle_on_every_disjoint_pair():
             e = [i for i in range(fr.count) if labels[i] == 2]
             rep = overlap_identity_report(fr, j, e, f, tolerance=1e-10)
             _assert_matches_oracle(rep, overlap_sides(vecs, j, e, f))
+
+
+# ---------------------------------------------------------------------------
+# the identity's symmetries, as properties of the pfi, general and tight reports
+
+
+@st.composite
+def _split_cases(draw):
+    """(kind, frame, J, f, extra): a Parseval, lam-tight or conditioned
+    Gaussian frame with a subset J and a unit f; extra holds lam for
+    "tight" and, for "general", the dual (canonical, or 10% too long)."""
+    kind = draw(st.sampled_from(("pfi", "general", "tight")))
+    field = draw(st.sampled_from(("real", "complex")))
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(d, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "general":
+        fr = next(g for g in (random_gaussian(d, n, seed + k, field) for k in range(100))
+                  if frame_bounds(g).upper <= 1e3 * frame_bounds(g).lower)
+        dual = canonical_dual(fr)
+        extra = {"dual": Frame(d, dual.vectors * 1.1, field) if draw(st.booleans()) else dual}
+    else:
+        fr = random_parseval(d, n, seed, field)
+        extra = {}
+        if kind == "tight":
+            lam = draw(st.sampled_from((0.25, 3.0, 8.0)))
+            fr, extra = Frame(d, fr.vectors * math.sqrt(lam), field), {"lam": lam}
+    subset = [i for i, kept in enumerate(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+              if kept]
+    f = SplitMix64(seed).derive(1).unit_vector(d, field)
+    return kind, fr, subset, f, extra
+
+
+def _split(kind, fr, subset, f, extra):
+    if kind == "pfi":
+        return parseval_identity_report(fr, subset, f)
+    if kind == "tight":
+        return tight_identity_report(fr, subset, f, extra["lam"])
+    return general_identity_report(fr, subset, f, dual=extra["dual"])
+
+
+def _scale(rep):
+    return max(1.0, abs(rep.lhs), abs(rep.rhs), *(abs(t) for t in rep.terms.values()))
+
+
+_SYMMETRY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_SYMMETRY
+@given(case=_split_cases())
+def test_swapping_j_and_its_complement_swaps_the_sides_bitwise(case):
+    kind, fr, subset, f, extra = case
+    rep = _split(kind, fr, subset, f, extra)
+    swapped = _split(kind, fr, sorted(set(range(fr.count)) - set(subset)), f, extra)
+    assert (swapped.lhs, swapped.rhs) == (rep.rhs, rep.lhs)
+    names = list(rep.terms)  # [energy_J, metric_J, energy_Jc, metric_Jc]
+    assert [swapped.terms[k] for k in names] == [rep.terms[k] for k in names[2:] + names[:2]]
+    assert swapped.passed == rep.passed
+
+
+@_SYMMETRY
+@given(case=_split_cases(), data=st.data())
+def test_permuting_the_frame_and_j_together_keeps_the_sides(case, data):
+    kind, fr, subset, f, extra = case
+    perm = data.draw(st.permutations(range(fr.count)))
+    # position k of the permuted frame holds vector perm[k]
+    moved = [k for k in range(fr.count) if perm[k] in set(subset)]
+    moved_extra = extra
+    if kind == "general":
+        moved_extra = {"dual": Frame(fr.dim, extra["dual"].vectors[perm], fr.field)}
+    rep = _split(kind, fr, subset, f, extra)
+    out = _split(kind, Frame(fr.dim, fr.vectors[perm], fr.field), moved, f, moved_extra)
+    assert abs(out.lhs - rep.lhs) <= 1e-12 * _scale(rep)
+    assert abs(out.rhs - rep.rhs) <= 1e-12 * _scale(rep)
+    assert out.passed == rep.passed
+
+
+@_SYMMETRY
+@given(case=_split_cases(), basis_seed=st.integers(0, 2**32 - 1))
+def test_a_unitary_change_of_basis_keeps_every_verdict(case, basis_seed):
+    kind, fr, subset, f, extra = case
+    u = random_isometry(fr.dim, fr.dim, basis_seed, fr.field)
+    # f_i -> U f_i for the rows of the frame (and of the dual), f -> U f
+    turned_extra = extra
+    if kind == "general":
+        turned_extra = {"dual": Frame(fr.dim, extra["dual"].vectors @ u.T, fr.field)}
+    rep = _split(kind, fr, subset, f, extra)
+    out = _split(kind, Frame(fr.dim, fr.vectors @ u.T, fr.field), subset, u @ f, turned_extra)
+    assert out.passed == rep.passed
+    for name, term in rep.terms.items():
+        assert abs(out.terms[name] - term) <= 1e-12 * _scale(rep), name

@@ -63,10 +63,13 @@ COMMANDS = [
     "equiv merc.json --J 0 --f 1,0",
     "extend g16.json --out ext.json",
     "extend merc.json --lambda 2 --mix-seed 5",
+    "property-run --help",
     "property-run --suite all --trials 300 --seed 101 --quiet",
     "property-run --suite all --trials 300 --seed 918273",
     "property-run --suite all --trials 300 --seed 7",
     "property-run --suite all --trials 300 --seed 2024",
+    # one process: 40 trials per block is below the split threshold
+    "property-run --suite all --trials 40 --seed 5 --quiet",
     # two blocks, each split between processes
     "property-run --suite pfi --trials 1100 --seed 11 --quiet",
     # every row through --leaves: empty completions, conditioned-draw fallbacks
@@ -84,6 +87,8 @@ COMMANDS = [
     "identity merc.json --J 1-x",
     "identity merc.json --J 1,1",
     "identity merc.json --f 1,2,3",
+    "property-run --suite bogus",
+    "property-run --trials 0",
     # non-finite inputs
     "extend g16.json --lambda inf",
     "identity p16.json --variant tight --lambda inf",
