@@ -30,6 +30,7 @@ from . import SUITE_NAMES, __version__
 from .errors import BadParams, FrameError, FrameFormatError, IndexOutOfRange
 from .frames import (
     _GENERATORS,
+    TAU_ID,
     as_tolerance,
     canonical_dual,
     complete_to_tight,
@@ -43,31 +44,26 @@ from .frames import (
     tight_deviation,
     union,
 )
-from .frame_io import frame_to_document, read_frame, write_frame
+from .frame_io import frame_to_document, json_complex, read_frame, write_frame
 from .linalg import frobenius
 from .rng import SplitMix64
-
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _dump(doc, indent: int | None = 2) -> str:
     """Strict JSON: a NaN or infinity raises FrameError, never reaches stdout."""
     try:
-        text = json.dumps(doc, indent=indent, sort_keys=True, default=_json_default,
-                          allow_nan=False)
+        text = json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise FrameError(f"result is not finite: {exc}") from None
     return text + "\n"
 
 
-def _envelope(argv: list[str], config: dict, results: list, summary: dict) -> dict:
+def _envelope(argv: list[str], args: argparse.Namespace, results: list, summary: dict,
+              omit: tuple[str, ...] = ()) -> dict:
+    """The output document; its config echoes every parsed argument but those
+    in `omit`, each under its flag's name."""
+    config = {"lambda" if key == "lam" else key: value for key, value in vars(args).items()
+              if key not in ("command", "func", *omit)}
     return {
         "tool_version": __version__,
         "command": " ".join(argv),
@@ -90,39 +86,37 @@ def _single_summary(passed: bool, rel_diff: float = 0.0, borderline: bool = Fals
 def _parse_subset_spec(spec: str, n: int, rng: SplitMix64) -> list[int]:
     """The index list a --J or --E spec names, checked against the frame's n:
     an index that does not fit the frame is a usage error, as a repeated one is."""
-    subset = _subset_from_spec(spec, n, rng)
+    spec = spec.strip()
+    bad = BadParams(
+        f"bad index subset {spec!r}; use '', 'all', 'random', 'random:k', 'a-b', or 'i,j,k'"
+    )
+    try:
+        if spec == "all":
+            subset = list(range(n))
+        elif spec == "random":
+            subset = rng.subset(n)
+        elif m := re.fullmatch(r"random:(\d+)", spec):
+            k = int(m.group(1))
+            if k > n:
+                raise BadParams(f"random:{k} needs k <= {n}")
+            subset = rng.sample(n, k)
+        elif m := re.fullmatch(r"(\d+)-(\d+)", spec):
+            a, b = int(m.group(1)), int(m.group(2))
+            if a > b:
+                raise BadParams(f"bad range {spec!r}")
+            # past n, the largest index alone gives subset_mask's error
+            subset = list(range(a, b + 1)) if b < n else [b]
+        elif re.fullmatch(r"(\d+(,\d+)*)?", spec):
+            subset = [int(x) for x in spec.split(",") if x]
+        else:
+            raise bad
+    except ValueError:  # more digits than int() converts
+        raise bad from None
     try:
         subset_mask(subset, n)
     except IndexOutOfRange as exc:
         raise BadParams(str(exc)) from None
     return subset
-
-
-def _subset_from_spec(spec: str, n: int, rng: SplitMix64) -> list[int]:
-    spec = spec.strip()
-    if spec == "":
-        return []
-    if spec == "all":
-        return list(range(n))
-    if spec == "random":
-        return rng.subset(n)
-    m = re.fullmatch(r"random:(\d+)", spec)
-    if m:
-        k = int(m.group(1))
-        if k > n:
-            raise BadParams(f"random:{k} needs k <= {n}")
-        return rng.sample(n, k)
-    m = re.fullmatch(r"(\d+)-(\d+)", spec)
-    if m:
-        a, b = int(m.group(1)), int(m.group(2))
-        if a > b:
-            raise BadParams(f"bad range {spec!r}")
-        return list(range(a, b + 1))
-    if re.fullmatch(r"\d+(,\d+)*", spec):
-        return [int(x) for x in spec.split(",")]
-    raise BadParams(
-        f"bad index subset {spec!r}; use '', 'all', 'random', 'random:k', 'a-b', or 'i,j,k'"
-    )
 
 
 def _parse_vector_spec(spec: str, dim: int, field: str, rng: SplitMix64) -> np.ndarray:
@@ -139,12 +133,10 @@ def _parse_vector_spec(spec: str, dim: int, field: str, rng: SplitMix64) -> np.n
             raise BadParams("vector file must hold a JSON array")
         out = np.empty(len(data), dtype=np.complex128)
         for i, entry in enumerate(data):
-            if isinstance(entry, list) and len(entry) == 2:
-                out[i] = complex(float(entry[0]), float(entry[1]))
-            elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                out[i] = complex(float(entry), 0.0)
-            else:
+            z = json_complex(entry if isinstance(entry, list) else [entry, 0.0])
+            if z is None:
                 raise BadParams(f"vector entry {i} must be a number or [re, im]")
+            out[i] = z
     else:
         parts = [p for p in spec.split(",") if p.strip() != ""]
         if not parts:
@@ -205,14 +197,13 @@ def cmd_gen(args, argv: list[str]) -> tuple[dict | None, int]:
         "path": args.out,
         "bounds": dataclasses.asdict(bounds),
     }
-    config = {"kind": args.kind, **params, "out": args.out}
+    config = argparse.Namespace(kind=args.kind, **params, out=args.out)
     env = _envelope(argv, config, [result], _single_summary(True))
     return env, 0
 
 
 def cmd_analyze(args, argv: list[str]) -> tuple[dict | None, int]:
     frame = read_frame(args.frame)
-    config = {"frame": args.frame, "mode": args.mode, "out": args.out}
     tol = args.tolerance
     if args.mode == "bounds":
         bounds = frame_bounds(frame)
@@ -223,7 +214,7 @@ def cmd_analyze(args, argv: list[str]) -> tuple[dict | None, int]:
             "field": frame.field,
             "bounds": dataclasses.asdict(bounds),
         }
-        env = _envelope(argv, config, [result], _single_summary(True))
+        env = _envelope(argv, args, [result], _single_summary(True), omit=("tolerance",))
         return env, 0
     if args.mode == "dual":
         derived = canonical_dual(frame)
@@ -253,7 +244,7 @@ def cmd_analyze(args, argv: list[str]) -> tuple[dict | None, int]:
         result["path"] = args.out
     else:
         result["frame"] = frame_to_document(derived)
-    env = _envelope(argv, config, [result], _single_summary(passed, err))
+    env = _envelope(argv, args, [result], _single_summary(passed, err), omit=("tolerance",))
     return env, 0 if passed else 1
 
 
@@ -298,19 +289,7 @@ def cmd_identity(args, argv: list[str]) -> tuple[dict | None, int]:
         report = subspace_identity_report(sub, subset, f, tol)
     result["f"] = _vector_echo(f)
     result["report"] = dataclasses.asdict(report)
-    config = {
-        "frame": args.frame,
-        "variant": args.variant,
-        "J": args.J,
-        "E": args.E,
-        "f": args.f,
-        "lambda": args.lam,
-        "ambient_dim": args.ambient_dim,
-        "parsevalize": args.parsevalize,
-        "tolerance": tol,
-        "seed": args.seed,
-    }
-    env = _envelope(argv, config, [result], _single_summary(report.passed, report.rel_diff))
+    env = _envelope(argv, args, [result], _single_summary(report.passed, report.rel_diff))
     return env, 0 if report.passed else 1
 
 
@@ -318,13 +297,12 @@ def cmd_equiv(args, argv: list[str]) -> tuple[dict | None, int]:
     frame = read_frame(args.frame)
     if args.parsevalize:
         frame = parsevalize(frame)
-    tol = args.tolerance
     master = SplitMix64(args.seed)
     subset = _parse_subset_spec(args.J, frame.count, master.derive(0))
     f = _parse_vector_spec(args.f, frame.dim, frame.field, master.derive(2))
     from .identities import equivalence_conditions
 
-    report = equivalence_conditions(frame, subset, f, tol)
+    report = equivalence_conditions(frame, subset, f, args.tolerance)
     result = {
         "subset": subset,
         "f": _vector_echo(f),
@@ -332,16 +310,8 @@ def cmd_equiv(args, argv: list[str]) -> tuple[dict | None, int]:
         "consistent": report.consistent,
         "borderline": report.borderline,
     }
-    config = {
-        "frame": args.frame,
-        "J": args.J,
-        "f": args.f,
-        "parsevalize": args.parsevalize,
-        "tolerance": tol,
-        "seed": args.seed,
-    }
     summary = _single_summary(report.consistent, 0.0, report.borderline)
-    env = _envelope(argv, config, [result], summary)
+    env = _envelope(argv, args, [result], summary)
     return env, 0 if summary["failed"] == 0 else 1
 
 
@@ -379,14 +349,7 @@ def cmd_extend(args, argv: list[str]) -> tuple[dict | None, int]:
         result["path"] = args.out
     else:
         result["frame"] = frame_to_document(completion)
-    config = {
-        "frame": args.frame,
-        "lambda": args.lam,
-        "mix_seed": args.mix_seed,
-        "tolerance": tol,
-        "out": args.out,
-    }
-    env = _envelope(argv, config, [result], _single_summary(passed, cmp.max_energy_rel_diff))
+    env = _envelope(argv, args, [result], _single_summary(passed, cmp.max_energy_rel_diff))
     return env, 0 if passed else 1
 
 
@@ -402,15 +365,7 @@ def cmd_property_run(args, argv: list[str]) -> tuple[dict | None, int]:
         tolerance=args.tolerance,
     )
     results, summary = run_suites(names, config)
-    config_echo = {
-        "suite": args.suite,
-        "seed": args.seed,
-        "trials": args.trials,
-        "dim_range": list(args.dim_range),
-        "count_range": list(args.count_range),
-        "tolerance": args.tolerance,
-    }
-    env = _envelope(argv, config_echo, results, summary)
+    env = _envelope(argv, args, results, summary, omit=("quiet", "out"))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_dump(env))
@@ -451,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="frame bounds, canonical dual, or Parseval conversion")
     p.add_argument("frame")
     p.add_argument("--mode", choices=("bounds", "dual", "parsevalize"), default="bounds")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=TAU_ID)
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
@@ -468,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient-dim", type=int, default=None)
     p.add_argument("--parsevalize", action="store_true",
                    help="convert the frame before checking")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=TAU_ID)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_identity)
 
@@ -477,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", default="")
     p.add_argument("--f", default="random")
     p.add_argument("--parsevalize", action="store_true")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=TAU_ID)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_equiv)
 
@@ -485,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("frame")
     p.add_argument("--lambda", dest="lam", default=None, help="tight value (number or 'auto')")
     p.add_argument("--mix-seed", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=TAU_ID)
     p.add_argument("--out")
     p.set_defaults(func=cmd_extend)
 

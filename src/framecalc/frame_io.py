@@ -16,13 +16,30 @@ array bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import Any
 
-import numpy as np
-
 from .errors import FrameFormatError
 from .frames import _FIELDS, Frame
+
+
+def json_complex(entry: Any) -> complex | None:
+    """An [re, im] pair of JSON numbers as a complex, or None if `entry` is
+    not one. Frame files and vector files read their numbers here: a bool
+    is not a number, and an integer too large for a float reads as
+    infinite, like the literal 1e400."""
+    if not isinstance(entry, list) or len(entry) != 2:
+        return None
+    parts = []
+    for x in entry:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            return None
+        try:
+            parts.append(float(x))
+        except OverflowError:
+            parts.append(float("inf") if x > 0 else float("-inf"))
+    return complex(*parts)
 
 
 def frame_to_document(frame: Frame) -> dict[str, Any]:
@@ -47,27 +64,25 @@ def frame_from_document(doc: Any) -> Frame:
         raise FrameFormatError(f"field must be one of {_FIELDS}, got {field!r}")
     if not isinstance(vectors, list) or not vectors:
         raise FrameFormatError("vectors must be a non-empty list")
-    rows = np.empty((len(vectors), dim), dtype=np.complex128)
+    rows = []
     for i, vec in enumerate(vectors):
         if not isinstance(vec, list) or len(vec) != dim:
             raise FrameFormatError(f"vector {i} must be a list of {dim} entries")
+        row = []
         for j, entry in enumerate(vec):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-            ):
+            z = json_complex(entry)
+            if z is None:
                 raise FrameFormatError(
                     f"vector {i} entry {j} must be a [re, im] pair of numbers"
                 )
-            re, im = float(entry[0]), float(entry[1])
-            if not (np.isfinite(re) and np.isfinite(im)):
+            if not cmath.isfinite(z):
                 raise FrameFormatError(f"vector {i} entry {j} is not finite")
-            if field == "real" and im != 0.0:
+            if field == "real" and z.imag != 0.0:
                 raise FrameFormatError(
-                    f"field is 'real' but vector {i} entry {j} has im = {im!r}"
+                    f"field is 'real' but vector {i} entry {j} has im = {z.imag!r}"
                 )
-            rows[i, j] = complex(re, im)
+            row.append(z)
+        rows.append(row)
     return Frame(dim, rows, field)
 
 
@@ -81,6 +96,6 @@ def read_frame(path: str) -> Frame:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise FrameFormatError(f"invalid JSON: {exc}") from exc
     return frame_from_document(doc)

@@ -15,11 +15,12 @@ product formulas, positivity), a six-way equivalence for when the energy
 split is exact, and span/operator comparisons for tight completions.
 
 Every equality produces an IdentityReport. Residuals are scaled by
-max(1, |lhs|, |rhs|, largest recorded term) so that verdicts are invariant
-under scaling f or the frame: the interesting quantities are small
-differences of the recorded degree-2 terms, and the terms set the
-cancellation scale. This holds while every term is finite; a term that
-overflows makes the report non-finite.
+max(1, |lhs|, |rhs|, largest recorded term): the sides are small
+differences of the recorded degree-2 terms, which set the cancellation
+scale. A verdict survives rescaling f or the frame only while the largest
+term is at least 1 and finite: below 1 the floor makes the check absolute
+(the README's Tolerances section shows a false pass at f scaled by 1e-6),
+and a term that overflows makes the report non-finite.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ function of (suite, seed, trials, ranges) and the suite section of an
 A suite is a draw function, a solve function and the reducers that fold
 its rows into a summary; `run_suite` feeds blocks of at most _BLOCK
 trials to the one runner, so memory stays bounded at any trial count.
-Every suite is batched: every trial of the block first makes its draws
-from its own stream, in the same order as a trial run alone would, and
-then each (field, d) group of the block goes through the algebra at once,
-as zero-padded stacks (one stacked eigendecomposition per spectral step).
+Every suite is batched: the block's trials are grouped by (field, d);
+every trial of a group makes its draws from its own stream, in the same
+order as a trial run alone would, and then the group goes through the
+algebra at once, as zero-padded stacks (one stacked eigendecomposition
+per spectral step).
 The general and bounds trials draw a conditioned Gaussian frame, whose
 first attempt decides how much of the stream comes before the rest of
 the trial's draws: their draw stops at the first attempt's seed, the
@@ -35,11 +36,11 @@ process and forked children: at most one process per CPU it may run on
 and one per _SPLIT_TRIALS trials, with a greedy balance of sum(n * d^2)
 per group. A group's draws and solve do not depend on where it runs, so
 the rows, and every byte printed from them, are those of a run on one
-process (`taskset -c 0` gives one). Each process draws all its groups
-before it solves any, and errors merge in serial order: the block raises
+process (`taskset -c 0` gives one). Each process draws and solves its
+groups one at a time, and errors merge in serial order: the block raises
 the exception, type and message, that a run on one process raises, that
-of the first group, in order of first appearance, whose draw raises, or
-else of the first group whose solve raises.
+of the first group, in order of first appearance, whose draw or solve
+raises.
 
 Results are JSON-ready dicts, one per trial; the summary counts
 passed/failed/borderline (borderline only ever nonzero for the
@@ -652,28 +653,23 @@ def _run_block(name: str, trials: range, config: RunConfig) -> list[dict]:
     rows = {t: row for part_rows, _ in results for t, row in part_rows.items()}
     failures = [failure for _, failure in results if failure is not None]
     if failures:
-        raise min(failures, key=lambda failure: failure[:2])[2]
+        raise min(failures, key=lambda failure: failure[0])[1]
     return [rows[t] for t in trials]
 
 
 def _solve_part(name: str, part: list[tuple], config: RunConfig) -> tuple[dict, tuple | None]:
     """Rows by trial of the groups in `part`, each (serial index, (field, d),
     [(trial, stream after the shape, n), ...]), and the first failure as
-    (step, serial index, exception), or None. Every group of the part is
-    drawn (step 0) before the groups are solved (step 1), both in serial
-    group order, as on one process; a failure stops the part."""
+    (serial index, exception), or None. Each group is drawn and then solved,
+    in serial group order, as on one process; a failure stops the part."""
     draw, solve, _ = _SUITES[name]
     rows: dict[int, dict] = {}
-    step = index = 0
-    try:
-        draws = []
-        for index, (field, d), members in part:
-            draws.append([draw(rng, t, field, d, n) for t, rng, n in members])
-        step = 1
-        for (index, _, members), group in zip(part, draws):
+    for index, (field, d), members in part:
+        try:
+            group = [draw(rng, t, field, d, n) for t, rng, n in members]
             rows.update(zip((t for t, _, _ in members), solve(group, config)))
-    except Exception as exc:  # carried to the merge, which raises it in serial order
-        return rows, (step, index, exc)
+        except Exception as exc:  # carried to the merge, which raises it in serial order
+            return rows, (index, exc)
     return rows, None
 
 

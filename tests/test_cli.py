@@ -1,6 +1,8 @@
 """Command behavior through the console entry point."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import framecalc
 from framecalc import Frame, canonical_dual, read_frame, write_frame
@@ -261,7 +264,9 @@ def test_subset_spec_random_is_seeded(capsys, mercedes_file):
 
 
 def test_subset_spec_rejected(capsys, mercedes_file):
-    for spec in ("zebra", "3-1", "0,0", "random:9"):
+    # an index of more digits than int() converts is a bad spec, not a traceback
+    for spec in ("zebra", "3-1", "0,0", "random:9", "1" * 5000, "random:" + "1" * 5000,
+                 "0-" + "1" * 5000):
         code, out = run_cli(
             capsys, "identity", mercedes_file, "--J", spec, "--f", "1,0"
         )
@@ -272,13 +277,14 @@ def test_subset_spec_rejected(capsys, mercedes_file):
 @pytest.mark.parametrize("argv, message", [
     (["identity", "--J", "0,5"], "index 5 outside [0, 3)"),
     (["identity", "--J", "3-4"], "index 4 outside [0, 3)"),
+    (["identity", "--J", "1-" + "9" * 25], f"index {'9' * 25} outside [0, 3)"),
     (["identity", "--variant", "overlap", "--J", "0", "--E", "1,3"], "index 3 outside [0, 3)"),
     (["identity", "--variant", "subspace", "--ambient-dim", "4", "--J", "7"],
      "index 7 outside [0, 3)"),
     (["identity", "--J", "1,1"], "duplicate index 1"),
     (["equiv", "--J", "3"], "index 3 outside [0, 3)"),
     (["equiv", "--J", "2,2"], "duplicate index 2"),
-], ids=["identity-J", "identity-J-range", "identity-E", "identity-subspace-J",
+], ids=["identity-J", "identity-J-range", "identity-J-long-range", "identity-E", "identity-subspace-J",
         "identity-J-duplicate", "equiv-J", "equiv-J-duplicate"])
 def test_subset_that_does_not_fit_the_frame_is_usage_error(capsys, mercedes_file, argv,
                                                            message):
@@ -316,6 +322,50 @@ def test_vector_file_with_malformed_json(capsys, mercedes_file, tmp_path):
     code, out = run_cli(capsys, "identity", mercedes_file, "--f", f"@{vec}")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "BadParams"
+
+
+_HUGE = "9" * 400  # an integer too large for a float
+
+
+def _strict_error(out: str) -> dict:
+    doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
+    return doc["error"]
+
+
+@pytest.mark.parametrize("text", [
+    '[["a", 1], [0, 0]]',
+    '[[null, 1], [0, 0]]',
+    '[[true, 1], [0, 0]]',
+    '[["1", 0], [0, 0]]',
+    '[false, 0]',
+    f'[{_HUGE}, 0]',
+    f'[[0, -{_HUGE}], 0]',
+    '[[1, [0]], 0]',
+], ids=["string", "null", "bool-in-pair", "numeric-string", "bool", "huge-int",
+        "huge-int-in-pair", "nested-list"])
+def test_a_hostile_vector_file_entry_is_usage_error(capsys, mercedes_file, tmp_path, text):
+    vec = tmp_path / "vec.json"
+    vec.write_text(text)
+    code = main(["identity", mercedes_file, "--J", "0", "--f", f"@{vec}"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert _strict_error(captured.out)["type"] == "BadParams"
+
+
+@pytest.mark.parametrize("content", [
+    f'{{"dim": 2, "field": "real", "vectors": [[[1, 0], [0, 0]], [[0, 0], [{_HUGE}, 0]]]}}',
+    f'{{"dim": 2, "field": "complex", "vectors": [[[1, 0], [0, -{_HUGE}]]]}}',
+    f'{{"dim": {_HUGE}, "field": "real", "vectors": [[[1, 0]]]}}',
+    '{"dim": %s, "field": "real", "vectors": [[[1, 0]]]}' % ("9" * 5000),
+    b'\xff\xfe{"dim": 1}',
+], ids=["huge-int-entry", "huge-int-im", "huge-dim", "int-past-the-digit-limit", "not-utf8"])
+def test_a_hostile_frame_file_is_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "big.json"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert _strict_error(captured.out)["type"] == "FrameFormatError"
 
 
 def test_vector_spec_rejected(capsys, mercedes_file):
@@ -527,6 +577,26 @@ def test_unknown_command_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (["gen", "mercedes", "--out", "{tmp}/m.json"], "kind out"),
+    (["gen", "random-parseval", "--dim", "2", "--count", "3", "--out", "{tmp}/p.json"],
+     "count dim field kind out seed"),
+    (["analyze", "{merc}", "--mode", "dual"], "frame mode out"),
+    (["identity", "{merc}", "--J", "0", "--f", "1,0"],
+     "E J ambient_dim f frame lambda parsevalize seed tolerance variant"),
+    (["equiv", "{merc}", "--J", "0", "--f", "1,0"], "J f frame parsevalize seed tolerance"),
+    (["extend", "{merc}"], "frame lambda mix_seed out tolerance"),
+    (["property-run", "--suite", "pfi", "--trials", "2", "--quiet", "--out", "{tmp}/r.json"],
+     "count_range dim_range seed suite tolerance trials"),
+], ids=["gen", "gen-random", "analyze", "identity", "equiv", "extend", "property-run"])
+def test_each_command_echoes_its_config_keys(capsys, mercedes_file, tmp_path, argv, keys):
+    argv = [a.format(merc=mercedes_file, tmp=tmp_path) for a in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    env = json.loads((tmp_path / "r.json").read_text() if "--quiet" in argv else out)
+    assert sorted(env["config"]) == keys.split()
+
+
 # ---------------------------------------------------------------------------
 # the package surface, and what each command imports
 
@@ -597,3 +667,166 @@ def test_a_command_imports_only_the_modules_it_runs(mercedes_file, command, code
     assert {"framecalc.frames", "framecalc.frame_io"} <= modules
     assert modules & {"framecalc.identities", "framecalc.sweeps"} == {
         f"framecalc.{name}" for name in loaded}
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract over drawn argv: one strict-JSON document, exit 0/1/2, no
+# traceback; main runs in-process with its streams redirected, since capsys
+# does not reset between the examples of one test
+
+_NUMBERS = st.one_of(st.floats(-4, 4), st.integers(-3, 3))
+_PAIRS = st.tuples(_NUMBERS, _NUMBERS).map(list)
+_HOSTILE = st.sampled_from([float("nan"), float("inf"), -1e308, 10**400, -(10**400), True,
+                            False, None, "1", "a", [], [1, [2]], {}])
+
+
+@st.composite
+def _vector_files(draw):
+    """A vector file's bytes: numbers and [re, im] pairs, often with one
+    entry, or one part of a pair, hostile."""
+    entries = draw(st.lists(st.one_of(_NUMBERS, _PAIRS), min_size=1, max_size=4))
+    i = draw(st.integers(0, len(entries) - 1))
+    where = draw(st.sampled_from(["none", "entry", "part", "text"]))
+    if where == "entry":
+        entries[i] = draw(st.one_of(_HOSTILE, st.lists(_NUMBERS, max_size=3)))
+    elif where == "part":
+        if not isinstance(entries[i], list):
+            entries[i] = [entries[i], 0]
+        entries[i][draw(st.integers(0, 1))] = draw(_HOSTILE)
+    elif where == "text":
+        return draw(st.sampled_from([b"{}", b"null", b'"1,0"', b"[1, ", b"[NaN, 0]",
+                                     b"[[1e400, 0], 0]", b"\xff\xfe[1]", b"9" * 5000]))
+    return json.dumps(entries).encode()
+
+
+@st.composite
+def _frame_files(draw):
+    """A frame file's bytes: a well-formed document, often with one key, one
+    entry or one part of an entry hostile, or one vector cut short."""
+    dim = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.lists(_PAIRS, min_size=dim, max_size=dim), min_size=1,
+                            max_size=6))
+    doc = {"dim": dim, "field": draw(st.sampled_from(["complex", "real"])), "vectors": vectors}
+    i, j = draw(st.integers(0, len(vectors) - 1)), draw(st.integers(0, dim - 1))
+    where = draw(st.sampled_from(["none", "dim", "field", "entry", "part", "short", "text"]))
+    if where == "dim":
+        doc["dim"] = draw(st.sampled_from([0, -1, True, 2.0, "2", None, 2**40, 10**400]))
+    elif where == "field":
+        doc["field"] = draw(st.sampled_from(["quaternion", None]))
+    elif where == "entry":
+        vectors[i][j] = draw(st.one_of(_HOSTILE, st.lists(_NUMBERS, max_size=3)))
+    elif where == "part":
+        vectors[i][j][draw(st.integers(0, 1))] = draw(_HOSTILE)
+    elif where == "short":
+        del vectors[i][j]
+    elif where == "text":
+        return draw(st.sampled_from([b"{]", b"\xff\xfe{", b"", b"[]", b"9" * 5000]))
+    return json.dumps(doc).encode()
+
+
+# Each option is a pair of strategies, (valid values, hostile values), or
+# None for a switch; the option "" is the command's positional argument.
+# Files are named under {dir}, which the test replaces by its directory.
+_FRAME = (st.sampled_from(["{dir}/merc.json", "{dir}/p4.json", "{dir}/g3.json"]),
+          st.sampled_from(["{dir}/drawn.json", "{dir}/missing.json"]))
+_SUBSET = (st.sampled_from(["", "all", "random", "random:2", "0", "0,1", "0-2", " 1 "]),
+           st.one_of(st.sampled_from(["random:99", "1,1", "2-1", "0-99", "-1", "1,",
+                                      "0-" + "9" * 25, "1" * 5000, "random:" + "1" * 5000]),
+                     st.text("0123456789,-:ralndom ", max_size=8)))
+_VECTOR = (st.sampled_from(["random", "1,0", "0.5+0.5j,1", "-0,0"] + ["@{dir}/vec.json"] * 4),
+           st.sampled_from(["1e308,1e308", "nan,0", "inf,0", "1,2,3", "", ",", "x",
+                            "@{dir}/missing.json", "1" * 5000]))
+_LAMBDA = (st.sampled_from(["auto", "0.5", "1", "3"]),
+           st.sampled_from(["nan", "inf", "-inf", "-0", "0", "1e-300", "1e300", "x"]))
+_TOLERANCE = (st.sampled_from(["1e-9", "0.5", "1e-300", "1e300"]),
+              st.sampled_from(["nan", "inf", "-inf", "-0", "0", "x"]))
+_SEED = (st.integers(-2, 16).map(str),
+         st.one_of(st.integers(-2**70, 2**70).map(str), st.just("x")))
+_OUT = (st.just("{dir}/out.json"), st.just("{dir}/nope/out.json"))
+
+
+def _sizes(low: int, top: int):
+    return st.integers(low, top).map(str), st.integers(-2, low - 1).map(str)
+
+
+def _ranges(top: int):
+    pairs = st.tuples(st.integers(-1, top), st.integers(-1, top)).map(lambda p: "%d,%d" % p)
+    return (st.tuples(st.integers(1, top), st.integers(1, top)).map(
+                lambda p: "%d,%d" % tuple(sorted(p))),
+            st.one_of(pairs, st.sampled_from(["x", "1,2,3", ""])))
+
+
+def _choice(valid: list, hostile: str = "bogus"):
+    return st.sampled_from(valid), st.just(hostile)
+
+
+_COMMANDS = {
+    "gen": {"": _choice(["onb", "doubled-onb", "mercedes", "harmonic", "random-gaussian",
+                         "random-parseval"]),
+            "dim": _sizes(1, 16), "count": _sizes(1, 64), "seed": _SEED,
+            "field": _choice(["real", "complex"]), "out": _OUT},
+    "analyze": {"": _FRAME, "mode": _choice(["bounds", "dual", "parsevalize"]),
+                "tolerance": _TOLERANCE, "out": _OUT},
+    "identity": {"": _FRAME,
+                 "variant": _choice(["pfi", "general", "tight", "overlap", "subspace"]),
+                 "J": _SUBSET, "E": _SUBSET, "f": _VECTOR, "lambda": _LAMBDA,
+                 "ambient-dim": _sizes(1, 16), "parsevalize": None, "tolerance": _TOLERANCE,
+                 "seed": _SEED},
+    "equiv": {"": _FRAME, "J": _SUBSET, "f": _VECTOR, "parsevalize": None,
+              "tolerance": _TOLERANCE, "seed": _SEED},
+    "extend": {"": _FRAME, "lambda": _LAMBDA, "mix-seed": _SEED, "tolerance": _TOLERANCE,
+               "out": _OUT},
+    "property-run": {"suite": _choice(["pfi", "general", "overlap", "bounds", "equivalence",
+                                       "sj", "extension", "all"]),
+                     "seed": _SEED, "trials": _sizes(1, 3), "dim-range": _ranges(16),
+                     "count-range": _ranges(64), "tolerance": _TOLERANCE, "quiet": None,
+                     "out": _OUT},
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command, its positional argument and some of its flags, in any order.
+    At most one value is hostile: a command stops at its first bad value, so
+    with several the checks after the first would seldom run."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = _COMMANDS[command]
+    hostile = draw(st.sampled_from([None, *(name for name in options if options[name])]))
+    argv, flags = [command], []
+    for name, option in options.items():
+        value = None if option is None else draw(option[1] if name == hostile else option[0])
+        if name == "":
+            argv.append(value)
+        elif name == hostile or draw(st.booleans()):
+            flags.append([f"--{name}"] + ([] if value is None else [value]))
+    return argv + [arg for flag in draw(st.permutations(flags)) for arg in flag]
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("argv")
+    write_frame(framecalc.mercedes(), str(work / "merc.json"))
+    write_frame(framecalc.random_parseval(4, 6, 1, "complex"), str(work / "p4.json"))
+    write_frame(framecalc.random_gaussian(3, 5, 2, "real"), str(work / "g3.json"))
+    return work
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argv=_argv(), vector=_vector_files(), frame=_frame_files())
+def test_any_argv_prints_one_strict_json_document_or_is_an_argparse_error(argv_dir, argv,
+                                                                          vector, frame):
+    (argv_dir / "vec.json").write_bytes(vector)
+    (argv_dir / "drawn.json").write_bytes(frame)
+    argv = [arg.replace("{dir}", str(argv_dir)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            assert (exc.code, out.getvalue()) == (2, "")
+            return
+    doc = json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(
+        f"non-strict {token}"))
+    assert code in (0, 1, 2)
+    assert (code == 2) <= ("error" in doc)
+    assert "Traceback" not in err.getvalue()

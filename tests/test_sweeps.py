@@ -342,24 +342,30 @@ def test_a_split_run_raises_the_serial_error(monkeypatch, name):
     assert_no_child_left()
 
 
-def test_a_draw_error_ranks_before_every_solve_error_as_on_one_process(monkeypatch):
-    # the draw fails only in the group that comes last in serial order, and
-    # every solve fails, so each process holds a failure of its own
-    keys = set()
+@pytest.mark.parametrize("step", ["draw", "solve"])
+def test_the_first_failing_group_in_serial_order_raises_as_on_one_process(monkeypatch, step):
+    # the second group in serial order fails at `step` and every later group
+    # at the other step, so each process holds a failure of its own
+    keys = []
     for t in range(SPLIT.trials):
         field, d, _ = sweeps._draw_shape(sweeps._trial_rng(SPLIT, "overlap", t), SPLIT)
         if (field, d) not in keys:
-            keys.add((field, d))
-            last = t
+            keys.append((field, d))
+    first, later = keys[1], keys[2:]
+    other = "solve" if step == "draw" else "draw"
     draw, solve, reducers = sweeps._SUITES["overlap"]
 
-    def failing_draw(rng, t, *shape):
-        if t == last:
-            raise ValueError(f"draw {t}")
-        return draw(rng, t, *shape)
+    def fail_at(name, key):
+        if (name == step and key == first) or (name == other and key in later):
+            raise ValueError(f"{name} {key}")
+
+    def failing_draw(rng, t, field, d, n):
+        fail_at("draw", (field, d))
+        return draw(rng, t, field, d, n)
 
     def failing_solve(group, config):
-        raise ValueError(f"solve {group[0]['d']}")
+        fail_at("solve", (group[0]["field"], group[0]["d"]))
+        return solve(group, config)
 
     monkeypatch.setitem(sweeps._SUITES, "overlap", (failing_draw, failing_solve, reducers))
     raised = []
@@ -368,7 +374,7 @@ def test_a_draw_error_ranks_before_every_solve_error_as_on_one_process(monkeypat
         with pytest.raises(ValueError) as exc:
             run_suite("overlap", SPLIT)
         raised.append(str(exc.value))
-    assert raised[0] == raised[1] == f"draw {last}"
+    assert raised[0] == raised[1] == f"{step} {first}"
     assert_no_child_left()
 
 

@@ -2,9 +2,10 @@
 
 Runs every command below as `python -W error -m framecalc.cli ...` in a
 fresh temporary directory, with relative file names, so the echoed
-`command` field does not depend on where the tool runs. Commands run in
-order; the first few write the frame files the later ones read. Prints
-one line per command:
+`command` field does not depend on where the tool runs. The vector files
+of VECTOR_FILES are written there first. Commands run in order; the first
+few write the frame files the later ones read. Prints one line per
+command:
 
     <exit code> <sha256> <stderr bytes> <argv>
 
@@ -61,6 +62,10 @@ COMMANDS = [
     "identity g16.json --parsevalize --J all --f random --seed 9",
     "equiv p16.json --J random --seed 7",
     "equiv merc.json --J 0 --f 1,0",
+    # --f @file: plain numbers and [re, im] pairs
+    "identity merc.json --J 0 --f @v2.json",
+    "identity p16.json --variant general --J 1,4,9 --f @v16.json",
+    "equiv p16.json --J 0-7 --f @v16.json",
     "extend g16.json --out ext.json",
     "extend merc.json --lambda 2 --mix-seed 5",
     "property-run --help",
@@ -95,6 +100,12 @@ COMMANDS = [
     "identity merc.json --J 0 --f 1e308,1e308",
 ]
 
+# the vector files the `--f @file` commands read, as exact JSON text
+VECTOR_FILES = {
+    "v2.json": "[1, [0.5, -0.25]]\n",
+    "v16.json": "[0.5, [0, 1], -2, [1e-3, -4.5], [0.25, 0.25], 3, -0.0, [7, 0],"
+                " 1.5e-2, [-1, -1], 0, [2.5, 0.5], -0.75, [0, -3], 4, [1, 2]]\n",
+}
 
 FLOAT_GAP = 1e-12
 
@@ -108,6 +119,8 @@ def run_commands(src: Path) -> list[tuple[str, int, bytes, bytes | None, int]]:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     runs = []
     with tempfile.TemporaryDirectory() as work:
+        for name, text in VECTOR_FILES.items():
+            (Path(work) / name).write_text(text, encoding="utf-8")
         for command in COMMANDS:
             argv = command.split()
             proc = subprocess.run(
