@@ -30,6 +30,7 @@ completions.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -60,6 +61,7 @@ from .rng import SplitMix64
 TAU_ID = 1e-9
 TAU_FRAME_COEFF = 1e-10
 MAX_COND = 1.0e3  # largest cond(S) a random Parseval or conditioned Gaussian draw accepts
+_RESAMPLE_LIMIT = 1000  # Gaussian attempts a conditioned draw makes before it gives up
 
 _FIELDS = ("real", "complex")
 
@@ -474,13 +476,16 @@ def _gaussian_rows(dim: int, count: int, seed: int, field: str) -> np.ndarray:
     return SplitMix64(seed).normals(count * dim, field).reshape(count, dim)
 
 
-def _gaussian_stack(dim: int, counts: list[int], seeds: list[int], field: str) -> np.ndarray:
+def _gaussian_group(dim: int, counts: list[int], seeds: list[int],
+                    field: str) -> tuple[np.ndarray, np.ndarray, EigenDecomposition]:
     """random_gaussian(dim, n, seed, field).vectors for each (n, seed), zero-padded
-    into one (len(counts), max(counts), dim) stack."""
+    into one (len(counts), max(counts), dim) stack, their frame operators and
+    the spectra of those, from one stacked eigendecomposition."""
     gauss = np.zeros((len(counts), max(counts), dim), dtype=np.complex128)
     for k, (n, seed) in enumerate(zip(counts, seeds)):
         gauss[k, :n] = _gaussian_rows(dim, n, seed, field)
-    return gauss
+    s = _operator(gauss)
+    return gauss, s, hermitian_eig(s)
 
 
 def random_gaussian(dim: int, count: int, seed: int, field: str = "real") -> Frame:
@@ -504,6 +509,18 @@ def _conditioning(eigenvalues: np.ndarray) -> tuple:
     return is_frame & (cond <= MAX_COND), cond
 
 
+def _first_conditioned(dim: int, count: int, seeds, field: str) -> tuple[Frame, float]:
+    """The first random_gaussian(dim, count, seed, field), over the seeds of
+    the iterator `seeds`, that _conditioning accepts, with its cond(S);
+    RuntimeError once _RESAMPLE_LIMIT attempts are rejected."""
+    for seed in itertools.islice(seeds, _RESAMPLE_LIMIT):
+        frame = random_gaussian(dim, count, seed, field)
+        accepted, cond = _conditioning(frame.spectrum.eigenvalues)
+        if accepted:
+            return frame, float(cond)
+    raise RuntimeError("no well-conditioned Gaussian draw found")
+
+
 def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Frame:
     """Parseval conversion of a seeded Gaussian frame; needs count >= dim.
 
@@ -515,14 +532,8 @@ def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Fra
     """
     if count < dim:
         raise BadParams(f"need count >= dim, got dim={dim}, count={count}")
-    stream = SplitMix64(seed)
-    attempt_seed = int(seed)
-    for _ in range(100):
-        frame = random_gaussian(dim, count, attempt_seed, field)
-        if _conditioning(frame.spectrum.eigenvalues)[0]:
-            return parsevalize(frame)
-        attempt_seed = stream.next_raw()
-    raise RuntimeError("no well-conditioned Gaussian draw found")  # pragma: no cover
+    seeds = itertools.chain([int(seed)], iter(SplitMix64(seed).next_raw, None))
+    return parsevalize(_first_conditioned(dim, count, seeds, field)[0])
 
 
 def _parseval_stack(dim: int, counts: list[int], seeds: list[int], field: str) -> np.ndarray:
@@ -534,8 +545,7 @@ def _parseval_stack(dim: int, counts: list[int], seeds: list[int], field: str) -
     draw that random_parseval would reject is redrawn by random_parseval
     itself. A row differs from the single conversion only in rounding.
     """
-    gauss = _gaussian_stack(dim, counts, seeds, field)
-    dec = hermitian_eig(_operator(gauss))
+    gauss, _, dec = _gaussian_group(dim, counts, seeds, field)
     ok = _conditioning(dec.eigenvalues)[0]
     gauss[ok] = _spectral_rows(
         gauss[ok], EigenDecomposition(dec.eigenvalues[ok], dec.eigenvectors[ok]), "inv_sqrt", field)

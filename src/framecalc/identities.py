@@ -506,7 +506,8 @@ def _equivalence_residuals(vectors: np.ndarray, v: np.ndarray, mask: np.ndarray)
     ]
 
 
-def _equivalence_report(residuals, scale: float, tolerance: float) -> EquivalenceReport:
+def _equivalence_report(residuals, norm_f: float, tolerance: float) -> EquivalenceReport:
+    scale = max(1.0, norm_f)
     conditions = tuple(
         ConditionResult(label=lab, residual=float(r / scale), holds=bool(r / scale <= tolerance))
         for lab, r in zip(_CONDITION_LABELS, residuals)
@@ -530,7 +531,7 @@ def equivalence_conditions(frame: Frame, subset, f,
     mask = subset_mask(subset, frame.count)
     v = as_vector(f, frame.dim)
     residuals = _equivalence_residuals(frame.vectors, v, mask)
-    return _equivalence_report(residuals, max(1.0, norm_sq(v)), tolerance)
+    return _equivalence_report(residuals, norm_sq(v), tolerance)
 
 
 @dataclass(frozen=True)

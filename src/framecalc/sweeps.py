@@ -10,6 +10,8 @@ function of (suite, seed, trials, ranges) and the suite section of an
 A suite is a draw function, a solve function and the reducers that fold
 its rows into a summary; `run_suite` feeds blocks of at most _BLOCK
 trials to the one runner, so memory stays bounded at any trial count.
+The runner writes each row's leading keys (suite, trial, d, n, field);
+a solve takes the group's draws and the tolerance, and returns the rest.
 Every suite is batched: the block's trials are grouped by (field, d);
 every trial of a group makes its draws from its own stream, in the same
 order as a trial run alone would, and then the group goes through the
@@ -21,9 +23,12 @@ the trial's draws: their draw stops at the first attempt's seed, the
 solve tests every first attempt of the group with one stacked
 eigendecomposition, a rejected trial falls back to drawing further
 attempts from its own stream, and only then are the trial's remaining
-inputs drawn. Per-trial extras (the pfi subspace embedding, the general
-Parseval reduction, the equivalence orthogonal-union construction, the sj
-raw resolutions, the extension mixing unitary) stay per-trial calls. A
+inputs drawn. A conditioned draw, here or in random_parseval, gives up
+with RuntimeError after 1,000 rejected attempts (frames._RESAMPLE_LIMIT).
+The sj raw resolutions are checked as one stack per group, after its
+frame splits; the other per-trial extras (the pfi subspace embedding, the
+general Parseval reduction, the equivalence orthogonal-union
+construction, the extension mixing unitary) stay per-trial calls. A
 row agrees with its scalar replay, one trial through the public
 functions, to 1e-12 * max(1, |v|) in every float and exactly in every
 count, flag and string; it depends on the other trials of its group only
@@ -67,7 +72,8 @@ from .frames import (
     _completion,
     _conditioning,
     _finite_operator,
-    _gaussian_stack,
+    _first_conditioned,
+    _gaussian_group,
     _match_field,
     _operator,
     _parseval_stack,
@@ -77,7 +83,6 @@ from .frames import (
     as_tolerance,
     embed_subspace_frame,
     norm_sq,
-    random_gaussian,
     random_isometry,
     random_parseval,
 )
@@ -103,15 +108,12 @@ from .identities import (
     _self_adjoint_product,
     _split_report,
     general_identity_report,
-    operator_identity_check,
     parseval_identity_report,
-    self_adjoint_product_check,
     subspace_identity_report,
 )
 from .linalg import EigenDecomposition, frobenius, hermitian_eig, hermitize
 from .rng import SplitMix64
 
-_RESAMPLE_LIMIT = 1000
 _BLOCK = 1024  # trials drawn and solved together; bounds the size of the stacks
 # processes a block's (field, d) groups are shared out to, at most one per CPU
 # this process may run on, and the trials per process below which the fork
@@ -170,13 +172,8 @@ def _draw_shape(rng: SplitMix64, config: RunConfig) -> tuple[str, int, int]:
 def _conditioned_gaussian(rng: SplitMix64, dim: int, count: int, field: str) -> tuple[Frame, float]:
     """Seeded Gaussian frame resampled until cond(S) <= 1e3, for a trial
     whose first attempt was rejected: each further attempt is seeded by the
-    stream's next raw output, and the limit counts the first attempt too."""
-    for _ in range(1, _RESAMPLE_LIMIT):
-        frame = random_gaussian(dim, count, rng.next_raw(), field)
-        accepted, cond = _conditioning(frame.spectrum.eigenvalues)
-        if accepted:
-            return frame, float(cond)
-    raise RuntimeError("could not draw a well-conditioned frame")  # pragma: no cover
+    stream's next raw output."""
+    return _first_conditioned(dim, count, iter(rng.next_raw, None), field)
 
 
 def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[np.ndarray, list[int]]:
@@ -243,10 +240,8 @@ def _conditioned_group(group: list[dict]) -> tuple:
     would, and its accepted frame replaces the first attempt in every array.
     """
     field, d = group[0]["field"], group[0]["d"]
-    vectors = _gaussian_stack(d, [draw["n"] for draw in group],
-                              [draw["seed"] for draw in group], field)
-    s = _operator(vectors)
-    dec = hermitian_eig(s)
+    vectors, s, dec = _gaussian_group(d, [draw["n"] for draw in group],
+                                      [draw["seed"] for draw in group], field)
     w, v = dec.eigenvalues.copy(), dec.eigenvectors.copy()
     accepted, cond = _conditioning(w)
     for k in np.flatnonzero(~accepted):
@@ -262,10 +257,6 @@ def _columns(arrays) -> list[tuple]:
     return list(zip(*(a.tolist() for a in arrays)))
 
 
-def _shape(draw: dict) -> dict:
-    return {"d": draw["d"], "n": draw["n"], "field": draw["field"]}
-
-
 def _pfi_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
     draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "subset": rng.subset(n),
             "f": rng.unit_vector(d, field), "lam": 0.25 + 3.0 * rng.uniform()}
@@ -275,10 +266,9 @@ def _pfi_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
     return draw
 
 
-def _pfi_solve(group: list[dict], config: RunConfig) -> list[dict]:
+def _pfi_solve(group: list[dict], tol: float) -> list[dict]:
     """Parseval energy-split identity, plus the bound checks, the tight
     rescaling consistency, and (every 10th trial) a subspace embedding."""
-    tol = config.tol
     vectors, mask, w = _parseval_group(group, tol)
     f = np.array([draw["f"] for draw in group])
     lam = np.array([draw["lam"] for draw in group])
@@ -303,7 +293,6 @@ def _pfi_solve(group: list[dict], config: RunConfig) -> list[dict]:
             abs(tight.lhs - factor * rep.lhs), abs(tight.rhs - factor * rep.rhs)
         ) / max(1.0, factor)
         row = {
-            **_shape(draw),
             "rel_diff": rep.rel_diff,
             "min_side": min_side,
             "bound_ratio": tq.value / nf,
@@ -344,16 +333,16 @@ def _overlap_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
     return draw
 
 
-def _overlap_solve(group: list[dict], config: RunConfig) -> list[dict]:
+def _overlap_solve(group: list[dict], tol: float) -> list[dict]:
     """Disjoint-growth identity: J extended by random E inside the complement."""
-    vectors, mask, _ = _parseval_group(group, config.tol)
+    vectors, mask, _ = _parseval_group(group, tol)
     f = np.array([draw["f"] for draw in group])
     e = _masks(group, "e", vectors.shape[1])
     rows = []
     for draw, terms in zip(group, _columns(_overlap_sides(vectors, _analysis(vectors, f),
                                                           mask, e))):
-        rep = _overlap_report(terms, config.tol)
-        rows.append({**_shape(draw), "rel_diff": rep.rel_diff, "passed": rep.passed})
+        rep = _overlap_report(terms, tol)
+        rows.append({"rel_diff": rep.rel_diff, "passed": rep.passed})
     return rows
 
 
@@ -368,17 +357,16 @@ def _equivalence_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> di
     return draw
 
 
-def _equivalence_solve(group: list[dict], config: RunConfig) -> list[dict]:
+def _equivalence_solve(group: list[dict], tol: float) -> list[dict]:
     """Six-way equivalence: random Parseval splits (generically all-false)
     and, every 5th trial, an orthogonal-union construction (all-true)."""
-    vectors, mask, _ = _parseval_group(group, config.tol)
+    vectors, mask, _ = _parseval_group(group, tol)
     f = np.array([draw["f"] for draw in group])
     residuals = _columns(_equivalence_residuals(vectors, f, mask))
     rows = []
     for draw, res, nf in zip(group, residuals, norm_sq(f).tolist()):
-        rep = _equivalence_report(res, max(1.0, nf), config.tol)
+        rep = _equivalence_report(res, nf, tol)
         rows.append({
-            **_shape(draw),
             "structured": draw["structured"],
             "pattern": "".join("T" if c.holds else "F" for c in rep.conditions),
             "consistent": rep.consistent,
@@ -396,25 +384,29 @@ def _sj_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
     return draw
 
 
-def _sj_solve(group: list[dict], config: RunConfig) -> list[dict]:
+def _sj_solve(group: list[dict], tol: float) -> list[dict]:
     """Partial-operator structure, the resolution-difference identity, and
     the self-adjoint product equivalence (frame splits every trial; raw
     Hermitian and non-Hermitian resolutions every 5th)."""
-    tol = config.tol
+    d = group[0]["d"]
     vectors, mask, _ = _parseval_group(group, tol)
     s_j = _partial_operator(vectors, mask)
     s_jc = _partial_operator(vectors, ~mask)
     structure = _columns(_partial_structure(s_j, s_jc, tol))
-    _require_resolution(s_j, s_jc, tol)
-    op_check = _columns(_operator_identity(s_j, s_jc, tol))
-    sa_check = _columns(_self_adjoint_product(s_j, s_jc))
+    # the resolutions (S_J, S_Jc) of the frame splits, then the raw ones
+    # (h, I - h) for h = hermitize(g) and then g, for each raw g in trial order
+    raw = [k for k, draw in enumerate(group) if "raw" in draw]
+    g = np.array([group[k]["raw"] for k in raw]).reshape(-1, d, d)
+    pairs = np.stack([hermitize(g), g], axis=1).reshape(-1, d, d)
+    s, t = np.concatenate([s_j, pairs]), np.concatenate([s_jc, np.eye(d) - pairs])
+    _require_resolution(s, t, tol)
+    checks = _columns((*_operator_identity(s, t, tol), *_self_adjoint_product(s, t)))
+    raw_checks = dict(zip(raw, zip(checks[len(group)::2], checks[len(group) + 1::2])))
     rows = []
     for k, draw in enumerate(group):
         residual, min_eig_product, min_eig_gap, _, structure_ok = structure[k]
-        op_res, op_ok = op_check[k]
-        s_sa, t_sa, p_sa = sa_check[k]
+        op_res, op_ok, s_sa, t_sa, p_sa = checks[k]
         row = {
-            **_shape(draw),
             "residual_identity": residual,
             "min_eig_product": min_eig_product,
             "min_eig_gap": min_eig_gap,
@@ -424,23 +416,16 @@ def _sj_solve(group: list[dict], config: RunConfig) -> list[dict]:
                 structure_ok and op_ok and ((s_sa and t_sa) == p_sa) and p_sa
             ),
         }
-        if "raw" in draw:
-            # raw resolutions of the identity, Hermitian and not
-            g = draw["raw"]
-            eye = np.eye(draw["d"])
-            h = hermitize(g)
-            op_h = operator_identity_check(h, eye - h, tol)
-            sa_h = self_adjoint_product_check(h, eye - h, tol)
-            op_n = operator_identity_check(g, eye - g, tol)
-            sa_n = self_adjoint_product_check(g, eye - g, tol)
-            row["rel_diff"] = max(row["rel_diff"], op_h.residual, op_n.residual)
+        if k in raw_checks:
+            (res_h, ok_h, s_h, t_h, p_h), (res_n, ok_n, s_n, t_n, p_n) = raw_checks[k]
+            row["rel_diff"] = max(row["rel_diff"], res_h, res_n)
             # a real 1x1 draw is self-adjoint, so only a larger or complex
             # draw must give a product that is not
             row["passed"] = bool(
                 row["passed"]
-                and op_h.passed and sa_h.equivalence_holds and sa_h.product_self_adjoint
-                and op_n.passed and sa_n.equivalence_holds
-                and (not sa_n.product_self_adjoint or (draw["d"] == 1 and draw["field"] == "real"))
+                and ok_h and ((s_h and t_h) == p_h) and p_h
+                and ok_n and ((s_n and t_n) == p_n)
+                and (not p_n or (d == 1 and draw["field"] == "real"))
             )
         rows.append(row)
     return rows
@@ -451,10 +436,9 @@ def _general_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
             "reduction": t % 10 == 0}
 
 
-def _general_solve(group: list[dict], config: RunConfig) -> list[dict]:
+def _general_solve(group: list[dict], tol: float) -> list[dict]:
     """Dual-weighted energy split on conditioned Gaussian frames; every
     10th trial cross-checks the Parseval reduction term by term."""
-    tol = config.tol
     field, d = group[0]["field"], group[0]["d"]
     vectors, _, dec, cond = _conditioned_group(group)
     for draw in group:
@@ -471,7 +455,6 @@ def _general_solve(group: list[dict], config: RunConfig) -> list[dict]:
     for draw, cond_k, sides_k in zip(group, cond.tolist(), sides):
         rep = _split_report(_GENERAL_TERMS, sides_k, tol)
         row = {
-            **_shape(draw),
             "cond": cond_k,
             "rel_diff": rep.rel_diff,
             "reduction_dev": None,
@@ -499,10 +482,9 @@ def _bounds_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
     return {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "rng": rng}
 
 
-def _bounds_solve(group: list[dict], config: RunConfig) -> list[dict]:
+def _bounds_solve(group: list[dict], tol: float) -> list[dict]:
     """Frame inequality, operator-norm sandwich, dual reconstruction,
     partial-operator additivity, and Parseval conversion."""
-    tol = config.tol
     field, d = group[0]["field"], group[0]["d"]
     vectors, s, dec, cond = _conditioned_group(group)
     for draw in group:
@@ -530,7 +512,6 @@ def _bounds_solve(group: list[dict], config: RunConfig) -> list[dict]:
     for draw, (cond_k, ineq, sandwich, recon_k, additivity, pdev) in zip(group, _columns(
             (cond, inequality_ok, sandwich_ok, recon_err, additivity_err, parseval_dev))):
         rows.append({
-            **_shape(draw),
             "cond": cond_k,
             "inequality_ok": ineq,
             "sandwich_ok": sandwich,
@@ -558,7 +539,7 @@ def _extension_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict
     return draw
 
 
-def _extension_solve(group: list[dict], config: RunConfig) -> list[dict]:
+def _extension_solve(group: list[dict], tol: float) -> list[dict]:
     """Canonical vs unitary-mixed tight completions: equal added energy,
     operator, and span; lam alternates between lambda_max and a larger value.
 
@@ -566,11 +547,9 @@ def _extension_solve(group: list[dict], config: RunConfig) -> list[dict]:
     families of a trial are (d, d) under the mask of kept columns; the
     mixing unitary acts on the kept positions only.
     """
-    tol = config.tol
     field, d = group[0]["field"], group[0]["d"]
-    base = _gaussian_stack(d, [draw["n"] for draw in group],
-                           [draw["seed"] for draw in group], field)
-    dec = hermitian_eig(_finite_operator(base))
+    base, _, dec = _gaussian_group(d, [draw["n"] for draw in group],
+                                   [draw["seed"] for draw in group], field)
     upper = np.maximum(dec.eigenvalues[:, -1], 0.0).tolist()
     lam = np.array([u if draw["stretch"] is None else u * draw["stretch"]
                     for u, draw in zip(upper, group)])
@@ -595,7 +574,6 @@ def _extension_solve(group: list[dict], config: RunConfig) -> list[dict]:
             (lam, keep.sum(axis=-1), energy_equal, operator_equal, span_equal,
              frobenius(ops[0] - ops[1]), max_rel))):
         rows.append({
-            **_shape(draw),
             "lam": lam_k,
             "added_count": count,
             "energy_equal": energy_eq,
@@ -640,10 +618,10 @@ def _run_block(name: str, trials: range, config: RunConfig) -> list[dict]:
     try:
         for part in parts[1:]:
             try:
-                children.append(_fork_part(name, part, config))
+                children.append(_fork_part(name, part, config.tol))
             except OSError:  # no process to spare: solve the part here
                 local.append(part)
-        results = [_solve_part(name, part, config) for part in local]
+        results = [_solve_part(name, part, config.tol) for part in local]
         while children:
             results.append(_collect(name, *children.pop(0)))
     finally:
@@ -657,7 +635,7 @@ def _run_block(name: str, trials: range, config: RunConfig) -> list[dict]:
     return [rows[t] for t in trials]
 
 
-def _solve_part(name: str, part: list[tuple], config: RunConfig) -> tuple[dict, tuple | None]:
+def _solve_part(name: str, part: list[tuple], tol: float) -> tuple[dict, tuple | None]:
     """Rows by trial of the groups in `part`, each (serial index, (field, d),
     [(trial, stream after the shape, n), ...]), and the first failure as
     (serial index, exception), or None. Each group is drawn and then solved,
@@ -667,7 +645,8 @@ def _solve_part(name: str, part: list[tuple], config: RunConfig) -> tuple[dict, 
     for index, (field, d), members in part:
         try:
             group = [draw(rng, t, field, d, n) for t, rng, n in members]
-            rows.update(zip((t for t, _, _ in members), solve(group, config)))
+            for (t, _, _), dr, row in zip(members, group, solve(group, tol)):
+                rows[t] = {"suite": name, "trial": t, "d": d, "n": dr["n"], "field": field, **row}
         except Exception as exc:  # carried to the merge, which raises it in serial order
             return rows, (index, exc)
     return rows, None
@@ -687,7 +666,7 @@ def _collect(name: str, pid: int, fd: int) -> tuple:
     return pickle.loads(payload)
 
 
-def _fork_part(name: str, part: list[tuple], config: RunConfig) -> tuple[int, int]:
+def _fork_part(name: str, part: list[tuple], tol: float) -> tuple[int, int]:
     """Fork a child that solves `part` and writes its pickled result to a
     pipe; returns the child's pid and the pipe's read end. The child always
     leaves through os._exit, so it never returns into the caller's stack or
@@ -708,7 +687,7 @@ def _fork_part(name: str, part: list[tuple], config: RunConfig) -> tuple[int, in
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pickle.dump(_solve_part(name, part, config), pipe)
+                pickle.dump(_solve_part(name, part, tol), pipe)
             status = 0
         finally:
             os._exit(status)
@@ -736,12 +715,7 @@ def _verdict(row: dict) -> str:
     return "passed" if row["passed"] else "failed"
 
 
-_TALLY = (
-    ("total", _count, 0, lambda row: (True,)),
-    ("passed", _count, 0, lambda row: (_verdict(row) == "passed",)),
-    ("failed", _count, 0, lambda row: (_verdict(row) == "failed",)),
-    ("borderline", _count, 0, lambda row: (_verdict(row) == "borderline",)),
-)
+_TALLY = ("total", "passed", "failed", "borderline")
 _MAX_REL = ("max_rel_diff", max, 0.0, "rel_diff")
 _INF = float("inf")
 
@@ -799,8 +773,11 @@ _SUITES = {
 
 
 def _summarize(rows: list[dict], reducers) -> dict:
-    summary = {key: initial for key, _, initial, _ in reducers}
+    """The tally of the rows' verdicts, then each reducer's fold of them."""
+    summary = dict.fromkeys(_TALLY, 0) | {key: initial for key, _, initial, _ in reducers}
+    summary["total"] = len(rows)
     for row in rows:
+        summary[_verdict(row)] += 1
         for key, fold, _, source in reducers:
             values = source(row) if callable(source) else (row[source],)
             for value in values:
@@ -818,10 +795,8 @@ def run_suite(name: str, config: RunConfig) -> tuple[list[dict], dict]:
         ) from None
     rows = []
     for start in range(0, config.trials, _BLOCK):
-        block = range(start, min(start + _BLOCK, config.trials))
-        rows += [{"suite": name, "trial": t, **row}
-                 for t, row in zip(block, _run_block(name, block, config))]
-    return rows, _summarize(rows, _TALLY + reducers)
+        rows += _run_block(name, range(start, min(start + _BLOCK, config.trials)), config)
+    return rows, _summarize(rows, reducers)
 
 
 def run_suites(names: list[str], config: RunConfig) -> tuple[list[dict], dict]:
@@ -832,7 +807,7 @@ def run_suites(names: list[str], config: RunConfig) -> tuple[list[dict], dict]:
         results, summary = run_suite(name, config)
         all_results.extend(results)
         summaries.append((name, summary))
-    combined = {key: sum(s[key] for _, s in summaries) for key, *_ in _TALLY}
+    combined = {key: sum(s[key] for _, s in summaries) for key in _TALLY}
     combined["max_rel_diff"] = max([0.0] + [s["max_rel_diff"] for _, s in summaries])
     combined["suites"] = dict(summaries)
     return all_results, combined

@@ -13,6 +13,7 @@ import numpy as np
 
 from framecalc.frames import (
     MAX_COND,
+    _RESAMPLE_LIMIT,
     Frame,
     _partial_operator,
     bessel_inequality_check,
@@ -46,7 +47,6 @@ from framecalc.identities import (
 from framecalc.linalg import frobenius, hermitize
 from framecalc.rng import SplitMix64
 from framecalc.sweeps import (
-    _RESAMPLE_LIMIT,
     RunConfig,
     _draw_shape,
     _orthogonal_union,

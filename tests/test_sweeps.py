@@ -19,7 +19,20 @@ from framecalc import (
     run_suites,
 )
 from framecalc import cli, frames, sweeps
-from framecalc.frames import complete_to_tight, frame_bounds, random_gaussian, random_parseval
+from framecalc.frames import (
+    complete_to_tight,
+    frame_bounds,
+    partial_operator_matrix,
+    random_gaussian,
+    random_parseval,
+)
+from framecalc.identities import (
+    operator_identity_check,
+    partial_structure_check,
+    self_adjoint_product_check,
+)
+from framecalc.linalg import hermitize
+from framecalc.rng import SplitMix64
 
 SMALL = RunConfig(seed=5, trials=40, dim_range=(2, 6), count_range=(2, 16))
 
@@ -219,6 +232,21 @@ def test_rejected_first_gaussian_draws_go_on_in_their_own_stream(monkeypatch, na
     assert_rows_match(rows, scalar_rows(name, config))
 
 
+@pytest.mark.parametrize("draw", [
+    lambda: random_parseval(3, 4, 7),
+    lambda: sweeps._conditioned_gaussian(SplitMix64(7), 3, 4, "real"),
+], ids=["random_parseval", "conditioned_gaussian"])
+def test_a_conditioned_draw_gives_up_after_the_one_limit(monkeypatch, draw):
+    attempts = []
+    gaussian = frames.random_gaussian
+    monkeypatch.setattr(frames, "_conditioning", lambda eigenvalues: (False, np.inf))
+    monkeypatch.setattr(frames, "random_gaussian",
+                        lambda *args: attempts.append(args) or gaussian(*args))
+    with pytest.raises(RuntimeError):
+        draw()
+    assert len(attempts) == frames._RESAMPLE_LIMIT
+
+
 def test_empty_and_nonempty_completions_share_a_group():
     rows, summary = run_suite("extension", ORACLE_CONFIGS["small_d"])
     empty = {(row["field"], row["d"]) for row in rows if row["added_count"] == 0}
@@ -287,6 +315,44 @@ def test_sj_real_one_by_one_draws_are_not_demanded_non_hermitian():
     assert (rows[35]["field"], rows[35]["d"]) == ("real", 1)
     assert rows[35]["passed"]
     assert summary["failed"] == 0
+
+
+@pytest.mark.parametrize("config", [ORACLE_CONFIGS["seed101"], ORACLE_CONFIGS["small_d"]],
+                         ids=["seed101", "small_d"])
+def test_sj_raw_rows_carry_the_public_checks_exact_values(monkeypatch, config):
+    # the raw resolutions are checked as one stack; each raw row must still
+    # hold exactly the residuals and verdicts of the public checks
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
+    draw, solve, reducers = sweeps._SUITES["sj"]
+    drawn = {}
+    monkeypatch.setitem(sweeps._SUITES, "sj", (
+        lambda rng, t, *shape: drawn.setdefault(t, draw(rng, t, *shape)), solve, reducers))
+    rows, _ = run_suite("sj", config)
+    raw = [t for t in sorted(drawn) if "raw" in drawn[t]]
+    for t in raw:
+        row, dr, tol = rows[t], drawn[t], config.tol
+        d, n, field, subset, g = dr["d"], dr["n"], dr["field"], dr["subset"], dr["raw"]
+        frame = random_parseval(d, n, dr["seed"], field)
+        s_j = partial_operator_matrix(frame, subset)
+        s_jc = partial_operator_matrix(frame, sorted(set(range(n)) - set(subset)))
+        sa = self_adjoint_product_check(s_j, s_jc, tol)
+        split_ok = (partial_structure_check(frame, subset, tol).passed
+                    and operator_identity_check(s_j, s_jc, tol).passed
+                    and sa.equivalence_holds and sa.product_self_adjoint)
+        h, eye = hermitize(g), np.eye(d)
+        op_h, sa_h = (check(h, eye - h, tol)
+                      for check in (operator_identity_check, self_adjoint_product_check))
+        op_n, sa_n = (check(g, eye - g, tol)
+                      for check in (operator_identity_check, self_adjoint_product_check))
+        assert row["rel_diff"] == max(row["residual_identity"], row["op_residual"],
+                                      op_h.residual, op_n.residual), t
+        raw_ok = (op_h.passed and sa_h.equivalence_holds and sa_h.product_self_adjoint
+                  and op_n.passed and sa_n.equivalence_holds
+                  and (not sa_n.product_self_adjoint or (d == 1 and field == "real")))
+        assert row["passed"] is (split_ok and raw_ok), t
+    assert len(raw) == config.trials // 5
+    if config.dim_range[0] == 1:
+        assert any(rows[t]["d"] == 1 and rows[t]["field"] == "real" for t in raw)
 
 
 # ---------------------------------------------------------------------------

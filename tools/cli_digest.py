@@ -48,6 +48,8 @@ COMMANDS = [
     "gen random-parseval --dim 16 --count 40 --seed 1 --field complex --out p16.json",
     "gen random-gaussian --dim 16 --count 40 --seed 2 --out g16.json",
     "gen random-parseval --dim 3 --count 5 --seed 3 --field complex",
+    # the first Gaussian attempt is rejected, so random_parseval redraws
+    "gen random-parseval --dim 6 --count 6 --seed 1",
     "gen doubled-onb --dim 3",
     "gen harmonic --dim 3 --count 7",
     "analyze g16.json",
@@ -79,6 +81,8 @@ COMMANDS = [
     "property-run --suite pfi --trials 1100 --seed 11 --quiet",
     # every row through --leaves: empty completions, conditioned-draw fallbacks
     "property-run --suite extension --trials 50 --seed 3 --dim-range 1,3 --count-range 1,5",
+    # raw resolutions at d <= 3, among them the exempt real d = 1 one (trial 35)
+    "property-run --suite sj --trials 60 --seed 3 --dim-range 1,3 --count-range 1,5",
     "property-run --suite general --trials 60 --seed 5 --dim-range 6,6 --count-range 6,7",
     "property-run --suite bounds --trials 60 --seed 5 --dim-range 6,6 --count-range 6,7",
     # exit 1: a check fails or the input is outside a domain
