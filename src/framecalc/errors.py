@@ -14,7 +14,8 @@ class NotHermitian(FrameError):
 
 
 class NoConvergence(FrameError):
-    """Eigendecomposition backend failed to converge."""
+    """Eigendecomposition backend failed to converge, or a conditioned random
+    draw found no acceptable attempt within its limit."""
 
 
 class SingularMatrix(FrameError):

@@ -42,6 +42,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     LambdaTooSmall,
+    NoConvergence,
     NotAFrame,
     NotIsometry,
 )
@@ -56,7 +57,7 @@ from .linalg import (
     hermitize,
     spectral_apply,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, group_normals
 
 TAU_ID = 1e-9
 TAU_FRAME_COEFF = 1e-10
@@ -480,10 +481,12 @@ def _gaussian_group(dim: int, counts: list[int], seeds: list[int],
                     field: str) -> tuple[np.ndarray, np.ndarray, EigenDecomposition]:
     """random_gaussian(dim, n, seed, field).vectors for each (n, seed), zero-padded
     into one (len(counts), max(counts), dim) stack, their frame operators and
-    the spectra of those, from one stacked eigendecomposition."""
+    the spectra of those, from one stacked eigendecomposition. The rows are
+    drawn in one group draw over the streams of the seeds."""
     gauss = np.zeros((len(counts), max(counts), dim), dtype=np.complex128)
-    for k, (n, seed) in enumerate(zip(counts, seeds)):
-        gauss[k, :n] = _gaussian_rows(dim, n, seed, field)
+    rows = group_normals([SplitMix64(seed) for seed in seeds], [n * dim for n in counts], field)
+    for k, (n, g) in enumerate(zip(counts, rows)):
+        gauss[k, :n] = g.reshape(n, dim)
     s = _operator(gauss)
     return gauss, s, hermitian_eig(s)
 
@@ -512,13 +515,13 @@ def _conditioning(eigenvalues: np.ndarray) -> tuple:
 def _first_conditioned(dim: int, count: int, seeds, field: str) -> tuple[Frame, float]:
     """The first random_gaussian(dim, count, seed, field), over the seeds of
     the iterator `seeds`, that _conditioning accepts, with its cond(S);
-    RuntimeError once _RESAMPLE_LIMIT attempts are rejected."""
+    NoConvergence once _RESAMPLE_LIMIT attempts are rejected."""
     for seed in itertools.islice(seeds, _RESAMPLE_LIMIT):
         frame = random_gaussian(dim, count, seed, field)
         accepted, cond = _conditioning(frame.spectrum.eigenvalues)
         if accepted:
             return frame, float(cond)
-    raise RuntimeError("no well-conditioned Gaussian draw found")
+    raise NoConvergence(f"no {count} x {dim} Gaussian draw with cond(S) <= {MAX_COND:g} found")
 
 
 def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Frame:
@@ -542,15 +545,18 @@ def _parseval_stack(dim: int, counts: list[int], seeds: list[int], field: str) -
 
     The first attempts are drawn as random_parseval draws them and converted
     together, one eigendecomposition and one S^{-1/2} for the stack. A first
-    draw that random_parseval would reject is redrawn by random_parseval
-    itself. A row differs from the single conversion only in rounding.
+    draw that random_parseval would reject goes on as random_parseval goes
+    on, from the second attempt, and within the same limit of attempts. A
+    row differs from the single conversion only in rounding.
     """
     gauss, _, dec = _gaussian_group(dim, counts, seeds, field)
     ok = _conditioning(dec.eigenvalues)[0]
     gauss[ok] = _spectral_rows(
         gauss[ok], EigenDecomposition(dec.eigenvalues[ok], dec.eigenvectors[ok]), "inv_sqrt", field)
     for k in np.flatnonzero(~ok):
-        gauss[k, :counts[k]] = random_parseval(dim, counts[k], seeds[k], field).vectors
+        later = itertools.islice(iter(SplitMix64(seeds[k]).next_raw, None), _RESAMPLE_LIMIT - 1)
+        frame = _first_conditioned(dim, counts[k], later, field)[0]
+        gauss[k, :counts[k]] = parsevalize(frame).vectors
     return gauss
 
 

@@ -24,8 +24,20 @@ theta = 2 pi u2, yielding r cos(theta) then r sin(theta); drawing an odd
 count consumes a full pair and discards the last sine. Complex
 standard-normal entries are (g[2k] + i g[2k+1]) / sqrt(2) from consecutive
 gaussians. Every random vector and matrix in the package is drawn through
-normals(count, field), which picks one of the two by field, and random unit
-vectors through unit_vector(dim, field).
+normals(count, field), which picks one of the two by field, or its group
+form, and random unit vectors through unit_vector(dim, field), which is
+group_unit_vectors on one stream.
+
+Group draws. Each group_* function takes a list of streams, each at its own
+position, and makes one draw step for all of them at once: one mix64
+evaluation, one uniform conversion and one Box-Muller over the
+concatenation of their segments, with the single-stream methods' own
+helpers. The result of stream k is bitwise the result of the same
+single-stream call on streams[k], and every stream advances exactly as
+that call advances it. A real segment keeps an even length (an odd count
+still consumes a full pair), so every segment starts a fresh Box-Muller
+pair. A count of zero draws nothing and moves nothing. The sweeps draw
+each step for a whole (field, d) group of trials this way.
 
 The uint64 sequence is bit-reproducible everywhere; floating-point outputs
 are deterministic for a given platform's libm.
@@ -57,6 +69,34 @@ def mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _raw_at(seeds, positions: np.ndarray) -> np.ndarray:
+    """The raw output at each uint64 stream position of each seed."""
+    # uint64 array arithmetic wraps mod 2^64 without a warning, as mix64 needs
+    return mix64(seeds + positions * _GOLDEN)
+
+
+def _to_uniforms(raw: np.ndarray) -> np.ndarray:
+    """float64 in [0, 1): the top 53 bits of each raw output."""
+    return (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Gaussians from the consecutive uniform pairs (u1, u2) of an
+    even-length array: r cos(theta), then r sin(theta)."""
+    # 1 - u1 is in (0, 1], so the log is finite
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    theta = (2.0 * np.pi) * u[1::2]
+    out = np.empty(u.size)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out
+
+
+def _pair_complex(g: np.ndarray) -> np.ndarray:
+    """Complex normals (g[2k] + i g[2k+1]) / sqrt(2) of an even-length array."""
+    return (g[0::2] + 1j * g[1::2]) / np.sqrt(2.0)
+
+
 class SplitMix64:
     """One deterministic stream; all draws advance an integer position."""
 
@@ -80,8 +120,7 @@ class SplitMix64:
             raise ValueError("count must be >= 0")
         idx = np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64)
         self._pos += count
-        # uint64 array arithmetic wraps mod 2^64 without a warning, as mix64 needs
-        return mix64(self._seed + idx * _GOLDEN)
+        return _raw_at(self._seed, idx)
 
     def next_raw(self) -> int:
         """raw(1)[0] as a Python int."""
@@ -94,28 +133,17 @@ class SplitMix64:
 
     def uniforms(self, count: int) -> np.ndarray:
         """float64 in [0, 1), top 53 bits of each raw output."""
-        return (self.raw(count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return _to_uniforms(self.raw(count))
 
     def gaussians(self, count: int) -> np.ndarray:
         """Standard normal float64 via Box-Muller on uniform pairs."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        pairs = (count + 1) // 2
-        u = self.uniforms(2 * pairs)
-        u1 = u[0::2]
-        u2 = u[1::2]
-        # 1 - u1 is in (0, 1], so the log is finite
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        theta = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:count]
+        return _box_muller(self.uniforms(count + count % 2))[:count]
 
     def complex_gaussians(self, count: int) -> np.ndarray:
         """Standard complex normal: (x + iy)/sqrt(2) with x, y standard normal."""
-        g = self.gaussians(2 * count)
-        return (g[0::2] + 1j * g[1::2]) / np.sqrt(2.0)
+        return _pair_complex(self.gaussians(2 * count))
 
     def normals(self, count: int, field: str) -> np.ndarray:
         """`count` normals as complex128: gaussians with zero imaginary part
@@ -127,13 +155,7 @@ class SplitMix64:
     def unit_vector(self, dim: int, field: str) -> np.ndarray:
         """normals(dim, field) scaled to unit norm; a draw with norm <= 1e-12
         is discarded and drawn again."""
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        while True:
-            g = self.normals(dim, field)
-            norm = float(np.linalg.norm(g))
-            if norm > 1e-12:
-                return g / norm
+        return group_unit_vectors([self], dim, field)[0]
 
     def integers(self, count: int, bound: int) -> np.ndarray:
         """Integers in [0, bound) by modulo reduction (bias < 2**-50 for bound <= 2**14)."""
@@ -152,3 +174,85 @@ class SplitMix64:
         keys = self.uniforms(n)
         order = np.argsort(keys, kind="stable")
         return sorted(int(i) for i in order[:k])
+
+
+# ---------------------------------------------------------------------------
+# group draws: one draw step for many streams at once (see the module docstring)
+
+
+def group_raw(streams: list[SplitMix64], counts: list[int]) -> np.ndarray:
+    """streams[k].raw(counts[k]) for each k, concatenated in stream order;
+    each stream advances by its count."""
+    if any(count < 0 for count in counts):
+        raise ValueError("count must be >= 0")
+    # the j-th output of stream k sits at position pos_k + 1 + j, which is the
+    # output's index in the concatenation plus (pos_k + 1 - its segment's offset)
+    shifts, offset = [], 0
+    for stream, count in zip(streams, counts):
+        shifts.append((stream._pos + 1 - offset) & _MASK64)
+        offset += count
+        stream._pos += count
+    repeats = np.array(counts, dtype=np.int64)
+    positions = np.arange(offset, dtype=np.uint64) + np.repeat(
+        np.array(shifts, dtype=np.uint64), repeats)
+    seeds = np.repeat(np.array([stream._seed for stream in streams], dtype=np.uint64), repeats)
+    return _raw_at(seeds, positions)
+
+
+def _segments(flat: np.ndarray, widths: list[int], counts: list[int]) -> list[np.ndarray]:
+    """The first counts[k] entries of each consecutive segment of width widths[k]."""
+    out, start = [], 0
+    for width, count in zip(widths, counts):
+        out.append(flat[start:start + count])
+        start += width
+    return out
+
+
+def group_uniforms(streams: list[SplitMix64], counts: list[int]) -> list[np.ndarray]:
+    """streams[k].uniforms(counts[k]) for each k."""
+    return _segments(_to_uniforms(group_raw(streams, counts)), counts, counts)
+
+
+def _group_normals(streams: list[SplitMix64], counts: list[int],
+                   field: str) -> tuple[np.ndarray, list[int]]:
+    """The concatenated normals of group_normals, each stream's segment
+    padded to its width, and those widths."""
+    if field == "real":
+        widths = [count + count % 2 for count in counts]
+        return _box_muller(_to_uniforms(group_raw(streams, widths))).astype(np.complex128), widths
+    g = _box_muller(_to_uniforms(group_raw(streams, [2 * count for count in counts])))
+    return _pair_complex(g), counts
+
+
+def group_normals(streams: list[SplitMix64], counts: list[int], field: str) -> list[np.ndarray]:
+    """streams[k].normals(counts[k], field) for each k."""
+    return _segments(*_group_normals(streams, counts, field), counts)
+
+
+def group_unit_vectors(streams: list[SplitMix64], dim: int, field: str) -> np.ndarray:
+    """streams[k].unit_vector(dim, field) for each k, as the rows of one array.
+
+    The row norms are the vecdot form of np.linalg.norm's own dot. A row
+    with norm <= 1e-12 is drawn again by its stream's unit_vector, from
+    the position this draw left it at."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    flat, widths = _group_normals(streams, [dim] * len(streams), field)
+    g = flat.reshape(len(streams), widths[0] if widths else dim)[:, :dim]
+    norms = np.sqrt(np.vecdot(g.real, g.real) + np.vecdot(g.imag, g.imag))
+    ok = norms > 1e-12
+    out = g / np.where(ok, norms, 1.0)[:, None]
+    for k in np.flatnonzero(~ok):
+        out[k] = streams[k].unit_vector(dim, field)
+    return out
+
+
+def group_subsets(streams: list[SplitMix64], counts: list[int]) -> list[list[int]]:
+    """streams[k].subset(counts[k]) for each k."""
+    kept = np.flatnonzero(_to_uniforms(group_raw(streams, counts)) < 0.5)
+    sizes = np.array(counts, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    cuts = np.searchsorted(kept, ends)  # kept indices before each segment's end
+    local = (kept - np.repeat(ends - sizes, np.diff(cuts, prepend=0))).tolist()
+    cuts = cuts.tolist()
+    return [local[a:b] for a, b in zip([0] + cuts, cuts)]

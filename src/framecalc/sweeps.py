@@ -17,14 +17,25 @@ every trial of a group makes its draws from its own stream, in the same
 order as a trial run alone would, and then the group goes through the
 algebra at once, as zero-padded stacks (one stacked eigendecomposition
 per spectral step).
+The draws are lockstep: each trial's shape is three raw outputs of its
+stream, made for the whole block in one group draw, and each draw step
+of a suite (J, f, E, a raw matrix, a group's Gaussian frames) is one
+group draw of rng for all the group's trials. Each trial owns its stream,
+so interleaving the trials moves no stream position, and a row is
+bitwise the row of per-trial draws. Scalar draws (seeds, tight values,
+flags) and the rare per-trial extras (the pfi subspace embedding, the
+equivalence orthogonal union, the extension stretch) are drawn trial by
+trial.
 The general and bounds trials draw a conditioned Gaussian frame, whose
 first attempt decides how much of the stream comes before the rest of
 the trial's draws: their draw stops at the first attempt's seed, the
 solve tests every first attempt of the group with one stacked
 eigendecomposition, a rejected trial falls back to drawing further
 attempts from its own stream, and only then are the trial's remaining
-inputs drawn. A conditioned draw, here or in random_parseval, gives up
-with RuntimeError after 1,000 rejected attempts (frames._RESAMPLE_LIMIT).
+inputs drawn, again in lockstep. A rejected first attempt of a Parseval
+frame goes on from random_parseval's second attempt. A conditioned draw,
+here or in random_parseval, gives up with NoConvergence after 1,000
+rejected attempts (frames._RESAMPLE_LIMIT).
 The sj raw resolutions are checked as one stack per group, after its
 frame splits; the other per-trial extras (the pfi subspace embedding, the
 general Parseval reduction, the equivalence orthogonal-union
@@ -112,7 +123,15 @@ from .identities import (
     subspace_identity_report,
 )
 from .linalg import EigenDecomposition, frobenius, hermitian_eig, hermitize
-from .rng import SplitMix64
+from .rng import (
+    SplitMix64,
+    _to_uniforms,
+    group_normals,
+    group_raw,
+    group_subsets,
+    group_uniforms,
+    group_unit_vectors,
+)
 
 _BLOCK = 1024  # trials drawn and solved together; bounds the size of the stacks
 # processes a block's (field, d) groups are shared out to, at most one per CPU
@@ -150,23 +169,28 @@ class RunConfig:
         return TAU_ID if self.tolerance is None else float(self.tolerance)
 
 
-def _trial_rng(config: RunConfig, suite: str, trial: int) -> SplitMix64:
-    return SplitMix64(config.seed).derive(SUITE_NAMES.index(suite)).derive(trial)
-
-
 def _randint(rng: SplitMix64, lo: int, hi: int) -> int:
     # inclusive bounds
     return lo + rng.next_raw() % (hi - lo + 1)
 
 
-def _draw_shape(rng: SplitMix64, config: RunConfig) -> tuple[str, int, int]:
-    """Fixed draw order: field flag, then d, then n (forced >= d)."""
-    field = "real" if rng.uniform() < 0.5 else "complex"
+def _draw_shapes(name: str, trials: range, config: RunConfig) -> list[tuple]:
+    """(trial, stream, field, d, n) of each trial, its stream just after the
+    shape. The shape is the stream's first three draws, in this order: the
+    field flag (real when the uniform is < 1/2), d = _randint(d_min, d_max)
+    and n = _randint(max(d, n_min), n_max); one group draw makes them for
+    every trial, and uint64 modulo is exact."""
+    suite = SplitMix64(config.seed).derive(SUITE_NAMES.index(name))
+    streams = [suite.derive(t) for t in trials]
+    raw = group_raw(streams, [3] * len(streams)).reshape(-1, 3)
     d_min, d_max = config.dim_range
     n_min, n_max = config.count_range
-    d = _randint(rng, d_min, d_max)
-    n = _randint(rng, max(d, n_min), n_max)
-    return field, d, n
+    d = d_min + raw[:, 1] % np.uint64(d_max - d_min + 1)
+    lo = np.maximum(d, np.uint64(n_min))
+    n = lo + raw[:, 2] % (np.uint64(n_max + 1) - lo)
+    real = (_to_uniforms(raw[:, 0]) < 0.5).tolist()
+    return [(t, rng, "real" if r else "complex", d_t, n_t)
+            for t, rng, r, d_t, n_t in zip(trials, streams, real, d.tolist(), n.tolist())]
 
 
 def _conditioned_gaussian(rng: SplitMix64, dim: int, count: int, field: str) -> tuple[Frame, float]:
@@ -190,17 +214,27 @@ def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# suites: per-trial draws, then the algebra once per (field, d) group
+# suites: lockstep group draws, then the algebra once per (field, d) group
 #
-# A draw function takes the trial's stream just after the runner drew the
-# trial's shape (field, d, n) from it, and returns a dict holding the shape
-# ("field", "d", "n") and every input it drew, in draw order; "seed" is the
-# seed of its first random family, or "vectors" a family it built itself,
-# and "subset" is J as an index list. The general and bounds draws stop at the seed of their first
-# Gaussian attempt and keep the trial's stream as "rng": whether that
-# attempt is accepted decides how many stream positions come before J and
-# f, so their solve tests it first and then makes the trial's remaining
-# draws, in the same order as a trial run alone.
+# A draw function takes a group's trial indices, their streams just after
+# the runner drew each trial's shape, their counts n, and the group's field
+# and d. It returns one dict per trial holding the shape ("field", "d", "n")
+# and every input the trial drew; "seed" is the seed of its first random
+# family, or "vectors" a family it built itself, and "subset" is J as an
+# index list. It makes each draw step for all the group's trials at once,
+# through the group draws of rng, in each trial's documented order; scalar
+# draws and the rare per-trial extras are made trial by trial. The general
+# and bounds draws stop at the seed of their first Gaussian attempt and keep
+# the trial's stream as "rng": whether that attempt is accepted decides how
+# many stream positions come before J and f, so their solve tests it first
+# and then makes the trial's remaining draws, in the same order as a trial
+# run alone.
+
+
+def _shapes(streams: list[SplitMix64], counts: list[int], field: str, d: int) -> list[dict]:
+    """One dict per trial: its shape, and the seed of its first family."""
+    return [{"field": field, "d": d, "n": n, "seed": rng.next_raw()}
+            for rng, n in zip(streams, counts)]
 
 
 def _masks(group: list[dict], key: str, width: int) -> np.ndarray:
@@ -257,13 +291,17 @@ def _columns(arrays) -> list[tuple]:
     return list(zip(*(a.tolist() for a in arrays)))
 
 
-def _pfi_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
-    draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "subset": rng.subset(n),
-            "f": rng.unit_vector(d, field), "lam": 0.25 + 3.0 * rng.uniform()}
-    if t % 10 == 0:
-        ambient = d + 1 + _randint(rng, 0, 3)
-        draw["embedding"] = (ambient, rng.next_raw(), rng.unit_vector(ambient, field))
-    return draw
+def _pfi_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
+              field: str, d: int) -> list[dict]:
+    group = _shapes(streams, counts, field, d)
+    subsets = group_subsets(streams, counts)
+    f = group_unit_vectors(streams, d, field)
+    for t, rng, draw, subset, f_k in zip(trials, streams, group, subsets, f):
+        draw.update(subset=subset, f=f_k, lam=0.25 + 3.0 * rng.uniform())
+        if t % 10 == 0:
+            ambient = d + 1 + _randint(rng, 0, 3)
+            draw["embedding"] = (ambient, rng.next_raw(), rng.unit_vector(ambient, field))
+    return group
 
 
 def _pfi_solve(group: list[dict], tol: float) -> list[dict]:
@@ -323,14 +361,20 @@ def _pfi_solve(group: list[dict], tol: float) -> list[dict]:
     return rows
 
 
-def _overlap_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
-    draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "subset": rng.subset(n)}
-    outside = np.ones(n, dtype=bool)
-    outside[draw["subset"]] = False
-    rest = np.flatnonzero(outside)
-    draw["e"] = rest[rng.uniforms(rest.size) < 0.5].tolist()
-    draw["f"] = rng.unit_vector(d, field)
-    return draw
+def _overlap_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
+                  field: str, d: int) -> list[dict]:
+    group = _shapes(streams, counts, field, d)
+    rests = []
+    for draw, subset in zip(group, group_subsets(streams, counts)):
+        outside = np.ones(draw["n"], dtype=bool)
+        outside[subset] = False
+        draw["subset"] = subset
+        rests.append(np.flatnonzero(outside))
+    for draw, rest, u in zip(group, rests, group_uniforms(streams, [rest.size for rest in rests])):
+        draw["e"] = rest[u < 0.5].tolist()
+    for draw, f_k in zip(group, group_unit_vectors(streams, d, field)):
+        draw["f"] = f_k
+    return group
 
 
 def _overlap_solve(group: list[dict], tol: float) -> list[dict]:
@@ -346,15 +390,24 @@ def _overlap_solve(group: list[dict], tol: float) -> list[dict]:
     return rows
 
 
-def _equivalence_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
-    draw = {"field": field, "d": d, "structured": t % 5 == 0 and d >= 2}
-    if draw["structured"]:
-        vectors, subset = _orthogonal_union(rng, d, field)
-        draw.update(n=len(vectors), vectors=vectors, subset=subset)
-    else:
-        draw.update(n=n, seed=rng.next_raw(), subset=rng.subset(n))
-    draw["f"] = rng.unit_vector(d, field)
-    return draw
+def _equivalence_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
+                      field: str, d: int) -> list[dict]:
+    group = []
+    for t, rng, n in zip(trials, streams, counts):
+        draw = {"field": field, "d": d, "structured": t % 5 == 0 and d >= 2}
+        if draw["structured"]:
+            vectors, subset = _orthogonal_union(rng, d, field)
+            draw.update(n=len(vectors), vectors=vectors, subset=subset)
+        else:
+            draw.update(n=n, seed=rng.next_raw())
+        group.append(draw)
+    seeded = [k for k, draw in enumerate(group) if not draw["structured"]]
+    for k, subset in zip(seeded, group_subsets([streams[k] for k in seeded],
+                                               [counts[k] for k in seeded])):
+        group[k]["subset"] = subset
+    for draw, f_k in zip(group, group_unit_vectors(streams, d, field)):
+        draw["f"] = f_k
+    return group
 
 
 def _equivalence_solve(group: list[dict], tol: float) -> list[dict]:
@@ -377,11 +430,15 @@ def _equivalence_solve(group: list[dict], tol: float) -> list[dict]:
     return rows
 
 
-def _sj_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
-    draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "subset": rng.subset(n)}
-    if t % 5 == 0:
-        draw["raw"] = rng.normals(d * d, field).reshape(d, d)
-    return draw
+def _sj_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
+             field: str, d: int) -> list[dict]:
+    group = _shapes(streams, counts, field, d)
+    for draw, subset in zip(group, group_subsets(streams, counts)):
+        draw["subset"] = subset
+    raw = [k for k, t in enumerate(trials) if t % 5 == 0]
+    for k, g in zip(raw, group_normals([streams[k] for k in raw], [d * d] * len(raw), field)):
+        group[k]["raw"] = g.reshape(d, d)
+    return group
 
 
 def _sj_solve(group: list[dict], tol: float) -> list[dict]:
@@ -431,9 +488,12 @@ def _sj_solve(group: list[dict], tol: float) -> list[dict]:
     return rows
 
 
-def _general_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
-    return {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "rng": rng,
-            "reduction": t % 10 == 0}
+def _general_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
+                  field: str, d: int) -> list[dict]:
+    group = _shapes(streams, counts, field, d)
+    for t, rng, draw in zip(trials, streams, group):
+        draw.update(rng=rng, reduction=t % 10 == 0)
+    return group
 
 
 def _general_solve(group: list[dict], tol: float) -> list[dict]:
@@ -441,13 +501,17 @@ def _general_solve(group: list[dict], tol: float) -> list[dict]:
     10th trial cross-checks the Parseval reduction term by term."""
     field, d = group[0]["field"], group[0]["d"]
     vectors, _, dec, cond = _conditioned_group(group)
-    for draw in group:
-        rng, n = draw["rng"], draw["n"]
-        draw["subset"] = rng.subset(n)
-        draw["f"] = rng.unit_vector(d, field)
-        if draw["reduction"]:
-            draw["reduction"] = (rng.next_raw(), rng.subset(n), rng.unit_vector(d, field))
-    f = np.array([draw["f"] for draw in group])
+    # then J and f; every 10th trial also a seed, J and f for the reduction
+    streams, counts = [draw["rng"] for draw in group], [draw["n"] for draw in group]
+    for draw, subset in zip(group, group_subsets(streams, counts)):
+        draw["subset"] = subset
+    f = group_unit_vectors(streams, d, field)
+    reduced = [k for k, draw in enumerate(group) if draw["reduction"]]
+    seeds = [streams[k].next_raw() for k in reduced]
+    sub2 = group_subsets([streams[k] for k in reduced], [counts[k] for k in reduced])
+    f2 = group_unit_vectors([streams[k] for k in reduced], d, field)
+    for k, reduction in zip(reduced, zip(seeds, sub2, f2)):
+        group[k]["reduction"] = reduction
     dual = _spectral_rows(vectors, dec, "inverse", field)
     sides = _columns(_general_sides(vectors, dual, _analysis(vectors, f),
                                     _masks(group, "subset", vectors.shape[1])))
@@ -478,8 +542,12 @@ def _general_solve(group: list[dict], tol: float) -> list[dict]:
     return rows
 
 
-def _bounds_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
-    return {"field": field, "d": d, "n": n, "seed": rng.next_raw(), "rng": rng}
+def _bounds_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
+                 field: str, d: int) -> list[dict]:
+    group = _shapes(streams, counts, field, d)
+    for rng, draw in zip(streams, group):
+        draw["rng"] = rng
+    return group
 
 
 def _bounds_solve(group: list[dict], tol: float) -> list[dict]:
@@ -487,10 +555,11 @@ def _bounds_solve(group: list[dict], tol: float) -> list[dict]:
     partial-operator additivity, and Parseval conversion."""
     field, d = group[0]["field"], group[0]["d"]
     vectors, s, dec, cond = _conditioned_group(group)
-    for draw in group:
-        draw["f"] = draw["rng"].unit_vector(d, field)
-        draw["subset"] = draw["rng"].subset(draw["n"])
-    f = np.array([draw["f"] for draw in group])
+    # then f and J
+    streams = [draw["rng"] for draw in group]
+    f = group_unit_vectors(streams, d, field)
+    for draw, subset in zip(group, group_subsets(streams, [draw["n"] for draw in group])):
+        draw["subset"] = subset
     nf = norm_sq(f)
     w = dec.eigenvalues
     lower, upper = np.maximum(w[:, 0], 0.0), np.maximum(w[:, -1], 0.0)
@@ -530,13 +599,15 @@ def _bounds_solve(group: list[dict], tol: float) -> list[dict]:
     return rows
 
 
-def _extension_draw(rng: SplitMix64, t: int, field: str, d: int, n: int) -> dict:
-    draw = {"field": field, "d": d, "n": n, "seed": rng.next_raw(),
-            "stretch": None if rng.uniform() < 0.5 else 1.0 + rng.uniform(),
-            "mix_seed": rng.next_raw()}
-    f = rng.unit_vector(d, field)
-    draw["probes"] = _probe_block(f, d, field, 20, rng.next_raw())
-    return draw
+def _extension_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
+                    field: str, d: int) -> list[dict]:
+    group = _shapes(streams, counts, field, d)
+    for rng, draw in zip(streams, group):
+        draw.update(stretch=None if rng.uniform() < 0.5 else 1.0 + rng.uniform(),
+                    mix_seed=rng.next_raw())
+    for rng, draw, f_k in zip(streams, group, group_unit_vectors(streams, d, field)):
+        draw["probes"] = _probe_block(f_k, d, field, 20, rng.next_raw())
+    return group
 
 
 def _extension_solve(group: list[dict], tol: float) -> list[dict]:
@@ -599,9 +670,7 @@ def _run_block(name: str, trials: range, config: RunConfig) -> list[dict]:
     """
     groups: dict[tuple[str, int], list[tuple[int, SplitMix64, int]]] = {}
     cost: dict[tuple[str, int], int] = {}
-    for t in trials:
-        rng = _trial_rng(config, name, t)
-        field, d, n = _draw_shape(rng, config)
+    for t, rng, field, d, n in _draw_shapes(name, trials, config):
         groups.setdefault((field, d), []).append((t, rng, n))
         cost[field, d] = cost.get((field, d), 0) + n * d * d
     procs = max(1, min(_PROCS, len(trials) // _SPLIT_TRIALS, len(groups)))
@@ -643,9 +712,10 @@ def _solve_part(name: str, part: list[tuple], tol: float) -> tuple[dict, tuple |
     draw, solve, _ = _SUITES[name]
     rows: dict[int, dict] = {}
     for index, (field, d), members in part:
+        trials, streams, counts = (list(column) for column in zip(*members))
         try:
-            group = [draw(rng, t, field, d, n) for t, rng, n in members]
-            for (t, _, _), dr, row in zip(members, group, solve(group, tol)):
+            group = draw(trials, streams, counts, field, d)
+            for t, dr, row in zip(trials, group, solve(group, tol)):
                 rows[t] = {"suite": name, "trial": t, "d": d, "n": dr["n"], "field": field, **row}
         except Exception as exc:  # carried to the merge, which raises it in serial order
             return rows, (index, exc)

@@ -4,13 +4,16 @@ Each function below runs one trial of one suite on its own: every draw
 from the trial's stream and every check through the public, validating
 functions, one trial at a time.
 `tests/test_sweeps.py` replays them and compares each batched row with
-its replay.
+its replay. The trial streams, `_randint` and the shape draw are this
+file's own copies, so the replay shares none of them with the vectorized
+shape pre-pass of the sweeps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from framecalc import SUITE_NAMES
 from framecalc.frames import (
     MAX_COND,
     _RESAMPLE_LIMIT,
@@ -46,13 +49,26 @@ from framecalc.identities import (
 )
 from framecalc.linalg import frobenius, hermitize
 from framecalc.rng import SplitMix64
-from framecalc.sweeps import (
-    RunConfig,
-    _draw_shape,
-    _orthogonal_union,
-    _randint,
-    _trial_rng,
-)
+from framecalc.sweeps import RunConfig, _orthogonal_union
+
+
+def _trial_rng(config: RunConfig, suite: str, trial: int) -> SplitMix64:
+    return SplitMix64(config.seed).derive(SUITE_NAMES.index(suite)).derive(trial)
+
+
+def _randint(rng: SplitMix64, lo: int, hi: int) -> int:
+    # inclusive bounds
+    return lo + rng.next_raw() % (hi - lo + 1)
+
+
+def _draw_shape(rng: SplitMix64, config: RunConfig) -> tuple[str, int, int]:
+    """Fixed draw order: field flag, then d, then n (forced >= d)."""
+    field = "real" if rng.uniform() < 0.5 else "complex"
+    d_min, d_max = config.dim_range
+    n_min, n_max = config.count_range
+    d = _randint(rng, d_min, d_max)
+    n = _randint(rng, max(d, n_min), n_max)
+    return field, d, n
 
 
 def _conditioned_gaussian(rng: SplitMix64, dim: int, count: int, field: str) -> tuple[Frame, float]:

@@ -90,6 +90,18 @@ def test_gen_bad_params(capsys):
     assert json.loads(out)["error"]["type"] == "BadParams"
 
 
+def test_a_generator_that_gives_up_is_a_json_domain_error(capsys, monkeypatch):
+    # a square 64 x 64 Gaussian frame almost never has cond(S) <= 1e3, so the
+    # draw gives up; three attempts keep the test fast
+    monkeypatch.setattr(framecalc.frames, "_RESAMPLE_LIMIT", 3)
+    code = main(["gen", "random-parseval", "--dim", "64", "--count", "64", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    error = _strict_error(captured.out)
+    assert error["type"] == "NoConvergence"
+    assert error["message"] == "no 64 x 64 Gaussian draw with cond(S) <= 1000 found"
+
+
 def test_analyze_bounds(capsys, pair_file):
     code, out = run_cli(capsys, "analyze", pair_file)
     assert code == 0

@@ -1,10 +1,22 @@
 """Reference outputs and stream behavior for the deterministic generator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecalc.rng import SplitMix64, mix64, mix64_int
+from framecalc import rng as rng_module
+from framecalc.rng import (
+    SplitMix64,
+    group_normals,
+    group_raw,
+    group_subsets,
+    group_uniforms,
+    group_unit_vectors,
+    mix64,
+    mix64_int,
+)
 
 # first four outputs of the reference sequence for seed 0
 SEED0_FIRST = [
@@ -164,3 +176,103 @@ def test_scalar_draw_equals_block_draw(pair, seed, prefix, lo, k):
     # t -> mix64(seed + t * GOLDEN) is injective, so equal next outputs
     # mean both streams advanced to the same position
     assert a.raw(2).tolist() == b.raw(2).tolist()
+
+
+# ---------------------------------------------------------------------------
+# group draws: one draw step for many streams is bitwise the single-stream
+# calls, stream by stream, and leaves every stream where they leave it
+
+_STREAMS = st.lists(
+    st.tuples(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 40), max_size=3),
+              st.integers(0, 9)),
+    min_size=1, max_size=6,
+)
+
+
+def _twin_streams(streams):
+    """Two lists of equal streams, each moved to its position by raw draws."""
+    pairs = []
+    for seed, prefix, _ in streams:
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        for k in prefix:
+            a.raw(k)
+            b.raw(k)
+        pairs.append((a, b))
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def _same_positions(group, single):
+    # t -> mix64(seed + t * GOLDEN) is injective, so equal next outputs
+    # mean both streams stand at the same position
+    assert [s.raw(2).tolist() for s in group] == [s.raw(2).tolist() for s in single]
+
+
+_GROUP_VS_SINGLE = {
+    "raw": (lambda streams, counts: np.split(group_raw(streams, counts), np.cumsum(counts)[:-1]),
+            lambda stream, count: stream.raw(count)),
+    "uniforms": (group_uniforms, lambda stream, count: stream.uniforms(count)),
+    "normals-real": (lambda streams, counts: group_normals(streams, counts, "real"),
+                     lambda stream, count: stream.normals(count, "real")),
+    "normals-complex": (lambda streams, counts: group_normals(streams, counts, "complex"),
+                        lambda stream, count: stream.normals(count, "complex")),
+    "subset": (group_subsets, lambda stream, count: stream.subset(count)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_GROUP_VS_SINGLE))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(streams=_STREAMS)
+def test_a_group_draw_is_the_single_stream_draws(form, streams):
+    group_form, single_form = _GROUP_VS_SINGLE[form]
+    group, single = _twin_streams(streams)
+    counts = [count for _, _, count in streams]
+    got = group_form(group, counts)
+    want = [single_form(stream, count) for stream, count in zip(single, counts)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if form == "subset":
+            assert g == w and all(type(i) is int for i in g)
+        else:
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    _same_positions(group, single)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(streams=_STREAMS, dim=st.integers(1, 9), zero=st.sets(st.integers(0, 5)))
+def test_group_unit_vectors_are_the_single_stream_draws(field, streams, dim, zero):
+    # the rows of `zero` come out of the group's Box-Muller as zeros, so each
+    # is a draw with norm <= 1e-12: discarded and drawn again from its stream
+    zero = sorted(k for k in zero if k < len(streams))
+    width = 2 * dim if field == "complex" else dim + dim % 2
+    calls = []
+
+    def zeroing(u):
+        g = box_muller(u)
+        if not calls:
+            for k in zero:
+                g[k * width:(k + 1) * width] = 0.0
+        calls.append(u.size)
+        return g
+
+    group, single = _twin_streams(streams)
+    box_muller = rng_module._box_muller
+    with mock.patch.object(rng_module, "_box_muller", zeroing):
+        got = group_unit_vectors(group, dim, field)
+    assert len(calls) == 1 + len(zero)
+    for k, stream in enumerate(single):
+        if k in zero:
+            stream.normals(dim, field)
+        want = stream.unit_vector(dim, field)
+        assert got[k].tobytes() == want.tobytes()
+        assert abs(np.linalg.norm(want) - 1.0) < 1e-12
+    _same_positions(group, single)
+
+
+def test_group_draws_check_their_arguments():
+    with pytest.raises(ValueError):
+        group_raw([SplitMix64(1)], [-1])
+    with pytest.raises(ValueError):
+        group_unit_vectors([SplitMix64(1)], 0, "real")
+    assert group_raw([], []).size == 0
+    assert group_subsets([], []) == [] and group_normals([], [], "real") == []

@@ -6,11 +6,12 @@ import threading
 
 import numpy as np
 import pytest
-from scalar_trials import SCALAR_TRIALS, scalar_rows
+from scalar_trials import SCALAR_TRIALS, _draw_shape, _trial_rng, scalar_rows
 
 from framecalc import (
     BadParams,
     FrameError,
+    NoConvergence,
     NotParseval,
     NotTight,
     RunConfig,
@@ -184,22 +185,50 @@ def test_trial_blocks_keep_trial_order(monkeypatch):
         assert summary["total"] == config.trials
 
 
+@pytest.mark.parametrize("config", [
+    RunConfig(seed=3, trials=40, dim_range=(1, 1), count_range=(1, 5)),
+    RunConfig(seed=4, trials=200, dim_range=(2, 16), count_range=(2, 64)),  # n_min < d
+    RunConfig(seed=5, trials=40, dim_range=(2, 9), count_range=(9, 9)),
+    RunConfig(seed=2**64 - 1, trials=40),
+    RunConfig(seed=2**64 - 2**20, trials=40, dim_range=(1, 3), count_range=(1, 5)),
+], ids=["d-1-only", "n_min-below-d", "n-fixed-at-d_max", "seed-2**64-1", "seed-near-2**64"])
+def test_the_shape_pre_pass_is_the_scalar_shape_draw(config):
+    # a block that does not start at trial 0, in every suite's streams
+    trials = range(7, config.trials)
+    for name in SUITE_NAMES:
+        shapes = sweeps._draw_shapes(name, trials, config)
+        assert [t for t, *_ in shapes] == list(trials)
+        for t, rng, field, d, n in shapes:
+            reference = _trial_rng(config, name, t)
+            assert (field, d, n) == _draw_shape(reference, config)
+            assert type(d) is int and type(n) is int
+            assert rng.raw(2).tolist() == reference.raw(2).tolist()
+
+
 def test_rejected_first_draws_are_redrawn(monkeypatch):
     # calls made in a forked child are not seen here, so count on one process
     monkeypatch.setattr(sweeps, "_PROCS", 1)
     config = ORACLE_CONFIGS["redraws"]
-    rejected = 0
+    rejected = set()
     for t in range(config.trials):
-        rng = sweeps._trial_rng(config, "pfi", t)
-        field, d, n = sweeps._draw_shape(rng, config)
-        bounds = frame_bounds(random_gaussian(d, n, rng.next_raw(), field))
-        rejected += not (bounds.is_frame and bounds.upper <= 1e3 * bounds.lower)
-    calls = []
-    monkeypatch.setattr(frames, "random_parseval",
-                        lambda *args: calls.append(args) or random_parseval(*args))
+        rng = _trial_rng(config, "pfi", t)
+        field, d, n = _draw_shape(rng, config)
+        seed = rng.next_raw()
+        bounds = frame_bounds(random_gaussian(d, n, seed, field))
+        if not (bounds.is_frame and bounds.upper <= 1e3 * bounds.lower):
+            rejected.add(seed)
+    calls, attempts = [], []
+    first_conditioned, gaussian = frames._first_conditioned, frames.random_gaussian
+    monkeypatch.setattr(frames, "_first_conditioned",
+                        lambda *args: calls.append(args) or first_conditioned(*args))
+    monkeypatch.setattr(frames, "random_gaussian",
+                        lambda *args: attempts.append(args[2]) or gaussian(*args))
     rows, summary = run_suite("pfi", config)
-    assert rejected > 0
-    assert len(calls) == rejected
+    assert rejected
+    assert len(calls) == len(rejected)
+    # a redraw goes on from the second attempt: no rejected first attempt is drawn again
+    assert len(attempts) >= len(rejected)
+    assert not rejected & set(attempts)
     assert summary["failed"] == 0
     assert_rows_match(rows, scalar_rows("pfi", config))
 
@@ -209,8 +238,8 @@ def _rejected_first_gaussian_draws(name: str, config: RunConfig) -> int:
     from the public frame bounds."""
     rejected = 0
     for t in range(config.trials):
-        rng = sweeps._trial_rng(config, name, t)
-        field, d, n = sweeps._draw_shape(rng, config)
+        rng = _trial_rng(config, name, t)
+        field, d, n = _draw_shape(rng, config)
         bounds = frame_bounds(random_gaussian(d, n, rng.next_raw(), field))
         rejected += not (bounds.is_frame and bounds.upper <= 1e3 * bounds.lower)
     return rejected
@@ -232,19 +261,22 @@ def test_rejected_first_gaussian_draws_go_on_in_their_own_stream(monkeypatch, na
     assert_rows_match(rows, scalar_rows(name, config))
 
 
-@pytest.mark.parametrize("draw", [
-    lambda: random_parseval(3, 4, 7),
-    lambda: sweeps._conditioned_gaussian(SplitMix64(7), 3, 4, "real"),
-], ids=["random_parseval", "conditioned_gaussian"])
-def test_a_conditioned_draw_gives_up_after_the_one_limit(monkeypatch, draw):
+@pytest.mark.parametrize("draw, stacked", [
+    (lambda: random_parseval(3, 4, 7), 0),
+    (lambda: sweeps._conditioned_gaussian(SplitMix64(7), 3, 4, "real"), 0),
+    # the first attempt is drawn in the stack, so 999 more make the 1,000
+    (lambda: frames._parseval_stack(3, [4, 5], [7, 8], "real"), 1),
+], ids=["random_parseval", "conditioned_gaussian", "parseval_stack"])
+def test_a_conditioned_draw_gives_up_after_the_one_limit(monkeypatch, draw, stacked):
     attempts = []
     gaussian = frames.random_gaussian
-    monkeypatch.setattr(frames, "_conditioning", lambda eigenvalues: (False, np.inf))
+    monkeypatch.setattr(frames, "_conditioning", lambda eigenvalues: (
+        np.zeros(eigenvalues.shape[:-1], dtype=bool), np.full(eigenvalues.shape[:-1], np.inf)))
     monkeypatch.setattr(frames, "random_gaussian",
                         lambda *args: attempts.append(args) or gaussian(*args))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(NoConvergence, match=r"no 4 x 3 Gaussian draw with cond\(S\) <= 1000"):
         draw()
-    assert len(attempts) == frames._RESAMPLE_LIMIT
+    assert len(attempts) == frames._RESAMPLE_LIMIT - stacked
 
 
 def test_empty_and_nonempty_completions_share_a_group():
@@ -325,8 +357,13 @@ def test_sj_raw_rows_carry_the_public_checks_exact_values(monkeypatch, config):
     monkeypatch.setattr(sweeps, "_PROCS", 1)
     draw, solve, reducers = sweeps._SUITES["sj"]
     drawn = {}
-    monkeypatch.setitem(sweeps._SUITES, "sj", (
-        lambda rng, t, *shape: drawn.setdefault(t, draw(rng, t, *shape)), solve, reducers))
+
+    def recording(trials, *rest):
+        group = draw(trials, *rest)
+        drawn.update(zip(trials, group))
+        return group
+
+    monkeypatch.setitem(sweeps._SUITES, "sj", (recording, solve, reducers))
     rows, _ = run_suite("sj", config)
     raw = [t for t in sorted(drawn) if "raw" in drawn[t]]
     for t in raw:
@@ -414,7 +451,7 @@ def test_the_first_failing_group_in_serial_order_raises_as_on_one_process(monkey
     # at the other step, so each process holds a failure of its own
     keys = []
     for t in range(SPLIT.trials):
-        field, d, _ = sweeps._draw_shape(sweeps._trial_rng(SPLIT, "overlap", t), SPLIT)
+        field, d, _ = _draw_shape(_trial_rng(SPLIT, "overlap", t), SPLIT)
         if (field, d) not in keys:
             keys.append((field, d))
     first, later = keys[1], keys[2:]
@@ -425,9 +462,9 @@ def test_the_first_failing_group_in_serial_order_raises_as_on_one_process(monkey
         if (name == step and key == first) or (name == other and key in later):
             raise ValueError(f"{name} {key}")
 
-    def failing_draw(rng, t, field, d, n):
+    def failing_draw(trials, streams, counts, field, d):
         fail_at("draw", (field, d))
-        return draw(rng, t, field, d, n)
+        return draw(trials, streams, counts, field, d)
 
     def failing_solve(group, config):
         fail_at("solve", (group[0]["field"], group[0]["d"]))

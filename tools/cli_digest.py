@@ -89,6 +89,8 @@ COMMANDS = [
     "identity g16.json",
     "extend merc.json --lambda 0.1",
     "identity p16.json --variant overlap --J 0,1 --E 1,2",
+    # no square 64 x 64 Gaussian attempt is conditioned enough: the draw gives up
+    "gen random-parseval --dim 64 --count 64 --seed 1",
     # exit 2: usage and IO errors
     "identity merc.json --J 0,5",
     "equiv merc.json --J 3 --f 1,0",
