@@ -25,7 +25,8 @@ validate their inputs and call the same kernels on one family.
 
 Real-tagged frames keep exactly zero imaginary parts; derived operations
 strip sub-tolerance imaginary roundoff so the tag survives duals and
-completions.
+completions. A stack may hold real and complex families side by side;
+each family is checked and stripped by its own tag.
 """
 
 from __future__ import annotations
@@ -248,24 +249,28 @@ def tight_deviation(frame: Frame, lam: float) -> float:
     return float(np.max(np.abs(w - lam)))
 
 
-def _match_field(vectors: np.ndarray, field: str) -> np.ndarray:
-    # complex spectral factors of a real matrix can leave per-column phase fuzz;
-    # checked per family over the last two axes
-    if field != "real":
+def _match_field(vectors: np.ndarray, real) -> np.ndarray:
+    """vectors with exactly zero imaginary parts in each real family; `real`
+    is one bool, or a mask over the families of a stack. Complex spectral
+    factors of a real matrix can leave per-column phase fuzz; BadParams
+    names the first real family whose fuzz is not roundoff."""
+    if real is False:
         return vectors
     fuzz = np.abs(vectors.imag).max(axis=(-2, -1), initial=0.0)
     scale = np.maximum(1.0, np.abs(vectors.real).max(axis=(-2, -1), initial=0.0))
-    k = _first_failure(fuzz > 1e-8 * scale)
+    k = _first_failure(real & (fuzz > 1e-8 * scale))
     if k is not None:
         raise BadParams(f"real-tagged result has imaginary residue {np.ravel(fuzz)[k]:.3e}")
-    return vectors.real.astype(np.complex128)
+    if real is True:
+        return vectors.real.astype(np.complex128)
+    return np.where(real[..., None, None], vectors.real, vectors)
 
 
-def _spectral_rows(vectors: np.ndarray, dec: EigenDecomposition, fn: str,
-                   field: str) -> np.ndarray:
+def _spectral_rows(vectors: np.ndarray, dec: EigenDecomposition, fn: str, real) -> np.ndarray:
     """The rows g(S) f_i of each family in a stack, (..., n, d), where dec is
-    the spectrum of its S and g the spectral function fn."""
-    return _match_field(vectors @ spectral_apply(dec, fn).swapaxes(-1, -2), field)
+    the spectrum of its S, g the spectral function fn and `real` the real
+    flag or mask of _match_field."""
+    return _match_field(vectors @ spectral_apply(dec, fn).swapaxes(-1, -2), real)
 
 
 def canonical_dual(frame: Frame) -> Frame:
@@ -275,7 +280,8 @@ def canonical_dual(frame: Frame) -> Frame:
     """
     if not frame_bounds(frame).is_frame:
         raise NotAFrame("lower frame bound is numerically zero")
-    return Frame(frame.dim, _spectral_rows(frame.vectors, frame.spectrum, "inverse", frame.field),
+    return Frame(frame.dim, _spectral_rows(frame.vectors, frame.spectrum, "inverse",
+                                            frame.field == "real"),
                  frame.field)
 
 
@@ -283,7 +289,8 @@ def parsevalize(frame: Frame) -> Frame:
     """Canonical Parseval companion S^{-1/2} f_i (same spans, operator I)."""
     if not frame_bounds(frame).is_frame:
         raise NotAFrame("lower frame bound is numerically zero")
-    return Frame(frame.dim, _spectral_rows(frame.vectors, frame.spectrum, "inv_sqrt", frame.field),
+    return Frame(frame.dim, _spectral_rows(frame.vectors, frame.spectrum, "inv_sqrt",
+                                            frame.field == "real"),
                  frame.field)
 
 
@@ -366,7 +373,7 @@ def embed_subspace_frame(frame: Frame, ambient_dim: int, isometry) -> SubspaceFr
     proj = hermitize(u @ u.conj().T)
     proj.setflags(write=False)
     field = "real" if frame.field == "real" and not np.any(u.imag != 0.0) else "complex"
-    emb = Frame(ambient_dim, _match_field(rows, field), field)
+    emb = Frame(ambient_dim, _match_field(rows, field == "real"), field)
     return SubspaceFrame(ambient_dim=ambient_dim, frame=emb, projector=proj)
 
 
@@ -396,7 +403,7 @@ def complete_to_tight(frame: Frame, lam: float | None = None, mix_seed: int | No
     if mix_seed is not None and cols.shape[1] > 0:
         k = cols.shape[1]
         cols = cols @ random_isometry(k, k, mix_seed, frame.field)
-    return Frame(frame.dim, _match_field(cols.T, frame.field), frame.field)
+    return Frame(frame.dim, _match_field(cols.T, frame.field == "real"), frame.field)
 
 
 def _completion(dec: EigenDecomposition, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -478,13 +485,13 @@ def _gaussian_rows(dim: int, count: int, seed: int, field: str) -> np.ndarray:
 
 
 def _gaussian_group(dim: int, counts: list[int], seeds: list[int],
-                    field: str) -> tuple[np.ndarray, np.ndarray, EigenDecomposition]:
-    """random_gaussian(dim, n, seed, field).vectors for each (n, seed), zero-padded
-    into one (len(counts), max(counts), dim) stack, their frame operators and
-    the spectra of those, from one stacked eigendecomposition. The rows are
-    drawn in one group draw over the streams of the seeds."""
+                    fields: list[str]) -> tuple[np.ndarray, np.ndarray, EigenDecomposition]:
+    """random_gaussian(dim, n, seed, field).vectors for each (n, seed, field),
+    zero-padded into one (len(counts), max(counts), dim) stack, their frame
+    operators and the spectra of those, from one stacked eigendecomposition.
+    The rows are drawn in one group draw over the streams of the seeds."""
     gauss = np.zeros((len(counts), max(counts), dim), dtype=np.complex128)
-    rows = group_normals([SplitMix64(seed) for seed in seeds], [n * dim for n in counts], field)
+    rows = group_normals([SplitMix64(seed) for seed in seeds], [n * dim for n in counts], fields)
     for k, (n, g) in enumerate(zip(counts, rows)):
         gauss[k, :n] = g.reshape(n, dim)
     s = _operator(gauss)
@@ -539,9 +546,10 @@ def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Fra
     return parsevalize(_first_conditioned(dim, count, seeds, field)[0])
 
 
-def _parseval_stack(dim: int, counts: list[int], seeds: list[int], field: str) -> np.ndarray:
-    """random_parseval(dim, n, seed, field).vectors for each (n, seed), zero-padded
-    into one (len(counts), max(counts), dim) stack.
+def _parseval_stack(dim: int, counts: list[int], seeds: list[int],
+                    fields: list[str]) -> np.ndarray:
+    """random_parseval(dim, n, seed, field).vectors for each (n, seed, field),
+    zero-padded into one (len(counts), max(counts), dim) stack.
 
     The first attempts are drawn as random_parseval draws them and converted
     together, one eigendecomposition and one S^{-1/2} for the stack. A first
@@ -549,13 +557,14 @@ def _parseval_stack(dim: int, counts: list[int], seeds: list[int], field: str) -
     on, from the second attempt, and within the same limit of attempts. A
     row differs from the single conversion only in rounding.
     """
-    gauss, _, dec = _gaussian_group(dim, counts, seeds, field)
+    gauss, _, dec = _gaussian_group(dim, counts, seeds, fields)
     ok = _conditioning(dec.eigenvalues)[0]
-    gauss[ok] = _spectral_rows(
-        gauss[ok], EigenDecomposition(dec.eigenvalues[ok], dec.eigenvectors[ok]), "inv_sqrt", field)
+    real = np.array([field == "real" for field in fields])
+    first = EigenDecomposition(dec.eigenvalues[ok], dec.eigenvectors[ok])
+    gauss[ok] = _spectral_rows(gauss[ok], first, "inv_sqrt", real[ok])
     for k in np.flatnonzero(~ok):
         later = itertools.islice(iter(SplitMix64(seeds[k]).next_raw, None), _RESAMPLE_LIMIT - 1)
-        frame = _first_conditioned(dim, counts[k], later, field)[0]
+        frame = _first_conditioned(dim, counts[k], later, fields[k])[0]
         gauss[k, :counts[k]] = parsevalize(frame).vectors
     return gauss
 

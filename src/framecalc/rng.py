@@ -36,8 +36,11 @@ helpers. The result of stream k is bitwise the result of the same
 single-stream call on streams[k], and every stream advances exactly as
 that call advances it. A real segment keeps an even length (an odd count
 still consumes a full pair), so every segment starts a fresh Box-Muller
-pair. A count of zero draws nothing and moves nothing. The sweeps draw
-each step for a whole (field, d) group of trials this way.
+pair. A count of zero draws nothing and moves nothing. group_normals and
+group_unit_vectors take one field per stream, so one draw step covers real
+and complex streams alike: a real segment is its gaussians, a complex one
+pairs its gaussians into complex normals. The sweeps draw each step for a
+whole d group of trials, of both fields, this way.
 
 The uint64 sequence is bit-reproducible everywhere; floating-point outputs
 are deterministic for a given platform's libm.
@@ -155,7 +158,7 @@ class SplitMix64:
     def unit_vector(self, dim: int, field: str) -> np.ndarray:
         """normals(dim, field) scaled to unit norm; a draw with norm <= 1e-12
         is discarded and drawn again."""
-        return group_unit_vectors([self], dim, field)[0]
+        return group_unit_vectors([self], dim, [field])[0]
 
     def integers(self, count: int, bound: int) -> np.ndarray:
         """Integers in [0, bound) by modulo reduction (bias < 2**-50 for bound <= 2**14)."""
@@ -214,36 +217,45 @@ def group_uniforms(streams: list[SplitMix64], counts: list[int]) -> list[np.ndar
 
 
 def _group_normals(streams: list[SplitMix64], counts: list[int],
-                   field: str) -> tuple[np.ndarray, list[int]]:
+                   fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The concatenated normals of group_normals, each stream's segment
-    padded to its width, and those widths."""
-    if field == "real":
-        widths = [count + count % 2 for count in counts]
-        return _box_muller(_to_uniforms(group_raw(streams, widths))).astype(np.complex128), widths
-    g = _box_muller(_to_uniforms(group_raw(streams, [2 * count for count in counts])))
-    return _pair_complex(g), counts
+    padded to its width, and those widths: a real segment holds the
+    gaussians of count + count % 2 raw outputs, a complex one the pairs of
+    the gaussians of 2 * count."""
+    real = np.array([field == "real" for field in fields], dtype=bool)
+    widths = np.array(counts, dtype=np.int64)
+    widths += real * (widths % 2)
+    sizes = np.where(real, 1, 2) * widths  # raw outputs per segment
+    g = _box_muller(_to_uniforms(group_raw(streams, sizes.tolist())))
+    from_real, to_real = np.repeat(real, sizes), np.repeat(real, widths)
+    out = np.empty(to_real.size, dtype=np.complex128)
+    out[to_real] = g[from_real]
+    out[~to_real] = _pair_complex(g[~from_real])
+    return out, widths
 
 
-def group_normals(streams: list[SplitMix64], counts: list[int], field: str) -> list[np.ndarray]:
-    """streams[k].normals(counts[k], field) for each k."""
-    return _segments(*_group_normals(streams, counts, field), counts)
+def group_normals(streams: list[SplitMix64], counts: list[int],
+                  fields: list[str]) -> list[np.ndarray]:
+    """streams[k].normals(counts[k], fields[k]) for each k."""
+    flat, widths = _group_normals(streams, counts, fields)
+    return _segments(flat, widths.tolist(), counts)
 
 
-def group_unit_vectors(streams: list[SplitMix64], dim: int, field: str) -> np.ndarray:
-    """streams[k].unit_vector(dim, field) for each k, as the rows of one array.
+def group_unit_vectors(streams: list[SplitMix64], dim: int, fields: list[str]) -> np.ndarray:
+    """streams[k].unit_vector(dim, fields[k]) for each k, as the rows of one array.
 
     The row norms are the vecdot form of np.linalg.norm's own dot. A row
     with norm <= 1e-12 is drawn again by its stream's unit_vector, from
     the position this draw left it at."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    flat, widths = _group_normals(streams, [dim] * len(streams), field)
-    g = flat.reshape(len(streams), widths[0] if widths else dim)[:, :dim]
+    flat, widths = _group_normals(streams, [dim] * len(streams), fields)
+    g = flat[(np.cumsum(widths) - widths)[:, None] + np.arange(dim)]
     norms = np.sqrt(np.vecdot(g.real, g.real) + np.vecdot(g.imag, g.imag))
     ok = norms > 1e-12
     out = g / np.where(ok, norms, 1.0)[:, None]
     for k in np.flatnonzero(~ok):
-        out[k] = streams[k].unit_vector(dim, field)
+        out[k] = streams[k].unit_vector(dim, fields[k])
     return out
 
 

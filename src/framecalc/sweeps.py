@@ -12,8 +12,11 @@ its rows into a summary; `run_suite` feeds blocks of at most _BLOCK
 trials to the one runner, so memory stays bounded at any trial count.
 The runner writes each row's leading keys (suite, trial, d, n, field);
 a solve takes the group's draws and the tolerance, and returns the rest.
-Every suite is batched: the block's trials are grouped by (field, d);
-every trial of a group makes its draws from its own stream, in the same
+Every suite is batched: the block's trials are grouped by d alone. Real
+and complex trials share a group, since every family is stored as
+complex128 and a real one only has zero imaginary parts; the field is a
+tag that each trial carries into its draws and its real-part checks.
+Every trial of a group makes its draws from its own stream, in the same
 order as a trial run alone would, and then the group goes through the
 algebra at once, as zero-padded stacks (one stacked eigendecomposition
 per spectral step).
@@ -47,12 +50,12 @@ in rounding. A failing check raises for the first failing trial of the
 group at that check.
 
 A block of at least 2 * _SPLIT_TRIALS trials, in a process that runs no
-other Python thread, shares its (field, d) groups out between this
-process and forked children: at most one process per CPU it may run on
-and one per _SPLIT_TRIALS trials, with a greedy balance of sum(n * d^2)
-per group. A group's draws and solve do not depend on where it runs, so
-the rows, and every byte printed from them, are those of a run on one
-process (`taskset -c 0` gives one). Each process draws and solves its
+other Python thread, shares its d groups out between this process and
+forked children: at most one process per CPU it may run on and one per
+_SPLIT_TRIALS trials, with a greedy balance of sum(n * d^2) per group. A
+group's draws and solve do not depend on where it runs, so the rows, and
+every byte printed from them, are those of a run on one process
+(`taskset -c 0` gives one). Each process draws and solves its
 groups one at a time, and errors merge in serial order: the block raises
 the exception, type and message, that a run on one process raises, that
 of the first group, in order of first appearance, whose draw or solve
@@ -134,7 +137,7 @@ from .rng import (
 )
 
 _BLOCK = 1024  # trials drawn and solved together; bounds the size of the stacks
-# processes a block's (field, d) groups are shared out to, at most one per CPU
+# processes a block's d groups are shared out to, at most one per CPU
 # this process may run on, and the trials per process below which the fork
 # costs more than it saves (a 40-trial block stays on one process)
 _PROCS = (len(os.sched_getaffinity(0))
@@ -214,11 +217,11 @@ def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# suites: lockstep group draws, then the algebra once per (field, d) group
+# suites: lockstep group draws, then the algebra once per d group
 #
 # A draw function takes a group's trial indices, their streams just after
-# the runner drew each trial's shape, their counts n, and the group's field
-# and d. It returns one dict per trial holding the shape ("field", "d", "n")
+# the runner drew each trial's shape, their counts n and fields, and the
+# group's d. It returns one dict per trial holding the shape ("field", "d", "n")
 # and every input the trial drew; "seed" is the seed of its first random
 # family, or "vectors" a family it built itself, and "subset" is J as an
 # index list. It makes each draw step for all the group's trials at once,
@@ -231,10 +234,16 @@ def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[np.ndarray, 
 # run alone.
 
 
-def _shapes(streams: list[SplitMix64], counts: list[int], field: str, d: int) -> list[dict]:
+def _shapes(streams: list[SplitMix64], counts: list[int], fields: list[str],
+            d: int) -> list[dict]:
     """One dict per trial: its shape, and the seed of its first family."""
     return [{"field": field, "d": d, "n": n, "seed": rng.next_raw()}
-            for rng, n in zip(streams, counts)]
+            for rng, n, field in zip(streams, counts, fields)]
+
+
+def _real(group: list[dict]) -> np.ndarray:
+    """The mask of the group's real trials."""
+    return np.array([draw["field"] == "real" for draw in group])
 
 
 def _masks(group: list[dict], key: str, width: int) -> np.ndarray:
@@ -249,12 +258,13 @@ def _parseval_group(group: list[dict], tol: float) -> tuple[np.ndarray, np.ndarr
     """The group's Parseval families, zero-padded, their J masks and the
     spectra of their frame operators; raises NotParseval, as each trial's
     first report would, unless every frame operator is the identity within tol."""
-    field, d = group[0]["field"], group[0]["d"]
+    d = group[0]["d"]
     vectors = np.zeros((len(group), max(draw["n"] for draw in group), d), dtype=np.complex128)
     seeded = [k for k, draw in enumerate(group) if "seed" in draw]
     if seeded:
         stack = _parseval_stack(d, [group[k]["n"] for k in seeded],
-                                [group[k]["seed"] for k in seeded], field)
+                                [group[k]["seed"] for k in seeded],
+                                [group[k]["field"] for k in seeded])
         vectors[seeded, :stack.shape[1]] = stack
     for k, draw in enumerate(group):
         if "vectors" in draw:
@@ -273,14 +283,15 @@ def _conditioned_group(group: list[dict]) -> tuple:
     through _conditioned_gaussian on its own stream, as a trial run alone
     would, and its accepted frame replaces the first attempt in every array.
     """
-    field, d = group[0]["field"], group[0]["d"]
+    d = group[0]["d"]
     vectors, s, dec = _gaussian_group(d, [draw["n"] for draw in group],
-                                      [draw["seed"] for draw in group], field)
+                                      [draw["seed"] for draw in group],
+                                      [draw["field"] for draw in group])
     w, v = dec.eigenvalues.copy(), dec.eigenvectors.copy()
     accepted, cond = _conditioning(w)
     for k in np.flatnonzero(~accepted):
         draw = group[k]
-        frame, cond[k] = _conditioned_gaussian(draw["rng"], d, draw["n"], field)
+        frame, cond[k] = _conditioned_gaussian(draw["rng"], d, draw["n"], draw["field"])
         vectors[k, :draw["n"]] = frame.vectors
         s[k], w[k], v[k] = frame.operator, frame.spectrum.eigenvalues, frame.spectrum.eigenvectors
     return vectors, s, EigenDecomposition(w, v), cond
@@ -292,15 +303,15 @@ def _columns(arrays) -> list[tuple]:
 
 
 def _pfi_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-              field: str, d: int) -> list[dict]:
-    group = _shapes(streams, counts, field, d)
+              fields: list[str], d: int) -> list[dict]:
+    group = _shapes(streams, counts, fields, d)
     subsets = group_subsets(streams, counts)
-    f = group_unit_vectors(streams, d, field)
+    f = group_unit_vectors(streams, d, fields)
     for t, rng, draw, subset, f_k in zip(trials, streams, group, subsets, f):
         draw.update(subset=subset, f=f_k, lam=0.25 + 3.0 * rng.uniform())
         if t % 10 == 0:
             ambient = d + 1 + _randint(rng, 0, 3)
-            draw["embedding"] = (ambient, rng.next_raw(), rng.unit_vector(ambient, field))
+            draw["embedding"] = (ambient, rng.next_raw(), rng.unit_vector(ambient, draw["field"]))
     return group
 
 
@@ -362,8 +373,8 @@ def _pfi_solve(group: list[dict], tol: float) -> list[dict]:
 
 
 def _overlap_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-                  field: str, d: int) -> list[dict]:
-    group = _shapes(streams, counts, field, d)
+                  fields: list[str], d: int) -> list[dict]:
+    group = _shapes(streams, counts, fields, d)
     rests = []
     for draw, subset in zip(group, group_subsets(streams, counts)):
         outside = np.ones(draw["n"], dtype=bool)
@@ -372,7 +383,7 @@ def _overlap_draw(trials: list[int], streams: list[SplitMix64], counts: list[int
         rests.append(np.flatnonzero(outside))
     for draw, rest, u in zip(group, rests, group_uniforms(streams, [rest.size for rest in rests])):
         draw["e"] = rest[u < 0.5].tolist()
-    for draw, f_k in zip(group, group_unit_vectors(streams, d, field)):
+    for draw, f_k in zip(group, group_unit_vectors(streams, d, fields)):
         draw["f"] = f_k
     return group
 
@@ -391,9 +402,9 @@ def _overlap_solve(group: list[dict], tol: float) -> list[dict]:
 
 
 def _equivalence_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-                      field: str, d: int) -> list[dict]:
+                      fields: list[str], d: int) -> list[dict]:
     group = []
-    for t, rng, n in zip(trials, streams, counts):
+    for t, rng, n, field in zip(trials, streams, counts, fields):
         draw = {"field": field, "d": d, "structured": t % 5 == 0 and d >= 2}
         if draw["structured"]:
             vectors, subset = _orthogonal_union(rng, d, field)
@@ -405,7 +416,7 @@ def _equivalence_draw(trials: list[int], streams: list[SplitMix64], counts: list
     for k, subset in zip(seeded, group_subsets([streams[k] for k in seeded],
                                                [counts[k] for k in seeded])):
         group[k]["subset"] = subset
-    for draw, f_k in zip(group, group_unit_vectors(streams, d, field)):
+    for draw, f_k in zip(group, group_unit_vectors(streams, d, fields)):
         draw["f"] = f_k
     return group
 
@@ -431,12 +442,13 @@ def _equivalence_solve(group: list[dict], tol: float) -> list[dict]:
 
 
 def _sj_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-             field: str, d: int) -> list[dict]:
-    group = _shapes(streams, counts, field, d)
+             fields: list[str], d: int) -> list[dict]:
+    group = _shapes(streams, counts, fields, d)
     for draw, subset in zip(group, group_subsets(streams, counts)):
         draw["subset"] = subset
     raw = [k for k, t in enumerate(trials) if t % 5 == 0]
-    for k, g in zip(raw, group_normals([streams[k] for k in raw], [d * d] * len(raw), field)):
+    for k, g in zip(raw, group_normals([streams[k] for k in raw], [d * d] * len(raw),
+                                       [fields[k] for k in raw])):
         group[k]["raw"] = g.reshape(d, d)
     return group
 
@@ -489,8 +501,8 @@ def _sj_solve(group: list[dict], tol: float) -> list[dict]:
 
 
 def _general_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-                  field: str, d: int) -> list[dict]:
-    group = _shapes(streams, counts, field, d)
+                  fields: list[str], d: int) -> list[dict]:
+    group = _shapes(streams, counts, fields, d)
     for t, rng, draw in zip(trials, streams, group):
         draw.update(rng=rng, reduction=t % 10 == 0)
     return group
@@ -499,20 +511,21 @@ def _general_draw(trials: list[int], streams: list[SplitMix64], counts: list[int
 def _general_solve(group: list[dict], tol: float) -> list[dict]:
     """Dual-weighted energy split on conditioned Gaussian frames; every
     10th trial cross-checks the Parseval reduction term by term."""
-    field, d = group[0]["field"], group[0]["d"]
+    d = group[0]["d"]
     vectors, _, dec, cond = _conditioned_group(group)
     # then J and f; every 10th trial also a seed, J and f for the reduction
     streams, counts = [draw["rng"] for draw in group], [draw["n"] for draw in group]
+    fields = [draw["field"] for draw in group]
     for draw, subset in zip(group, group_subsets(streams, counts)):
         draw["subset"] = subset
-    f = group_unit_vectors(streams, d, field)
+    f = group_unit_vectors(streams, d, fields)
     reduced = [k for k, draw in enumerate(group) if draw["reduction"]]
     seeds = [streams[k].next_raw() for k in reduced]
     sub2 = group_subsets([streams[k] for k in reduced], [counts[k] for k in reduced])
-    f2 = group_unit_vectors([streams[k] for k in reduced], d, field)
+    f2 = group_unit_vectors([streams[k] for k in reduced], d, [fields[k] for k in reduced])
     for k, reduction in zip(reduced, zip(seeds, sub2, f2)):
         group[k]["reduction"] = reduction
-    dual = _spectral_rows(vectors, dec, "inverse", field)
+    dual = _spectral_rows(vectors, dec, "inverse", _real(group))
     sides = _columns(_general_sides(vectors, dual, _analysis(vectors, f),
                                     _masks(group, "subset", vectors.shape[1])))
     rows = []
@@ -527,7 +540,7 @@ def _general_solve(group: list[dict], tol: float) -> list[dict]:
         if draw["reduction"]:
             # on a Parseval frame the dual term collapses to the plain norm
             seed, sub2, f2 = draw["reduction"]
-            pframe = random_parseval(d, draw["n"], seed, field)
+            pframe = random_parseval(d, draw["n"], seed, draw["field"])
             rep_g = general_identity_report(pframe, sub2, f2, tol)
             rep_p = parseval_identity_report(pframe, sub2, f2, tol)
             dev = max(
@@ -543,8 +556,8 @@ def _general_solve(group: list[dict], tol: float) -> list[dict]:
 
 
 def _bounds_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-                 field: str, d: int) -> list[dict]:
-    group = _shapes(streams, counts, field, d)
+                 fields: list[str], d: int) -> list[dict]:
+    group = _shapes(streams, counts, fields, d)
     for rng, draw in zip(streams, group):
         draw["rng"] = rng
     return group
@@ -553,11 +566,11 @@ def _bounds_draw(trials: list[int], streams: list[SplitMix64], counts: list[int]
 def _bounds_solve(group: list[dict], tol: float) -> list[dict]:
     """Frame inequality, operator-norm sandwich, dual reconstruction,
     partial-operator additivity, and Parseval conversion."""
-    field, d = group[0]["field"], group[0]["d"]
+    d = group[0]["d"]
     vectors, s, dec, cond = _conditioned_group(group)
     # then f and J
-    streams = [draw["rng"] for draw in group]
-    f = group_unit_vectors(streams, d, field)
+    streams, real = [draw["rng"] for draw in group], _real(group)
+    f = group_unit_vectors(streams, d, [draw["field"] for draw in group])
     for draw, subset in zip(group, group_subsets(streams, [draw["n"] for draw in group])):
         draw["subset"] = subset
     nf = norm_sq(f)
@@ -567,14 +580,14 @@ def _bounds_solve(group: list[dict], tol: float) -> list[dict]:
     slack = tol * np.maximum(np.maximum(1.0, energy), upper * nf)
     inequality_ok = (lower * nf - slack <= energy) & (energy <= upper * nf + slack)
 
-    recon = _synthesis(vectors, _analysis(_spectral_rows(vectors, dec, "inverse", field), f))
+    recon = _synthesis(vectors, _analysis(_spectral_rows(vectors, dec, "inverse", real), f))
     recon_err = np.sqrt(norm_sq(recon - f)) / np.maximum(1.0, np.sqrt(nf))
 
     mask = _masks(group, "subset", vectors.shape[1])
     s_sum = _partial_operator(vectors, mask) + _partial_operator(vectors, ~mask)
     additivity_err = frobenius(s_sum - s) / np.maximum(1.0, frobenius(s))
 
-    parseval = _spectral_rows(vectors, dec, "inv_sqrt", field)
+    parseval = _spectral_rows(vectors, dec, "inv_sqrt", real)
     parseval_dev = frobenius(_operator(parseval) - np.eye(d))
 
     rows = []
@@ -600,13 +613,13 @@ def _bounds_solve(group: list[dict], tol: float) -> list[dict]:
 
 
 def _extension_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-                    field: str, d: int) -> list[dict]:
-    group = _shapes(streams, counts, field, d)
+                    fields: list[str], d: int) -> list[dict]:
+    group = _shapes(streams, counts, fields, d)
     for rng, draw in zip(streams, group):
         draw.update(stretch=None if rng.uniform() < 0.5 else 1.0 + rng.uniform(),
                     mix_seed=rng.next_raw())
-    for rng, draw, f_k in zip(streams, group, group_unit_vectors(streams, d, field)):
-        draw["probes"] = _probe_block(f_k, d, field, 20, rng.next_raw())
+    for rng, draw, f_k in zip(streams, group, group_unit_vectors(streams, d, fields)):
+        draw["probes"] = _probe_block(f_k, d, draw["field"], 20, rng.next_raw())
     return group
 
 
@@ -618,9 +631,10 @@ def _extension_solve(group: list[dict], tol: float) -> list[dict]:
     families of a trial are (d, d) under the mask of kept columns; the
     mixing unitary acts on the kept positions only.
     """
-    field, d = group[0]["field"], group[0]["d"]
+    d = group[0]["d"]
     base, _, dec = _gaussian_group(d, [draw["n"] for draw in group],
-                                   [draw["seed"] for draw in group], field)
+                                   [draw["seed"] for draw in group],
+                                   [draw["field"] for draw in group])
     upper = np.maximum(dec.eigenvalues[:, -1], 0.0).tolist()
     lam = np.array([u if draw["stretch"] is None else u * draw["stretch"]
                     for u, draw in zip(upper, group)])
@@ -631,8 +645,9 @@ def _extension_solve(group: list[dict], tol: float) -> list[dict]:
         kept = np.flatnonzero(keep[k])
         if kept.size:
             mix[k][np.ix_(kept, kept)] = random_isometry(kept.size, kept.size,
-                                                         draw["mix_seed"], field)
-    added = [_match_field(cols.swapaxes(-1, -2), field) for cols in (canonical, canonical @ mix)]
+                                                         draw["mix_seed"], draw["field"])
+    real = _real(group)
+    added = [_match_field(cols.swapaxes(-1, -2), real) for cols in (canonical, canonical @ mix)]
     ops = [_finite_operator(rows) for rows in added]
     for rows in added:
         union = _finite_operator(np.concatenate([base, rows], axis=-2))
@@ -664,19 +679,19 @@ def _extension_solve(group: list[dict], tol: float) -> list[dict]:
 def _run_block(name: str, trials: range, config: RunConfig) -> list[dict]:
     """One row per trial of the block, in trial order.
 
-    A shape pre-pass groups the trials by (field, d), and the groups are
-    shared out between this process and forked children (see the module
-    docstring); each process draws and solves its own groups.
+    A shape pre-pass groups the trials by d, and the groups are shared out
+    between this process and forked children (see the module docstring);
+    each process draws and solves its own groups.
     """
-    groups: dict[tuple[str, int], list[tuple[int, SplitMix64, int]]] = {}
-    cost: dict[tuple[str, int], int] = {}
+    groups: dict[int, list[tuple[int, SplitMix64, str, int]]] = {}
+    cost: dict[int, int] = {}
     for t, rng, field, d, n in _draw_shapes(name, trials, config):
-        groups.setdefault((field, d), []).append((t, rng, n))
-        cost[field, d] = cost.get((field, d), 0) + n * d * d
+        groups.setdefault(d, []).append((t, rng, field, n))
+        cost[d] = cost.get(d, 0) + n * d * d
     procs = max(1, min(_PROCS, len(trials) // _SPLIT_TRIALS, len(groups)))
     if threading.active_count() > 1:  # fork copies no other thread of this process
         procs = 1
-    owner: dict[tuple[str, int], int] = {}
+    owner: dict[int, int] = {}
     loads = [0] * procs
     for key in sorted(groups, key=lambda key: -cost[key]):  # the costliest to the least loaded
         owner[key] = p = loads.index(min(loads))
@@ -705,18 +720,20 @@ def _run_block(name: str, trials: range, config: RunConfig) -> list[dict]:
 
 
 def _solve_part(name: str, part: list[tuple], tol: float) -> tuple[dict, tuple | None]:
-    """Rows by trial of the groups in `part`, each (serial index, (field, d),
-    [(trial, stream after the shape, n), ...]), and the first failure as
-    (serial index, exception), or None. Each group is drawn and then solved,
-    in serial group order, as on one process; a failure stops the part."""
+    """Rows by trial of the groups in `part`, each (serial index, d,
+    [(trial, stream after the shape, field, n), ...]), and the first failure
+    as (serial index, exception), or None. Each group is drawn and then
+    solved, in serial group order, as on one process; a failure stops the
+    part."""
     draw, solve, _ = _SUITES[name]
     rows: dict[int, dict] = {}
-    for index, (field, d), members in part:
-        trials, streams, counts = (list(column) for column in zip(*members))
+    for index, d, members in part:
+        trials, streams, fields, counts = (list(column) for column in zip(*members))
         try:
-            group = draw(trials, streams, counts, field, d)
+            group = draw(trials, streams, counts, fields, d)
             for t, dr, row in zip(trials, group, solve(group, tol)):
-                rows[t] = {"suite": name, "trial": t, "d": d, "n": dr["n"], "field": field, **row}
+                rows[t] = {"suite": name, "trial": t, "d": d, "n": dr["n"], "field": dr["field"],
+                           **row}
         except Exception as exc:  # carried to the merge, which raises it in serial order
             return rows, (index, exc)
     return rows, None

@@ -378,6 +378,25 @@ def test_parsevalize_keeps_real_tag():
     assert not np.any(p.vectors.imag)
 
 
+def test_match_field_checks_and_strips_each_real_family_of_a_stack():
+    # families: complex, real with roundoff fuzz, real with a residue of 1e-6
+    stack = SplitMix64(3).normals(3 * 4 * 2, "complex").reshape(3, 4, 2)
+    stack[1:] = stack[1:].real + 1e-17j
+    stack[2, 1, 0] += 1e-6j
+    real = np.array([False, True, True])
+    with pytest.raises(BadParams, match=r"imaginary residue 1\.000e-06"):
+        framecalc.frames._match_field(stack, real)
+    with pytest.raises(BadParams, match=r"imaginary residue 1\.000e-06"):
+        framecalc.frames._match_field(stack[2], True)
+    stack[2, 1, 0] -= 1e-6j
+    got = framecalc.frames._match_field(stack, real)
+    assert not got[real].imag.any()
+    assert got[real].real.tobytes() == stack[real].real.tobytes()
+    assert got[~real].tobytes() == stack[~real].tobytes()
+    family = stack[0]
+    assert framecalc.frames._match_field(family, False) is family
+
+
 # ---------------------------------------------------------------------------
 # tight completion
 

@@ -184,7 +184,7 @@ def test_scalar_draw_equals_block_draw(pair, seed, prefix, lo, k):
 
 _STREAMS = st.lists(
     st.tuples(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 40), max_size=3),
-              st.integers(0, 9)),
+              st.integers(0, 9), st.sampled_from(["real", "complex"])),
     min_size=1, max_size=6,
 )
 
@@ -192,7 +192,7 @@ _STREAMS = st.lists(
 def _twin_streams(streams):
     """Two lists of equal streams, each moved to its position by raw draws."""
     pairs = []
-    for seed, prefix, _ in streams:
+    for seed, prefix, *_ in streams:
         a, b = SplitMix64(seed), SplitMix64(seed)
         for k in prefix:
             a.raw(k)
@@ -201,21 +201,30 @@ def _twin_streams(streams):
     return [a for a, _ in pairs], [b for _, b in pairs]
 
 
+def _fields(mode, streams):
+    """One field per stream: `mode` for every stream, or for "mixed" the
+    field drawn with each stream, so a group holds both fields."""
+    return [field if mode == "mixed" else mode for *_, field in streams]
+
+
 def _same_positions(group, single):
     # t -> mix64(seed + t * GOLDEN) is injective, so equal next outputs
     # mean both streams stand at the same position
     assert [s.raw(2).tolist() for s in group] == [s.raw(2).tolist() for s in single]
 
 
+# form: (group call, single-stream call, field mode of the normals forms)
 _GROUP_VS_SINGLE = {
-    "raw": (lambda streams, counts: np.split(group_raw(streams, counts), np.cumsum(counts)[:-1]),
-            lambda stream, count: stream.raw(count)),
-    "uniforms": (group_uniforms, lambda stream, count: stream.uniforms(count)),
-    "normals-real": (lambda streams, counts: group_normals(streams, counts, "real"),
-                     lambda stream, count: stream.normals(count, "real")),
-    "normals-complex": (lambda streams, counts: group_normals(streams, counts, "complex"),
-                        lambda stream, count: stream.normals(count, "complex")),
-    "subset": (group_subsets, lambda stream, count: stream.subset(count)),
+    "raw": (lambda streams, counts, fields: np.split(group_raw(streams, counts),
+                                                     np.cumsum(counts)[:-1]),
+            lambda stream, count, field: stream.raw(count), None),
+    "uniforms": (lambda streams, counts, fields: group_uniforms(streams, counts),
+                 lambda stream, count, field: stream.uniforms(count), None),
+    "subset": (lambda streams, counts, fields: group_subsets(streams, counts),
+               lambda stream, count, field: stream.subset(count), None),
+    **{f"normals-{mode}": (group_normals, lambda stream, count, field: stream.normals(count, field),
+                           mode)
+       for mode in ("real", "complex", "mixed")},
 }
 
 
@@ -223,11 +232,12 @@ _GROUP_VS_SINGLE = {
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(streams=_STREAMS)
 def test_a_group_draw_is_the_single_stream_draws(form, streams):
-    group_form, single_form = _GROUP_VS_SINGLE[form]
+    group_form, single_form, mode = _GROUP_VS_SINGLE[form]
     group, single = _twin_streams(streams)
-    counts = [count for _, _, count in streams]
-    got = group_form(group, counts)
-    want = [single_form(stream, count) for stream, count in zip(single, counts)]
+    counts = [count for _, _, count, _ in streams]
+    fields = _fields(mode, streams)
+    got = group_form(group, counts, fields)
+    want = [single_form(*args) for args in zip(single, counts, fields)]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         if form == "subset":
@@ -237,30 +247,32 @@ def test_a_group_draw_is_the_single_stream_draws(form, streams):
     _same_positions(group, single)
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("mode", ["real", "complex", "mixed"])
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(streams=_STREAMS, dim=st.integers(1, 9), zero=st.sets(st.integers(0, 5)))
-def test_group_unit_vectors_are_the_single_stream_draws(field, streams, dim, zero):
+def test_group_unit_vectors_are_the_single_stream_draws(mode, streams, dim, zero):
     # the rows of `zero` come out of the group's Box-Muller as zeros, so each
     # is a draw with norm <= 1e-12: discarded and drawn again from its stream
     zero = sorted(k for k in zero if k < len(streams))
-    width = 2 * dim if field == "complex" else dim + dim % 2
+    fields = _fields(mode, streams)
+    widths = [2 * dim if field == "complex" else dim + dim % 2 for field in fields]
+    starts = np.cumsum([0] + widths)
     calls = []
 
     def zeroing(u):
         g = box_muller(u)
         if not calls:
             for k in zero:
-                g[k * width:(k + 1) * width] = 0.0
+                g[starts[k]:starts[k + 1]] = 0.0
         calls.append(u.size)
         return g
 
     group, single = _twin_streams(streams)
     box_muller = rng_module._box_muller
     with mock.patch.object(rng_module, "_box_muller", zeroing):
-        got = group_unit_vectors(group, dim, field)
+        got = group_unit_vectors(group, dim, fields)
     assert len(calls) == 1 + len(zero)
-    for k, stream in enumerate(single):
+    for k, (stream, field) in enumerate(zip(single, fields)):
         if k in zero:
             stream.normals(dim, field)
         want = stream.unit_vector(dim, field)
@@ -273,6 +285,7 @@ def test_group_draws_check_their_arguments():
     with pytest.raises(ValueError):
         group_raw([SplitMix64(1)], [-1])
     with pytest.raises(ValueError):
-        group_unit_vectors([SplitMix64(1)], 0, "real")
+        group_unit_vectors([SplitMix64(1)], 0, ["real"])
     assert group_raw([], []).size == 0
-    assert group_subsets([], []) == [] and group_normals([], [], "real") == []
+    assert group_subsets([], []) == [] and group_normals([], [], []) == []
+    assert group_unit_vectors([], 3, []).shape == (0, 3)

@@ -140,7 +140,7 @@ ORACLE_CONFIGS = {
     # 16 of the 60 pfi first draws fail random_parseval's cond test, and 8
     # of the 60 general and of the 60 bounds first draws the sweeps' own
     "redraws": RunConfig(seed=5, trials=60, dim_range=(6, 6), count_range=(6, 7)),
-    # d = 1, (field, d) groups of one trial, and 11 empty completions
+    # d = 1, groups that hold both fields, and 11 empty completions
     "small_d": RunConfig(seed=3, trials=50, dim_range=(1, 3), count_range=(1, 5)),
     "one_trial": RunConfig(seed=9, trials=1),
 }
@@ -265,7 +265,7 @@ def test_rejected_first_gaussian_draws_go_on_in_their_own_stream(monkeypatch, na
     (lambda: random_parseval(3, 4, 7), 0),
     (lambda: sweeps._conditioned_gaussian(SplitMix64(7), 3, 4, "real"), 0),
     # the first attempt is drawn in the stack, so 999 more make the 1,000
-    (lambda: frames._parseval_stack(3, [4, 5], [7, 8], "real"), 1),
+    (lambda: frames._parseval_stack(3, [4, 5], [7, 8], ["real", "complex"]), 1),
 ], ids=["random_parseval", "conditioned_gaussian", "parseval_stack"])
 def test_a_conditioned_draw_gives_up_after_the_one_limit(monkeypatch, draw, stacked):
     attempts = []
@@ -281,10 +281,10 @@ def test_a_conditioned_draw_gives_up_after_the_one_limit(monkeypatch, draw, stac
 
 def test_empty_and_nonempty_completions_share_a_group():
     rows, summary = run_suite("extension", ORACLE_CONFIGS["small_d"])
-    empty = {(row["field"], row["d"]) for row in rows if row["added_count"] == 0}
-    kept = {(row["field"], row["d"]) for row in rows if row["added_count"] > 0}
+    empty = {row["d"] for row in rows if row["added_count"] == 0}
+    kept = {row["d"] for row in rows if row["added_count"] > 0}
     assert sum(row["added_count"] == 0 for row in rows) == 11
-    assert {d for _, d in empty} == {1}
+    assert empty == {1}
     assert empty & kept
     assert summary["failed"] == 0
 
@@ -393,9 +393,38 @@ def test_sj_raw_rows_carry_the_public_checks_exact_values(monkeypatch, config):
 
 
 # ---------------------------------------------------------------------------
-# a block's (field, d) groups split between this process and forked children
+# a block's d groups split between this process and forked children
 
 SPLIT = RunConfig(seed=101, trials=200)
+
+
+@pytest.mark.parametrize("block", [sweeps._BLOCK, 64])
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_a_block_draws_and_solves_one_group_per_d(monkeypatch, name, block):
+    # real and complex trials of the same d share a group
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
+    monkeypatch.setattr(sweeps, "_BLOCK", block)
+    draw, solve, reducers = sweeps._SUITES[name]
+    drawn, solved = [], []
+
+    def recording(trials, streams, counts, fields, d):
+        drawn.append((list(trials), list(fields), d))
+        return draw(trials, streams, counts, fields, d)
+
+    monkeypatch.setitem(sweeps._SUITES, name, (
+        recording, lambda group, tol: solved.append(group) or solve(group, tol), reducers))
+    rows, _ = run_suite(name, SPLIT)
+    assert [group[0]["d"] for group in solved] == [d for _, _, d in drawn]
+    for start in range(0, SPLIT.trials, block):
+        in_block = [(trials, d) for trials, _, d in drawn if trials[0] // block == start // block]
+        ds = [d for _, d in in_block]
+        assert sorted(ds) == sorted({row["d"] for row in rows[start:start + block]})
+        assert sorted(t for trials, _ in in_block for t in trials) == list(
+            range(start, min(start + block, SPLIT.trials)))
+    for (trials, fields, d), group in zip(drawn, solved):
+        assert [(rows[t]["d"], rows[t]["field"]) for t in trials] == [(d, f) for f in fields]
+        assert [(dr["d"], dr["field"]) for dr in group] == [(d, f) for f in fields]
+    assert any(set(fields) == {"real", "complex"} for _, fields, _ in drawn)
 
 
 def assert_no_child_left():
@@ -451,9 +480,9 @@ def test_the_first_failing_group_in_serial_order_raises_as_on_one_process(monkey
     # at the other step, so each process holds a failure of its own
     keys = []
     for t in range(SPLIT.trials):
-        field, d, _ = _draw_shape(_trial_rng(SPLIT, "overlap", t), SPLIT)
-        if (field, d) not in keys:
-            keys.append((field, d))
+        _, d, _ = _draw_shape(_trial_rng(SPLIT, "overlap", t), SPLIT)
+        if d not in keys:
+            keys.append(d)
     first, later = keys[1], keys[2:]
     other = "solve" if step == "draw" else "draw"
     draw, solve, reducers = sweeps._SUITES["overlap"]
@@ -462,12 +491,12 @@ def test_the_first_failing_group_in_serial_order_raises_as_on_one_process(monkey
         if (name == step and key == first) or (name == other and key in later):
             raise ValueError(f"{name} {key}")
 
-    def failing_draw(trials, streams, counts, field, d):
-        fail_at("draw", (field, d))
-        return draw(trials, streams, counts, field, d)
+    def failing_draw(trials, streams, counts, fields, d):
+        fail_at("draw", d)
+        return draw(trials, streams, counts, fields, d)
 
     def failing_solve(group, config):
-        fail_at("solve", (group[0]["field"], group[0]["d"]))
+        fail_at("solve", group[0]["d"])
         return solve(group, config)
 
     monkeypatch.setitem(sweeps._SUITES, "overlap", (failing_draw, failing_solve, reducers))

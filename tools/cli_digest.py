@@ -85,6 +85,8 @@ COMMANDS = [
     "property-run --suite sj --trials 60 --seed 3 --dim-range 1,3 --count-range 1,5",
     "property-run --suite general --trials 60 --seed 5 --dim-range 6,6 --count-range 6,7",
     "property-run --suite bounds --trials 60 --seed 5 --dim-range 6,6 --count-range 6,7",
+    # every suite at d <= 4, each d group holding real and complex trials
+    "property-run --suite all --trials 120 --seed 11 --dim-range 1,4 --count-range 1,8",
     # exit 1: a check fails or the input is outside a domain
     "identity g16.json",
     "extend merc.json --lambda 0.1",
