@@ -23,6 +23,13 @@ tight completion also take zero-padded stacks of families, shape
 (..., n, d); a zero row adds nothing to any of them. The public functions
 validate their inputs and call the same kernels on one family.
 
+A conditioned Gaussian frame, one with cond(S) <= MAX_COND, is accepted
+in one place: `_conditioned_stack` draws a stack of first attempts and
+tests them with one stacked eigendecomposition, and a rejected family goes
+on alone through `_first_conditioned`, the one redraw loop, which
+`random_parseval` also uses. Every family gives up with NoConvergence
+after _RESAMPLE_LIMIT attempts in all.
+
 Real-tagged frames keep exactly zero imaginary parts; derived operations
 strip sub-tolerance imaginary roundoff so the tag survives duals and
 completions. A stack may hold real and complex families side by side;
@@ -273,25 +280,27 @@ def _spectral_rows(vectors: np.ndarray, dec: EigenDecomposition, fn: str, real) 
     return _match_field(vectors @ spectral_apply(dec, fn).swapaxes(-1, -2), real)
 
 
+def _converted(frame: Frame, fn: str) -> Frame:
+    """The frame of rows g(S) f_i, g the spectral function fn; NotAFrame
+    when the lower frame bound is numerically zero."""
+    if not frame_bounds(frame).is_frame:
+        raise NotAFrame("lower frame bound is numerically zero")
+    return Frame(frame.dim, _spectral_rows(frame.vectors, frame.spectrum, fn,
+                                            frame.field == "real"),
+                 frame.field)
+
+
 def canonical_dual(frame: Frame) -> Frame:
     """Dual family S^{-1} f_i; reconstruction sum <f, dual_i> f_i = f.
 
     Raises NotAFrame when the lower frame bound is numerically zero.
     """
-    if not frame_bounds(frame).is_frame:
-        raise NotAFrame("lower frame bound is numerically zero")
-    return Frame(frame.dim, _spectral_rows(frame.vectors, frame.spectrum, "inverse",
-                                            frame.field == "real"),
-                 frame.field)
+    return _converted(frame, "inverse")
 
 
 def parsevalize(frame: Frame) -> Frame:
     """Canonical Parseval companion S^{-1/2} f_i (same spans, operator I)."""
-    if not frame_bounds(frame).is_frame:
-        raise NotAFrame("lower frame bound is numerically zero")
-    return Frame(frame.dim, _spectral_rows(frame.vectors, frame.spectrum, "inv_sqrt",
-                                            frame.field == "real"),
-                 frame.field)
+    return _converted(frame, "inv_sqrt")
 
 
 def coefficients(frame: Frame, f) -> np.ndarray:
@@ -546,27 +555,40 @@ def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Fra
     return parsevalize(_first_conditioned(dim, count, seeds, field)[0])
 
 
+def _conditioned_stack(dim: int, counts: list[int], seeds: list[int], fields: list[str],
+                       later: list[SplitMix64]) -> tuple:
+    """For each (n, seed, field), the first Gaussian frame that _conditioning
+    accepts, zero-padded into one (len(counts), max(counts), dim) stack,
+    with the frame operators, their spectra and cond(S).
+
+    The first attempts, seeded by `seeds`, are drawn and tested together,
+    with one stacked eigendecomposition. A rejected family k goes on through
+    _first_conditioned, each further attempt seeded by later[k].next_raw(),
+    up to _RESAMPLE_LIMIT attempts in all; its accepted frame replaces the
+    first attempt in every array.
+    """
+    vectors, s, dec = _gaussian_group(dim, counts, seeds, fields)
+    w, v = dec.eigenvalues.copy(), dec.eigenvectors.copy()
+    accepted, cond = _conditioning(w)
+    for k in np.flatnonzero(~accepted):
+        attempts = itertools.islice(iter(later[k].next_raw, None), _RESAMPLE_LIMIT - 1)
+        frame, cond[k] = _first_conditioned(dim, counts[k], attempts, fields[k])
+        vectors[k, :counts[k]] = frame.vectors
+        s[k], w[k], v[k] = frame.operator, frame.spectrum.eigenvalues, frame.spectrum.eigenvectors
+    return vectors, s, EigenDecomposition(w, v), cond
+
+
 def _parseval_stack(dim: int, counts: list[int], seeds: list[int],
                     fields: list[str]) -> np.ndarray:
     """random_parseval(dim, n, seed, field).vectors for each (n, seed, field),
-    zero-padded into one (len(counts), max(counts), dim) stack.
-
-    The first attempts are drawn as random_parseval draws them and converted
-    together, one eigendecomposition and one S^{-1/2} for the stack. A first
-    draw that random_parseval would reject goes on as random_parseval goes
-    on, from the second attempt, and within the same limit of attempts. A
-    row differs from the single conversion only in rounding.
+    zero-padded into one (len(counts), max(counts), dim) stack: the
+    conditioned stack, with each family going on as random_parseval goes on,
+    from SplitMix64(seed), then one S^{-1/2} for the whole stack. A row
+    differs from the single conversion only in rounding.
     """
-    gauss, _, dec = _gaussian_group(dim, counts, seeds, fields)
-    ok = _conditioning(dec.eigenvalues)[0]
-    real = np.array([field == "real" for field in fields])
-    first = EigenDecomposition(dec.eigenvalues[ok], dec.eigenvectors[ok])
-    gauss[ok] = _spectral_rows(gauss[ok], first, "inv_sqrt", real[ok])
-    for k in np.flatnonzero(~ok):
-        later = itertools.islice(iter(SplitMix64(seeds[k]).next_raw, None), _RESAMPLE_LIMIT - 1)
-        frame = _first_conditioned(dim, counts[k], later, fields[k])[0]
-        gauss[k, :counts[k]] = parsevalize(frame).vectors
-    return gauss
+    vectors, _, dec, _ = _conditioned_stack(dim, counts, seeds, fields,
+                                            [SplitMix64(seed) for seed in seeds])
+    return _spectral_rows(vectors, dec, "inv_sqrt", np.array([field == "real" for field in fields]))
 
 
 _GENERATORS = {

@@ -10,44 +10,45 @@ function of (suite, seed, trials, ranges) and the suite section of an
 A suite is a draw function, a solve function and the reducers that fold
 its rows into a summary; `run_suite` feeds blocks of at most _BLOCK
 trials to the one runner, so memory stays bounded at any trial count.
-The runner writes each row's leading keys (suite, trial, d, n, field);
-a solve takes the group's draws and the tolerance, and returns the rest.
 Every suite is batched: the block's trials are grouped by d alone. Real
 and complex trials share a group, since every family is stored as
 complex128 and a real one only has zero imaginary parts; the field is a
 tag that each trial carries into its draws and its real-part checks.
-Every trial of a group makes its draws from its own stream, in the same
-order as a trial run alone would, and then the group goes through the
-algebra at once, as zero-padded stacks (one stacked eigendecomposition
-per spectral step).
-The draws are lockstep: each trial's shape is three raw outputs of its
-stream, made for the whole block in one group draw, and each draw step
-of a suite (J, f, E, a raw matrix, a group's Gaussian frames) is one
-group draw of rng for all the group's trials. Each trial owns its stream,
-so interleaving the trials moves no stream position, and a row is
-bitwise the row of per-trial draws. Scalar draws (seeds, tight values,
-flags) and the rare per-trial extras (the pfi subspace embedding, the
-equivalence orthogonal union, the extension stretch) are drawn trial by
-trial.
-The general and bounds trials draw a conditioned Gaussian frame, whose
-first attempt decides how much of the stream comes before the rest of
-the trial's draws: their draw stops at the first attempt's seed, the
-solve tests every first attempt of the group with one stacked
-eigendecomposition, a rejected trial falls back to drawing further
-attempts from its own stream, and only then are the trial's remaining
-inputs drawn, again in lockstep. A rejected first attempt of a Parseval
-frame goes on from random_parseval's second attempt. A conditioned draw,
-here or in random_parseval, gives up with NoConvergence after 1,000
-rejected attempts (frames._RESAMPLE_LIMIT).
-The sj raw resolutions are checked as one stack per group, after its
-frame splits; the other per-trial extras (the pfi subspace embedding, the
-general Parseval reduction, the equivalence orthogonal-union
-construction, the extension mixing unitary) stay per-trial calls. A
-row agrees with its scalar replay, one trial through the public
-functions, to 1e-12 * max(1, |v|) in every float and exactly in every
-count, flag and string; it depends on the other trials of its group only
-in rounding. A failing check raises for the first failing trial of the
-group at that check.
+
+A group is one record of columns, entry k of each for the group's k-th
+trial. The runner makes it with `d`, `trials`, `streams` (each just
+after its trial's shape), `fields`, the `real` mask and `counts`. The
+suite's draw adds the trial inputs as columns: `seed` (of a trial's first
+family), `subset` (J as an index list), `f` (one array), `lam`, `e`; the
+rare per-trial extras are dicts keyed by position: the pfi `embedding`,
+the equivalence `unions` (a structured trial sets its own count), the sj
+`raw` matrices and the general `reduction`. The draw makes every draw of
+every trial, in the order a trial run alone makes them; the solve takes
+the record and the tolerance, draws nothing, and returns one row per
+trial, to which the runner adds the leading keys (suite, trial, d, n,
+field). The draws are lockstep: each trial's shape is three raw outputs
+of its stream, made for the whole block in one group draw, and each draw
+step (J, f, E, a raw matrix, a group's Gaussian frames) is one group draw
+of rng for all the group's trials. Each trial owns its stream, so
+interleaving the trials moves no stream position, and a row is bitwise
+the row of per-trial draws. Scalar draws (seeds, tight values, flags)
+and the per-trial extras are drawn trial by trial.
+The general and bounds draws take their Gaussian frames from
+frames._conditioned_stack, whose rejected first attempts go on in the
+trial's own stream, and then draw J and f. Every conditioned draw, here,
+in a Parseval family or in random_parseval, gives up with NoConvergence
+after 1,000 attempts in all (frames._RESAMPLE_LIMIT).
+The solve runs each group through the algebra at once, as zero-padded
+stacks (one stacked eigendecomposition per spectral step). The sj raw
+resolutions are checked as one stack per group, after its frame splits;
+the other per-trial extras (the pfi subspace embedding, the general
+Parseval reduction, the equivalence orthogonal-union construction, the
+extension mixing unitary) stay per-trial calls. A row agrees with its
+scalar replay, one trial through the public functions, to
+1e-12 * max(1, |v|) in every float and exactly in every count, flag and
+string; it depends on the other trials of its group only in rounding. A
+failing check raises for the first failing trial of the group at that
+check.
 
 A block of at least 2 * _SPLIT_TRIALS trials, in a process that runs no
 other Python thread, shares its d groups out between this process and
@@ -73,6 +74,7 @@ import pickle
 import threading
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -84,9 +86,8 @@ from .frames import (
     _analysis,
     _bessel,
     _completion,
-    _conditioning,
+    _conditioned_stack,
     _finite_operator,
-    _first_conditioned,
     _gaussian_group,
     _match_field,
     _operator,
@@ -125,7 +126,7 @@ from .identities import (
     parseval_identity_report,
     subspace_identity_report,
 )
-from .linalg import EigenDecomposition, frobenius, hermitian_eig, hermitize
+from .linalg import frobenius, hermitian_eig, hermitize
 from .rng import (
     SplitMix64,
     _to_uniforms,
@@ -196,13 +197,6 @@ def _draw_shapes(name: str, trials: range, config: RunConfig) -> list[tuple]:
             for t, rng, r, d_t, n_t in zip(trials, streams, real, d.tolist(), n.tolist())]
 
 
-def _conditioned_gaussian(rng: SplitMix64, dim: int, count: int, field: str) -> tuple[Frame, float]:
-    """Seeded Gaussian frame resampled until cond(S) <= 1e3, for a trial
-    whose first attempt was rejected: each further attempt is seeded by the
-    stream's next raw output."""
-    return _first_conditioned(dim, count, iter(rng.next_raw, None), field)
-
-
 def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[np.ndarray, list[int]]:
     """Rows of a Parseval frame split into two parts with orthogonal spans;
     the first part's indices make every equivalence condition hold."""
@@ -217,84 +211,35 @@ def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# suites: lockstep group draws, then the algebra once per d group
-#
-# A draw function takes a group's trial indices, their streams just after
-# the runner drew each trial's shape, their counts n and fields, and the
-# group's d. It returns one dict per trial holding the shape ("field", "d", "n")
-# and every input the trial drew; "seed" is the seed of its first random
-# family, or "vectors" a family it built itself, and "subset" is J as an
-# index list. It makes each draw step for all the group's trials at once,
-# through the group draws of rng, in each trial's documented order; scalar
-# draws and the rare per-trial extras are made trial by trial. The general
-# and bounds draws stop at the seed of their first Gaussian attempt and keep
-# the trial's stream as "rng": whether that attempt is accepted decides how
-# many stream positions come before J and f, so their solve tests it first
-# and then makes the trial's remaining draws, in the same order as a trial
-# run alone.
+# suites: lockstep draws into the group record, then the algebra once per group
 
 
-def _shapes(streams: list[SplitMix64], counts: list[int], fields: list[str],
-            d: int) -> list[dict]:
-    """One dict per trial: its shape, and the seed of its first family."""
-    return [{"field": field, "d": d, "n": n, "seed": rng.next_raw()}
-            for rng, n, field in zip(streams, counts, fields)]
-
-
-def _real(group: list[dict]) -> np.ndarray:
-    """The mask of the group's real trials."""
-    return np.array([draw["field"] == "real" for draw in group])
-
-
-def _masks(group: list[dict], key: str, width: int) -> np.ndarray:
-    """The index lists group[k][key] as a (len(group), width) boolean stack."""
-    mask = np.zeros((len(group), width), dtype=bool)
-    for k, draw in enumerate(group):
-        mask[k, draw[key]] = True
+def _masks(subsets: list[list[int]], width: int) -> np.ndarray:
+    """The index lists `subsets` as a (len(subsets), width) boolean stack."""
+    mask = np.zeros((len(subsets), width), dtype=bool)
+    for k, subset in enumerate(subsets):
+        mask[k, subset] = True
     return mask
 
 
-def _parseval_group(group: list[dict], tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _parseval_group(group: SimpleNamespace, tol: float, built: dict | None = None) -> tuple:
     """The group's Parseval families, zero-padded, their J masks and the
     spectra of their frame operators; raises NotParseval, as each trial's
-    first report would, unless every frame operator is the identity within tol."""
-    d = group[0]["d"]
-    vectors = np.zeros((len(group), max(draw["n"] for draw in group), d), dtype=np.complex128)
-    seeded = [k for k, draw in enumerate(group) if "seed" in draw]
+    first report would, unless every frame operator is the identity within
+    tol. Family k is random_parseval of its seed, or built[k] when given."""
+    built = built or {}
+    vectors = np.zeros((len(group.trials), max(group.counts), group.d), dtype=np.complex128)
+    seeded = [k for k in range(len(group.trials)) if k not in built]
     if seeded:
-        stack = _parseval_stack(d, [group[k]["n"] for k in seeded],
-                                [group[k]["seed"] for k in seeded],
-                                [group[k]["field"] for k in seeded])
+        stack = _parseval_stack(group.d, [group.counts[k] for k in seeded],
+                                [group.seed[k] for k in seeded],
+                                [group.fields[k] for k in seeded])
         vectors[seeded, :stack.shape[1]] = stack
-    for k, draw in enumerate(group):
-        if "vectors" in draw:
-            vectors[k, :draw["n"]] = draw["vectors"]
+    for k, rows in built.items():
+        vectors[k, :len(rows)] = rows
     w = hermitian_eig(_operator(vectors)).eigenvalues
     _require_parseval(w, tol)
-    return vectors, _masks(group, "subset", vectors.shape[1]), w
-
-
-def _conditioned_group(group: list[dict]) -> tuple:
-    """The group's conditioned Gaussian frames, zero-padded, with their frame
-    operators, spectra and cond(S).
-
-    The first attempts are tested together, with one stacked
-    eigendecomposition. A trial whose first attempt is rejected goes on
-    through _conditioned_gaussian on its own stream, as a trial run alone
-    would, and its accepted frame replaces the first attempt in every array.
-    """
-    d = group[0]["d"]
-    vectors, s, dec = _gaussian_group(d, [draw["n"] for draw in group],
-                                      [draw["seed"] for draw in group],
-                                      [draw["field"] for draw in group])
-    w, v = dec.eigenvalues.copy(), dec.eigenvectors.copy()
-    accepted, cond = _conditioning(w)
-    for k in np.flatnonzero(~accepted):
-        draw = group[k]
-        frame, cond[k] = _conditioned_gaussian(draw["rng"], d, draw["n"], draw["field"])
-        vectors[k, :draw["n"]] = frame.vectors
-        s[k], w[k], v[k] = frame.operator, frame.spectrum.eigenvalues, frame.spectrum.eigenvectors
-    return vectors, s, EigenDecomposition(w, v), cond
+    return vectors, _masks(group.subset, vectors.shape[1]), w
 
 
 def _columns(arrays) -> list[tuple]:
@@ -302,25 +247,30 @@ def _columns(arrays) -> list[tuple]:
     return list(zip(*(a.tolist() for a in arrays)))
 
 
-def _pfi_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-              fields: list[str], d: int) -> list[dict]:
-    group = _shapes(streams, counts, fields, d)
-    subsets = group_subsets(streams, counts)
-    f = group_unit_vectors(streams, d, fields)
-    for t, rng, draw, subset, f_k in zip(trials, streams, group, subsets, f):
-        draw.update(subset=subset, f=f_k, lam=0.25 + 3.0 * rng.uniform())
+def _seeds(streams: list[SplitMix64]) -> list[int]:
+    """The next raw output of each stream, as a seed."""
+    return [rng.next_raw() for rng in streams]
+
+
+def _pfi_draw(group: SimpleNamespace) -> None:
+    streams = group.streams
+    group.seed = _seeds(streams)
+    group.subset = group_subsets(streams, group.counts)
+    group.f = group_unit_vectors(streams, group.d, group.fields)
+    group.lam = np.array([0.25 + 3.0 * rng.uniform() for rng in streams])
+    group.embedding = {}
+    for k, (t, rng) in enumerate(zip(group.trials, streams)):
         if t % 10 == 0:
-            ambient = d + 1 + _randint(rng, 0, 3)
-            draw["embedding"] = (ambient, rng.next_raw(), rng.unit_vector(ambient, draw["field"]))
-    return group
+            ambient = group.d + 1 + _randint(rng, 0, 3)
+            group.embedding[k] = (ambient, rng.next_raw(),
+                                  rng.unit_vector(ambient, group.fields[k]))
 
 
-def _pfi_solve(group: list[dict], tol: float) -> list[dict]:
+def _pfi_solve(group: SimpleNamespace, tol: float) -> list[dict]:
     """Parseval energy-split identity, plus the bound checks, the tight
     rescaling consistency, and (every 10th trial) a subspace embedding."""
     vectors, mask, w = _parseval_group(group, tol)
-    f = np.array([draw["f"] for draw in group])
-    lam = np.array([draw["lam"] for draw in group])
+    f, lam = group.f, group.lam
     sides = _columns(_norm_sides(vectors, _analysis(vectors, f), mask))
     # scaling by sqrt(lam) multiplies every degree-2 term by lam and the
     # extra lam prefactor doubles it: tight sides = lam^2 * Parseval sides
@@ -331,13 +281,13 @@ def _pfi_solve(group: list[dict], tol: float) -> list[dict]:
     _require_tight(lam[:, None] * w, lam, tol)
     tight_sides = _columns(_norm_sides(scaled, _analysis(scaled, f), mask, weight=lam))
     rows = []
-    for k, (draw, nf) in enumerate(zip(group, norm_sq(f).tolist())):
+    for k, (nf, lam_k) in enumerate(zip(norm_sq(f).tolist(), lam.tolist())):
         rep = _split_report(_PARSEVAL_TERMS, sides[k], tol)
         half = _bound_check(sides[k], nf, 0.5, tol)
         tq = _bound_check(sides[k], nf, 0.75, tol)
         min_side = min(rep.lhs, rep.rhs)
         tight = _split_report(_TIGHT_TERMS, tight_sides[k], tol)
-        factor = draw["lam"] * draw["lam"]
+        factor = lam_k * lam_k
         tight_rel = max(
             abs(tight.lhs - factor * rep.lhs), abs(tight.rhs - factor * rep.rhs)
         ) / max(1.0, factor)
@@ -358,13 +308,13 @@ def _pfi_solve(group: list[dict], tol: float) -> list[dict]:
                 and tight_rel <= tol
             ),
         }
-        if "embedding" in draw:
-            ambient, iso_seed, f_amb = draw["embedding"]
-            d, field = draw["d"], draw["field"]
-            frame = Frame(d, vectors[k, :draw["n"]], field)
+        if k in group.embedding:
+            ambient, iso_seed, f_amb = group.embedding[k]
+            d, field = group.d, group.fields[k]
+            frame = Frame(d, vectors[k, :group.counts[k]], field)
             sub = embed_subspace_frame(frame, ambient,
                                        random_isometry(ambient, d, iso_seed, field))
-            rep_s = subspace_identity_report(sub, draw["subset"], f_amb, tol)
+            rep_s = subspace_identity_report(sub, group.subset[k], f_amb, tol)
             row["subspace_rel"] = rep_s.rel_diff
             row["projection_dev"] = rep_s.terms["projection_dev"]
             row["passed"] = bool(row["passed"] and rep_s.passed)
@@ -372,66 +322,54 @@ def _pfi_solve(group: list[dict], tol: float) -> list[dict]:
     return rows
 
 
-def _overlap_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-                  fields: list[str], d: int) -> list[dict]:
-    group = _shapes(streams, counts, fields, d)
-    rests = []
-    for draw, subset in zip(group, group_subsets(streams, counts)):
-        outside = np.ones(draw["n"], dtype=bool)
-        outside[subset] = False
-        draw["subset"] = subset
-        rests.append(np.flatnonzero(outside))
-    for draw, rest, u in zip(group, rests, group_uniforms(streams, [rest.size for rest in rests])):
-        draw["e"] = rest[u < 0.5].tolist()
-    for draw, f_k in zip(group, group_unit_vectors(streams, d, fields)):
-        draw["f"] = f_k
-    return group
+def _overlap_draw(group: SimpleNamespace) -> None:
+    streams, counts = group.streams, group.counts
+    group.seed = _seeds(streams)
+    group.subset = group_subsets(streams, counts)
+    rests = [np.flatnonzero(~inside[:n])
+             for inside, n in zip(_masks(group.subset, max(counts)), counts)]
+    group.e = [rest[u < 0.5].tolist()
+               for rest, u in zip(rests, group_uniforms(streams, [rest.size for rest in rests]))]
+    group.f = group_unit_vectors(streams, group.d, group.fields)
 
 
-def _overlap_solve(group: list[dict], tol: float) -> list[dict]:
+def _overlap_solve(group: SimpleNamespace, tol: float) -> list[dict]:
     """Disjoint-growth identity: J extended by random E inside the complement."""
     vectors, mask, _ = _parseval_group(group, tol)
-    f = np.array([draw["f"] for draw in group])
-    e = _masks(group, "e", vectors.shape[1])
+    e = _masks(group.e, vectors.shape[1])
     rows = []
-    for draw, terms in zip(group, _columns(_overlap_sides(vectors, _analysis(vectors, f),
-                                                          mask, e))):
+    for terms in _columns(_overlap_sides(vectors, _analysis(vectors, group.f), mask, e)):
         rep = _overlap_report(terms, tol)
         rows.append({"rel_diff": rep.rel_diff, "passed": rep.passed})
     return rows
 
 
-def _equivalence_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-                      fields: list[str], d: int) -> list[dict]:
-    group = []
-    for t, rng, n, field in zip(trials, streams, counts, fields):
-        draw = {"field": field, "d": d, "structured": t % 5 == 0 and d >= 2}
-        if draw["structured"]:
-            vectors, subset = _orthogonal_union(rng, d, field)
-            draw.update(n=len(vectors), vectors=vectors, subset=subset)
+def _equivalence_draw(group: SimpleNamespace) -> None:
+    d, streams = group.d, group.streams
+    group.unions, group.seed, group.subset = {}, [None] * len(streams), [None] * len(streams)
+    for k, (t, rng) in enumerate(zip(group.trials, streams)):
+        if t % 5 == 0 and d >= 2:  # structured: an orthogonal union sets its own count
+            group.unions[k], group.subset[k] = _orthogonal_union(rng, d, group.fields[k])
+            group.counts[k] = len(group.unions[k])
         else:
-            draw.update(n=n, seed=rng.next_raw())
-        group.append(draw)
-    seeded = [k for k, draw in enumerate(group) if not draw["structured"]]
+            group.seed[k] = rng.next_raw()
+    seeded = [k for k in range(len(streams)) if k not in group.unions]
     for k, subset in zip(seeded, group_subsets([streams[k] for k in seeded],
-                                               [counts[k] for k in seeded])):
-        group[k]["subset"] = subset
-    for draw, f_k in zip(group, group_unit_vectors(streams, d, fields)):
-        draw["f"] = f_k
-    return group
+                                               [group.counts[k] for k in seeded])):
+        group.subset[k] = subset
+    group.f = group_unit_vectors(streams, d, group.fields)
 
 
-def _equivalence_solve(group: list[dict], tol: float) -> list[dict]:
+def _equivalence_solve(group: SimpleNamespace, tol: float) -> list[dict]:
     """Six-way equivalence: random Parseval splits (generically all-false)
     and, every 5th trial, an orthogonal-union construction (all-true)."""
-    vectors, mask, _ = _parseval_group(group, tol)
-    f = np.array([draw["f"] for draw in group])
-    residuals = _columns(_equivalence_residuals(vectors, f, mask))
+    vectors, mask, _ = _parseval_group(group, tol, group.unions)
+    residuals = _columns(_equivalence_residuals(vectors, group.f, mask))
     rows = []
-    for draw, res, nf in zip(group, residuals, norm_sq(f).tolist()):
+    for k, (res, nf) in enumerate(zip(residuals, norm_sq(group.f).tolist())):
         rep = _equivalence_report(res, nf, tol)
         rows.append({
-            "structured": draw["structured"],
+            "structured": k in group.unions,
             "pattern": "".join("T" if c.holds else "F" for c in rep.conditions),
             "consistent": rep.consistent,
             "borderline": rep.borderline,
@@ -441,38 +379,34 @@ def _equivalence_solve(group: list[dict], tol: float) -> list[dict]:
     return rows
 
 
-def _sj_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-             fields: list[str], d: int) -> list[dict]:
-    group = _shapes(streams, counts, fields, d)
-    for draw, subset in zip(group, group_subsets(streams, counts)):
-        draw["subset"] = subset
-    raw = [k for k, t in enumerate(trials) if t % 5 == 0]
-    for k, g in zip(raw, group_normals([streams[k] for k in raw], [d * d] * len(raw),
-                                       [fields[k] for k in raw])):
-        group[k]["raw"] = g.reshape(d, d)
-    return group
+def _sj_draw(group: SimpleNamespace) -> None:
+    d, streams = group.d, group.streams
+    group.seed = _seeds(streams)
+    group.subset = group_subsets(streams, group.counts)
+    raw = [k for k, t in enumerate(group.trials) if t % 5 == 0]
+    g = group_normals([streams[k] for k in raw], [d * d] * len(raw), [group.fields[k] for k in raw])
+    group.raw = {k: g_k.reshape(d, d) for k, g_k in zip(raw, g)}
 
 
-def _sj_solve(group: list[dict], tol: float) -> list[dict]:
+def _sj_solve(group: SimpleNamespace, tol: float) -> list[dict]:
     """Partial-operator structure, the resolution-difference identity, and
     the self-adjoint product equivalence (frame splits every trial; raw
     Hermitian and non-Hermitian resolutions every 5th)."""
-    d = group[0]["d"]
+    d, size = group.d, len(group.trials)
     vectors, mask, _ = _parseval_group(group, tol)
     s_j = _partial_operator(vectors, mask)
     s_jc = _partial_operator(vectors, ~mask)
     structure = _columns(_partial_structure(s_j, s_jc, tol))
     # the resolutions (S_J, S_Jc) of the frame splits, then the raw ones
     # (h, I - h) for h = hermitize(g) and then g, for each raw g in trial order
-    raw = [k for k, draw in enumerate(group) if "raw" in draw]
-    g = np.array([group[k]["raw"] for k in raw]).reshape(-1, d, d)
+    g = np.array(list(group.raw.values())).reshape(-1, d, d)
     pairs = np.stack([hermitize(g), g], axis=1).reshape(-1, d, d)
     s, t = np.concatenate([s_j, pairs]), np.concatenate([s_jc, np.eye(d) - pairs])
     _require_resolution(s, t, tol)
     checks = _columns((*_operator_identity(s, t, tol), *_self_adjoint_product(s, t)))
-    raw_checks = dict(zip(raw, zip(checks[len(group)::2], checks[len(group) + 1::2])))
+    raw_checks = dict(zip(group.raw, zip(checks[size::2], checks[size + 1::2])))
     rows = []
-    for k, draw in enumerate(group):
+    for k in range(size):
         residual, min_eig_product, min_eig_gap, _, structure_ok = structure[k]
         op_res, op_ok, s_sa, t_sa, p_sa = checks[k]
         row = {
@@ -494,42 +428,34 @@ def _sj_solve(group: list[dict], tol: float) -> list[dict]:
                 row["passed"]
                 and ok_h and ((s_h and t_h) == p_h) and p_h
                 and ok_n and ((s_n and t_n) == p_n)
-                and (not p_n or (d == 1 and draw["field"] == "real"))
+                and (not p_n or (d == 1 and group.fields[k] == "real"))
             )
         rows.append(row)
     return rows
 
 
-def _general_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-                  fields: list[str], d: int) -> list[dict]:
-    group = _shapes(streams, counts, fields, d)
-    for t, rng, draw in zip(trials, streams, group):
-        draw.update(rng=rng, reduction=t % 10 == 0)
-    return group
-
-
-def _general_solve(group: list[dict], tol: float) -> list[dict]:
-    """Dual-weighted energy split on conditioned Gaussian frames; every
-    10th trial cross-checks the Parseval reduction term by term."""
-    d = group[0]["d"]
-    vectors, _, dec, cond = _conditioned_group(group)
+def _general_draw(group: SimpleNamespace) -> None:
+    d, streams, counts, fields = group.d, group.streams, group.counts, group.fields
+    group.conditioned = _conditioned_stack(d, counts, _seeds(streams), fields, streams)
     # then J and f; every 10th trial also a seed, J and f for the reduction
-    streams, counts = [draw["rng"] for draw in group], [draw["n"] for draw in group]
-    fields = [draw["field"] for draw in group]
-    for draw, subset in zip(group, group_subsets(streams, counts)):
-        draw["subset"] = subset
-    f = group_unit_vectors(streams, d, fields)
-    reduced = [k for k, draw in enumerate(group) if draw["reduction"]]
-    seeds = [streams[k].next_raw() for k in reduced]
+    group.subset = group_subsets(streams, counts)
+    group.f = group_unit_vectors(streams, d, fields)
+    reduced = [k for k, t in enumerate(group.trials) if t % 10 == 0]
+    seeds = _seeds([streams[k] for k in reduced])
     sub2 = group_subsets([streams[k] for k in reduced], [counts[k] for k in reduced])
     f2 = group_unit_vectors([streams[k] for k in reduced], d, [fields[k] for k in reduced])
-    for k, reduction in zip(reduced, zip(seeds, sub2, f2)):
-        group[k]["reduction"] = reduction
-    dual = _spectral_rows(vectors, dec, "inverse", _real(group))
-    sides = _columns(_general_sides(vectors, dual, _analysis(vectors, f),
-                                    _masks(group, "subset", vectors.shape[1])))
+    group.reduction = dict(zip(reduced, zip(seeds, sub2, f2)))
+
+
+def _general_solve(group: SimpleNamespace, tol: float) -> list[dict]:
+    """Dual-weighted energy split on conditioned Gaussian frames; every
+    10th trial cross-checks the Parseval reduction term by term."""
+    vectors, _, dec, cond = group.conditioned
+    dual = _spectral_rows(vectors, dec, "inverse", group.real)
+    sides = _columns(_general_sides(vectors, dual, _analysis(vectors, group.f),
+                                    _masks(group.subset, vectors.shape[1])))
     rows = []
-    for draw, cond_k, sides_k in zip(group, cond.tolist(), sides):
+    for k, (cond_k, sides_k) in enumerate(zip(cond.tolist(), sides)):
         rep = _split_report(_GENERAL_TERMS, sides_k, tol)
         row = {
             "cond": cond_k,
@@ -537,10 +463,10 @@ def _general_solve(group: list[dict], tol: float) -> list[dict]:
             "reduction_dev": None,
             "passed": rep.passed,
         }
-        if draw["reduction"]:
+        if k in group.reduction:
             # on a Parseval frame the dual term collapses to the plain norm
-            seed, sub2, f2 = draw["reduction"]
-            pframe = random_parseval(d, draw["n"], seed, draw["field"])
+            seed, sub2, f2 = group.reduction[k]
+            pframe = random_parseval(group.d, group.counts[k], seed, group.fields[k])
             rep_g = general_identity_report(pframe, sub2, f2, tol)
             rep_p = parseval_identity_report(pframe, sub2, f2, tol)
             dev = max(
@@ -555,24 +481,19 @@ def _general_solve(group: list[dict], tol: float) -> list[dict]:
     return rows
 
 
-def _bounds_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-                 fields: list[str], d: int) -> list[dict]:
-    group = _shapes(streams, counts, fields, d)
-    for rng, draw in zip(streams, group):
-        draw["rng"] = rng
-    return group
+def _bounds_draw(group: SimpleNamespace) -> None:
+    d, streams, counts, fields = group.d, group.streams, group.counts, group.fields
+    group.conditioned = _conditioned_stack(d, counts, _seeds(streams), fields, streams)
+    # then f and J
+    group.f = group_unit_vectors(streams, d, fields)
+    group.subset = group_subsets(streams, counts)
 
 
-def _bounds_solve(group: list[dict], tol: float) -> list[dict]:
+def _bounds_solve(group: SimpleNamespace, tol: float) -> list[dict]:
     """Frame inequality, operator-norm sandwich, dual reconstruction,
     partial-operator additivity, and Parseval conversion."""
-    d = group[0]["d"]
-    vectors, s, dec, cond = _conditioned_group(group)
-    # then f and J
-    streams, real = [draw["rng"] for draw in group], _real(group)
-    f = group_unit_vectors(streams, d, [draw["field"] for draw in group])
-    for draw, subset in zip(group, group_subsets(streams, [draw["n"] for draw in group])):
-        draw["subset"] = subset
+    vectors, s, dec, cond = group.conditioned
+    f, real = group.f, group.real
     nf = norm_sq(f)
     w = dec.eigenvalues
     lower, upper = np.maximum(w[:, 0], 0.0), np.maximum(w[:, -1], 0.0)
@@ -583,16 +504,16 @@ def _bounds_solve(group: list[dict], tol: float) -> list[dict]:
     recon = _synthesis(vectors, _analysis(_spectral_rows(vectors, dec, "inverse", real), f))
     recon_err = np.sqrt(norm_sq(recon - f)) / np.maximum(1.0, np.sqrt(nf))
 
-    mask = _masks(group, "subset", vectors.shape[1])
+    mask = _masks(group.subset, vectors.shape[1])
     s_sum = _partial_operator(vectors, mask) + _partial_operator(vectors, ~mask)
     additivity_err = frobenius(s_sum - s) / np.maximum(1.0, frobenius(s))
 
     parseval = _spectral_rows(vectors, dec, "inv_sqrt", real)
-    parseval_dev = frobenius(_operator(parseval) - np.eye(d))
+    parseval_dev = frobenius(_operator(parseval) - np.eye(group.d))
 
     rows = []
-    for draw, (cond_k, ineq, sandwich, recon_k, additivity, pdev) in zip(group, _columns(
-            (cond, inequality_ok, sandwich_ok, recon_err, additivity_err, parseval_dev))):
+    for cond_k, ineq, sandwich, recon_k, additivity, pdev in _columns(
+            (cond, inequality_ok, sandwich_ok, recon_err, additivity_err, parseval_dev)):
         rows.append({
             "cond": cond_k,
             "inequality_ok": ineq,
@@ -612,18 +533,17 @@ def _bounds_solve(group: list[dict], tol: float) -> list[dict]:
     return rows
 
 
-def _extension_draw(trials: list[int], streams: list[SplitMix64], counts: list[int],
-                    fields: list[str], d: int) -> list[dict]:
-    group = _shapes(streams, counts, fields, d)
-    for rng, draw in zip(streams, group):
-        draw.update(stretch=None if rng.uniform() < 0.5 else 1.0 + rng.uniform(),
-                    mix_seed=rng.next_raw())
-    for rng, draw, f_k in zip(streams, group, group_unit_vectors(streams, d, fields)):
-        draw["probes"] = _probe_block(f_k, d, draw["field"], 20, rng.next_raw())
-    return group
+def _extension_draw(group: SimpleNamespace) -> None:
+    d, streams, fields = group.d, group.streams, group.fields
+    group.seed = _seeds(streams)
+    group.stretch = [None if rng.uniform() < 0.5 else 1.0 + rng.uniform() for rng in streams]
+    group.mix_seed = _seeds(streams)
+    group.probes = np.array([
+        _probe_block(f_k, d, field, 20, rng.next_raw())
+        for rng, field, f_k in zip(streams, fields, group_unit_vectors(streams, d, fields))])
 
 
-def _extension_solve(group: list[dict], tol: float) -> list[dict]:
+def _extension_solve(group: SimpleNamespace, tol: float) -> list[dict]:
     """Canonical vs unitary-mixed tight completions: equal added energy,
     operator, and span; lam alternates between lambda_max and a larger value.
 
@@ -631,34 +551,30 @@ def _extension_solve(group: list[dict], tol: float) -> list[dict]:
     families of a trial are (d, d) under the mask of kept columns; the
     mixing unitary acts on the kept positions only.
     """
-    d = group[0]["d"]
-    base, _, dec = _gaussian_group(d, [draw["n"] for draw in group],
-                                   [draw["seed"] for draw in group],
-                                   [draw["field"] for draw in group])
+    d = group.d
+    base, _, dec = _gaussian_group(d, group.counts, group.seed, group.fields)
     upper = np.maximum(dec.eigenvalues[:, -1], 0.0).tolist()
-    lam = np.array([u if draw["stretch"] is None else u * draw["stretch"]
-                    for u, draw in zip(upper, group)])
+    lam = np.array([u if stretch is None else u * stretch
+                    for u, stretch in zip(upper, group.stretch)])
     root, keep = _completion(dec, lam)
     canonical = np.where(keep[:, None, :], root, 0.0)
-    mix = np.zeros((len(group), d, d), dtype=np.complex128)
-    for k, draw in enumerate(group):
+    mix = np.zeros((len(group.trials), d, d), dtype=np.complex128)
+    for k, (mix_seed, field) in enumerate(zip(group.mix_seed, group.fields)):
         kept = np.flatnonzero(keep[k])
         if kept.size:
-            mix[k][np.ix_(kept, kept)] = random_isometry(kept.size, kept.size,
-                                                         draw["mix_seed"], draw["field"])
-    real = _real(group)
-    added = [_match_field(cols.swapaxes(-1, -2), real) for cols in (canonical, canonical @ mix)]
+            mix[k][np.ix_(kept, kept)] = random_isometry(kept.size, kept.size, mix_seed, field)
+    added = [_match_field(cols.swapaxes(-1, -2), group.real)
+             for cols in (canonical, canonical @ mix)]
     ops = [_finite_operator(rows) for rows in added]
     for rows in added:
         union = _finite_operator(np.concatenate([base, rows], axis=-2))
         _require_tight_union(hermitian_eig(union).eigenvalues, lam, tol)
-    probes = np.array([draw["probes"] for draw in group])
     max_rel, energy_equal, operator_equal, span_equal = _extension_compare(
-        probes, *added, *ops, *map(hermitian_eig, ops), tol)
+        group.probes, *added, *ops, *map(hermitian_eig, ops), tol)
     rows = []
-    for draw, (lam_k, count, energy_eq, operator_eq, span_eq, diff, rel) in zip(group, _columns(
+    for lam_k, count, energy_eq, operator_eq, span_eq, diff, rel in _columns(
             (lam, keep.sum(axis=-1), energy_equal, operator_equal, span_equal,
-             frobenius(ops[0] - ops[1]), max_rel))):
+             frobenius(ops[0] - ops[1]), max_rel)):
         rows.append({
             "lam": lam_k,
             "added_count": count,
@@ -722,18 +638,19 @@ def _run_block(name: str, trials: range, config: RunConfig) -> list[dict]:
 def _solve_part(name: str, part: list[tuple], tol: float) -> tuple[dict, tuple | None]:
     """Rows by trial of the groups in `part`, each (serial index, d,
     [(trial, stream after the shape, field, n), ...]), and the first failure
-    as (serial index, exception), or None. Each group is drawn and then
-    solved, in serial group order, as on one process; a failure stops the
-    part."""
+    as (serial index, exception), or None. Each group becomes one record,
+    which is drawn and then solved, in serial group order, as on one
+    process; a failure stops the part."""
     draw, solve, _ = _SUITES[name]
     rows: dict[int, dict] = {}
     for index, d, members in part:
         trials, streams, fields, counts = (list(column) for column in zip(*members))
+        group = SimpleNamespace(d=d, trials=trials, streams=streams, fields=fields, counts=counts,
+                                real=np.array([field == "real" for field in fields]))
         try:
-            group = draw(trials, streams, counts, fields, d)
-            for t, dr, row in zip(trials, group, solve(group, tol)):
-                rows[t] = {"suite": name, "trial": t, "d": d, "n": dr["n"], "field": dr["field"],
-                           **row}
+            draw(group)
+            for t, n, field, row in zip(trials, counts, fields, solve(group, tol)):
+                rows[t] = {"suite": name, "trial": t, "d": d, "n": n, "field": field, **row}
         except Exception as exc:  # carried to the merge, which raises it in serial order
             return rows, (index, exc)
     return rows, None

@@ -33,7 +33,6 @@ from framecalc.identities import (
     self_adjoint_product_check,
 )
 from framecalc.linalg import hermitize
-from framecalc.rng import SplitMix64
 
 SMALL = RunConfig(seed=5, trials=40, dim_range=(2, 6), count_range=(2, 16))
 
@@ -138,7 +137,7 @@ ORACLE_CONFIGS = {
     "seed101": RunConfig(seed=101, trials=200),
     "seed918273": RunConfig(seed=918273, trials=200),
     # 16 of the 60 pfi first draws fail random_parseval's cond test, and 8
-    # of the 60 general and of the 60 bounds first draws the sweeps' own
+    # of the 60 general and of the 60 bounds first draws fail the same test
     "redraws": RunConfig(seed=5, trials=60, dim_range=(6, 6), count_range=(6, 7)),
     # d = 1, groups that hold both fields, and 11 empty completions
     "small_d": RunConfig(seed=3, trials=50, dim_range=(1, 3), count_range=(1, 5)),
@@ -250,10 +249,24 @@ def test_rejected_first_gaussian_draws_go_on_in_their_own_stream(monkeypatch, na
     monkeypatch.setattr(sweeps, "_PROCS", 1)
     config = ORACLE_CONFIGS["redraws"]
     rejected = _rejected_first_gaussian_draws(name, config)
-    calls = []
-    fallback = sweeps._conditioned_gaussian
-    monkeypatch.setattr(sweeps, "_conditioned_gaussian",
-                        lambda *args: calls.append(args) or fallback(*args))
+    # count the redraws of the draw step; a general reduction's own
+    # random_parseval, in the solve, goes through _first_conditioned too
+    calls, drawing = [], []
+    draw, solve, reducers = sweeps._SUITES[name]
+    first_conditioned = frames._first_conditioned
+
+    def recording(*args):
+        if drawing:
+            calls.append(args)
+        return first_conditioned(*args)
+
+    def flagged(group):
+        drawing.append(True)
+        draw(group)
+        drawing.clear()
+
+    monkeypatch.setattr(frames, "_first_conditioned", recording)
+    monkeypatch.setitem(sweeps._SUITES, name, (flagged, solve, reducers))
     rows, summary = run_suite(name, config)
     assert rejected == 8
     assert len(calls) == rejected
@@ -263,10 +276,11 @@ def test_rejected_first_gaussian_draws_go_on_in_their_own_stream(monkeypatch, na
 
 @pytest.mark.parametrize("draw, stacked", [
     (lambda: random_parseval(3, 4, 7), 0),
-    (lambda: sweeps._conditioned_gaussian(SplitMix64(7), 3, 4, "real"), 0),
     # the first attempt is drawn in the stack, so 999 more make the 1,000
+    (lambda: run_suite("general", RunConfig(seed=7, trials=1, dim_range=(3, 3),
+                                            count_range=(4, 4))), 1),
     (lambda: frames._parseval_stack(3, [4, 5], [7, 8], ["real", "complex"]), 1),
-], ids=["random_parseval", "conditioned_gaussian", "parseval_stack"])
+], ids=["random_parseval", "general_sweep", "parseval_stack"])
 def test_a_conditioned_draw_gives_up_after_the_one_limit(monkeypatch, draw, stacked):
     attempts = []
     gaussian = frames.random_gaussian
@@ -277,6 +291,24 @@ def test_a_conditioned_draw_gives_up_after_the_one_limit(monkeypatch, draw, stac
     with pytest.raises(NoConvergence, match=r"no 4 x 3 Gaussian draw with cond\(S\) <= 1000"):
         draw()
     assert len(attempts) == frames._RESAMPLE_LIMIT - stacked
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_a_solve_draws_nothing(monkeypatch, name):
+    # every draw from a trial's stream is made in the draw step
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
+    draw, solve, reducers = sweeps._SUITES[name]
+    moved = []
+
+    def watched(group, tol):
+        drawn = [rng._pos for rng in group.streams]
+        rows = solve(group, tol)
+        moved.append(drawn != [rng._pos for rng in group.streams])
+        return rows
+
+    monkeypatch.setitem(sweeps._SUITES, name, (draw, watched, reducers))
+    run_suite(name, ORACLE_CONFIGS["redraws"])
+    assert moved and not any(moved)
 
 
 def test_empty_and_nonempty_completions_share_a_group():
@@ -297,21 +329,21 @@ def test_batched_completions_are_the_public_ones(monkeypatch):
     compare = sweeps._extension_compare
     groups, added = [], []
     monkeypatch.setitem(sweeps._SUITES, "extension", (
-        draw, lambda group, config: groups.append(group) or solve(group, config), reducers))
+        draw, lambda group, tol: groups.append(group) or solve(group, tol), reducers))
     monkeypatch.setattr(sweeps, "_extension_compare", lambda probes, first, second, *rest: (
         added.append((first, second)) or compare(probes, first, second, *rest)))
     run_suite("extension", RunConfig(seed=101, trials=60))
     mixed_in_groups = 0
     for group, (first, second) in zip(groups, added, strict=True):
-        for k, dr in enumerate(group):
-            frame = random_gaussian(dr["d"], dr["n"], dr["seed"], dr["field"])
+        for k, stretch in enumerate(group.stretch):
+            frame = random_gaussian(group.d, group.counts[k], group.seed[k], group.fields[k])
             upper = frame_bounds(frame).upper
-            lam = upper if dr["stretch"] is None else upper * dr["stretch"]
+            lam = upper if stretch is None else upper * stretch
             kept = np.abs(first[k]).max(axis=-1) > 0.0
-            for got, mix_seed in ((first[k], None), (second[k], dr["mix_seed"])):
+            for got, mix_seed in ((first[k], None), (second[k], group.mix_seed[k])):
                 want = complete_to_tight(frame, lam, mix_seed=mix_seed).vectors
                 np.testing.assert_allclose(got[kept], want, rtol=0.0, atol=1e-12 * max(1.0, lam))
-            mixed_in_groups += len(group) > 1 and kept.any()
+            mixed_in_groups += len(group.trials) > 1 and kept.any()
     assert mixed_in_groups > 20
 
 
@@ -358,18 +390,18 @@ def test_sj_raw_rows_carry_the_public_checks_exact_values(monkeypatch, config):
     draw, solve, reducers = sweeps._SUITES["sj"]
     drawn = {}
 
-    def recording(trials, *rest):
-        group = draw(trials, *rest)
-        drawn.update(zip(trials, group))
-        return group
+    def recording(group):
+        draw(group)
+        drawn.update((t, (group, k)) for k, t in enumerate(group.trials))
 
     monkeypatch.setitem(sweeps._SUITES, "sj", (recording, solve, reducers))
     rows, _ = run_suite("sj", config)
-    raw = [t for t in sorted(drawn) if "raw" in drawn[t]]
+    raw = [t for t in sorted(drawn) if drawn[t][1] in drawn[t][0].raw]
     for t in raw:
-        row, dr, tol = rows[t], drawn[t], config.tol
-        d, n, field, subset, g = dr["d"], dr["n"], dr["field"], dr["subset"], dr["raw"]
-        frame = random_parseval(d, n, dr["seed"], field)
+        (group, k), row, tol = drawn[t], rows[t], config.tol
+        d, n, field, subset, g = (group.d, group.counts[k], group.fields[k], group.subset[k],
+                                  group.raw[k])
+        frame = random_parseval(d, n, group.seed[k], field)
         s_j = partial_operator_matrix(frame, subset)
         s_jc = partial_operator_matrix(frame, sorted(set(range(n)) - set(subset)))
         sa = self_adjoint_product_check(s_j, s_jc, tol)
@@ -407,14 +439,14 @@ def test_a_block_draws_and_solves_one_group_per_d(monkeypatch, name, block):
     draw, solve, reducers = sweeps._SUITES[name]
     drawn, solved = [], []
 
-    def recording(trials, streams, counts, fields, d):
-        drawn.append((list(trials), list(fields), d))
-        return draw(trials, streams, counts, fields, d)
+    def recording(group):
+        drawn.append((list(group.trials), list(group.fields), group.d))
+        draw(group)
 
     monkeypatch.setitem(sweeps._SUITES, name, (
         recording, lambda group, tol: solved.append(group) or solve(group, tol), reducers))
     rows, _ = run_suite(name, SPLIT)
-    assert [group[0]["d"] for group in solved] == [d for _, _, d in drawn]
+    assert [group.d for group in solved] == [d for _, _, d in drawn]
     for start in range(0, SPLIT.trials, block):
         in_block = [(trials, d) for trials, _, d in drawn if trials[0] // block == start // block]
         ds = [d for _, d in in_block]
@@ -423,7 +455,7 @@ def test_a_block_draws_and_solves_one_group_per_d(monkeypatch, name, block):
             range(start, min(start + block, SPLIT.trials)))
     for (trials, fields, d), group in zip(drawn, solved):
         assert [(rows[t]["d"], rows[t]["field"]) for t in trials] == [(d, f) for f in fields]
-        assert [(dr["d"], dr["field"]) for dr in group] == [(d, f) for f in fields]
+        assert [(group.d, field) for field in group.fields] == [(d, f) for f in fields]
     assert any(set(fields) == {"real", "complex"} for _, fields, _ in drawn)
 
 
@@ -437,10 +469,10 @@ def _solve_in_parent_only(monkeypatch, name, action):
     draw, solve, reducers = sweeps._SUITES[name]
     parent = os.getpid()
 
-    def guarded(group, config):
+    def guarded(group, tol):
         if os.getpid() != parent:
             action()
-        return solve(group, config)
+        return solve(group, tol)
 
     monkeypatch.setitem(sweeps._SUITES, name, (draw, guarded, reducers))
 
@@ -491,13 +523,13 @@ def test_the_first_failing_group_in_serial_order_raises_as_on_one_process(monkey
         if (name == step and key == first) or (name == other and key in later):
             raise ValueError(f"{name} {key}")
 
-    def failing_draw(trials, streams, counts, fields, d):
-        fail_at("draw", d)
-        return draw(trials, streams, counts, fields, d)
+    def failing_draw(group):
+        fail_at("draw", group.d)
+        draw(group)
 
-    def failing_solve(group, config):
-        fail_at("solve", group[0]["d"])
-        return solve(group, config)
+    def failing_solve(group, tol):
+        fail_at("solve", group.d)
+        return solve(group, tol)
 
     monkeypatch.setitem(sweeps._SUITES, "overlap", (failing_draw, failing_solve, reducers))
     raised = []
@@ -554,10 +586,10 @@ def test_an_interrupt_in_the_parent_reaps_the_worker(monkeypatch):
     draw, solve, reducers = sweeps._SUITES["pfi"]
     parent = os.getpid()
 
-    def interrupted(group, config):
+    def interrupted(group, tol):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return solve(group, config)
+        return solve(group, tol)
 
     monkeypatch.setitem(sweeps._SUITES, "pfi", (draw, interrupted, reducers))
     with pytest.raises(KeyboardInterrupt):

@@ -93,6 +93,8 @@ COMMANDS = [
     "identity p16.json --variant overlap --J 0,1 --E 1,2",
     # no square 64 x 64 Gaussian attempt is conditioned enough: the draw gives up
     "gen random-parseval --dim 64 --count 64 --seed 1",
+    # the same in a sweep: the conditioned stack gives up after 1,000 attempts
+    "property-run --suite general --trials 1 --seed 1 --dim-range 64,64 --count-range 64,64",
     # exit 2: usage and IO errors
     "identity merc.json --J 0,5",
     "equiv merc.json --J 3 --f 1,0",
