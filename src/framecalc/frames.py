@@ -409,10 +409,16 @@ def complete_to_tight(frame: Frame, lam: float | None = None, mix_seed: int | No
     dec = frame.spectrum
     root, keep = _completion(dec, dec.eigenvalues[-1] if lam is None else float(lam))
     cols = root[:, keep]
-    if mix_seed is not None and cols.shape[1] > 0:
-        k = cols.shape[1]
-        cols = cols @ random_isometry(k, k, mix_seed, frame.field)
+    if mix_seed is not None:
+        cols = _mixed(cols, mix_seed, frame.field)
     return Frame(frame.dim, _match_field(cols.T, frame.field == "real"), frame.field)
+
+
+def _mixed(cols: np.ndarray, mix_seed: int, field: str) -> np.ndarray:
+    """The (d, k) kept columns of a completion times a seeded k x k unitary:
+    a different family with the same added operator and span."""
+    k = cols.shape[1]
+    return cols @ random_isometry(k, k, mix_seed, field) if k else cols
 
 
 def _completion(dec: EigenDecomposition, lam) -> tuple[np.ndarray, np.ndarray]:

@@ -75,14 +75,12 @@ class IdentityReport:
 
 def _report(lhs: float, rhs: float, terms: dict[str, float], tolerance: float,
             extra_ok: bool = True) -> IdentityReport:
-    abs_diff = abs(lhs - rhs)
-    scale = max(1.0, abs(lhs), abs(rhs), *(abs(t) for t in terms.values()))
-    rel_diff = abs_diff / scale
+    abs_diff, rel_diff = map(float, _residual(lhs, rhs, terms.values()))
     return IdentityReport(
         lhs=float(lhs),
         rhs=float(rhs),
-        abs_diff=float(abs_diff),
-        rel_diff=float(rel_diff),
+        abs_diff=abs_diff,
+        rel_diff=rel_diff,
         tolerance=float(tolerance),
         passed=bool(rel_diff <= tolerance) and bool(extra_ok),
         terms={k: float(v) for k, v in terms.items()},
@@ -124,6 +122,22 @@ def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> None:
 # wrap the result; the sweeps call the same kernels on a whole stack.
 
 
+def _scale(values):
+    """max(1, |v| for v in values) per family, values a sequence of (...)
+    arrays or numbers: the one scale floor of every verdict below. fmax,
+    like Python's max(1.0, ...), never takes a NaN for the scale."""
+    return np.fmax.reduce(np.abs(values), axis=0, initial=1.0)
+
+
+def _residual(lhs, rhs, terms) -> tuple:
+    """(|lhs - rhs|, relative residual) of each family's lhs = rhs, scaled
+    by _scale of both sides and every recorded term. The arithmetic is that
+    of Python floats: inf and NaN pass through without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs_diff = abs(lhs - rhs)
+        return abs_diff, abs_diff / _scale([lhs, rhs, *terms])
+
+
 def _energy_split(vectors: np.ndarray, c: np.ndarray, mask: np.ndarray,
                   weight=1.0) -> list:
     """[weight * sum_J |c_i|^2, S_J f, weight * sum_Jc |c_i|^2, S_Jc f].
@@ -148,11 +162,15 @@ def _norm_sides(vectors: np.ndarray, c: np.ndarray, mask: np.ndarray, weight=1.0
     return [e_j, norm_sq(sj_f), e_jc, norm_sq(sjc_f)]
 
 
+def _split_lhs_rhs(sides) -> tuple:
+    """(lhs, rhs) = (sides[0] - sides[1], sides[2] - sides[3]) of the four split terms."""
+    return sides[0] - sides[1], sides[2] - sides[3]
+
+
 def _split_report(names: tuple[str, ...], sides, tolerance: float,
                   **extra) -> IdentityReport:
-    """lhs = sides[0] - sides[1], rhs = sides[2] - sides[3]; sides become the named terms."""
-    return _report(sides[0] - sides[1], sides[2] - sides[3],
-                   dict(zip(names, sides)), tolerance, **extra)
+    """The split identity of _split_lhs_rhs; sides become the named terms."""
+    return _report(*_split_lhs_rhs(sides), dict(zip(names, sides)), tolerance, **extra)
 
 
 _PARSEVAL_TERMS = ("sum_j", "norm_sj_f", "sum_jc", "norm_sjc_f")
@@ -192,7 +210,14 @@ def general_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID,
     with the complement. Reduces to the Parseval identity when S = I
     (the dual is then the frame itself).
 
-    Raises NotAFrame (from the dual) when the family is not a frame.
+    dual, when given, is a Frame g_1, ..., g_n used in place of the
+    canonical dual, as is and unchecked. The identity is the one for the
+    canonical dual S^{-1} f_i: with any other family, an alternate dual
+    (sum_i <f, f_i> g_i = f for every f) included, the two sides in general
+    differ, and the report records them as they come out.
+
+    Raises NotAFrame (from the dual) when the family is not a frame and no
+    dual is given.
     """
     if dual is None:
         dual = canonical_dual(frame)
@@ -226,17 +251,17 @@ _OVERLAP_TERMS = ("norm_s_j_union_e_f", "norm_s_jc_minus_e_f", "norm_sj_f", "nor
                   "twice_energy_e")
 
 
-def _overlap_sides(vectors: np.ndarray, c: np.ndarray, j: np.ndarray, e: np.ndarray) -> list:
+def _overlap_terms(vectors: np.ndarray, c: np.ndarray, j: np.ndarray, e: np.ndarray) -> list:
     """The _OVERLAP_TERMS, for J and a disjoint E."""
     _, n_je, _, n_jce = _norm_sides(vectors, c, j | e)
     _, n_j, _, n_jc = _norm_sides(vectors, c, j)
     return [n_je, n_jce, n_j, n_jc, 2.0 * norm_sq(np.where(e, c, 0.0))]
 
 
-def _overlap_report(terms, tolerance: float) -> IdentityReport:
+def _overlap_lhs_rhs(terms) -> tuple:
+    """(lhs, rhs) of the overlap identity from its five terms."""
     n_je, n_jce, n_j, n_jc, twice_energy_e = terms
-    return _report(n_je - n_jce, n_j - n_jc + twice_energy_e,
-                   dict(zip(_OVERLAP_TERMS, terms)), tolerance)
+    return n_je - n_jce, n_j - n_jc + twice_energy_e
 
 
 def overlap_identity_report(frame: Frame, subset_j, subset_e, f,
@@ -254,8 +279,8 @@ def overlap_identity_report(frame: Frame, subset_j, subset_e, f,
     overlap = np.flatnonzero(j & e).tolist()
     if overlap:
         raise EOverlapsJ(f"E meets J at {overlap}")
-    c = coefficients(frame, f)
-    return _overlap_report(_overlap_sides(frame.vectors, c, j, e), tolerance)
+    terms = _overlap_terms(frame.vectors, coefficients(frame, f), j, e)
+    return _report(*_overlap_lhs_rhs(terms), dict(zip(_OVERLAP_TERMS, terms)), tolerance)
 
 
 def subspace_identity_report(sub: SubspaceFrame, subset, f,
@@ -283,9 +308,8 @@ def subspace_identity_report(sub: SubspaceFrame, subset, f,
     t_f = _norm_sides(emb.vectors, coefficients(emb, v), mask)
     t_pf = _norm_sides(emb.vectors, coefficients(emb, p @ v), mask)
     projection_dev = max(abs(a - b) for a, b in zip(t_f, t_pf))
-    scale = max(1.0, *(abs(t) for t in t_f))
     return _split_report(_PARSEVAL_TERMS + ("projection_dev",), t_f + [projection_dev],
-                         tolerance, extra_ok=projection_dev <= tolerance * scale)
+                         tolerance, extra_ok=projection_dev <= tolerance * _scale(t_f))
 
 
 @dataclass(frozen=True)
@@ -303,26 +327,19 @@ class BoundCheck:
     passed: bool
 
 
-def _bound_check(sides, norm_f: float, coefficient: float, tolerance: float) -> BoundCheck:
-    """The bound coefficient * ||f||^2 from the Parseval sides of f."""
+def _bound_verdict(sides, norm_f, coefficient: float, tolerance: float) -> tuple:
+    """The BoundCheck fields of the bound coefficient * ||f||^2 for each
+    family's four Parseval split terms. Every term is nonnegative, so the
+    _scale of value, complement_value and ||f||^2 is their plain max(1, ...)."""
     sum_j, norm_j, sum_jc, norm_jc = sides
-    value = sum_j + norm_jc
-    complement_value = sum_jc + norm_j
-    bound = coefficient * norm_f
-    scale = max(1.0, value, complement_value, norm_f)
-    symmetry_rel_diff = abs(value - complement_value) / scale
-    ok = (
-        value >= bound - tolerance * scale
-        and complement_value >= bound - tolerance * scale
-        and symmetry_rel_diff <= tolerance
-    )
-    return BoundCheck(
-        value=float(value),
-        bound=float(bound),
-        complement_value=float(complement_value),
-        symmetry_rel_diff=float(symmetry_rel_diff),
-        passed=bool(ok),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, complement_value = sum_j + norm_jc, sum_jc + norm_j
+        bound = coefficient * norm_f
+        scale = _scale([value, complement_value, norm_f])
+        symmetry_rel_diff = abs(value - complement_value) / scale
+        floor = bound - tolerance * scale
+        passed = (value >= floor) & (complement_value >= floor) & (symmetry_rel_diff <= tolerance)
+    return value, bound, complement_value, symmetry_rel_diff, passed
 
 
 def _mixed_bound_check(frame: Frame, subset, f, coefficient: float,
@@ -331,7 +348,8 @@ def _mixed_bound_check(frame: Frame, subset, f, coefficient: float,
     mask = subset_mask(subset, frame.count)
     v = as_vector(f, frame.dim)
     sides = _norm_sides(frame.vectors, coefficients(frame, v), mask)
-    return _bound_check(sides, norm_sq(v), coefficient, tolerance)
+    *values, passed = _bound_verdict(sides, norm_sq(v), coefficient, tolerance)
+    return BoundCheck(*(float(x) for x in values), passed=bool(passed))
 
 
 def half_bound_check(frame: Frame, subset, f, tolerance: float = TAU_ID) -> BoundCheck:
@@ -506,23 +524,16 @@ def _equivalence_residuals(vectors: np.ndarray, v: np.ndarray, mask: np.ndarray)
     ]
 
 
-def _equivalence_report(residuals, norm_f: float, tolerance: float) -> EquivalenceReport:
-    scale = max(1.0, norm_f)
-    conditions = tuple(
-        ConditionResult(label=lab, residual=float(r / scale), holds=bool(r / scale <= tolerance))
-        for lab, r in zip(_CONDITION_LABELS, residuals)
-    )
-    flags = [c.holds for c in conditions]
-    consistent = all(flags) or not any(flags)
-    borderline = any(
-        tolerance / 10.0 <= c.residual <= tolerance * 10.0 for c in conditions
-    )
-    return EquivalenceReport(
-        conditions=conditions,
-        consistent=bool(consistent),
-        borderline=bool(borderline),
-        tolerance=float(tolerance),
-    )
+def _equivalence_verdict(residuals, norm_f, tolerance: float) -> tuple:
+    """(scaled residuals, holds, consistent, borderline) of each family: the
+    six residuals (6, ...) in label order, each divided by _scale of
+    ||f||^2, whether each holds, whether all or none do (all equals any),
+    and whether any lies within a factor 10 of tolerance."""
+    with np.errstate(invalid="ignore"):
+        scaled = np.divide(residuals, _scale([norm_f]))
+    holds = scaled <= tolerance
+    borderline = ((tolerance / 10.0 <= scaled) & (scaled <= tolerance * 10.0)).any(axis=0)
+    return scaled, holds, holds.all(axis=0) == holds.any(axis=0), borderline
 
 
 def equivalence_conditions(frame: Frame, subset, f,
@@ -530,8 +541,14 @@ def equivalence_conditions(frame: Frame, subset, f,
     _require_parseval(frame.spectrum.eigenvalues, tolerance)
     mask = subset_mask(subset, frame.count)
     v = as_vector(f, frame.dim)
-    residuals = _equivalence_residuals(frame.vectors, v, mask)
-    return _equivalence_report(residuals, norm_sq(v), tolerance)
+    scaled, holds, consistent, borderline = _equivalence_verdict(
+        _equivalence_residuals(frame.vectors, v, mask), norm_sq(v), tolerance)
+    return EquivalenceReport(
+        conditions=tuple(map(ConditionResult, _CONDITION_LABELS, scaled.tolist(), holds.tolist())),
+        consistent=bool(consistent),
+        borderline=bool(borderline),
+        tolerance=float(tolerance),
+    )
 
 
 @dataclass(frozen=True)

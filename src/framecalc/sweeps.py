@@ -24,12 +24,14 @@ rare per-trial extras are dicts keyed by position: the pfi `embedding`,
 the equivalence `unions` (a structured trial sets its own count), the sj
 `raw` matrices and the general `reduction`. The draw makes every draw of
 every trial, in the order a trial run alone makes them; the solve takes
-the record and the tolerance, draws nothing, and returns one row per
-trial, to which the runner adds the leading keys (suite, trial, d, n,
-field). The draws are lockstep: each trial's shape is three raw outputs
-of its stream, made for the whole block in one group draw, and each draw
-step (J, f, E, a raw matrix, a group's Gaussian frames) is one group draw
-of rng for all the group's trials. Each trial owns its stream, so
+the record and the tolerance, draws nothing, and returns a dict of named
+columns, one entry per trial. The runner makes one row per trial from
+them, after the leading keys (suite, trial, d, n, field), taking arrays
+through .tolist() so every value is a Python number, bool or string.
+The draws are lockstep: each trial's shape is three raw outputs of its
+stream, made for the whole block in one group draw, and each draw step
+(J, f, E, a raw matrix, a group's Gaussian frames) is one group draw of
+rng for all the group's trials. Each trial owns its stream, so
 interleaving the trials moves no stream position, and a row is bitwise
 the row of per-trial draws. Scalar draws (seeds, tight values, flags)
 and the per-trial extras are drawn trial by trial.
@@ -39,16 +41,19 @@ trial's own stream, and then draw J and f. Every conditioned draw, here,
 in a Parseval family or in random_parseval, gives up with NoConvergence
 after 1,000 attempts in all (frames._RESAMPLE_LIMIT).
 The solve runs each group through the algebra at once, as zero-padded
-stacks (one stacked eigendecomposition per spectral step). The sj raw
-resolutions are checked as one stack per group, after its frame splits;
-the other per-trial extras (the pfi subspace embedding, the general
-Parseval reduction, the equivalence orthogonal-union construction, the
-extension mixing unitary) stay per-trial calls. A row agrees with its
-scalar replay, one trial through the public functions, to
-1e-12 * max(1, |v|) in every float and exactly in every count, flag and
-string; it depends on the other trials of its group only in rounding. A
-failing check raises for the first failing trial of the group at that
-check.
+stacks (one stacked eigendecomposition per spectral step), verdicts
+included: the residuals, bounds and equivalence patterns come from the
+stacked kernels of identities that the public reports call on one
+family. The sj raw resolutions are checked as one stack per group, after
+its frame splits; the other per-trial extras (the pfi subspace
+embedding, the general Parseval reduction, the equivalence
+orthogonal-union construction, the extension mixing unitary) stay
+per-trial calls, each writing into its own positions of a column. A row
+agrees with its scalar replay, one trial through the public functions,
+to 1e-12 * max(1, |v|) in every float and exactly in every count, flag
+and string; it depends on the other trials of its group only in
+rounding. A failing check raises for the first failing trial of the
+group at that check.
 
 A block of at least 2 * _SPLIT_TRIALS trials, in a process that runs no
 other Python thread, shares its d groups out between this process and
@@ -90,6 +95,7 @@ from .frames import (
     _finite_operator,
     _gaussian_group,
     _match_field,
+    _mixed,
     _operator,
     _parseval_stack,
     _partial_operator,
@@ -102,26 +108,24 @@ from .frames import (
     random_parseval,
 )
 from .identities import (
-    _GENERAL_TERMS,
-    _PARSEVAL_TERMS,
-    _TIGHT_TERMS,
-    _bound_check,
-    _equivalence_report,
+    _bound_verdict,
     _equivalence_residuals,
+    _equivalence_verdict,
     _extension_compare,
     _general_sides,
     _norm_sides,
     _operator_identity,
-    _overlap_report,
-    _overlap_sides,
+    _overlap_lhs_rhs,
+    _overlap_terms,
     _partial_structure,
     _probe_block,
     _require_parseval,
     _require_resolution,
     _require_tight,
     _require_tight_union,
+    _residual,
     _self_adjoint_product,
-    _split_report,
+    _split_lhs_rhs,
     general_identity_report,
     parseval_identity_report,
     subspace_identity_report,
@@ -242,9 +246,12 @@ def _parseval_group(group: SimpleNamespace, tol: float, built: dict | None = Non
     return vectors, _masks(group.subset, vectors.shape[1]), w
 
 
-def _columns(arrays) -> list[tuple]:
-    """One tuple of Python numbers per family from stacked (B,) arrays."""
-    return list(zip(*(a.tolist() for a in arrays)))
+def _max(first, *rest):
+    """Elementwise max(first, *rest) as Python's max takes it: a value
+    replaces the running one only when greater, so a NaN stays only first."""
+    for value in rest:
+        first = np.where(value > first, value, first)
+    return first
 
 
 def _seeds(streams: list[SplitMix64]) -> list[int]:
@@ -266,12 +273,17 @@ def _pfi_draw(group: SimpleNamespace) -> None:
                                   rng.unit_vector(ambient, group.fields[k]))
 
 
-def _pfi_solve(group: SimpleNamespace, tol: float) -> list[dict]:
+def _pfi_solve(group: SimpleNamespace, tol: float) -> dict:
     """Parseval energy-split identity, plus the bound checks, the tight
     rescaling consistency, and (every 10th trial) a subspace embedding."""
     vectors, mask, w = _parseval_group(group, tol)
     f, lam = group.f, group.lam
-    sides = _columns(_norm_sides(vectors, _analysis(vectors, f), mask))
+    nf = norm_sq(f)
+    sides = _norm_sides(vectors, _analysis(vectors, f), mask)
+    lhs, rhs = _split_lhs_rhs(sides)
+    _, rel_diff = _residual(lhs, rhs, sides)
+    value, *_, half_passed = _bound_verdict(sides, nf, 0.5, tol)
+    tq_passed = _bound_verdict(sides, nf, 0.75, tol)[-1]
     # scaling by sqrt(lam) multiplies every degree-2 term by lam and the
     # extra lam prefactor doubles it: tight sides = lam^2 * Parseval sides
     scaled = vectors * np.sqrt(lam)[:, None, None]
@@ -279,47 +291,34 @@ def _pfi_solve(group: SimpleNamespace, tol: float) -> list[dict]:
     # per entry, so its spectrum is lam * w to within a few ulps of lam: the
     # same lam-tightness test, at the same tolerance, as decomposing it again.
     _require_tight(lam[:, None] * w, lam, tol)
-    tight_sides = _columns(_norm_sides(scaled, _analysis(scaled, f), mask, weight=lam))
-    rows = []
-    for k, (nf, lam_k) in enumerate(zip(norm_sq(f).tolist(), lam.tolist())):
-        rep = _split_report(_PARSEVAL_TERMS, sides[k], tol)
-        half = _bound_check(sides[k], nf, 0.5, tol)
-        tq = _bound_check(sides[k], nf, 0.75, tol)
-        min_side = min(rep.lhs, rep.rhs)
-        tight = _split_report(_TIGHT_TERMS, tight_sides[k], tol)
-        factor = lam_k * lam_k
-        tight_rel = max(
-            abs(tight.lhs - factor * rep.lhs), abs(tight.rhs - factor * rep.rhs)
-        ) / max(1.0, factor)
-        row = {
-            "rel_diff": rep.rel_diff,
-            "min_side": min_side,
-            "bound_ratio": tq.value / nf,
-            "half_passed": half.passed,
-            "tq_passed": tq.passed,
-            "tight_reduction_rel": tight_rel,
-            "subspace_rel": None,
-            "projection_dev": None,
-            "passed": bool(
-                rep.passed
-                and half.passed
-                and tq.passed
-                and min_side >= -tol
-                and tight_rel <= tol
-            ),
-        }
-        if k in group.embedding:
-            ambient, iso_seed, f_amb = group.embedding[k]
-            d, field = group.d, group.fields[k]
-            frame = Frame(d, vectors[k, :group.counts[k]], field)
-            sub = embed_subspace_frame(frame, ambient,
-                                       random_isometry(ambient, d, iso_seed, field))
-            rep_s = subspace_identity_report(sub, group.subset[k], f_amb, tol)
-            row["subspace_rel"] = rep_s.rel_diff
-            row["projection_dev"] = rep_s.terms["projection_dev"]
-            row["passed"] = bool(row["passed"] and rep_s.passed)
-        rows.append(row)
-    return rows
+    tight_lhs, tight_rhs = _split_lhs_rhs(_norm_sides(scaled, _analysis(scaled, f), mask,
+                                                      weight=lam))
+    factor = lam * lam
+    tight_rel = _max(np.abs(tight_lhs - factor * lhs),
+                     np.abs(tight_rhs - factor * rhs)) / np.maximum(1.0, factor)
+    min_side = np.where(rhs < lhs, rhs, lhs)
+    size = len(group.trials)
+    columns = {
+        "rel_diff": rel_diff,
+        "min_side": min_side,
+        "bound_ratio": value / nf,
+        "half_passed": half_passed,
+        "tq_passed": tq_passed,
+        "tight_reduction_rel": tight_rel,
+        "subspace_rel": [None] * size,
+        "projection_dev": [None] * size,
+        "passed": ((rel_diff <= tol) & half_passed & tq_passed & (min_side >= -tol)
+                   & (tight_rel <= tol)),
+    }
+    for k, (ambient, iso_seed, f_amb) in group.embedding.items():
+        d, field = group.d, group.fields[k]
+        frame = Frame(d, vectors[k, :group.counts[k]], field)
+        sub = embed_subspace_frame(frame, ambient, random_isometry(ambient, d, iso_seed, field))
+        rep_s = subspace_identity_report(sub, group.subset[k], f_amb, tol)
+        columns["subspace_rel"][k] = rep_s.rel_diff
+        columns["projection_dev"][k] = rep_s.terms["projection_dev"]
+        columns["passed"][k] &= rep_s.passed
+    return columns
 
 
 def _overlap_draw(group: SimpleNamespace) -> None:
@@ -333,15 +332,13 @@ def _overlap_draw(group: SimpleNamespace) -> None:
     group.f = group_unit_vectors(streams, group.d, group.fields)
 
 
-def _overlap_solve(group: SimpleNamespace, tol: float) -> list[dict]:
+def _overlap_solve(group: SimpleNamespace, tol: float) -> dict:
     """Disjoint-growth identity: J extended by random E inside the complement."""
     vectors, mask, _ = _parseval_group(group, tol)
     e = _masks(group.e, vectors.shape[1])
-    rows = []
-    for terms in _columns(_overlap_sides(vectors, _analysis(vectors, group.f), mask, e)):
-        rep = _overlap_report(terms, tol)
-        rows.append({"rel_diff": rep.rel_diff, "passed": rep.passed})
-    return rows
+    terms = _overlap_terms(vectors, _analysis(vectors, group.f), mask, e)
+    _, rel_diff = _residual(*_overlap_lhs_rhs(terms), terms)
+    return {"rel_diff": rel_diff, "passed": rel_diff <= tol}
 
 
 def _equivalence_draw(group: SimpleNamespace) -> None:
@@ -360,23 +357,21 @@ def _equivalence_draw(group: SimpleNamespace) -> None:
     group.f = group_unit_vectors(streams, d, group.fields)
 
 
-def _equivalence_solve(group: SimpleNamespace, tol: float) -> list[dict]:
+def _equivalence_solve(group: SimpleNamespace, tol: float) -> dict:
     """Six-way equivalence: random Parseval splits (generically all-false)
     and, every 5th trial, an orthogonal-union construction (all-true)."""
     vectors, mask, _ = _parseval_group(group, tol, group.unions)
-    residuals = _columns(_equivalence_residuals(vectors, group.f, mask))
-    rows = []
-    for k, (res, nf) in enumerate(zip(residuals, norm_sq(group.f).tolist())):
-        rep = _equivalence_report(res, nf, tol)
-        rows.append({
-            "structured": k in group.unions,
-            "pattern": "".join("T" if c.holds else "F" for c in rep.conditions),
-            "consistent": rep.consistent,
-            "borderline": rep.borderline,
-            "rel_diff": 0.0,
-            "passed": rep.consistent,
-        })
-    return rows
+    _, holds, consistent, borderline = _equivalence_verdict(
+        _equivalence_residuals(vectors, group.f, mask), norm_sq(group.f), tol)
+    size = len(group.trials)
+    return {
+        "structured": [k in group.unions for k in range(size)],
+        "pattern": ["".join(flags) for flags in np.where(holds.T, "T", "F").tolist()],
+        "consistent": consistent,
+        "borderline": borderline,
+        "rel_diff": [0.0] * size,
+        "passed": consistent,
+    }
 
 
 def _sj_draw(group: SimpleNamespace) -> None:
@@ -388,7 +383,7 @@ def _sj_draw(group: SimpleNamespace) -> None:
     group.raw = {k: g_k.reshape(d, d) for k, g_k in zip(raw, g)}
 
 
-def _sj_solve(group: SimpleNamespace, tol: float) -> list[dict]:
+def _sj_solve(group: SimpleNamespace, tol: float) -> dict:
     """Partial-operator structure, the resolution-difference identity, and
     the self-adjoint product equivalence (frame splits every trial; raw
     Hermitian and non-Hermitian resolutions every 5th)."""
@@ -396,42 +391,32 @@ def _sj_solve(group: SimpleNamespace, tol: float) -> list[dict]:
     vectors, mask, _ = _parseval_group(group, tol)
     s_j = _partial_operator(vectors, mask)
     s_jc = _partial_operator(vectors, ~mask)
-    structure = _columns(_partial_structure(s_j, s_jc, tol))
+    residual, min_eig_product, min_eig_gap, _, structure_ok = _partial_structure(s_j, s_jc, tol)
     # the resolutions (S_J, S_Jc) of the frame splits, then the raw ones
     # (h, I - h) for h = hermitize(g) and then g, for each raw g in trial order
     g = np.array(list(group.raw.values())).reshape(-1, d, d)
     pairs = np.stack([hermitize(g), g], axis=1).reshape(-1, d, d)
     s, t = np.concatenate([s_j, pairs]), np.concatenate([s_jc, np.eye(d) - pairs])
     _require_resolution(s, t, tol)
-    checks = _columns((*_operator_identity(s, t, tol), *_self_adjoint_product(s, t)))
-    raw_checks = dict(zip(group.raw, zip(checks[size::2], checks[size + 1::2])))
-    rows = []
-    for k in range(size):
-        residual, min_eig_product, min_eig_gap, _, structure_ok = structure[k]
-        op_res, op_ok, s_sa, t_sa, p_sa = checks[k]
-        row = {
-            "residual_identity": residual,
-            "min_eig_product": min_eig_product,
-            "min_eig_gap": min_eig_gap,
-            "op_residual": op_res,
-            "rel_diff": max(residual, op_res),
-            "passed": bool(
-                structure_ok and op_ok and ((s_sa and t_sa) == p_sa) and p_sa
-            ),
-        }
-        if k in raw_checks:
-            (res_h, ok_h, s_h, t_h, p_h), (res_n, ok_n, s_n, t_n, p_n) = raw_checks[k]
-            row["rel_diff"] = max(row["rel_diff"], res_h, res_n)
-            # a real 1x1 draw is self-adjoint, so only a larger or complex
-            # draw must give a product that is not
-            row["passed"] = bool(
-                row["passed"]
-                and ok_h and ((s_h and t_h) == p_h) and p_h
-                and ok_n and ((s_n and t_n) == p_n)
-                and (not p_n or (d == 1 and group.fields[k] == "real"))
-            )
-        rows.append(row)
-    return rows
+    op_res, op_ok = _operator_identity(s, t, tol)
+    s_sa, t_sa, p_sa = _self_adjoint_product(s, t)
+    ok = op_ok & ((s_sa & t_sa) == p_sa)
+    rel_diff = _max(residual, op_res[:size])
+    passed = structure_ok & ok[:size] & p_sa[:size]
+    raw, herm, plain = list(group.raw), slice(size, None, 2), slice(size + 1, None, 2)
+    rel_diff[raw] = _max(rel_diff[raw], op_res[herm], op_res[plain])
+    # a real 1x1 draw is self-adjoint, so only a larger or complex draw
+    # must give a product that is not
+    passed[raw] &= (ok[herm] & p_sa[herm] & ok[plain]
+                    & (~p_sa[plain] | ((d == 1) & group.real[raw])))
+    return {
+        "residual_identity": residual,
+        "min_eig_product": min_eig_product,
+        "min_eig_gap": min_eig_gap,
+        "op_residual": op_res[:size],
+        "rel_diff": rel_diff,
+        "passed": passed,
+    }
 
 
 def _general_draw(group: SimpleNamespace) -> None:
@@ -447,38 +432,30 @@ def _general_draw(group: SimpleNamespace) -> None:
     group.reduction = dict(zip(reduced, zip(seeds, sub2, f2)))
 
 
-def _general_solve(group: SimpleNamespace, tol: float) -> list[dict]:
+def _general_solve(group: SimpleNamespace, tol: float) -> dict:
     """Dual-weighted energy split on conditioned Gaussian frames; every
     10th trial cross-checks the Parseval reduction term by term."""
     vectors, _, dec, cond = group.conditioned
     dual = _spectral_rows(vectors, dec, "inverse", group.real)
-    sides = _columns(_general_sides(vectors, dual, _analysis(vectors, group.f),
-                                    _masks(group.subset, vectors.shape[1])))
-    rows = []
-    for k, (cond_k, sides_k) in enumerate(zip(cond.tolist(), sides)):
-        rep = _split_report(_GENERAL_TERMS, sides_k, tol)
-        row = {
-            "cond": cond_k,
-            "rel_diff": rep.rel_diff,
-            "reduction_dev": None,
-            "passed": rep.passed,
-        }
-        if k in group.reduction:
-            # on a Parseval frame the dual term collapses to the plain norm
-            seed, sub2, f2 = group.reduction[k]
-            pframe = random_parseval(group.d, group.counts[k], seed, group.fields[k])
-            rep_g = general_identity_report(pframe, sub2, f2, tol)
-            rep_p = parseval_identity_report(pframe, sub2, f2, tol)
-            dev = max(
-                abs(rep_g.terms["dual_energy_sj_f"] - rep_p.terms["norm_sj_f"]),
-                abs(rep_g.terms["dual_energy_sjc_f"] - rep_p.terms["norm_sjc_f"]),
-                abs(rep_g.lhs - rep_p.lhs),
-                abs(rep_g.rhs - rep_p.rhs),
-            )
-            row["reduction_dev"] = dev
-            row["passed"] = bool(row["passed"] and rep_g.passed and dev <= tol)
-        rows.append(row)
-    return rows
+    sides = _general_sides(vectors, dual, _analysis(vectors, group.f),
+                           _masks(group.subset, vectors.shape[1]))
+    _, rel_diff = _residual(*_split_lhs_rhs(sides), sides)
+    columns = {"cond": cond, "rel_diff": rel_diff, "reduction_dev": [None] * len(group.trials),
+               "passed": rel_diff <= tol}
+    for k, (seed, sub2, f2) in group.reduction.items():
+        # on a Parseval frame the dual term collapses to the plain norm
+        pframe = random_parseval(group.d, group.counts[k], seed, group.fields[k])
+        rep_g = general_identity_report(pframe, sub2, f2, tol)
+        rep_p = parseval_identity_report(pframe, sub2, f2, tol)
+        dev = max(
+            abs(rep_g.terms["dual_energy_sj_f"] - rep_p.terms["norm_sj_f"]),
+            abs(rep_g.terms["dual_energy_sjc_f"] - rep_p.terms["norm_sjc_f"]),
+            abs(rep_g.lhs - rep_p.lhs),
+            abs(rep_g.rhs - rep_p.rhs),
+        )
+        columns["reduction_dev"][k] = dev
+        columns["passed"][k] &= rep_g.passed and dev <= tol
+    return columns
 
 
 def _bounds_draw(group: SimpleNamespace) -> None:
@@ -489,7 +466,7 @@ def _bounds_draw(group: SimpleNamespace) -> None:
     group.subset = group_subsets(streams, counts)
 
 
-def _bounds_solve(group: SimpleNamespace, tol: float) -> list[dict]:
+def _bounds_solve(group: SimpleNamespace, tol: float) -> dict:
     """Frame inequality, operator-norm sandwich, dual reconstruction,
     partial-operator additivity, and Parseval conversion."""
     vectors, s, dec, cond = group.conditioned
@@ -511,26 +488,17 @@ def _bounds_solve(group: SimpleNamespace, tol: float) -> list[dict]:
     parseval = _spectral_rows(vectors, dec, "inv_sqrt", real)
     parseval_dev = frobenius(_operator(parseval) - np.eye(group.d))
 
-    rows = []
-    for cond_k, ineq, sandwich, recon_k, additivity, pdev in _columns(
-            (cond, inequality_ok, sandwich_ok, recon_err, additivity_err, parseval_dev)):
-        rows.append({
-            "cond": cond_k,
-            "inequality_ok": ineq,
-            "sandwich_ok": sandwich,
-            "recon_err": recon_k,
-            "additivity_err": additivity,
-            "parseval_dev": pdev,
-            "rel_diff": max(recon_k, additivity, pdev),
-            "passed": bool(
-                ineq
-                and sandwich
-                and recon_k <= tol
-                and additivity <= 1e-12
-                and pdev <= tol
-            ),
-        })
-    return rows
+    return {
+        "cond": cond,
+        "inequality_ok": inequality_ok,
+        "sandwich_ok": sandwich_ok,
+        "recon_err": recon_err,
+        "additivity_err": additivity_err,
+        "parseval_dev": parseval_dev,
+        "rel_diff": _max(recon_err, additivity_err, parseval_dev),
+        "passed": (inequality_ok & sandwich_ok & (recon_err <= tol)
+                   & (additivity_err <= 1e-12) & (parseval_dev <= tol)),
+    }
 
 
 def _extension_draw(group: SimpleNamespace) -> None:
@@ -543,7 +511,7 @@ def _extension_draw(group: SimpleNamespace) -> None:
         for rng, field, f_k in zip(streams, fields, group_unit_vectors(streams, d, fields))])
 
 
-def _extension_solve(group: SimpleNamespace, tol: float) -> list[dict]:
+def _extension_solve(group: SimpleNamespace, tol: float) -> dict:
     """Canonical vs unitary-mixed tight completions: equal added energy,
     operator, and span; lam alternates between lambda_max and a larger value.
 
@@ -558,34 +526,27 @@ def _extension_solve(group: SimpleNamespace, tol: float) -> list[dict]:
                     for u, stretch in zip(upper, group.stretch)])
     root, keep = _completion(dec, lam)
     canonical = np.where(keep[:, None, :], root, 0.0)
-    mix = np.zeros((len(group.trials), d, d), dtype=np.complex128)
-    for k, (mix_seed, field) in enumerate(zip(group.mix_seed, group.fields)):
-        kept = np.flatnonzero(keep[k])
-        if kept.size:
-            mix[k][np.ix_(kept, kept)] = random_isometry(kept.size, kept.size, mix_seed, field)
-    added = [_match_field(cols.swapaxes(-1, -2), group.real)
-             for cols in (canonical, canonical @ mix)]
+    mixed = canonical.copy()
+    for mixed_k, root_k, kept, mix_seed, field in zip(mixed, root, keep, group.mix_seed,
+                                                      group.fields):
+        mixed_k[:, kept] = _mixed(root_k[:, kept], mix_seed, field)
+    added = [_match_field(cols.swapaxes(-1, -2), group.real) for cols in (canonical, mixed)]
     ops = [_finite_operator(rows) for rows in added]
     for rows in added:
         union = _finite_operator(np.concatenate([base, rows], axis=-2))
         _require_tight_union(hermitian_eig(union).eigenvalues, lam, tol)
     max_rel, energy_equal, operator_equal, span_equal = _extension_compare(
         group.probes, *added, *ops, *map(hermitian_eig, ops), tol)
-    rows = []
-    for lam_k, count, energy_eq, operator_eq, span_eq, diff, rel in _columns(
-            (lam, keep.sum(axis=-1), energy_equal, operator_equal, span_equal,
-             frobenius(ops[0] - ops[1]), max_rel)):
-        rows.append({
-            "lam": lam_k,
-            "added_count": count,
-            "energy_equal": energy_eq,
-            "operator_equal": operator_eq,
-            "span_equal": span_eq,
-            "operator_diff": diff,
-            "rel_diff": rel,
-            "passed": energy_eq and operator_eq and span_eq,
-        })
-    return rows
+    return {
+        "lam": lam,
+        "added_count": keep.sum(axis=-1),
+        "energy_equal": energy_equal,
+        "operator_equal": operator_equal,
+        "span_equal": span_equal,
+        "operator_diff": frobenius(ops[0] - ops[1]),
+        "rel_diff": max_rel,
+        "passed": energy_equal & operator_equal & span_equal,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +610,12 @@ def _solve_part(name: str, part: list[tuple], tol: float) -> tuple[dict, tuple |
                                 real=np.array([field == "real" for field in fields]))
         try:
             draw(group)
-            for t, n, field, row in zip(trials, counts, fields, solve(group, tol)):
-                rows[t] = {"suite": name, "trial": t, "d": d, "n": n, "field": field, **row}
+            columns = solve(group, tol)
+            values = [column.tolist() if isinstance(column, np.ndarray) else column
+                      for column in columns.values()]
+            for t, n, field, *row in zip(trials, counts, fields, *values, strict=True):
+                rows[t] = {"suite": name, "trial": t, "d": d, "n": n, "field": field,
+                           **dict(zip(columns, row))}
         except Exception as exc:  # carried to the merge, which raises it in serial order
             return rows, (index, exc)
     return rows, None

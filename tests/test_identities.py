@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ from framecalc.frames import (
     frame_bounds,
     random_gaussian,
 )
-from framecalc.identities import _probe_block
+from framecalc.identities import _bound_verdict, _equivalence_verdict, _probe_block, _residual
 from framecalc.linalg import frobenius
 from framecalc.rng import SplitMix64
 
@@ -730,3 +731,89 @@ def test_a_unitary_change_of_basis_keeps_every_verdict(case, basis_seed):
     assert out.passed == rep.passed
     for name, term in rep.terms.items():
         assert abs(out.terms[name] - term) <= 1e-12 * _scale(rep), name
+
+
+# ---------------------------------------------------------------------------
+# stacked verdicts: a family's verdict is the one it gets alone, and the
+# scalar rules of max(1.0, ...) hold on every stack, non-finite terms included
+
+_HOSTILE = st.one_of(st.floats(width=64),
+                     st.sampled_from([0.0, -0.0, 1.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def _verdict_stacks(draw, rows: int):
+    """(rows, size) hostile values, one column per family."""
+    size = draw(st.integers(1, 5))
+    return np.array(draw(st.lists(st.lists(_HOSTILE, min_size=size, max_size=size),
+                                  min_size=rows, max_size=rows)), dtype=np.float64)
+
+
+def _bitwise(stacked, alone) -> bool:
+    """Equal in every bit but a NaN's payload and sign."""
+    a, b = np.asarray(stacked), np.asarray(alone)
+    if a.dtype == bool or b.dtype == bool:
+        return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+def _python_scale(values) -> float:
+    return max(1.0, *(abs(v) for v in values))
+
+
+_VERDICTS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_TOLERANCES = st.sampled_from([1e-9, 1e-12, 0.5])
+
+
+@_VERDICTS
+@given(stack=_verdict_stacks(6), tolerance=_TOLERANCES)
+def test_a_stacked_residual_is_each_familys_own(stack, tolerance):
+    lhs, rhs, *terms = stack
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # Python-float arithmetic: no warning at inf or NaN
+        stacked = _residual(lhs, rhs, terms)
+        for k in range(lhs.size):
+            column = stack[:, k].tolist()
+            alone = _residual(column[0], column[1], column[2:])
+            assert all(_bitwise(s[k], a) for s, a in zip(stacked, alone)), k
+            # the scalar rule it replaces: a NaN value never becomes the scale
+            scale = _python_scale(column)
+            assert not math.isnan(scale)
+            assert _bitwise(stacked[1][k], abs(column[0] - column[1]) / scale)
+    if np.isnan(stack).any():
+        # np.maximum, unlike fmax, would carry a NaN term into the scale
+        assert np.isnan(np.maximum.reduce(np.abs(stack), axis=0, initial=1.0)).any()
+
+
+@_VERDICTS
+@given(stack=_verdict_stacks(5), coefficient=st.sampled_from([0.5, 0.75]),
+       tolerance=_TOLERANCES)
+def test_a_stacked_bound_is_each_familys_own(stack, coefficient, tolerance):
+    sides, norm_f = stack[:4], stack[4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _bound_verdict(sides, norm_f, coefficient, tolerance)
+        for k in range(norm_f.size):
+            sum_j, norm_j, sum_jc, norm_jc, nf = stack[:, k].tolist()
+            alone = _bound_verdict([sum_j, norm_j, sum_jc, norm_jc], nf, coefficient, tolerance)
+            assert all(_bitwise(s[k], a) for s, a in zip(stacked, alone)), k
+            value, complement = sum_j + norm_jc, sum_jc + norm_j
+            scale = _python_scale([value, complement, nf])
+            assert _bitwise(stacked[3][k], abs(value - complement) / scale)
+
+
+@_VERDICTS
+@given(stack=_verdict_stacks(7), tolerance=_TOLERANCES)
+def test_a_stacked_equivalence_is_each_familys_own(stack, tolerance):
+    residuals, norm_f = stack[:6], stack[6]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _equivalence_verdict(residuals, norm_f, tolerance)
+        for k in range(norm_f.size):
+            column = stack[:, k].tolist()
+            alone = _equivalence_verdict(column[:6], column[6], tolerance)
+            assert all(_bitwise(s[..., k], a) for s, a in zip(stacked, alone)), k
+            scale = _python_scale(column[6:])
+            assert _bitwise(stacked[0][:, k], [r / scale for r in column[:6]])

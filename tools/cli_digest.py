@@ -47,6 +47,7 @@ COMMANDS = [
     "gen mercedes --out merc.json",
     "gen random-parseval --dim 16 --count 40 --seed 1 --field complex --out p16.json",
     "gen random-gaussian --dim 16 --count 40 --seed 2 --out g16.json",
+    "gen doubled-onb --dim 3 --out d3.json",
     "gen random-parseval --dim 3 --count 5 --seed 3 --field complex",
     # the first Gaussian attempt is rejected, so random_parseval redraws
     "gen random-parseval --dim 6 --count 6 --seed 1",
@@ -64,12 +65,16 @@ COMMANDS = [
     "identity g16.json --parsevalize --J all --f random --seed 9",
     "equiv p16.json --J random --seed 7",
     "equiv merc.json --J 0 --f 1,0",
+    # J holds both copies of e1, so S_J is a projection: every condition holds
+    "equiv d3.json --J 0,1 --f 1,2,3",
     # --f @file: plain numbers and [re, im] pairs
     "identity merc.json --J 0 --f @v2.json",
     "identity p16.json --variant general --J 1,4,9 --f @v16.json",
     "equiv p16.json --J 0-7 --f @v16.json",
     "extend g16.json --out ext.json",
     "extend merc.json --lambda 2 --mix-seed 5",
+    # merc.json is already tight at the default lambda: an empty completion
+    "extend merc.json",
     "property-run --help",
     "property-run --suite all --trials 300 --seed 101 --quiet",
     "property-run --suite all --trials 300 --seed 918273",
