@@ -20,15 +20,17 @@ and completion to a tight frame by appending columns of sqrt(lam*I - S).
 The kernels behind the frame operator, the analysis coefficients, S_J,
 the canonical dual and Parseval conversion, the Bessel sandwich and the
 tight completion also take zero-padded stacks of families, shape
-(..., n, d); a zero row adds nothing to any of them. The public functions
+(..., n, d); a zero row adds nothing to any of them, and so does
+random_isometry's QR step (`_orthonormal`). The public functions
 validate their inputs and call the same kernels on one family.
 
 A conditioned Gaussian frame, one with cond(S) <= MAX_COND, is accepted
 in one place: `_conditioned_stack` draws a stack of first attempts and
 tests them with one stacked eigendecomposition, and a rejected family goes
 on alone through `_first_conditioned`, the one redraw loop, which
-`random_parseval` also uses. Every family gives up with NoConvergence
-after _RESAMPLE_LIMIT attempts in all.
+`random_parseval` also uses; each row of `_parseval_stack` is bitwise
+random_parseval's. Every family gives up with NoConvergence after
+_RESAMPLE_LIMIT attempts in all.
 
 Real-tagged frames keep exactly zero imaginary parts; derived operations
 strip sub-tolerance imaginary roundoff so the tag survives duals and
@@ -409,16 +411,9 @@ def complete_to_tight(frame: Frame, lam: float | None = None, mix_seed: int | No
     dec = frame.spectrum
     root, keep = _completion(dec, dec.eigenvalues[-1] if lam is None else float(lam))
     cols = root[:, keep]
-    if mix_seed is not None:
-        cols = _mixed(cols, mix_seed, frame.field)
+    if mix_seed is not None and cols.shape[1]:
+        cols = cols @ random_isometry(cols.shape[1], cols.shape[1], mix_seed, frame.field)
     return Frame(frame.dim, _match_field(cols.T, frame.field == "real"), frame.field)
-
-
-def _mixed(cols: np.ndarray, mix_seed: int, field: str) -> np.ndarray:
-    """The (d, k) kept columns of a completion times a seeded k x k unitary:
-    a different family with the same added operator and span."""
-    k = cols.shape[1]
-    return cols @ random_isometry(k, k, mix_seed, field) if k else cols
 
 
 def _completion(dec: EigenDecomposition, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -449,11 +444,16 @@ def random_isometry(ambient_dim: int, dim: int, seed: int, field: str = "complex
     """
     if not 1 <= dim <= ambient_dim:
         raise BadParams(f"need 1 <= dim <= ambient_dim, got {dim}, {ambient_dim}")
-    g = SplitMix64(seed).normals(ambient_dim * dim, field).reshape(ambient_dim, dim)
+    return _orthonormal(SplitMix64(seed).normals(ambient_dim * dim, field).reshape(ambient_dim, dim))
+
+
+def _orthonormal(g: np.ndarray) -> np.ndarray:
+    """The Q factor of each matrix's QR in a stack (..., m, k), its columns
+    rotated so that R has a positive real diagonal (a zero entry counts as 1)."""
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[np.abs(d) == 0.0] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +589,9 @@ def _parseval_stack(dim: int, counts: list[int], seeds: list[int],
     """random_parseval(dim, n, seed, field).vectors for each (n, seed, field),
     zero-padded into one (len(counts), max(counts), dim) stack: the
     conditioned stack, with each family going on as random_parseval goes on,
-    from SplitMix64(seed), then one S^{-1/2} for the whole stack. A row
-    differs from the single conversion only in rounding.
+    from SplitMix64(seed), then one S^{-1/2} for the whole stack. Each row
+    is bitwise random_parseval's, padding and mixed counts and fields
+    included.
     """
     vectors, _, dec, _ = _conditioned_stack(dim, counts, seeds, fields,
                                             [SplitMix64(seed) for seed in seeds])

@@ -610,16 +610,25 @@ class TightExtensionCompare:
     passed: bool
 
 
+def _probe_width(d: int, field: str) -> int:
+    """Normals per probe: a real probe draws whole Gaussian pairs, one extra at odd d."""
+    return d + d % 2 if field == "real" else d
+
+
+def _unit_rows(block: np.ndarray) -> np.ndarray:
+    """Each row of a stack (..., m, d) over its norm, the vecdot form of
+    np.linalg.norm's own dot; a zero-norm row is left unnormalized."""
+    norms = np.sqrt(np.vecdot(block.real, block.real) + np.vecdot(block.imag, block.imag))
+    return block / np.where(norms > 0.0, norms, 1.0)[..., None]
+
+
 def _probe_block(f, d: int, field: str, trials: int, seed: int) -> np.ndarray:
     """f, then `trials` seeded unit vectors, as rows. The block draw and the
-    vecdot row norms (np.linalg.norm's own dot) are bitwise one draw and one
-    normalization per probe; a zero-norm row is left unnormalized."""
+    row norms are bitwise one draw and one normalization per probe."""
     v = as_vector(f, d)
-    # a real probe draws whole Gaussian pairs, so an odd d drops the last column
-    width = d + d % 2 if field == "real" else d
+    width = _probe_width(d, field)
     block = SplitMix64(seed).normals(trials * width, field).reshape(trials, width)[:, :d]
-    norms = np.sqrt(np.vecdot(block.real, block.real) + np.vecdot(block.imag, block.imag))
-    return np.vstack([v, block / np.where(norms > 0.0, norms, 1.0)[:, None]])
+    return np.vstack([v, _unit_rows(block)])
 
 
 def _require_tight_union(eigenvalues: np.ndarray, lam, tolerance: float) -> None:

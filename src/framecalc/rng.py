@@ -40,7 +40,9 @@ pair. A count of zero draws nothing and moves nothing. group_normals and
 group_unit_vectors take one field per stream, so one draw step covers real
 and complex streams alike: a real segment is its gaussians, a complex one
 pairs its gaussians into complex normals. The sweeps draw each step for a
-whole d group of trials, of both fields, this way.
+whole d group of trials, of both fields, this way, and so too the draws
+each trial makes from fresh streams of its own seeds (probes, isometries,
+Gaussian frames).
 
 The uint64 sequence is bit-reproducible everywhere; floating-point outputs
 are deterministic for a given platform's libm.

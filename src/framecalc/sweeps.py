@@ -33,8 +33,12 @@ stream, made for the whole block in one group draw, and each draw step
 (J, f, E, a raw matrix, a group's Gaussian frames) is one group draw of
 rng for all the group's trials. Each trial owns its stream, so
 interleaving the trials moves no stream position, and a row is bitwise
-the row of per-trial draws. Scalar draws (seeds, tight values, flags)
-and the per-trial extras are drawn trial by trial.
+the row of per-trial draws. Scalar draws (seeds, tight values, flags, the
+sizes of an orthogonal union) and the pfi embedding are drawn trial by
+trial. Draws from a trial's own seeds are stacked too, each bitwise its
+single call: the extension probes, the isometries of the orthogonal unions
+and of the extension mixing (_isometries, one stacked QR per size), and
+the unions' parts and general reductions (_parseval_rows).
 The general and bounds draws take their Gaussian frames from
 frames._conditioned_stack, whose rejected first attempts go on in the
 trial's own stream, and then draw J and f. Every conditioned draw, here,
@@ -45,14 +49,12 @@ stacks (one stacked eigendecomposition per spectral step), verdicts
 included: the residuals, bounds and equivalence patterns come from the
 stacked kernels of identities that the public reports call on one
 family. The sj raw resolutions are checked as one stack per group, after
-its frame splits; the other per-trial extras (the pfi subspace
-embedding, the general Parseval reduction, the equivalence
-orthogonal-union construction, the extension mixing unitary) stay
-per-trial calls, each writing into its own positions of a column. A row
-agrees with its scalar replay, one trial through the public functions,
-to 1e-12 * max(1, |v|) in every float and exactly in every count, flag
-and string; it depends on the other trials of its group only in
-rounding. A failing check raises for the first failing trial of the
+its frame splits. The pfi subspace embedding and the general reduction's
+reports stay per-trial calls, each writing into its own positions of a
+column. A row agrees with its scalar replay, one trial through the public
+functions, to 1e-12 * max(1, |v|) in every float and exactly in every
+count, flag and string; it depends on the other trials of its group only
+in rounding. A failing check raises for the first failing trial of the
 group at that check.
 
 A block of at least 2 * _SPLIT_TRIALS trials, in a process that runs no
@@ -95,8 +97,8 @@ from .frames import (
     _finite_operator,
     _gaussian_group,
     _match_field,
-    _mixed,
     _operator,
+    _orthonormal,
     _parseval_stack,
     _partial_operator,
     _spectral_rows,
@@ -105,7 +107,6 @@ from .frames import (
     embed_subspace_frame,
     norm_sq,
     random_isometry,
-    random_parseval,
 )
 from .identities import (
     _bound_verdict,
@@ -118,7 +119,7 @@ from .identities import (
     _overlap_lhs_rhs,
     _overlap_terms,
     _partial_structure,
-    _probe_block,
+    _probe_width,
     _require_parseval,
     _require_resolution,
     _require_tight,
@@ -126,6 +127,7 @@ from .identities import (
     _residual,
     _self_adjoint_product,
     _split_lhs_rhs,
+    _unit_rows,
     general_identity_report,
     parseval_identity_report,
     subspace_identity_report,
@@ -201,17 +203,39 @@ def _draw_shapes(name: str, trials: range, config: RunConfig) -> list[tuple]:
             for t, rng, r, d_t, n_t in zip(trials, streams, real, d.tolist(), n.tolist())]
 
 
-def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[np.ndarray, list[int]]:
-    """Rows of a Parseval frame split into two parts with orthogonal spans;
-    the first part's indices make every equivalence condition hold."""
-    r = _randint(rng, 1, d - 1)
-    u = random_isometry(d, d, rng.next_raw(), field)
-    first = random_parseval(r, _randint(rng, r, 2 * r), rng.next_raw(), field)
-    second = random_parseval(d - r, _randint(rng, d - r, 2 * (d - r)), rng.next_raw(), field)
-    rows = np.vstack([first.vectors @ u[:, :r].T, second.vectors @ u[:, r:].T])
-    if field == "real":
-        rows = rows.real.astype(np.complex128)
-    return rows, list(range(first.count))
+def _isometries(ambient: int, dim: int, seeds: list[int], fields: list[str]) -> np.ndarray:
+    """random_isometry(ambient, dim, seed, field) of each (seed, field), as one
+    stack from one group draw and one stacked QR."""
+    g = group_normals([SplitMix64(seed) for seed in seeds], [ambient * dim] * len(seeds), fields)
+    return _orthonormal(np.reshape(g, (len(seeds), ambient, dim)))
+
+
+def _parseval_rows(parts: list[tuple[int, int, int, str]]) -> list[np.ndarray]:
+    """random_parseval(dim, n, seed, field).vectors of each (dim, n, seed,
+    field), in order, from one _parseval_stack per dim."""
+    rows = [None] * len(parts)
+    for dim in dict.fromkeys(dim for dim, *_ in parts):
+        at = [i for i, part in enumerate(parts) if part[0] == dim]
+        _, counts, seeds, fields = (list(column) for column in zip(*(parts[i] for i in at)))
+        for i, n, family in zip(at, counts, _parseval_stack(dim, counts, seeds, fields)):
+            rows[i] = family[:n]
+    return rows
+
+
+def _orthogonal_unions(d: int, draws: dict, fields: list[str]) -> dict[int, np.ndarray]:
+    """For each trial k of draws, (isometry seed, (r, n1, s1), (d - r, n2, s2)),
+    the rows of random_parseval(r, n1, s1) and random_parseval(d - r, n2, s2)
+    through the first r and the last d - r columns of a random_isometry(d, d):
+    a Parseval frame whose two parts have orthogonal spans."""
+    keys = list(draws)
+    units = _isometries(d, d, [draws[k][0] for k in keys], [fields[k] for k in keys])
+    parts = _parseval_rows([(*part, fields[k]) for k in keys for part in draws[k][1:]])
+    unions = {}
+    for k, u, first, second in zip(keys, units, parts[0::2], parts[1::2]):
+        r = first.shape[1]
+        rows = np.vstack([first @ u[:, :r].T, second @ u[:, r:].T])
+        unions[k] = rows.real.astype(np.complex128) if fields[k] == "real" else rows
+    return unions
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +367,17 @@ def _overlap_solve(group: SimpleNamespace, tol: float) -> dict:
 
 def _equivalence_draw(group: SimpleNamespace) -> None:
     d, streams = group.d, group.streams
-    group.unions, group.seed, group.subset = {}, [None] * len(streams), [None] * len(streams)
+    group.seed, group.subset, structured = [None] * len(streams), [None] * len(streams), {}
     for k, (t, rng) in enumerate(zip(group.trials, streams)):
         if t % 5 == 0 and d >= 2:  # structured: an orthogonal union sets its own count
-            group.unions[k], group.subset[k] = _orthogonal_union(rng, d, group.fields[k])
-            group.counts[k] = len(group.unions[k])
+            r = _randint(rng, 1, d - 1)
+            structured[k] = (rng.next_raw(), (r, _randint(rng, r, 2 * r), rng.next_raw()),
+                             (d - r, _randint(rng, d - r, 2 * (d - r)), rng.next_raw()))
         else:
             group.seed[k] = rng.next_raw()
+    group.unions = _orthogonal_unions(d, structured, group.fields)
+    for k, (_, first, _) in structured.items():
+        group.subset[k], group.counts[k] = list(range(first[1])), len(group.unions[k])
     seeded = [k for k in range(len(streams)) if k not in group.unions]
     for k, subset in zip(seeded, group_subsets([streams[k] for k in seeded],
                                                [group.counts[k] for k in seeded])):
@@ -442,9 +470,11 @@ def _general_solve(group: SimpleNamespace, tol: float) -> dict:
     _, rel_diff = _residual(*_split_lhs_rhs(sides), sides)
     columns = {"cond": cond, "rel_diff": rel_diff, "reduction_dev": [None] * len(group.trials),
                "passed": rel_diff <= tol}
-    for k, (seed, sub2, f2) in group.reduction.items():
+    rows = _parseval_rows([(group.d, group.counts[k], seed, group.fields[k])
+                           for k, (seed, _, _) in group.reduction.items()])
+    for rows_k, (k, (_, sub2, f2)) in zip(rows, group.reduction.items()):
         # on a Parseval frame the dual term collapses to the plain norm
-        pframe = random_parseval(group.d, group.counts[k], seed, group.fields[k])
+        pframe = Frame(group.d, rows_k, group.fields[k])
         rep_g = general_identity_report(pframe, sub2, f2, tol)
         rep_p = parseval_identity_report(pframe, sub2, f2, tol)
         dev = max(
@@ -506,9 +536,13 @@ def _extension_draw(group: SimpleNamespace) -> None:
     group.seed = _seeds(streams)
     group.stretch = [None if rng.uniform() < 0.5 else 1.0 + rng.uniform() for rng in streams]
     group.mix_seed = _seeds(streams)
-    group.probes = np.array([
-        _probe_block(f_k, d, field, 20, rng.next_raw())
-        for rng, field, f_k in zip(streams, fields, group_unit_vectors(streams, d, fields))])
+    f = group_unit_vectors(streams, d, fields)
+    # each trial's identities._probe_block of f and its next seed, in one group draw
+    widths = [_probe_width(d, field) for field in fields]
+    blocks = group_normals([SplitMix64(seed) for seed in _seeds(streams)],
+                           [20 * width for width in widths], fields)
+    probes = np.array([g.reshape(20, width)[:, :d] for g, width in zip(blocks, widths)])
+    group.probes = np.concatenate([f[:, None], _unit_rows(probes)], axis=1)
 
 
 def _extension_solve(group: SimpleNamespace, tol: float) -> dict:
@@ -526,10 +560,13 @@ def _extension_solve(group: SimpleNamespace, tol: float) -> dict:
                     for u, stretch in zip(upper, group.stretch)])
     root, keep = _completion(dec, lam)
     canonical = np.where(keep[:, None, :], root, 0.0)
-    mixed = canonical.copy()
-    for mixed_k, root_k, kept, mix_seed, field in zip(mixed, root, keep, group.mix_seed,
-                                                      group.fields):
-        mixed_k[:, kept] = _mixed(root_k[:, kept], mix_seed, field)
+    mixed, added_count = canonical.copy(), keep.sum(axis=-1)
+    by_column = mixed.swapaxes(-1, -2)  # a view: entry [k, j] is column j of trial k
+    for m in set(added_count.tolist()) - {0}:  # the trials that keep m columns, at once
+        at, kept = np.flatnonzero(added_count == m), keep & (added_count == m)[:, None]
+        units = _isometries(m, m, [group.mix_seed[i] for i in at], [group.fields[i] for i in at])
+        cols = by_column[kept].reshape(len(at), m, d).swapaxes(-1, -2)
+        by_column[kept] = (cols @ units).swapaxes(-1, -2).reshape(-1, d)
     added = [_match_field(cols.swapaxes(-1, -2), group.real) for cols in (canonical, mixed)]
     ops = [_finite_operator(rows) for rows in added]
     for rows in added:
@@ -539,7 +576,7 @@ def _extension_solve(group: SimpleNamespace, tol: float) -> dict:
         group.probes, *added, *ops, *map(hermitian_eig, ops), tol)
     return {
         "lam": lam,
-        "added_count": keep.sum(axis=-1),
+        "added_count": added_count,
         "energy_equal": energy_equal,
         "operator_equal": operator_equal,
         "span_equal": span_equal,

@@ -6,7 +6,9 @@ functions, one trial at a time.
 `tests/test_sweeps.py` replays them and compares each batched row with
 its replay. The trial streams, `_randint` and the shape draw are this
 file's own copies, so the replay shares none of them with the vectorized
-shape pre-pass of the sweeps.
+shape pre-pass of the sweeps. `_conditioned_gaussian` and
+`_orthogonal_union` are frozen per-trial copies of constructions that the
+sweeps now make for a whole group at once.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from framecalc.identities import (
 )
 from framecalc.linalg import frobenius, hermitize
 from framecalc.rng import SplitMix64
-from framecalc.sweeps import RunConfig, _orthogonal_union
+from framecalc.sweeps import RunConfig
 
 
 def _trial_rng(config: RunConfig, suite: str, trial: int) -> SplitMix64:
@@ -81,6 +83,19 @@ def _conditioned_gaussian(rng: SplitMix64, dim: int, count: int, field: str) -> 
             if cond <= MAX_COND:
                 return frame, float(cond)
     raise RuntimeError("could not draw a well-conditioned frame")  # pragma: no cover
+
+
+def _orthogonal_union(rng: SplitMix64, d: int, field: str) -> tuple[np.ndarray, list[int]]:
+    """Rows of a Parseval frame split into two parts with orthogonal spans;
+    the first part's indices make every equivalence condition hold."""
+    r = _randint(rng, 1, d - 1)
+    u = random_isometry(d, d, rng.next_raw(), field)
+    first = random_parseval(r, _randint(rng, r, 2 * r), rng.next_raw(), field)
+    second = random_parseval(d - r, _randint(rng, d - r, 2 * (d - r)), rng.next_raw(), field)
+    rows = np.vstack([first.vectors @ u[:, :r].T, second.vectors @ u[:, r:].T])
+    if field == "real":
+        rows = rows.real.astype(np.complex128)
+    return rows, list(range(first.count))
 
 
 def _complement(subset: list[int], n: int) -> list[int]:

@@ -44,7 +44,14 @@ from framecalc import (
     union,
     write_frame,
 )
-from framecalc.frames import TAU_FRAME_COEFF, TAU_ID, FrameBounds, as_vector, norm_sq
+from framecalc.frames import (
+    TAU_FRAME_COEFF,
+    TAU_ID,
+    FrameBounds,
+    _parseval_stack,
+    as_vector,
+    norm_sq,
+)
 from framecalc.identities import (
     equivalence_conditions,
     general_identity_report,
@@ -605,6 +612,21 @@ def _frames(draw):
     rows.real = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
     rows.imag = draw(st.lists(im_entries, min_size=size, max_size=size))
     return Frame(dim, rows.reshape(count, dim), field)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 16), data=st.data())
+def test_a_parseval_stack_row_is_bitwise_random_parseval(d, data):
+    # the sweeps' orthogonal unions and general reductions rely on this
+    families = data.draw(st.lists(st.tuples(st.integers(d, 4 * d), st.integers(0, 2**64 - 1),
+                                            st.sampled_from(("real", "complex"))),
+                                  min_size=1, max_size=5))
+    counts, seeds, fields = (list(column) for column in zip(*families))
+    stack = _parseval_stack(d, counts, seeds, fields)
+    assert stack.shape == (len(families), max(counts), d)
+    for rows, n, seed, field in zip(stack, counts, seeds, fields):
+        assert rows[:n].tobytes() == random_parseval(d, n, seed, field).vectors.tobytes()
+        assert not rows[n:].any()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -6,7 +6,13 @@ import threading
 
 import numpy as np
 import pytest
-from scalar_trials import SCALAR_TRIALS, _draw_shape, _trial_rng, scalar_rows
+from scalar_trials import (
+    SCALAR_TRIALS,
+    _draw_shape,
+    _orthogonal_union,
+    _trial_rng,
+    scalar_rows,
+)
 
 from framecalc import (
     BadParams,
@@ -28,6 +34,7 @@ from framecalc.frames import (
     random_parseval,
 )
 from framecalc.identities import (
+    _probe_block,
     operator_identity_check,
     partial_structure_check,
     self_adjoint_product_check,
@@ -345,6 +352,59 @@ def test_batched_completions_are_the_public_ones(monkeypatch):
                 np.testing.assert_allclose(got[kept], want, rtol=0.0, atol=1e-12 * max(1.0, lam))
             mixed_in_groups += len(group.trials) > 1 and kept.any()
     assert mixed_in_groups > 20
+
+
+def _drawn_groups(monkeypatch, name: str, config: RunConfig) -> list:
+    """Every group record of a one-process run of suite `name`, as drawn."""
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
+    draw, solve, reducers = sweeps._SUITES[name]
+    groups = []
+    monkeypatch.setitem(sweeps._SUITES, name, (
+        lambda group: draw(group) or groups.append(group), solve, reducers))
+    run_suite(name, config)
+    return groups
+
+
+@pytest.mark.parametrize("config", [ORACLE_CONFIGS["seed101"], ORACLE_CONFIGS["small_d"]],
+                         ids=["seed101", "small_d"])
+def test_each_trials_probes_are_bitwise_its_own_probe_block(monkeypatch, config):
+    # a trial given a neighbour's probe seed moves its row only in rounding,
+    # so compare the probe blocks themselves, against a replay of the stream
+    shared = 0
+    for group in _drawn_groups(monkeypatch, "extension", config):
+        for k, t in enumerate(group.trials):
+            rng = _trial_rng(config, "extension", t)
+            field, d, _ = _draw_shape(rng, config)
+            rng.next_raw()  # the Gaussian frame's seed
+            if rng.uniform() >= 0.5:
+                rng.uniform()  # lam's stretch
+            rng.next_raw()  # the mixing seed
+            f = rng.unit_vector(d, field)
+            want = _probe_block(f, d, field, 20, rng.next_raw())
+            assert (group.probes[k].shape, group.probes[k].tobytes()) == (
+                want.shape, want.tobytes()), t
+        shared += len(set(group.fields)) == 2
+    assert shared > 0
+
+
+@pytest.mark.parametrize("config", [ORACLE_CONFIGS["seed101"], ORACLE_CONFIGS["small_d"]],
+                         ids=["seed101", "small_d"])
+def test_each_orthogonal_union_is_bitwise_its_per_trial_construction(monkeypatch, config):
+    # every orthogonal union gives the all-true pattern, so a union built from
+    # a neighbour's isometry or Parseval seeds would leave every row as it is
+    same_field = 0
+    for group in _drawn_groups(monkeypatch, "equivalence", config):
+        for k, t in enumerate(group.trials):
+            assert (k in group.unions) == (t % 5 == 0 and group.d >= 2), t
+        for k, rows in group.unions.items():
+            rng = _trial_rng(config, "equivalence", group.trials[k])
+            field, d, _ = _draw_shape(rng, config)
+            want, subset = _orthogonal_union(rng, d, field)
+            assert (rows.shape, rows.tobytes()) == (want.shape, want.tobytes()), group.trials[k]
+            assert (group.subset[k], group.counts[k]) == (subset, len(want))
+        fields = [group.fields[k] for k in group.unions]
+        same_field += len(fields) > len(set(fields))
+    assert same_field > 0
 
 
 def test_bounds_equalities_at_d_1_pass_through_their_slack():
