@@ -165,7 +165,11 @@ def _finite_operator(rows: np.ndarray) -> np.ndarray:
     """_operator of finite rows, raising BadParams for the first family whose
     operator overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # finite vectors can overflow S
-        s = _operator(rows)
+        return _require_finite(_operator(rows))
+
+
+def _require_finite(s: np.ndarray) -> np.ndarray:
+    """The frame operators s, raising BadParams if any entry overflowed."""
     if not np.isfinite(s).all():
         raise BadParams("frame operator overflows: vectors are too large")
     return s

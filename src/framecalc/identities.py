@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EOverlapsJ, NotParseval, NotTight, PreconditionFailed
+from .errors import DimensionMismatch, EOverlapsJ, NotParseval, NotTight, PreconditionFailed
 from .frames import (
     TAU_FRAME_COEFF,
     TAU_ID,
@@ -38,13 +38,13 @@ from .frames import (
     _analysis,
     _energy,
     _partial_operator,
+    _require_finite,
     _synthesis,
     as_vector,
     canonical_dual,
     coefficients,
     norm_sq,
     subset_mask,
-    union,
 )
 from .linalg import (
     TAU_HERM,
@@ -55,6 +55,7 @@ from .linalg import (
     frobenius,
     hermitian_defect,
     hermitian_eig,
+    hermitian_eigvals,
     hermitize,
 )
 from .rng import SplitMix64
@@ -99,12 +100,14 @@ def _require_parseval(eigenvalues: np.ndarray, tolerance: float) -> None:
 
 def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> None:
     """NotTight unless each lam is positive (the all-zero family would
-    otherwise pass at lam = 0, where the tolerance vanishes) and each
-    spectrum in (..., d) lies within tolerance * lam of its lam."""
+    otherwise pass at lam = 0, where the tolerance vanishes) and finite
+    (at lam = inf the tolerance is inf too), and each spectrum in (..., d)
+    lies within tolerance * lam of its lam."""
     lam = np.asarray(lam, dtype=np.float64)
-    k = _first_failure(~(lam > 0.0))
+    k = _first_failure(~(lam > 0.0) | (lam == np.inf))
     if k is not None:
-        raise NotTight(f"tight value {np.ravel(lam)[k]:.6g} is not positive")
+        bad = np.ravel(lam)[k]
+        raise NotTight(f"tight value {bad:.6g} is not {'finite' if bad > 0.0 else 'positive'}")
     dev = np.abs(eigenvalues - lam[..., None]).max(axis=-1)
     k = _first_failure(dev > tolerance * lam)
     if k is not None:
@@ -632,9 +635,12 @@ def _probe_block(f, d: int, field: str, trials: int, seed: int) -> np.ndarray:
 
 
 def _require_tight_union(eigenvalues: np.ndarray, lam, tolerance: float) -> None:
-    """NotTight unless each union spectrum in (..., d) lies within
-    tolerance * max(1, lam) of its lam."""
-    lam = np.asarray(lam, dtype=np.float64)
+    """NotTight unless each lam, one per union spectrum in (..., d), is
+    finite and the spectrum lies within tolerance * max(1, lam) of it."""
+    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), eigenvalues.shape[:-1])
+    k = _first_failure(~np.isfinite(lam))
+    if k is not None:
+        raise NotTight(f"tight value {np.ravel(lam)[k]:.6g} is not finite")
     dev = np.abs(eigenvalues - lam[..., None]).max(axis=-1)
     k = _first_failure(dev > tolerance * np.maximum(1.0, lam))
     if k is not None:
@@ -663,12 +669,18 @@ def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame
     Checks that both unions are lam-tight (raising NotTight otherwise),
     then that the two added families have equal coefficient energy on the
     given f and on `trials` seeded random unit vectors, equal frame
-    operators, and equal spans. The probe energies are computed as one
-    block, one matrix product per added family.
+    operators, and equal spans. A union's operator is the sum of its parts'
+    cached ones, and only its eigenvalues are computed. The probe energies
+    are computed as one block, one matrix product per added family.
     """
     lam = float(lam)
     for added in (added_first, added_second):
-        _require_tight_union(union(base, added).spectrum.eigenvalues, lam, tolerance)
+        if added.dim != base.dim:
+            raise DimensionMismatch(f"dims differ: {base.dim} vs {added.dim}")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows where union() would
+        unions = _require_finite(hermitize(base.operator + np.stack(
+            [added_first.operator, added_second.operator])))
+    _require_tight_union(hermitian_eigvals(unions), lam, tolerance)
     fields = (base.field, added_first.field, added_second.field)
     field = "complex" if "complex" in fields else "real"
     probes = _probe_block(f, base.dim, field, trials, seed)

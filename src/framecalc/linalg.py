@@ -14,6 +14,9 @@ call factorizes a whole stack, and a failed check raises for the first
 failing matrix in C order. A stacked eigendecomposition is bitwise the
 per-matrix one.
 
+Where a spectrum only feeds a pass/raise check, hermitian_eigvals gives
+it with hermitian_eig's checks and computes no eigenvectors.
+
 Tolerances:
     TAU_HERM  relative Hermitian-defect bound, ||M - M*||_F <= TAU_HERM * max(1, ||M||_F)
     TAU_EIG   relative reconstruction bound for the factorization
@@ -140,6 +143,16 @@ def hermitian_eig(m) -> EigenDecomposition:
     w.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def hermitian_eigvals(m) -> np.ndarray:
+    """The eigenvalues of hermitian_eig(m), shape (..., d), ascending, with
+    its checks and errors (NotHermitian, NoConvergence) but no eigenvectors."""
+    a = require_hermitian(m)
+    try:
+        return np.linalg.eigvalsh(hermitize(a))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def psd_apply(m, fn: str) -> np.ndarray:

@@ -48,8 +48,11 @@ The solve runs each group through the algebra at once, as zero-padded
 stacks (one stacked eigendecomposition per spectral step), verdicts
 included: the residuals, bounds and equivalence patterns come from the
 stacked kernels of identities that the public reports call on one
-family. The sj raw resolutions are checked as one stack per group, after
-its frame splits. The pfi subspace embedding and the general reduction's
+family. A spectrum that only feeds a pass/raise check, the Parseval
+check of a group's families or the tightness of both extension unions
+(one stack of sums of the parts' operators), is read without eigenvectors.
+The sj raw resolutions are checked as one stack per group, after its
+frame splits. The pfi subspace embedding and the general reduction's
 reports stay per-trial calls, each writing into its own positions of a
 column. A row agrees with its scalar replay, one trial through the public
 functions, to 1e-12 * max(1, |v|) in every float and exactly in every
@@ -132,7 +135,7 @@ from .identities import (
     parseval_identity_report,
     subspace_identity_report,
 )
-from .linalg import frobenius, hermitian_eig, hermitize
+from .linalg import frobenius, hermitian_eig, hermitian_eigvals, hermitize
 from .rng import (
     SplitMix64,
     _to_uniforms,
@@ -265,7 +268,7 @@ def _parseval_group(group: SimpleNamespace, tol: float, built: dict | None = Non
         vectors[seeded, :stack.shape[1]] = stack
     for k, rows in built.items():
         vectors[k, :len(rows)] = rows
-    w = hermitian_eig(_operator(vectors)).eigenvalues
+    w = hermitian_eigvals(_operator(vectors))
     _require_parseval(w, tol)
     return vectors, _masks(group.subset, vectors.shape[1]), w
 
@@ -554,7 +557,7 @@ def _extension_solve(group: SimpleNamespace, tol: float) -> dict:
     mixing unitary acts on the kept positions only.
     """
     d = group.d
-    base, _, dec = _gaussian_group(d, group.counts, group.seed, group.fields)
+    _, s, dec = _gaussian_group(d, group.counts, group.seed, group.fields)
     upper = np.maximum(dec.eigenvalues[:, -1], 0.0).tolist()
     lam = np.array([u if stretch is None else u * stretch
                     for u, stretch in zip(upper, group.stretch)])
@@ -569,9 +572,7 @@ def _extension_solve(group: SimpleNamespace, tol: float) -> dict:
         by_column[kept] = (cols @ units).swapaxes(-1, -2).reshape(-1, d)
     added = [_match_field(cols.swapaxes(-1, -2), group.real) for cols in (canonical, mixed)]
     ops = [_finite_operator(rows) for rows in added]
-    for rows in added:
-        union = _finite_operator(np.concatenate([base, rows], axis=-2))
-        _require_tight_union(hermitian_eig(union).eigenvalues, lam, tol)
+    _require_tight_union(hermitian_eigvals(s + np.stack(ops)), lam, tol)
     max_rel, energy_equal, operator_equal, span_equal = _extension_compare(
         group.probes, *added, *ops, *map(hermitian_eig, ops), tol)
     return {

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from framecalc import (
     BadParams,
+    DimensionMismatch,
     EOverlapsJ,
     Frame,
     FrameError,
@@ -423,6 +424,42 @@ def test_extension_compare_hand_case():
 def test_extension_compare_rejects_untight_union():
     with pytest.raises(NotTight):
         tight_extension_compare(PAIR, Frame(2, [E1], "real"), Frame(2, [E2], "real"), 2.0, E1)
+
+
+def test_extension_compare_rejects_an_untight_second_union():
+    # the first completion is good; the second adds only half of e2 e2^*
+    half = Frame(2, [[0.0, 1.0 / np.sqrt(2.0)]], "real")
+    with pytest.raises(NotTight, match="^union deviates from 2-tight by 5.000e-01$"):
+        tight_extension_compare(PAIR, Frame(2, [E2], "real"), half, 2.0, E1)
+
+
+def test_extension_compare_rejects_mismatched_dims_and_overflowing_unions():
+    good, wide = Frame(2, [E2], "real"), Frame(3, [[0.0, 0.0, 1.0]], "real")
+    for first, second in ((wide, good), (good, wide)):
+        with pytest.raises(DimensionMismatch, match="^dims differ: 2 vs 3$"):
+            tight_extension_compare(PAIR, first, second, 2.0, E1)
+    # each operator is 0.6e308, but the union's, hermitized, overflows
+    big = Frame(1, [[np.sqrt(0.6e308)]], "real")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match="^frame operator overflows: vectors are too large$"):
+            tight_extension_compare(big, big, big, 1.2e308, [1.0])
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_tight_checks_reject_a_non_finite_lambda(lam):
+    # only an explicit guard rejects these: at lam = inf the deviation test
+    # reads inf > tol * inf, and a NaN deviation compares false
+    r = 1.0 / np.sqrt(2.0)
+    second = Frame(2, [[0.0, r], [0.0, r]], "real")
+    tight = random_parseval(3, 7, 1, "real").scaled(2.0)
+    named = "finite" if lam == float("inf") else "positive"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotTight, match=f"^tight value {lam:.6g} is not finite$"):
+            tight_extension_compare(PAIR, Frame(2, [E2], "real"), second, lam, E1)
+        with pytest.raises(NotTight, match=f"^tight value {lam:.6g} is not {named}$"):
+            tight_identity_report(tight, [0, 2], [0.3, -0.5, 0.7], lam)
 
 
 def _per_probe_draws(f, d, field, trials, seed):

@@ -1,13 +1,17 @@
 """Spectral factorization against hand eigensystems, plus the PSD functions."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framecalc.errors import NotHermitian, NotPSD, SingularMatrix
 from framecalc.linalg import (
     frobenius,
     hermitian_defect,
     hermitian_eig,
+    hermitian_eigvals,
     hermitize,
     psd_apply,
     require_hermitian,
@@ -151,3 +155,39 @@ def test_stacked_checks_name_the_first_failing_matrix():
     skew = np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
     with pytest.raises(NotHermitian, match="defect 1.414e\\+00"):
         hermitian_eig(skew)
+
+
+# eigvalsh and eigh run different LAPACK drivers, each backward stable: their
+# eigenvalues agree to a few d * eps * ||M||; 1.22 was the worst seen over
+# 3,000 stacks of these kinds
+_EIGVALS_AGREEMENT = 4.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 16), k=st.integers(1, 20), field=st.sampled_from(["real", "complex"]),
+       kind=st.sampled_from(["random", "near_identity", "repeated"]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+def test_eigvals_are_eigh_eigenvalues_without_eigenvectors(d, k, field, kind, scale, seed):
+    g = _stack(seed, k, d)
+    if field == "real":
+        g = g.real.astype(np.complex128)
+    if kind == "random":
+        m = scale * hermitize(g)
+    elif kind == "near_identity":
+        m = scale * (np.eye(d) + 1e-9 * hermitize(g))
+    else:  # the values 1 and 2, each repeated, in a random basis
+        q = np.linalg.qr(g)[0]
+        m = scale * hermitize((q * (1.0 + np.arange(d) % 2)) @ q.conj().swapaxes(-1, -2))
+    w = hermitian_eigvals(m)
+    assert w.shape == (k, d) and w.dtype == np.float64
+    assert (np.diff(w, axis=-1) >= 0.0).all()
+    bound = _EIGVALS_AGREEMENT * d * np.finfo(np.float64).eps * np.maximum(1.0, frobenius(m))
+    assert (np.abs(w - hermitian_eig(m).eigenvalues).max(axis=-1) <= bound).all()
+    # a non-Hermitian or non-finite matrix anywhere in the stack: the same error
+    bad = m.copy()
+    bad[-1, 0, -1] += 1.0 if d > 1 else np.inf
+    for wrong in (bad, bad[-1], np.where(np.arange(d) == 0, np.nan, m)):
+        with pytest.raises(NotHermitian) as eig_error:
+            hermitian_eig(wrong)
+        with pytest.raises(NotHermitian, match=f"^{re.escape(str(eig_error.value))}$"):
+            hermitian_eigvals(wrong)

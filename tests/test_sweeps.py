@@ -354,6 +354,17 @@ def test_batched_completions_are_the_public_ones(monkeypatch):
     assert mixed_in_groups > 20
 
 
+def test_an_untight_mixed_completion_fails_the_extension_suite(monkeypatch):
+    # mixing by 1.001 * a unitary scales only the second added operator,
+    # by 1.002, so only the second union of a trial that keeps columns is
+    # untight
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
+    isometries = sweeps._isometries
+    monkeypatch.setattr(sweeps, "_isometries", lambda *args: 1.001 * isometries(*args))
+    with pytest.raises(NotTight, match="^union deviates from "):
+        run_suite("extension", RunConfig(seed=101, trials=60))
+
+
 def _drawn_groups(monkeypatch, name: str, config: RunConfig) -> list:
     """Every group record of a one-process run of suite `name`, as drawn."""
     monkeypatch.setattr(sweeps, "_PROCS", 1)
