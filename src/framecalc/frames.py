@@ -401,6 +401,13 @@ def union(first: Frame, second: Frame) -> Frame:
     return Frame(first.dim, rows, field)
 
 
+def _union_operator(s: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """The frame operators of the unions of families with operators s and added,
+    broadcast over stacks, as hermitized sums; BadParams where union() overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # finite operators can overflow their sum
+        return _require_finite(hermitize(s + added))
+
+
 def complete_to_tight(frame: Frame, lam: float | None = None, mix_seed: int | None = None) -> Frame:
     """Vectors G making frame + G lam-tight; empty when already lam-tight.
 
@@ -410,7 +417,8 @@ def complete_to_tight(frame: Frame, lam: float | None = None, mix_seed: int | No
     unitary to the kept columns, producing a different family with the
     same added operator and span.
 
-    Raises LambdaTooSmall when lam < lambda_max(S) beyond roundoff.
+    Raises LambdaTooSmall when lam < lambda_max(S) beyond roundoff, and
+    BadParams when lam is NaN or +inf.
     """
     dec = frame.spectrum
     root, keep = _completion(dec, dec.eigenvalues[-1] if lam is None else float(lam))
@@ -423,12 +431,16 @@ def complete_to_tight(frame: Frame, lam: float | None = None, mix_seed: int | No
 def _completion(dec: EigenDecomposition, lam) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(lam*I - S) for each spectrum dec of S in a stack and its lam,
     (..., d, d), and the mask (..., d) of its columns that are not
-    numerically zero. Raises LambdaTooSmall for the first lam below its
-    lambda_max beyond roundoff."""
+    numerically zero. Raises BadParams for the first lam that is NaN or
+    +inf, then LambdaTooSmall for the first lam below its lambda_max beyond
+    roundoff (tau grows with lam only when lam is positive, so -inf fails)."""
     w = dec.eigenvalues
     lam = np.asarray(lam, dtype=np.float64)
+    k = _first_failure(~(lam < np.inf))
+    if k is not None:
+        raise BadParams(f"lam {np.ravel(lam)[k]:.6g} is not finite")
     lam_max = w[..., -1]
-    tau = TAU_PSD_COEFF * np.maximum(np.maximum(1.0, lam_max), np.abs(lam))
+    tau = TAU_PSD_COEFF * np.maximum(np.maximum(1.0, lam_max), lam)
     k = _first_failure(lam < lam_max - tau)
     if k is not None:
         raise LambdaTooSmall(
@@ -448,6 +460,8 @@ def random_isometry(ambient_dim: int, dim: int, seed: int, field: str = "complex
     """
     if not 1 <= dim <= ambient_dim:
         raise BadParams(f"need 1 <= dim <= ambient_dim, got {dim}, {ambient_dim}")
+    if field not in _FIELDS:
+        raise BadParams(f"field must be one of {_FIELDS}, got {field!r}")
     return _orthonormal(SplitMix64(seed).normals(ambient_dim * dim, field).reshape(ambient_dim, dim))
 
 

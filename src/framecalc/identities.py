@@ -29,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EOverlapsJ, NotParseval, NotTight, PreconditionFailed
+from .errors import (
+    BadParams,
+    DimensionMismatch,
+    EOverlapsJ,
+    NotParseval,
+    NotTight,
+    PreconditionFailed,
+)
 from .frames import (
     TAU_FRAME_COEFF,
     TAU_ID,
@@ -38,8 +45,8 @@ from .frames import (
     _analysis,
     _energy,
     _partial_operator,
-    _require_finite,
     _synthesis,
+    _union_operator,
     as_vector,
     canonical_dual,
     coefficients,
@@ -102,7 +109,7 @@ def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> None:
     """NotTight unless each lam is positive (the all-zero family would
     otherwise pass at lam = 0, where the tolerance vanishes) and finite
     (at lam = inf the tolerance is inf too), and each spectrum in (..., d)
-    lies within tolerance * lam of its lam."""
+    lies within tolerance * lam of its lam, which broadcasts over them."""
     lam = np.asarray(lam, dtype=np.float64)
     k = _first_failure(~(lam > 0.0) | (lam == np.inf))
     if k is not None:
@@ -111,9 +118,8 @@ def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> None:
     dev = np.abs(eigenvalues - lam[..., None]).max(axis=-1)
     k = _first_failure(dev > tolerance * lam)
     if k is not None:
-        raise NotTight(
-            f"eigenvalues deviate from {np.ravel(lam)[k]:.6g} by {np.ravel(dev)[k]:.3e}"
-        )
+        lam = np.ravel(np.broadcast_to(lam, dev.shape))  # one lam may serve several spectra
+        raise NotTight(f"eigenvalues deviate from {lam[k]:.6g} by {np.ravel(dev)[k]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -634,20 +640,6 @@ def _probe_block(f, d: int, field: str, trials: int, seed: int) -> np.ndarray:
     return np.vstack([v, _unit_rows(block)])
 
 
-def _require_tight_union(eigenvalues: np.ndarray, lam, tolerance: float) -> None:
-    """NotTight unless each lam, one per union spectrum in (..., d), is
-    finite and the spectrum lies within tolerance * max(1, lam) of it."""
-    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), eigenvalues.shape[:-1])
-    k = _first_failure(~np.isfinite(lam))
-    if k is not None:
-        raise NotTight(f"tight value {np.ravel(lam)[k]:.6g} is not finite")
-    dev = np.abs(eigenvalues - lam[..., None]).max(axis=-1)
-    k = _first_failure(dev > tolerance * np.maximum(1.0, lam))
-    if k is not None:
-        raise NotTight(
-            f"union deviates from {np.ravel(lam)[k]:.6g}-tight by {np.ravel(dev)[k]:.3e}")
-
-
 def _extension_compare(probes: np.ndarray, first: np.ndarray, second: np.ndarray,
                        s1: np.ndarray, s2: np.ndarray, dec1: EigenDecomposition,
                        dec2: EigenDecomposition, tolerance: float) -> tuple:
@@ -666,21 +658,21 @@ def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame
                             tolerance: float = TAU_ID) -> TightExtensionCompare:
     """Compare two tight completions of `base` at tight value lam.
 
-    Checks that both unions are lam-tight (raising NotTight otherwise),
-    then that the two added families have equal coefficient energy on the
-    given f and on `trials` seeded random unit vectors, equal frame
-    operators, and equal spans. A union's operator is the sum of its parts'
-    cached ones, and only its eigenvalues are computed. The probe energies
-    are computed as one block, one matrix product per added family.
+    Checks that both unions are lam-tight by tight_identity_report's rule
+    (raising NotTight otherwise), then that the two added families have
+    equal coefficient energy on the given f and on `trials` seeded random
+    unit vectors, equal frame operators, and equal spans. A union's operator
+    is the sum of its parts' cached ones, and only its eigenvalues are
+    computed. The probe energies are one block, one product per family.
     """
     lam = float(lam)
     for added in (added_first, added_second):
         if added.dim != base.dim:
             raise DimensionMismatch(f"dims differ: {base.dim} vs {added.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflows where union() would
-        unions = _require_finite(hermitize(base.operator + np.stack(
-            [added_first.operator, added_second.operator])))
-    _require_tight_union(hermitian_eigvals(unions), lam, tolerance)
+    if not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise BadParams(f"trials must be a non-negative integer, got {trials!r}")
+    _require_tight(hermitian_eigvals(_union_operator(
+        base.operator, np.stack([added_first.operator, added_second.operator]))), lam, tolerance)
     fields = (base.field, added_first.field, added_second.field)
     field = "complex" if "complex" in fields else "real"
     probes = _probe_block(f, base.dim, field, trials, seed)

@@ -19,7 +19,7 @@ it with hermitian_eig's checks and computes no eigenvectors.
 
 Tolerances:
     TAU_HERM  relative Hermitian-defect bound, ||M - M*||_F <= TAU_HERM * max(1, ||M||_F)
-    TAU_EIG   relative reconstruction bound for the factorization
+    TAU_EIG   absolute isometry-defect bound, ||U*U - I||_F <= TAU_EIG (embed_subspace_frame)
     psd clamp eigenvalues in [-tau, 0] with tau = TAU_PSD_COEFF * max(1, lambda_max)
 """
 

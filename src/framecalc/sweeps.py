@@ -50,7 +50,8 @@ included: the residuals, bounds and equivalence patterns come from the
 stacked kernels of identities that the public reports call on one
 family. A spectrum that only feeds a pass/raise check, the Parseval
 check of a group's families or the tightness of both extension unions
-(one stack of sums of the parts' operators), is read without eigenvectors.
+(frames._union_operator, judged by tight_identity_report's rule), is read
+without eigenvectors.
 The sj raw resolutions are checked as one stack per group, after its
 frame splits. The pfi subspace embedding and the general reduction's
 reports stay per-trial calls, each writing into its own positions of a
@@ -106,6 +107,7 @@ from .frames import (
     _partial_operator,
     _spectral_rows,
     _synthesis,
+    _union_operator,
     as_tolerance,
     embed_subspace_frame,
     norm_sq,
@@ -126,7 +128,6 @@ from .identities import (
     _require_parseval,
     _require_resolution,
     _require_tight,
-    _require_tight_union,
     _residual,
     _self_adjoint_product,
     _split_lhs_rhs,
@@ -572,7 +573,7 @@ def _extension_solve(group: SimpleNamespace, tol: float) -> dict:
         by_column[kept] = (cols @ units).swapaxes(-1, -2).reshape(-1, d)
     added = [_match_field(cols.swapaxes(-1, -2), group.real) for cols in (canonical, mixed)]
     ops = [_finite_operator(rows) for rows in added]
-    _require_tight_union(hermitian_eigvals(s + np.stack(ops)), lam, tol)
+    _require_tight(hermitian_eigvals(_union_operator(s, np.stack(ops))), lam, tol)
     max_rel, energy_equal, operator_equal, span_equal = _extension_compare(
         group.probes, *added, *ops, *map(hermitian_eig, ops), tol)
     return {

@@ -500,6 +500,16 @@ def test_extend_small_lambda_is_domain_error(capsys, pair_file):
     assert json.loads(out)["error"]["type"] == "LambdaTooSmall"
 
 
+def test_extend_on_the_zero_family_is_not_tight(capsys, tmp_path):
+    # the all-zero family completes to itself at lam = 0, which is not positive
+    path = str(tmp_path / "zero.json")
+    write_frame(Frame(2, np.zeros((3, 2)), "real"), path)
+    code, out = run_cli(capsys, "extend", path)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "NotTight",
+                                         "message": "tight value 0 is not positive"}}
+
+
 def test_extend_mix_seed_changes_vectors(capsys, pair_file, tmp_path):
     plain = str(tmp_path / "plain.json")
     mixed = str(tmp_path / "mixed.json")

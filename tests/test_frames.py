@@ -433,6 +433,23 @@ def test_completion_rejects_small_lambda():
         complete_to_tight(Frame(2, [E1, E1, E2]), 1.5)
 
 
+def test_completion_rejects_a_non_finite_lambda():
+    # NaN and +inf make `lam < lambda_max - tau` false, and so did -inf through
+    # an infinite tau; the root of each kept no column, an empty completion
+    frame = random_gaussian(3, 5, 2, "real")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (float("nan"), float("inf")):
+            with pytest.raises(BadParams, match=f"^lam {lam} is not finite$"):
+                complete_to_tight(frame, lam)
+        with pytest.raises(LambdaTooSmall, match="^lam -inf below lambda_max "):
+            complete_to_tight(frame, float("-inf"))
+        # a stack names its first non-finite lam
+        with pytest.raises(BadParams, match="^lam inf is not finite$"):
+            framecalc.frames._completion(hermitian_eig(np.stack([frame.operator] * 3)),
+                                         np.array([10.0, np.inf, np.nan]))
+
+
 def test_mixed_completion_same_operator_different_vectors():
     base = Frame(2, [E1, E1, E2], "real")
     plain = complete_to_tight(base, 3.0)
@@ -550,6 +567,11 @@ def test_random_isometry_columns_orthonormal():
     assert np.linalg.norm(u.conj().T @ u - np.eye(3)) <= 1e-12
     with pytest.raises(BadParams):
         random_isometry(2, 3, 0)
+
+
+def test_random_isometry_rejects_an_unknown_field():
+    with pytest.raises(BadParams, match="^field must be one of "):
+        random_isometry(3, 2, 1, "quaternion")
 
 
 def test_embed_by_inclusion():

@@ -427,10 +427,36 @@ def test_extension_compare_rejects_untight_union():
 
 
 def test_extension_compare_rejects_an_untight_second_union():
-    # the first completion is good; the second adds only half of e2 e2^*
+    # the first completion is good; the second adds only half of e2 e2^*, so
+    # the scalar lam must broadcast over both unions to name the second's gap
     half = Frame(2, [[0.0, 1.0 / np.sqrt(2.0)]], "real")
-    with pytest.raises(NotTight, match="^union deviates from 2-tight by 5.000e-01$"):
+    with pytest.raises(NotTight, match="^eigenvalues deviate from 2 by 5.000e-01$"):
         tight_extension_compare(PAIR, Frame(2, [E2], "real"), half, 2.0, E1)
+
+
+EMPTY = Frame(2, np.zeros((0, 2)), "real")
+
+
+def test_extension_compare_judges_a_small_lambda_relative_to_it():
+    # both unions miss 1e-3-tightness by 1e-10, 100 * tol relative to lam;
+    # a tolerance floored at tol * max(1, lam) = 1e-9 would pass them
+    base = Frame(2, [[np.sqrt(1e-3), 0.0], [0.0, np.sqrt(1e-3 + 1e-10)]], "real")
+    with pytest.raises(NotTight, match="^eigenvalues deviate from 0.001 by 1.000e-10$"):
+        tight_extension_compare(base, EMPTY, EMPTY, 1e-3, E1)
+
+
+def test_extension_compare_rejects_the_zero_tight_value():
+    # the all-zero family is 0-tight, as in tight_identity_report
+    zero = Frame(2, np.zeros((3, 2)), "real")
+    with pytest.raises(NotTight, match="^tight value 0 is not positive$"):
+        tight_extension_compare(zero, EMPTY, EMPTY, 0.0, E1)
+
+
+@pytest.mark.parametrize("trials", [-1, 2.5, "3"])
+def test_extension_compare_rejects_a_bad_trial_count(trials):
+    with pytest.raises(BadParams, match="^trials must be a non-negative integer, got "):
+        tight_extension_compare(PAIR, Frame(2, [E2], "real"), Frame(2, [E2], "real"), 2.0, E1,
+                                trials=trials)
 
 
 def test_extension_compare_rejects_mismatched_dims_and_overflowing_unions():
@@ -449,14 +475,15 @@ def test_extension_compare_rejects_mismatched_dims_and_overflowing_unions():
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
 def test_tight_checks_reject_a_non_finite_lambda(lam):
     # only an explicit guard rejects these: at lam = inf the deviation test
-    # reads inf > tol * inf, and a NaN deviation compares false
+    # reads inf > tol * inf, and a NaN deviation compares false; both checks
+    # share that guard, and NaN and -inf are not positive
     r = 1.0 / np.sqrt(2.0)
     second = Frame(2, [[0.0, r], [0.0, r]], "real")
     tight = random_parseval(3, 7, 1, "real").scaled(2.0)
     named = "finite" if lam == float("inf") else "positive"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NotTight, match=f"^tight value {lam:.6g} is not finite$"):
+        with pytest.raises(NotTight, match=f"^tight value {lam:.6g} is not {named}$"):
             tight_extension_compare(PAIR, Frame(2, [E2], "real"), second, lam, E1)
         with pytest.raises(NotTight, match=f"^tight value {lam:.6g} is not {named}$"):
             tight_identity_report(tight, [0, 2], [0.3, -0.5, 0.7], lam)

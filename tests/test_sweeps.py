@@ -361,7 +361,7 @@ def test_an_untight_mixed_completion_fails_the_extension_suite(monkeypatch):
     monkeypatch.setattr(sweeps, "_PROCS", 1)
     isometries = sweeps._isometries
     monkeypatch.setattr(sweeps, "_isometries", lambda *args: 1.001 * isometries(*args))
-    with pytest.raises(NotTight, match="^union deviates from "):
+    with pytest.raises(NotTight, match="^eigenvalues deviate from "):
         run_suite("extension", RunConfig(seed=101, trials=60))
 
 

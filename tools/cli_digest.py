@@ -3,9 +3,9 @@
 Runs every command below as `python -W error -m framecalc.cli ...` in a
 fresh temporary directory, with relative file names, so the echoed
 `command` field does not depend on where the tool runs. The vector files
-of VECTOR_FILES are written there first. Commands run in order; the first
-few write the frame files the later ones read. Prints one line per
-command:
+of VECTOR_FILES and the frame files of FRAME_FILES are written there
+first. Commands run in order; the first few write the frame files the
+later ones read. Prints one line per command:
 
     <exit code> <sha256> <stderr bytes> <argv>
 
@@ -75,6 +75,8 @@ COMMANDS = [
     "extend merc.json --lambda 2 --mix-seed 5",
     # merc.json is already tight at the default lambda: an empty completion
     "extend merc.json",
+    # lambda_max about 0.0105: the union is judged at tol * lambda, below tol
+    "extend small.json",
     "property-run --help",
     "property-run --suite all --trials 300 --seed 101 --quiet",
     "property-run --suite all --trials 300 --seed 918273",
@@ -122,6 +124,12 @@ VECTOR_FILES = {
                 " 1.5e-2, [-1, -1], 0, [2.5, 0.5], -0.75, [0, -3], 4, [1, 2]]\n",
 }
 
+# the frame files read before any command writes one, as exact JSON text
+FRAME_FILES = {
+    "small.json": '{"dim": 2, "field": "real", "vectors": [[[0.1, 0], [0, 0]],'
+                  ' [[0.02, 0], [0.05, 0]]]}\n',
+}
+
 FLOAT_GAP = 1e-12
 
 
@@ -134,7 +142,7 @@ def run_commands(src: Path) -> list[tuple[str, int, bytes, bytes | None, int]]:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     runs = []
     with tempfile.TemporaryDirectory() as work:
-        for name, text in VECTOR_FILES.items():
+        for name, text in {**VECTOR_FILES, **FRAME_FILES}.items():
             (Path(work) / name).write_text(text, encoding="utf-8")
         for command in COMMANDS:
             argv = command.split()
