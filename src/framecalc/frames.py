@@ -62,6 +62,7 @@ from .linalg import (
     EigenDecomposition,
     _adjoint,
     _first_failure,
+    _scale,
     frobenius,
     hermitian_eig,
     hermitize,
@@ -270,7 +271,7 @@ def _match_field(vectors: np.ndarray, real) -> np.ndarray:
     if real is False:
         return vectors
     fuzz = np.abs(vectors.imag).max(axis=(-2, -1), initial=0.0)
-    scale = np.maximum(1.0, np.abs(vectors.real).max(axis=(-2, -1), initial=0.0))
+    scale = _scale([np.abs(vectors.real).max(axis=(-2, -1), initial=0.0)])
     k = _first_failure(real & (fuzz > 1e-8 * scale))
     if k is not None:
         raise BadParams(f"real-tagged result has imaginary residue {np.ravel(fuzz)[k]:.3e}")
@@ -341,8 +342,8 @@ def _bessel(vectors: np.ndarray, c: np.ndarray, lower, upper) -> tuple:
     sf_sq = norm_sq(_synthesis(vectors, c))
     lhs1, rhs1 = sf_sq, upper * energy
     lhs2, rhs2 = energy, (1.0 / lower) * sf_sq
-    ok1 = lhs1 <= rhs1 + TAU_ID * np.maximum(1.0, np.maximum(lhs1, rhs1))
-    ok2 = lhs2 <= rhs2 + TAU_ID * np.maximum(1.0, np.maximum(lhs2, rhs2))
+    ok1 = lhs1 <= rhs1 + TAU_ID * _scale([lhs1, rhs1])
+    ok2 = lhs2 <= rhs2 + TAU_ID * _scale([lhs2, rhs2])
     return lhs1, rhs1, lhs2, rhs2, ok1 & ok2
 
 
@@ -440,7 +441,7 @@ def _completion(dec: EigenDecomposition, lam) -> tuple[np.ndarray, np.ndarray]:
     if k is not None:
         raise BadParams(f"lam {np.ravel(lam)[k]:.6g} is not finite")
     lam_max = w[..., -1]
-    tau = TAU_PSD_COEFF * np.maximum(np.maximum(1.0, lam_max), lam)
+    tau = TAU_PSD_COEFF * _scale([np.maximum(lam_max, 0.0), np.maximum(lam, 0.0)])
     k = _first_failure(lam < lam_max - tau)
     if k is not None:
         raise LambdaTooSmall(

@@ -14,13 +14,15 @@ sum_J + ||S_Jc f||^2, the operator-level structure of S_J (difference and
 product formulas, positivity), a six-way equivalence for when the energy
 split is exact, and span/operator comparisons for tight completions.
 
-Every equality produces an IdentityReport. Residuals are scaled by
-max(1, |lhs|, |rhs|, largest recorded term): the sides are small
-differences of the recorded degree-2 terms, which set the cancellation
-scale. A verdict survives rescaling f or the frame only while the largest
-term is at least 1 and finite: below 1 the floor makes the check absolute
-(the README's Tolerances section shows a false pass at f scaled by 1e-6),
-and a term that overflows makes the report non-finite.
+Every equality produces an IdentityReport. Residuals are scaled by the one
+floor, linalg._scale, of |lhs|, |rhs| and every recorded term: the sides
+are small differences of the recorded degree-2 terms, which set the
+cancellation scale. A verdict survives rescaling f or the frame only while
+the largest term is at least 1 and finite: below 1 the floor makes the
+check absolute (the README's Tolerances section shows a false pass at f
+scaled by 1e-6), and a term that overflows makes the report non-finite.
+Every public check takes its tolerance through frames.as_tolerance, so a
+tolerance that is not a finite number > 0 raises BadParams.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .frames import (
     _partial_operator,
     _synthesis,
     _union_operator,
+    as_tolerance,
     as_vector,
     canonical_dual,
     coefficients,
@@ -58,6 +61,7 @@ from .linalg import (
     EigenDecomposition,
     _adjoint,
     _first_failure,
+    _scale,
     as_matrix,
     frobenius,
     hermitian_defect,
@@ -131,13 +135,6 @@ def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> None:
 # wrap the result; the sweeps call the same kernels on a whole stack.
 
 
-def _scale(values):
-    """max(1, |v| for v in values) per family, values a sequence of (...)
-    arrays or numbers: the one scale floor of every verdict below. fmax,
-    like Python's max(1.0, ...), never takes a NaN for the scale."""
-    return np.fmax.reduce(np.abs(values), axis=0, initial=1.0)
-
-
 def _residual(lhs, rhs, terms) -> tuple:
     """(|lhs - rhs|, relative residual) of each family's lhs = rhs, scaled
     by _scale of both sides and every recorded term. The arithmetic is that
@@ -205,6 +202,7 @@ def parseval_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID)
     Raises NotParseval when the frame operator is not the identity within
     tolerance.
     """
+    tolerance = as_tolerance(tolerance)
     _require_parseval(frame.spectrum.eigenvalues, tolerance)
     mask = subset_mask(subset, frame.count)
     c = coefficients(frame, f)
@@ -228,6 +226,7 @@ def general_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID,
     Raises NotAFrame (from the dual) when the family is not a frame and no
     dual is given.
     """
+    tolerance = as_tolerance(tolerance)
     if dual is None:
         dual = canonical_dual(frame)
     mask = subset_mask(subset, frame.count)
@@ -247,6 +246,7 @@ def tight_identity_report(frame: Frame, subset, f, lam: float | None = None,
     otherwise pass at lam = 0, where the tolerance vanishes) or when some
     eigenvalue differs from lam by more than tolerance * lam.
     """
+    tolerance = as_tolerance(tolerance)
     w = frame.spectrum.eigenvalues
     lam = float(np.mean(w)) if lam is None else float(lam)
     _require_tight(w, lam, tolerance)
@@ -282,6 +282,7 @@ def overlap_identity_report(frame: Frame, subset_j, subset_e, f,
 
     Raises EOverlapsJ when E meets J, NotParseval as usual.
     """
+    tolerance = as_tolerance(tolerance)
     _require_parseval(frame.spectrum.eigenvalues, tolerance)
     j = subset_mask(subset_j, frame.count)
     e = subset_mask(subset_e, frame.count)
@@ -305,10 +306,11 @@ def subspace_identity_report(sub: SubspaceFrame, subset, f,
     Raises NotParseval when the embedded operator is not the projector
     within tolerance.
     """
+    tolerance = as_tolerance(tolerance)
     emb = sub.frame
     p = sub.projector
     dev = frobenius(emb.operator - p)
-    if dev > tolerance * max(1.0, frobenius(p)):
+    if dev > tolerance * _scale([frobenius(p)]):
         raise NotParseval(
             f"embedded operator deviates from the span projector by {dev:.3e}"
         )
@@ -353,6 +355,7 @@ def _bound_verdict(sides, norm_f, coefficient: float, tolerance: float) -> tuple
 
 def _mixed_bound_check(frame: Frame, subset, f, coefficient: float,
                        tolerance: float) -> BoundCheck:
+    tolerance = as_tolerance(tolerance)
     _require_parseval(frame.spectrum.eigenvalues, tolerance)
     mask = subset_mask(subset, frame.count)
     v = as_vector(f, frame.dim)
@@ -396,17 +399,18 @@ def _partial_structure(s_j: np.ndarray, s_jc: np.ndarray, tolerance: float) -> t
     herm_defect = hermitian_defect(product)
     min_eig_product = hermitian_eig(hermitize(product)).eigenvalues[..., 0]
     min_eig_gap = hermitian_eig(hermitize(gap)).eigenvalues[..., 0]
-    scale = np.maximum(1.0, np.maximum(frobenius(s_j), frobenius(s_jc)))
+    scale = _scale([frobenius(s_j), frobenius(s_jc)])
     ok = (
         (residual <= tolerance * scale)
         & (min_eig_product >= -tolerance)
         & (min_eig_gap >= -tolerance)
-        & (herm_defect <= TAU_HERM * np.maximum(1.0, frobenius(product)))
+        & (herm_defect <= TAU_HERM * _scale([frobenius(product)]))
     )
     return residual, min_eig_product, min_eig_gap, herm_defect, ok
 
 
 def partial_structure_check(frame: Frame, subset, tolerance: float = TAU_ID) -> PartialStructure:
+    tolerance = as_tolerance(tolerance)
     _require_parseval(frame.spectrum.eigenvalues, tolerance)
     mask = subset_mask(subset, frame.count)
     residual, min_eig_product, min_eig_gap, herm_defect, ok = _partial_structure(
@@ -433,7 +437,7 @@ def _require_resolution(s: np.ndarray, t: np.ndarray, tolerance: float) -> None:
     if s.shape != t.shape:
         raise PreconditionFailed(f"shapes differ: {s.shape} vs {t.shape}")
     gap = frobenius(s + t - np.eye(s.shape[-1]))
-    k = _first_failure(gap > tolerance * np.maximum(1.0, np.maximum(frobenius(s), frobenius(t))))
+    k = _first_failure(gap > tolerance * _scale([frobenius(s), frobenius(t)]))
     if k is not None:
         raise PreconditionFailed(f"S + T differs from I by {np.ravel(gap)[k]:.3e}")
 
@@ -441,11 +445,12 @@ def _require_resolution(s: np.ndarray, t: np.ndarray, tolerance: float) -> None:
 def _operator_identity(s: np.ndarray, t: np.ndarray, tolerance: float) -> tuple:
     """(residual, passed) of S - T = S^2 - T^2 for each pair in (..., d, d)."""
     residual = frobenius((s - t) - (s @ s - t @ t))
-    scale = np.maximum(1.0, np.maximum(frobenius(s) ** 2, frobenius(t) ** 2))
+    scale = _scale([frobenius(s) ** 2, frobenius(t) ** 2])
     return residual, residual <= tolerance * scale
 
 
 def operator_identity_check(s, t, tolerance: float = TAU_ID) -> OperatorIdentityCheck:
+    tolerance = as_tolerance(tolerance)
     s = as_matrix(s)
     t = as_matrix(t)
     _require_resolution(s, t, tolerance)
@@ -467,12 +472,13 @@ def _self_adjoint_product(s: np.ndarray, t: np.ndarray) -> tuple:
     """Whether S, T and S* T are self-adjoint within TAU_HERM, for each pair in (..., d, d)."""
 
     def self_adjoint(m: np.ndarray):
-        return hermitian_defect(m) <= TAU_HERM * np.maximum(1.0, frobenius(m))
+        return hermitian_defect(m) <= TAU_HERM * _scale([frobenius(m)])
 
     return self_adjoint(s), self_adjoint(t), self_adjoint(_adjoint(s) @ t)
 
 
 def self_adjoint_product_check(s, t, tolerance: float = TAU_ID) -> SelfAdjointProductCheck:
+    tolerance = as_tolerance(tolerance)
     s = as_matrix(s)
     t = as_matrix(t)
     _require_resolution(s, t, tolerance)
@@ -547,6 +553,7 @@ def _equivalence_verdict(residuals, norm_f, tolerance: float) -> tuple:
 
 def equivalence_conditions(frame: Frame, subset, f,
                            tolerance: float = TAU_ID) -> EquivalenceReport:
+    tolerance = as_tolerance(tolerance)
     _require_parseval(frame.spectrum.eigenvalues, tolerance)
     mask = subset_mask(subset, frame.count)
     v = as_vector(f, frame.dim)
@@ -581,8 +588,7 @@ def _span_projector(dec: EigenDecomposition) -> np.ndarray:
 
 def _close(a: np.ndarray, b: np.ndarray, tolerance: float):
     """||A - B||_F <= tolerance * max(1, ||A||_F, ||B||_F), per pair in (..., d, d)."""
-    return frobenius(a - b) <= tolerance * np.maximum(1.0, np.maximum(frobenius(a),
-                                                                      frobenius(b)))
+    return frobenius(a - b) <= tolerance * _scale([frobenius(a), frobenius(b)])
 
 
 def _span_equality(s1: np.ndarray, s2: np.ndarray, dec1: EigenDecomposition,
@@ -595,6 +601,7 @@ def _span_equality(s1: np.ndarray, s2: np.ndarray, dec1: EigenDecomposition,
 
 def span_equality_check(first: Frame, second: Frame,
                         tolerance: float = TAU_ID) -> SpanEquality:
+    tolerance = as_tolerance(tolerance)
     if first.dim != second.dim:
         raise PreconditionFailed(f"dims differ: {first.dim} vs {second.dim}")
     operators_equal, spans_equal = _span_equality(first.operator, second.operator,
@@ -648,8 +655,7 @@ def _extension_compare(probes: np.ndarray, first: np.ndarray, second: np.ndarray
     over the probe vectors (..., m, d)."""
     e1, e2 = (_energy(probes @ _adjoint(added)) for added in (first, second))
     # fmax skips a NaN ratio, as the running max over single probes did
-    max_rel = np.fmax.reduce(np.abs(e1 - e2) / np.maximum(np.maximum(e1, e2), 1.0),
-                             axis=-1, initial=0.0)
+    max_rel = np.fmax.reduce(np.abs(e1 - e2) / _scale([e1, e2]), axis=-1, initial=0.0)
     return (max_rel, max_rel <= tolerance) + _span_equality(s1, s2, dec1, dec2, tolerance)
 
 
@@ -665,6 +671,7 @@ def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame
     is the sum of its parts' cached ones, and only its eigenvalues are
     computed. The probe energies are one block, one product per family.
     """
+    tolerance = as_tolerance(tolerance)
     lam = float(lam)
     for added in (added_first, added_second):
         if added.dim != base.dim:

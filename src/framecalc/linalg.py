@@ -21,6 +21,7 @@ Tolerances:
     TAU_HERM  relative Hermitian-defect bound, ||M - M*||_F <= TAU_HERM * max(1, ||M||_F)
     TAU_EIG   absolute isometry-defect bound, ||U*U - I||_F <= TAU_EIG (embed_subspace_frame)
     psd clamp eigenvalues in [-tau, 0] with tau = TAU_PSD_COEFF * max(1, lambda_max)
+    _scale    max(1, |v|, ...), the one scale floor of every relative check in the package
 """
 
 from __future__ import annotations
@@ -87,14 +88,23 @@ def hermitian_defect(m: np.ndarray):
     return frobenius(m - _adjoint(m))
 
 
-def require_hermitian(m, tol: float = TAU_HERM) -> np.ndarray:
+def _scale(values):
+    """max(1, |v| for v in values) per entry, values a sequence of same-shaped
+    arrays or numbers; fmax, like Python's max(1.0, ...), never takes a NaN for
+    the scale. A signed x floored at max(1, x) passes np.maximum(x, 0.0)."""
+    if len(values) == 1:  # most floors have one value: skip the reduce's overhead
+        return np.fmax(1.0, np.abs(values[0]))
+    return np.fmax.reduce(np.abs(values), axis=0, initial=1.0)
+
+
+def require_hermitian(m) -> np.ndarray:
     a = _as_matrices(m)
     defect = hermitian_defect(a)
-    scale = np.maximum(1.0, frobenius(a))
-    k = _first_failure(defect > tol * scale)
+    scale = _scale([frobenius(a)])
+    k = _first_failure(defect > TAU_HERM * scale)
     if k is not None:
         raise NotHermitian(
-            f"Hermitian defect {np.ravel(defect)[k]:.3e} exceeds {tol:.1e} * "
+            f"Hermitian defect {np.ravel(defect)[k]:.3e} exceeds {TAU_HERM:.1e} * "
             f"{np.ravel(scale)[k]:.3e}"
         )
     return a
@@ -180,7 +190,7 @@ def spectral_apply(dec: EigenDecomposition, fn: str) -> np.ndarray:
         lam_min, lam_max = w[..., 0], w[..., -1]
     else:  # a 0 x 0 matrix
         lam_min = lam_max = np.zeros(w.shape[:-1])
-    tau = TAU_PSD_COEFF * np.maximum(1.0, lam_max)
+    tau = TAU_PSD_COEFF * _scale([np.maximum(lam_max, 0.0)])
     # the inverse family also fails on lambda_min in [-tau, tau]
     k = _first_failure(lam_min <= tau if fn != "sqrt" else lam_min < -tau)
     if k is not None:

@@ -136,7 +136,7 @@ from .identities import (
     parseval_identity_report,
     subspace_identity_report,
 )
-from .linalg import frobenius, hermitian_eig, hermitian_eigvals, hermitize
+from .linalg import _scale, frobenius, hermitian_eig, hermitian_eigvals, hermitize
 from .rng import (
     SplitMix64,
     _to_uniforms,
@@ -274,14 +274,6 @@ def _parseval_group(group: SimpleNamespace, tol: float, built: dict | None = Non
     return vectors, _masks(group.subset, vectors.shape[1]), w
 
 
-def _max(first, *rest):
-    """Elementwise max(first, *rest) as Python's max takes it: a value
-    replaces the running one only when greater, so a NaN stays only first."""
-    for value in rest:
-        first = np.where(value > first, value, first)
-    return first
-
-
 def _seeds(streams: list[SplitMix64]) -> list[int]:
     """The next raw output of each stream, as a seed."""
     return [rng.next_raw() for rng in streams]
@@ -322,8 +314,8 @@ def _pfi_solve(group: SimpleNamespace, tol: float) -> dict:
     tight_lhs, tight_rhs = _split_lhs_rhs(_norm_sides(scaled, _analysis(scaled, f), mask,
                                                       weight=lam))
     factor = lam * lam
-    tight_rel = _max(np.abs(tight_lhs - factor * lhs),
-                     np.abs(tight_rhs - factor * rhs)) / np.maximum(1.0, factor)
+    tight_rel = np.maximum(np.abs(tight_lhs - factor * lhs),
+                           np.abs(tight_rhs - factor * rhs)) / _scale([factor])
     min_side = np.where(rhs < lhs, rhs, lhs)
     size = len(group.trials)
     columns = {
@@ -433,10 +425,10 @@ def _sj_solve(group: SimpleNamespace, tol: float) -> dict:
     op_res, op_ok = _operator_identity(s, t, tol)
     s_sa, t_sa, p_sa = _self_adjoint_product(s, t)
     ok = op_ok & ((s_sa & t_sa) == p_sa)
-    rel_diff = _max(residual, op_res[:size])
+    rel_diff = np.maximum(residual, op_res[:size])
     passed = structure_ok & ok[:size] & p_sa[:size]
     raw, herm, plain = list(group.raw), slice(size, None, 2), slice(size + 1, None, 2)
-    rel_diff[raw] = _max(rel_diff[raw], op_res[herm], op_res[plain])
+    rel_diff[raw] = np.maximum.reduce([rel_diff[raw], op_res[herm], op_res[plain]])
     # a real 1x1 draw is self-adjoint, so only a larger or complex draw
     # must give a product that is not
     passed[raw] &= (ok[herm] & p_sa[herm] & ok[plain]
@@ -509,15 +501,15 @@ def _bounds_solve(group: SimpleNamespace, tol: float) -> dict:
     w = dec.eigenvalues
     lower, upper = np.maximum(w[:, 0], 0.0), np.maximum(w[:, -1], 0.0)
     _, _, energy, _, sandwich_ok = _bessel(vectors, _analysis(vectors, f), lower, upper)
-    slack = tol * np.maximum(np.maximum(1.0, energy), upper * nf)
+    slack = tol * _scale([energy, upper * nf])
     inequality_ok = (lower * nf - slack <= energy) & (energy <= upper * nf + slack)
 
     recon = _synthesis(vectors, _analysis(_spectral_rows(vectors, dec, "inverse", real), f))
-    recon_err = np.sqrt(norm_sq(recon - f)) / np.maximum(1.0, np.sqrt(nf))
+    recon_err = np.sqrt(norm_sq(recon - f)) / _scale([np.sqrt(nf)])
 
     mask = _masks(group.subset, vectors.shape[1])
     s_sum = _partial_operator(vectors, mask) + _partial_operator(vectors, ~mask)
-    additivity_err = frobenius(s_sum - s) / np.maximum(1.0, frobenius(s))
+    additivity_err = frobenius(s_sum - s) / _scale([frobenius(s)])
 
     parseval = _spectral_rows(vectors, dec, "inv_sqrt", real)
     parseval_dev = frobenius(_operator(parseval) - np.eye(group.d))
@@ -529,7 +521,7 @@ def _bounds_solve(group: SimpleNamespace, tol: float) -> dict:
         "recon_err": recon_err,
         "additivity_err": additivity_err,
         "parseval_dev": parseval_dev,
-        "rel_diff": _max(recon_err, additivity_err, parseval_dev),
+        "rel_diff": np.maximum.reduce([recon_err, additivity_err, parseval_dev]),
         "passed": (inequality_ok & sandwich_ok & (recon_err <= tol)
                    & (additivity_err <= 1e-12) & (parseval_dev <= tol)),
     }

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framecalc
-from framecalc import Frame, canonical_dual, read_frame, write_frame
+from framecalc import Frame, canonical_dual, complete_to_tight, read_frame, write_frame
 from framecalc.cli import main
 
 E1 = [1.0, 0.0]
@@ -508,6 +508,22 @@ def test_extend_on_the_zero_family_is_not_tight(capsys, tmp_path):
     assert code == 1
     assert json.loads(out) == {"error": {"type": "NotTight",
                                          "message": "tight value 0 is not positive"}}
+
+
+def test_extend_checks_the_completion_it_prints(capsys, monkeypatch, pair_file):
+    # only the printed (unmixed) completion is cut to half of e2 e2^*, so only
+    # its union, diag(2, 1.5), misses 2-tightness; the mixed one is good
+    def halved_when_printed(frame, lam=None, mix_seed=None):
+        completion = complete_to_tight(frame, lam, mix_seed)
+        if mix_seed is not None:
+            return completion
+        return Frame(frame.dim, completion.vectors / np.sqrt(2.0), completion.field)
+
+    monkeypatch.setattr("framecalc.cli.complete_to_tight", halved_when_printed)
+    code, out = run_cli(capsys, "extend", pair_file)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "NotTight",
+                                         "message": "eigenvalues deviate from 2 by 5.000e-01"}}
 
 
 def test_extend_mix_seed_changes_vectors(capsys, pair_file, tmp_path):

@@ -638,6 +638,40 @@ def test_every_subset_entry_rejects_a_bad_subset(entry, bad):
 
 
 # ---------------------------------------------------------------------------
+# the tolerance, checked by every entry that takes one, on inputs that fail
+# every check at the default tolerance and would pass at tolerance inf
+
+_UNTIGHT_BASE = Frame(2, [E1, [0.0, 0.5]], "real")  # S = diag(1, 0.25): unions diag(2, 1.25)
+_TOLERANCE_ENTRIES = {
+    "parseval": lambda tol: parseval_identity_report(PAIR, [0], E1, tol),
+    "general": lambda tol: general_identity_report(PAIR, [0], E1, tol),
+    "tight": lambda tol: tight_identity_report(PAIR, [0], E1, tolerance=tol),
+    "overlap": lambda tol: overlap_identity_report(PAIR, [0], [1], E1, tol),
+    "subspace": lambda tol: subspace_identity_report(
+        embed_subspace_frame(PAIR, 3, np.eye(3)[:, :2]), [0], [1.0, 0.0, 0.0], tol),
+    "half": lambda tol: half_bound_check(PAIR, [0], E1, tol),
+    "three_quarters": lambda tol: three_quarters_check(PAIR, [0], E1, tol),
+    "partial_structure": lambda tol: partial_structure_check(PAIR, [0], tol),
+    "operator_identity": lambda tol: operator_identity_check(np.eye(2), np.eye(2), tol),
+    "self_adjoint_product": lambda tol: self_adjoint_product_check(np.eye(2), np.eye(2), tol),
+    "equivalence": lambda tol: equivalence_conditions(PAIR, [0], E1, tol),
+    "span_equality": lambda tol: span_equality_check(Frame(2, [E1]), Frame(2, [E2]), tol),
+    "extension_compare": lambda tol: tight_extension_compare(
+        _UNTIGHT_BASE, onb(2), onb(2), 2.0, E1, tolerance=tol),
+}
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(_TOLERANCE_ENTRIES))
+def test_every_tolerance_entry_rejects_a_tolerance_that_is_not_finite_and_positive(
+        entry, tolerance):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match="^tolerance must be a finite number > 0, got "):
+            _TOLERANCE_ENTRIES[entry](tolerance)
+
+
+# ---------------------------------------------------------------------------
 # pure-Python oracle on the small exhaustive corpus
 
 SMALL_CORPUS = [

@@ -102,6 +102,9 @@ def test_inverse_family_rejects_singular():
 def test_negative_eigenvalue_rejected():
     with pytest.raises(NotPSD):
         psd_apply(np.diag([1.0, -1.0]), "sqrt")
+    # lambda_max = -5 < -1: tau is floored at 1e-12 * max(1, lambda_max), not |lambda_max|
+    with pytest.raises(NotPSD, match=r"^eigenvalue -5\.000e\+00 below -1\.0e-12$"):
+        psd_apply(-5 * np.eye(2), "sqrt")
 
 
 def test_roundoff_negative_clamped_to_zero():

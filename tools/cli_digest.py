@@ -77,6 +77,10 @@ COMMANDS = [
     "extend merc.json",
     # lambda_max about 0.0105: the union is judged at tol * lambda, below tol
     "extend small.json",
+    # lambda 5e-13 below lambda_max = 1, inside tau = 1e-12 * max(1, lambda_max):
+    # an empty completion; 2e-12 below it is LambdaTooSmall (exit 1)
+    "extend merc.json --lambda 0.9999999999995",
+    "extend merc.json --lambda 0.999999999998",
     "property-run --help",
     "property-run --suite all --trials 300 --seed 101 --quiet",
     "property-run --suite all --trials 300 --seed 918273",
