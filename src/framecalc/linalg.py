@@ -92,8 +92,6 @@ def _scale(values):
     """max(1, |v| for v in values) per entry, values a sequence of same-shaped
     arrays or numbers; fmax, like Python's max(1.0, ...), never takes a NaN for
     the scale. A signed x floored at max(1, x) passes np.maximum(x, 0.0)."""
-    if len(values) == 1:  # most floors have one value: skip the reduce's overhead
-        return np.fmax(1.0, np.abs(values[0]))
     return np.fmax.reduce(np.abs(values), axis=0, initial=1.0)
 
 

@@ -638,8 +638,8 @@ def test_every_subset_entry_rejects_a_bad_subset(entry, bad):
 
 
 # ---------------------------------------------------------------------------
-# the tolerance, checked by every entry that takes one, on inputs that fail
-# every check at the default tolerance and would pass at tolerance inf
+# the tolerance, checked by every entry that takes one: a value that is not a
+# finite number > 0 raises BadParams before any check runs
 
 _UNTIGHT_BASE = Frame(2, [E1, [0.0, 0.5]], "real")  # S = diag(1, 0.25): unions diag(2, 1.25)
 _TOLERANCE_ENTRIES = {
