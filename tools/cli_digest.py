@@ -30,6 +30,11 @@ its exit code, its stderr length or any non-float leaf differs, or when a
 float gap exceeds 1e-12:
 
     python3 tools/cli_digest.py --against path/to/parent/src --leaves
+
+With `--write` it digests `--src` and writes the lines to
+tests/golden/cli_digest.txt, after a header line naming the numpy and
+OpenBLAS versions they were made with; tests/test_golden.py reruns the
+digest and compares it with that file line by line.
 """
 
 from __future__ import annotations
@@ -136,6 +141,21 @@ FRAME_FILES = {
 
 FLOAT_GAP = 1e-12
 
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+
+
+def golden_header() -> str:
+    """The first line of a golden file: the numpy and OpenBLAS versions of this interpreter."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__}, {blas['name']} {blas['version']}"
+
+
+def write_golden(name: str, lines: list[str]) -> None:
+    """Write tests/golden/<name> as the header line and then the digest lines."""
+    (GOLDEN / name).write_text("\n".join([golden_header(), *lines]) + "\n", encoding="utf-8")
+
 
 def _out_file(argv: list[str]) -> str | None:
     return argv[argv.index("--out") + 1] if "--out" in argv else None
@@ -224,7 +244,12 @@ def main() -> None:
                         help="another framecalc source tree; print only the commands that differ")
     parser.add_argument("--leaves", action="store_true",
                         help="with --against: pass commands that differ only in float digits")
+    parser.add_argument("--write", action="store_true",
+                        help="write the digest of --src to tests/golden/cli_digest.txt")
     args = parser.parse_args()
+    if args.write:
+        write_golden("cli_digest.txt", digest(args.src.resolve()))
+        return
     if args.against is None:
         for line in digest(args.src.resolve()):
             print(line, flush=True)

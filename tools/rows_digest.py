@@ -20,6 +20,10 @@ process, and prints only the lines that differ, as a `-` line for
 OTHER_SRC and a `+` line for `--src`; it exits 1 when any line differs:
 
     python3 tools/rows_digest.py --against path/to/parent/src
+
+With `--write` it digests `--src` in a fresh interpreter and writes the
+lines to tests/golden/rows_digest.txt, after cli_digest's header line of
+numpy and OpenBLAS versions; tests/test_golden.py compares a rerun with it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from cli_digest import write_golden
 
 SEEDS = (1, 101, 918273, 2**64 - 3)
 RANGES = (((2, 16), (2, 64)), ((1, 3), (1, 5)), ((1, 16), (1, 64)))
@@ -77,7 +83,12 @@ def main() -> None:
                         help="directory holding the framecalc package (default: this checkout)")
     parser.add_argument("--against", type=Path,
                         help="another framecalc source tree; print only the lines that differ")
+    parser.add_argument("--write", action="store_true",
+                        help="write the digest of --src to tests/golden/rows_digest.txt")
     args = parser.parse_args()
+    if args.write:
+        write_golden("rows_digest.txt", digest_in_process(args.src.resolve()))
+        return
     if args.against is None:
         for line in digest(args.src.resolve()):
             print(line, flush=True)
