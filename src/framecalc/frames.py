@@ -90,7 +90,10 @@ def as_vector(f, dim: int) -> np.ndarray:
 
 def as_tolerance(value) -> float:
     """Coerce a check tolerance to a finite float > 0."""
-    tol = float(value)
+    try:
+        tol = float(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, or beyond float range
+        tol = np.nan
     if not 0.0 < tol < np.inf:
         raise BadParams(f"tolerance must be a finite number > 0, got {value!r}")
     return tol

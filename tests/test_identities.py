@@ -19,6 +19,7 @@ from framecalc import (
     NotParseval,
     NotTight,
     PreconditionFailed,
+    RunConfig,
     doubled_onb,
     equivalence_conditions,
     general_identity_report,
@@ -669,6 +670,18 @@ def test_every_tolerance_entry_rejects_a_tolerance_that_is_not_finite_and_positi
         warnings.simplefilter("error")
         with pytest.raises(BadParams, match="^tolerance must be a finite number > 0, got "):
             _TOLERANCE_ENTRIES[entry](tolerance)
+
+
+@pytest.mark.parametrize("tolerance", ["abc", None, [1e-9], 10**400])
+def test_a_tolerance_that_is_not_a_number_raises_bad_params(tolerance):
+    message = f"tolerance must be a finite number > 0, got {tolerance!r}"
+    with pytest.raises(BadParams) as excinfo:
+        parseval_identity_report(PAIR, [0], E1, tolerance)
+    assert str(excinfo.value) == message
+    if tolerance is not None:  # RunConfig's default
+        with pytest.raises(BadParams) as excinfo:
+            RunConfig(seed=1, trials=1, tolerance=tolerance)
+        assert str(excinfo.value) == message
 
 
 # ---------------------------------------------------------------------------
