@@ -65,7 +65,6 @@ from .linalg import (
     as_matrix,
     frobenius,
     hermitian_defect,
-    hermitian_eig,
     hermitian_eigvals,
     hermitize,
 )
@@ -397,8 +396,8 @@ def _partial_structure(s_j: np.ndarray, s_jc: np.ndarray, tolerance: float) -> t
     gap = s_j - s_j @ s_j
     residual = frobenius(gap - product)
     herm_defect = hermitian_defect(product)
-    min_eig_product = hermitian_eig(hermitize(product)).eigenvalues[..., 0]
-    min_eig_gap = hermitian_eig(hermitize(gap)).eigenvalues[..., 0]
+    min_eig_product = hermitian_eigvals(hermitize(product))[..., 0]
+    min_eig_gap = hermitian_eigvals(hermitize(gap))[..., 0]
     scale = _scale([frobenius(s_j), frobenius(s_jc)])
     ok = (
         (residual <= tolerance * scale)

@@ -6,7 +6,10 @@ applying a scalar function to its spectrum. Inputs are validated as
 Hermitian up to a relative tolerance before any factorization runs, and
 spectral functions clamp tiny negative eigenvalues (inevitable when the
 matrix is a Gram-type product) to zero instead of letting them poison a
-square root.
+square root. A matrix that is bitwise its Hermitian part H = (M + M*)/2, as
+every one the package builds is, skips the defect test, which it could not
+fail: each entry is within one ulp of its mirror, so ||M - M*||_F ~ eps ||M||_F.
+An overflow in H makes H differ from M and takes the test; H is factorized.
 
 Every function here except as_matrix also takes a stack of matrices,
 shape (..., d, d), and works matrix by matrix along the leading axes: one
@@ -14,8 +17,8 @@ call factorizes a whole stack, and a failed check raises for the first
 failing matrix in C order. A stacked eigendecomposition is bitwise the
 per-matrix one.
 
-Where a spectrum only feeds a pass/raise check, hermitian_eigvals gives
-it with hermitian_eig's checks and computes no eigenvectors.
+Where only a spectrum's values are used, hermitian_eigvals gives them
+with hermitian_eig's checks and computes no eigenvectors.
 
 Tolerances:
     TAU_HERM  relative Hermitian-defect bound, ||M - M*||_F <= TAU_HERM * max(1, ||M||_F)
@@ -101,10 +104,8 @@ def require_hermitian(m) -> np.ndarray:
     scale = _scale([frobenius(a)])
     k = _first_failure(defect > TAU_HERM * scale)
     if k is not None:
-        raise NotHermitian(
-            f"Hermitian defect {np.ravel(defect)[k]:.3e} exceeds {TAU_HERM:.1e} * "
-            f"{np.ravel(scale)[k]:.3e}"
-        )
+        raise NotHermitian(f"Hermitian defect {np.ravel(defect)[k]:.3e} exceeds "
+                           f"{TAU_HERM:.1e} * {np.ravel(scale)[k]:.3e}")
     return a
 
 
@@ -130,24 +131,25 @@ class EigenDecomposition:
         return (v * self.eigenvalues[..., None, :]) @ _adjoint(v)
 
 
-def hermitian_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input must be Hermitian within TAU_HERM (relative); it is projected
-    to its Hermitian part before factorization so roundoff asymmetry cannot
-    produce complex eigenvalues.
-
-    Raises:
-        NotHermitian: input fails the symmetry check.
-        NoConvergence: the factorization backend did not converge.
-    """
-    a = require_hermitian(m)
+def _factor(m, solver):
+    """solver(hermitize(m)) with hermitian_eig's checks; a LinAlgError is NoConvergence."""
+    a = _as_matrices(m)
+    h = hermitize(a)
+    if not (a == h).all():  # an exact Hermitian part skips the defect test
+        require_hermitian(a)
     try:
-        w, v = np.linalg.eigh(hermitize(a))
+        return solver(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    w = np.asarray(w, dtype=np.float64)
-    v = np.asarray(v, dtype=np.complex128)
+
+
+def hermitian_eig(m) -> EigenDecomposition:
+    """Eigendecomposition of a matrix that is Hermitian within TAU_HERM (relative).
+
+    Its Hermitian part is factorized, so roundoff asymmetry cannot produce
+    complex eigenvalues. Raises NotHermitian or, from the backend, NoConvergence.
+    """
+    w, v = _factor(m, np.linalg.eigh)
     w.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
@@ -156,11 +158,7 @@ def hermitian_eig(m) -> EigenDecomposition:
 def hermitian_eigvals(m) -> np.ndarray:
     """The eigenvalues of hermitian_eig(m), shape (..., d), ascending, with
     its checks and errors (NotHermitian, NoConvergence) but no eigenvectors."""
-    a = require_hermitian(m)
-    try:
-        return np.linalg.eigvalsh(hermitize(a))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    return _factor(m, np.linalg.eigvalsh)
 
 
 def psd_apply(m, fn: str) -> np.ndarray:

@@ -48,10 +48,10 @@ The solve runs each group through the algebra at once, as zero-padded
 stacks (one stacked eigendecomposition per spectral step), verdicts
 included: the residuals, bounds and equivalence patterns come from the
 stacked kernels of identities that the public reports call on one
-family. A spectrum that only feeds a pass/raise check, the Parseval
-check of a group's families or the tightness of both extension unions
-(frames._union_operator, judged by tight_identity_report's rule), is read
-without eigenvectors.
+family. A spectrum of which only values are used, the Parseval check of
+a group's families, the tightness of both extension unions
+(frames._union_operator, judged by tight_identity_report's rule) or sj's
+smallest eigenvalues of S_J S_Jc and S_J - S_J^2, is read without eigenvectors.
 The sj raw resolutions are checked as one stack per group, after its
 frame splits. The pfi subspace embedding and the general reduction's
 reports stay per-trial calls, each writing into its own positions of a

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecalc.errors import NotHermitian, NotPSD, SingularMatrix
+from framecalc.errors import FrameError, NoConvergence, NotHermitian, NotPSD, SingularMatrix
 from framecalc.linalg import (
+    TAU_HERM,
+    EigenDecomposition,
     frobenius,
     hermitian_defect,
     hermitian_eig,
@@ -194,3 +196,54 @@ def test_eigvals_are_eigh_eigenvalues_without_eigenvectors(d, k, field, kind, sc
             hermitian_eig(wrong)
         with pytest.raises(NotHermitian, match=f"^{re.escape(str(eig_error.value))}$"):
             hermitian_eigvals(wrong)
+
+
+def _parent_factor(solver, m):
+    """The factorization before exact-Hermitian inputs skipped the defect test."""
+    try:
+        return solver(hermitize(require_hermitian(m)))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
+def _outcome(call, m):
+    """The bytes of every array call(m) returns, or the type and message it raises."""
+    try:
+        out = call(m)
+    except FrameError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, EigenDecomposition):
+        out = (out.eigenvalues, out.eigenvectors)
+    return [(x.dtype, x.shape, x.tobytes()) for x in (out if isinstance(out, tuple) else (out,))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 16), k=st.integers(1, 3), field=st.sampled_from(["real", "complex"]),
+       defect=st.sampled_from([None, *range(-8, 3)]),
+       exponent=st.sampled_from([0, -500, 500, -1070, 1022]),
+       poison=st.sampled_from([None] * 5 + [np.nan, np.inf, complex(0.0, -np.inf)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_exact_hermitian_skip_keeps_every_output_and_error(
+        d, k, field, defect, exponent, poison, seed):
+    g = _stack(seed, k, d)
+    m = hermitize(g.real.astype(np.complex128) if field == "real" else g)
+    if defect is not None:  # a skew part of size 10^defect * TAU_HERM * ||M||_F in one matrix
+        skew = _stack(seed + 1, 1, d)[0]
+        skew -= skew.conj().T
+        m[seed % k] += 10.0**defect * TAU_HERM * frobenius(m[seed % k]) / frobenius(skew) * skew
+    # 2^-1070 makes subnormals; at 2^1022 the Hermitian part overflows, or an entry does
+    with np.errstate(all="ignore"):
+        m *= 2.0**exponent
+    if poison is not None:  # a non-finite entry, mirrored as a Hermitian matrix would be
+        i, j = seed % d, (seed // d) % d
+        m[seed % k, i, j] = poison
+        m[seed % k, j, i] = np.conj(poison)
+    with np.errstate(all="ignore"):
+        for solver, public in ((np.linalg.eigh, hermitian_eig),
+                               (np.linalg.eigvalsh, hermitian_eigvals)):
+            want = _outcome(lambda x: _parent_factor(solver, x), m)
+            assert _outcome(public, m) == want
+            assert _outcome(public, m[seed % k]) == _outcome(
+                lambda x: _parent_factor(solver, x), m[seed % k])
+            if not np.isfinite(m).all():
+                assert want == (NotHermitian, "matrix has non-finite entries")

@@ -25,7 +25,8 @@ from framecalc import (
     run_suite,
     run_suites,
 )
-from framecalc import cli, frames, sweeps
+import framecalc
+from framecalc import cli, frames, identities, linalg, sweeps
 from framecalc.frames import (
     complete_to_tight,
     frame_bounds,
@@ -690,3 +691,32 @@ def test_a_dead_worker_is_a_json_error_from_the_cli(monkeypatch, capfd):
     assert json.loads(out)["error"]["type"] == "FrameError"
     assert err == ""
     assert_no_child_left()
+
+
+# (hermitian_eig, hermitian_eigvals) calls per suite at the benchmark's reference
+# run: seed 101, 1,000 trials of each suite but extension (100), on one process
+_DECOMPOSITIONS = {"pfi": (34, 15), "general": (166, 0), "overlap": (29, 15), "bounds": (31, 0),
+                   "equivalence": (175, 15), "sj": (42, 45), "extension": (45, 15)}
+
+
+def test_every_decomposition_goes_through_the_public_names(monkeypatch):
+    """The benchmark's tracer counts eigendecompositions by these two names,
+    so a suite that factorized by another path would drop out of its counts."""
+    calls = {}
+    for name in ("hermitian_eig", "hermitian_eigvals"):
+        original = getattr(linalg, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (framecalc, linalg, frames, identities, sweeps, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
+    counts = {}
+    for suite in SUITE_NAMES:
+        calls.update(hermitian_eig=0, hermitian_eigvals=0)
+        run_suite(suite, RunConfig(seed=101, trials=100 if suite == "extension" else 1000))
+        counts[suite] = (calls["hermitian_eig"], calls["hermitian_eigvals"])
+    assert counts == _DECOMPOSITIONS
