@@ -104,8 +104,10 @@ def require_hermitian(m) -> np.ndarray:
     scale = _scale([frobenius(a)])
     k = _first_failure(defect > TAU_HERM * scale)
     if k is not None:
-        raise NotHermitian(f"Hermitian defect {np.ravel(defect)[k]:.3e} exceeds "
-                           f"{TAU_HERM:.1e} * {np.ravel(scale)[k]:.3e}")
+        raise NotHermitian(
+            f"Hermitian defect {np.ravel(defect)[k]:.3e} exceeds {TAU_HERM:.1e} * "
+            f"{np.ravel(scale)[k]:.3e}"
+        )
     return a
 
 
