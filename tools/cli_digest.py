@@ -56,6 +56,9 @@ COMMANDS = [
     "gen random-parseval --dim 3 --count 5 --seed 3 --field complex",
     # the first Gaussian attempt is rejected, so random_parseval redraws
     "gen random-parseval --dim 6 --count 6 --seed 1",
+    # the same for a complex draw; then the smallest draw, one vector in C^1
+    "gen random-parseval --dim 4 --count 4 --seed 6 --field complex",
+    "gen random-parseval --dim 1 --count 1 --seed 2 --field complex",
     "gen doubled-onb --dim 3",
     "gen harmonic --dim 3 --count 7",
     "analyze g16.json",
