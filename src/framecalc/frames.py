@@ -20,17 +20,17 @@ and completion to a tight frame by appending columns of sqrt(lam*I - S).
 The kernels behind the frame operator, the analysis coefficients, S_J,
 the canonical dual and Parseval conversion, the Bessel sandwich and the
 tight completion also take zero-padded stacks of families, shape
-(..., n, d); a zero row adds nothing to any of them, and so does
-random_isometry's QR step (`_orthonormal`). The public functions
+(..., n, d); a zero row adds nothing to any of them. The public functions
 validate their inputs and call the same kernels on one family.
 
-A conditioned Gaussian frame, one with cond(S) <= MAX_COND, is accepted
-in one place: `_conditioned_stack` draws a stack of first attempts and
-tests them with one stacked eigendecomposition, and a rejected family goes
-on alone through `_first_conditioned`, the one redraw loop, which
-`random_parseval` also uses; each row of `_parseval_stack` is bitwise
-random_parseval's. Every family gives up with NoConvergence after
-_RESAMPLE_LIMIT attempts in all.
+Each seeded draw has one definition, a stacked one: random_parseval is
+`_parseval_stack` of one family and random_isometry is `_isometries` of
+one seed, so a family drawn in a stack is bitwise the single call. A
+conditioned Gaussian frame, one with cond(S) <= MAX_COND, is accepted in
+one place: `_conditioned_stack` draws a stack of first attempts and tests
+them with one stacked eigendecomposition, and a rejected family goes on
+alone through `_first_conditioned`, the one redraw loop. Every family
+gives up with NoConvergence after _RESAMPLE_LIMIT attempts in all.
 
 Real-tagged frames keep exactly zero imaginary parts; derived operations
 strip sub-tolerance imaginary roundoff so the tag survives duals and
@@ -40,7 +40,7 @@ each family is checked and stripped by its own tag.
 
 from __future__ import annotations
 
-import itertools
+import numbers
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -89,11 +89,14 @@ def as_vector(f, dim: int) -> np.ndarray:
 
 
 def as_tolerance(value) -> float:
-    """Coerce a check tolerance to a finite float > 0."""
-    try:
-        tol = float(value)
-    except (TypeError, ValueError, OverflowError):  # not a number, or beyond float range
-        tol = np.nan
+    """Coerce a check tolerance, a real number but not a bool, to a finite float > 0."""
+    tol = np.nan
+    # float and int come first only for speed: they skip the ABC's instance check
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
+        try:
+            tol = float(value)
+        except OverflowError:  # an integer beyond float range
+            pass
     if not 0.0 < tol < np.inf:
         raise BadParams(f"tolerance must be a finite number > 0, got {value!r}")
     return tol
@@ -466,13 +469,16 @@ def random_isometry(ambient_dim: int, dim: int, seed: int, field: str = "complex
         raise BadParams(f"need 1 <= dim <= ambient_dim, got {dim}, {ambient_dim}")
     if field not in _FIELDS:
         raise BadParams(f"field must be one of {_FIELDS}, got {field!r}")
-    return _orthonormal(SplitMix64(seed).normals(ambient_dim * dim, field).reshape(ambient_dim, dim))
+    return _isometries(ambient_dim, dim, [seed], [field])[0]
 
 
-def _orthonormal(g: np.ndarray) -> np.ndarray:
-    """The Q factor of each matrix's QR in a stack (..., m, k), its columns
-    rotated so that R has a positive real diagonal (a zero entry counts as 1)."""
-    q, r = np.linalg.qr(g)
+def _isometries(ambient: int, dim: int, seeds: list[int], fields: list[str]) -> np.ndarray:
+    """random_isometry(ambient, dim, seed, field) of each (seed, field), as one
+    (len(seeds), ambient, dim) stack from one group draw and one stacked QR:
+    the Q factors, their columns rotated so that R has a positive real
+    diagonal (a zero entry counts as 1)."""
+    g = group_normals([SplitMix64(seed) for seed in seeds], [ambient * dim] * len(seeds), fields)
+    q, r = np.linalg.qr(np.reshape(g, (len(seeds), ambient, dim)))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[np.abs(d) == 0.0] = 1.0
     return q * (d / np.abs(d))[..., None, :]
@@ -517,10 +523,6 @@ def harmonic(dim: int, count: int) -> Frame:
     return Frame(dim, rows, "complex")
 
 
-def _gaussian_rows(dim: int, count: int, seed: int, field: str) -> np.ndarray:
-    return SplitMix64(seed).normals(count * dim, field).reshape(count, dim)
-
-
 def _gaussian_group(dim: int, counts: list[int], seeds: list[int],
                     fields: list[str]) -> tuple[np.ndarray, np.ndarray, EigenDecomposition]:
     """random_gaussian(dim, n, seed, field).vectors for each (n, seed, field),
@@ -535,13 +537,18 @@ def _gaussian_group(dim: int, counts: list[int], seeds: list[int],
     return gauss, s, hermitian_eig(s)
 
 
-def random_gaussian(dim: int, count: int, seed: int, field: str = "real") -> Frame:
-    """Independent standard normal entries (complex normal for field "complex")."""
+def _require_gaussian(dim: int, count: int, field: str) -> None:
+    """BadParams unless dim >= 1, count >= 1 and field is known, checked in that order."""
     if dim < 1 or count < 1:
         raise BadParams(f"need dim >= 1 and count >= 1, got dim={dim}, count={count}")
     if field not in _FIELDS:
         raise BadParams(f"field must be one of {_FIELDS}, got {field!r}")
-    return Frame(dim, _gaussian_rows(dim, count, seed, field), field)
+
+
+def random_gaussian(dim: int, count: int, seed: int, field: str = "real") -> Frame:
+    """Independent standard normal entries (complex normal for field "complex")."""
+    _require_gaussian(dim, count, field)
+    return Frame(dim, SplitMix64(seed).normals(count * dim, field).reshape(count, dim), field)
 
 
 def _conditioning(eigenvalues: np.ndarray) -> tuple:
@@ -556,12 +563,13 @@ def _conditioning(eigenvalues: np.ndarray) -> tuple:
     return is_frame & (cond <= MAX_COND), cond
 
 
-def _first_conditioned(dim: int, count: int, seeds, field: str) -> tuple[Frame, float]:
-    """The first random_gaussian(dim, count, seed, field), over the seeds of
-    the iterator `seeds`, that _conditioning accepts, with its cond(S);
-    NoConvergence once _RESAMPLE_LIMIT attempts are rejected."""
-    for seed in itertools.islice(seeds, _RESAMPLE_LIMIT):
-        frame = random_gaussian(dim, count, seed, field)
+def _first_conditioned(dim: int, count: int, rng: SplitMix64, field: str) -> tuple[Frame, float]:
+    """The first random_gaussian(dim, count, rng.next_raw(), field) that
+    _conditioning accepts, with its cond(S): the redraws of a rejected first
+    attempt. NoConvergence once _RESAMPLE_LIMIT attempts in all, that first
+    one included, are rejected."""
+    for _ in range(_RESAMPLE_LIMIT - 1):
+        frame = random_gaussian(dim, count, rng.next_raw(), field)
         accepted, cond = _conditioning(frame.spectrum.eigenvalues)
         if accepted:
             return frame, float(cond)
@@ -576,11 +584,12 @@ def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Fra
     so past cond ~1e6 the converted operator would miss the identity by
     more than TAU_ID. The first attempt uses the seed itself, so
     well-conditioned seeds give the same frame as a direct conversion.
+    It is _parseval_stack of one family.
     """
     if count < dim:
         raise BadParams(f"need count >= dim, got dim={dim}, count={count}")
-    seeds = itertools.chain([int(seed)], iter(SplitMix64(seed).next_raw, None))
-    return parsevalize(_first_conditioned(dim, count, seeds, field)[0])
+    _require_gaussian(dim, count, field)
+    return Frame(dim, _parseval_stack(dim, [count], [seed], [field])[0], field)
 
 
 def _conditioned_stack(dim: int, counts: list[int], seeds: list[int], fields: list[str],
@@ -591,16 +600,14 @@ def _conditioned_stack(dim: int, counts: list[int], seeds: list[int], fields: li
 
     The first attempts, seeded by `seeds`, are drawn and tested together,
     with one stacked eigendecomposition. A rejected family k goes on through
-    _first_conditioned, each further attempt seeded by later[k].next_raw(),
-    up to _RESAMPLE_LIMIT attempts in all; its accepted frame replaces the
-    first attempt in every array.
+    _first_conditioned, each further attempt seeded by later[k].next_raw();
+    its accepted frame replaces the first attempt in every array.
     """
     vectors, s, dec = _gaussian_group(dim, counts, seeds, fields)
     w, v = dec.eigenvalues.copy(), dec.eigenvectors.copy()
     accepted, cond = _conditioning(w)
     for k in np.flatnonzero(~accepted):
-        attempts = itertools.islice(iter(later[k].next_raw, None), _RESAMPLE_LIMIT - 1)
-        frame, cond[k] = _first_conditioned(dim, counts[k], attempts, fields[k])
+        frame, cond[k] = _first_conditioned(dim, counts[k], later[k], fields[k])
         vectors[k, :counts[k]] = frame.vectors
         s[k], w[k], v[k] = frame.operator, frame.spectrum.eigenvalues, frame.spectrum.eigenvectors
     return vectors, s, EigenDecomposition(w, v), cond
@@ -610,10 +617,8 @@ def _parseval_stack(dim: int, counts: list[int], seeds: list[int],
                     fields: list[str]) -> np.ndarray:
     """random_parseval(dim, n, seed, field).vectors for each (n, seed, field),
     zero-padded into one (len(counts), max(counts), dim) stack: the
-    conditioned stack, with each family going on as random_parseval goes on,
-    from SplitMix64(seed), then one S^{-1/2} for the whole stack. Each row
-    is bitwise random_parseval's, padding and mixed counts and fields
-    included.
+    conditioned stack, each rejected family going on from SplitMix64(seed),
+    then one S^{-1/2} for the whole stack.
     """
     vectors, _, dec, _ = _conditioned_stack(dim, counts, seeds, fields,
                                             [SplitMix64(seed) for seed in seeds])

@@ -68,7 +68,7 @@ from .linalg import (
     hermitian_eigvals,
     hermitize,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, group_normals
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,12 @@ def _require_parseval(eigenvalues: np.ndarray, tolerance: float) -> None:
         )
 
 
-def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> None:
-    """NotTight unless each lam is positive (the all-zero family would
-    otherwise pass at lam = 0, where the tolerance vanishes) and finite
-    (at lam = inf the tolerance is inf too), and each spectrum in (..., d)
-    lies within tolerance * lam of its lam, which broadcasts over them."""
+def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> np.ndarray:
+    """The largest distance of each spectrum in (..., d) from its lam, which
+    broadcasts over them; NotTight unless each lam is positive (the all-zero
+    family would otherwise pass at lam = 0, where the tolerance vanishes)
+    and finite (at lam = inf the tolerance is inf too), and each distance is
+    within tolerance * lam."""
     lam = np.asarray(lam, dtype=np.float64)
     k = _first_failure(~(lam > 0.0) | (lam == np.inf))
     if k is not None:
@@ -123,6 +124,7 @@ def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> None:
     if k is not None:
         lam = np.ravel(np.broadcast_to(lam, dev.shape))  # one lam may serve several spectra
         raise NotTight(f"eigenvalues deviate from {lam[k]:.6g} by {np.ravel(dev)[k]:.3e}")
+    return dev
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +617,13 @@ def span_equality_check(first: Frame, second: Frame,
 @dataclass(frozen=True)
 class TightExtensionCompare:
     """Two completions of the same family to the same tight value share
-    added energy, added operator, and added span."""
+    added energy, added operator, and added span.
 
-    both_tight: bool
+    union_tight_devs: the largest distance of each union's eigenvalues from
+                      lam, the first completion's union first
+    """
+
+    union_tight_devs: tuple[float, float]
     energy_equal: bool
     operator_equal: bool
     span_equal: bool
@@ -625,25 +631,21 @@ class TightExtensionCompare:
     passed: bool
 
 
-def _probe_width(d: int, field: str) -> int:
-    """Normals per probe: a real probe draws whole Gaussian pairs, one extra at odd d."""
-    return d + d % 2 if field == "real" else d
-
-
-def _unit_rows(block: np.ndarray) -> np.ndarray:
-    """Each row of a stack (..., m, d) over its norm, the vecdot form of
-    np.linalg.norm's own dot; a zero-norm row is left unnormalized."""
-    norms = np.sqrt(np.vecdot(block.real, block.real) + np.vecdot(block.imag, block.imag))
-    return block / np.where(norms > 0.0, norms, 1.0)[..., None]
-
-
-def _probe_block(f, d: int, field: str, trials: int, seed: int) -> np.ndarray:
-    """f, then `trials` seeded unit vectors, as rows. The block draw and the
-    row norms are bitwise one draw and one normalization per probe."""
-    v = as_vector(f, d)
-    width = _probe_width(d, field)
-    block = SplitMix64(seed).normals(trials * width, field).reshape(trials, width)[:, :d]
-    return np.vstack([v, _unit_rows(block)])
+def _probe_blocks(f: np.ndarray, d: int, fields: list[str], trials: int,
+                  seeds: list[int]) -> np.ndarray:
+    """For each family k, f[k] and then `trials` unit vectors drawn from
+    SplitMix64(seeds[k]) in fields[k], as one (len(seeds), trials + 1, d)
+    stack. A family's probes are one normals block, a real row drawn to an
+    even width and cut to d, and each row is divided by its norm, the vecdot
+    form of np.linalg.norm's own dot; a zero-norm row is left unnormalized.
+    So each row is bitwise one draw and one normalization per probe."""
+    widths = [d + d % 2 if field == "real" else d for field in fields]
+    blocks = group_normals([SplitMix64(seed) for seed in seeds],
+                           [trials * width for width in widths], fields)
+    probes = np.array([g.reshape(trials, width)[:, :d] for g, width in zip(blocks, widths)])
+    norms = np.sqrt(np.vecdot(probes.real, probes.real) + np.vecdot(probes.imag, probes.imag))
+    probes /= np.where(norms > 0.0, norms, 1.0)[..., None]
+    return np.concatenate([f[:, None], probes], axis=1)
 
 
 def _extension_compare(probes: np.ndarray, first: np.ndarray, second: np.ndarray,
@@ -664,11 +666,12 @@ def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame
     """Compare two tight completions of `base` at tight value lam.
 
     Checks that both unions are lam-tight by tight_identity_report's rule
-    (raising NotTight otherwise), then that the two added families have
-    equal coefficient energy on the given f and on `trials` seeded random
-    unit vectors, equal frame operators, and equal spans. A union's operator
-    is the sum of its parts' cached ones, and only its eigenvalues are
-    computed. The probe energies are one block, one product per family.
+    (raising NotTight otherwise), and records how far each is from it, then
+    that the two added families have equal coefficient energy on the given
+    f and on `trials` seeded random unit vectors, equal frame operators,
+    and equal spans. A union's operator is the sum of its parts' cached
+    ones, and only its eigenvalues are computed. The probes are
+    _probe_blocks of one family, and their energies one product per family.
     """
     tolerance = as_tolerance(tolerance)
     lam = float(lam)
@@ -677,16 +680,16 @@ def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame
             raise DimensionMismatch(f"dims differ: {base.dim} vs {added.dim}")
     if not isinstance(trials, (int, np.integer)) or trials < 0:
         raise BadParams(f"trials must be a non-negative integer, got {trials!r}")
-    _require_tight(hermitian_eigvals(_union_operator(
+    devs = _require_tight(hermitian_eigvals(_union_operator(
         base.operator, np.stack([added_first.operator, added_second.operator]))), lam, tolerance)
     fields = (base.field, added_first.field, added_second.field)
     field = "complex" if "complex" in fields else "real"
-    probes = _probe_block(f, base.dim, field, trials, seed)
+    probes = _probe_blocks(as_vector(f, base.dim)[None], base.dim, [field], trials, [seed])[0]
     max_rel, energy_equal, operator_equal, span_equal = _extension_compare(
         probes, added_first.vectors, added_second.vectors, added_first.operator,
         added_second.operator, added_first.spectrum, added_second.spectrum, tolerance)
     return TightExtensionCompare(
-        both_tight=True,
+        union_tight_devs=tuple(devs.tolist()),
         energy_equal=bool(energy_equal),
         operator_equal=bool(operator_equal),
         span_equal=bool(span_equal),

@@ -42,7 +42,9 @@ and complex streams alike: a real segment is its gaussians, a complex one
 pairs its gaussians into complex normals. The sweeps draw each step for a
 whole d group of trials, of both fields, this way, and so too the draws
 each trial makes from fresh streams of its own seeds (probes, isometries,
-Gaussian frames).
+Gaussian frames); the library's single-family draws are those same group
+draws on one stream, and group_normals hands a group of one stream to
+normals itself.
 
 The uint64 sequence is bit-reproducible everywhere; floating-point outputs
 are deterministic for a given platform's libm.
@@ -238,7 +240,10 @@ def _group_normals(streams: list[SplitMix64], counts: list[int],
 
 def group_normals(streams: list[SplitMix64], counts: list[int],
                   fields: list[str]) -> list[np.ndarray]:
-    """streams[k].normals(counts[k], fields[k]) for each k."""
+    """streams[k].normals(counts[k], fields[k]) for each k. A group of one
+    stream is that call itself, which skips the group's fixed cost."""
+    if len(streams) == 1:
+        return [streams[0].normals(counts[0], fields[0])]
     flat, widths = _group_normals(streams, counts, fields)
     return _segments(flat, widths.tolist(), counts)
 

@@ -35,15 +35,17 @@ rng for all the group's trials. Each trial owns its stream, so
 interleaving the trials moves no stream position, and a row is bitwise
 the row of per-trial draws. Scalar draws (seeds, tight values, flags, the
 sizes of an orthogonal union) and the pfi embedding are drawn trial by
-trial. Draws from a trial's own seeds are stacked too, each bitwise its
-single call: the extension probes, the isometries of the orthogonal unions
-and of the extension mixing (_isometries, one stacked QR per size), and
-the unions' parts and general reductions (_parseval_rows).
-The general and bounds draws take their Gaussian frames from
-frames._conditioned_stack, whose rejected first attempts go on in the
-trial's own stream, and then draw J and f. Every conditioned draw, here,
-in a Parseval family or in random_parseval, gives up with NoConvergence
-after 1,000 attempts in all (frames._RESAMPLE_LIMIT).
+trial. Draws from a trial's own seeds are stacked too, through the one
+stacked definition of each draw, so each is bitwise its single call by
+construction: the extension probes (identities._probe_blocks), the
+isometries of the orthogonal unions and of the extension mixing
+(frames._isometries, one stacked QR per size), and the unions' parts and
+general reductions (_parseval_rows). The general and bounds draws take
+their Gaussian frames from frames._conditioned_stack, whose rejected
+first attempts go on in the trial's own stream, and then draw J and f.
+Every conditioned draw, here, in a Parseval family or in random_parseval,
+gives up with NoConvergence after 1,000 attempts in all
+(frames._RESAMPLE_LIMIT).
 The solve runs each group through the algebra at once, as zero-padded
 stacks (one stacked eigendecomposition per spectral step), verdicts
 included: the residuals, bounds and equivalence patterns come from the
@@ -100,9 +102,9 @@ from .frames import (
     _conditioned_stack,
     _finite_operator,
     _gaussian_group,
+    _isometries,
     _match_field,
     _operator,
-    _orthonormal,
     _parseval_stack,
     _partial_operator,
     _spectral_rows,
@@ -124,14 +126,13 @@ from .identities import (
     _overlap_lhs_rhs,
     _overlap_terms,
     _partial_structure,
-    _probe_width,
+    _probe_blocks,
     _require_parseval,
     _require_resolution,
     _require_tight,
     _residual,
     _self_adjoint_product,
     _split_lhs_rhs,
-    _unit_rows,
     general_identity_report,
     parseval_identity_report,
     subspace_identity_report,
@@ -205,13 +206,6 @@ def _draw_shapes(name: str, trials: range, config: RunConfig) -> list[tuple]:
     real = (_to_uniforms(raw[:, 0]) < 0.5).tolist()
     return [(t, rng, "real" if r else "complex", d_t, n_t)
             for t, rng, r, d_t, n_t in zip(trials, streams, real, d.tolist(), n.tolist())]
-
-
-def _isometries(ambient: int, dim: int, seeds: list[int], fields: list[str]) -> np.ndarray:
-    """random_isometry(ambient, dim, seed, field) of each (seed, field), as one
-    stack from one group draw and one stacked QR."""
-    g = group_normals([SplitMix64(seed) for seed in seeds], [ambient * dim] * len(seeds), fields)
-    return _orthonormal(np.reshape(g, (len(seeds), ambient, dim)))
 
 
 def _parseval_rows(parts: list[tuple[int, int, int, str]]) -> list[np.ndarray]:
@@ -533,12 +527,7 @@ def _extension_draw(group: SimpleNamespace) -> None:
     group.stretch = [None if rng.uniform() < 0.5 else 1.0 + rng.uniform() for rng in streams]
     group.mix_seed = _seeds(streams)
     f = group_unit_vectors(streams, d, fields)
-    # each trial's identities._probe_block of f and its next seed, in one group draw
-    widths = [_probe_width(d, field) for field in fields]
-    blocks = group_normals([SplitMix64(seed) for seed in _seeds(streams)],
-                           [20 * width for width in widths], fields)
-    probes = np.array([g.reshape(20, width)[:, :d] for g, width in zip(blocks, widths)])
-    group.probes = np.concatenate([f[:, None], _unit_rows(probes)], axis=1)
+    group.probes = _probe_blocks(f, d, fields, 20, _seeds(streams))
 
 
 def _extension_solve(group: SimpleNamespace, tol: float) -> dict:

@@ -480,7 +480,7 @@ def test_extend_hand_case(capsys, pair_file, tmp_path):
     result = json.loads(out)["results"][0]
     assert result["lambda_used"] == pytest.approx(2.0)
     assert result["added_count"] == 1
-    assert result["union_tight"]
+    assert result["union_tight_dev"] == result["compare"]["union_tight_devs"][0] <= 1e-12
     assert result["compare"]["passed"]
     added = read_frame(out_path)
     np.testing.assert_allclose(np.abs(added.vectors), [[0.0, 1.0]], atol=1e-12)
@@ -491,7 +491,7 @@ def test_extend_explicit_lambda(capsys, pair_file):
     assert code == 0
     result = json.loads(out)["results"][0]
     assert result["added_count"] == 2
-    assert result["union_tight"]
+    assert result["union_tight_dev"] == result["compare"]["union_tight_devs"][0] <= 1e-12
 
 
 def test_extend_small_lambda_is_domain_error(capsys, pair_file):

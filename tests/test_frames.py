@@ -639,7 +639,9 @@ def _frames(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(1, 16), data=st.data())
 def test_a_parseval_stack_row_is_bitwise_random_parseval(d, data):
-    # the sweeps' orthogonal unions and general reductions rely on this
+    # random_parseval is the stack of one family, so this pins that a family
+    # does not depend on its stack-mates; the sweeps' orthogonal unions and
+    # general reductions rely on this
     families = data.draw(st.lists(st.tuples(st.integers(d, 4 * d), st.integers(0, 2**64 - 1),
                                             st.sampled_from(("real", "complex"))),
                                   min_size=1, max_size=5))

@@ -50,7 +50,7 @@ from framecalc.frames import (
     frame_bounds,
     random_gaussian,
 )
-from framecalc.identities import _bound_verdict, _equivalence_verdict, _probe_block, _residual
+from framecalc.identities import _bound_verdict, _equivalence_verdict, _probe_blocks, _residual
 from framecalc.linalg import frobenius
 from framecalc.rng import SplitMix64
 
@@ -538,16 +538,20 @@ _PROBE_SEEDS = (0, 11, 2**40 + 3)
 _PROBE_TRIALS = (0, 1, 20, 100)
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("fields", [["real"], ["complex"], ["real", "complex", "real", "complex"]],
+                         ids=["real", "complex", "mixed"])
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 15, 16])
-def test_probe_block_is_bitwise_the_per_probe_draws(d, field):
+def test_probe_blocks_are_bitwise_the_per_probe_draws(d, fields):
+    # one family, and a stack of families of both fields side by side
     for seed in _PROBE_SEEDS:
-        f = SplitMix64(seed + 2).gaussians(d)
+        seeds = [seed + 3 + 5 * k for k in range(len(fields))]
+        f = np.array([SplitMix64(s - 1).gaussians(d) for s in seeds])
         for trials in _PROBE_TRIALS:
-            block = _probe_block(f, d, field, trials, seed + 3)
-            ref = np.array(_per_probe_draws(f, d, field, trials, seed + 3))
-            assert block.shape == ref.shape == (trials + 1, d)
-            assert block.tobytes() == ref.tobytes()
+            blocks = _probe_blocks(f, d, fields, trials, seeds)
+            assert blocks.shape == (len(fields), trials + 1, d)
+            for block, f_k, field, s in zip(blocks, f, fields, seeds):
+                ref = np.array(_per_probe_draws(f_k, d, field, trials, s))
+                assert block.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -591,7 +595,7 @@ def test_extension_compare_zero_norm_probe_is_left_unnormalized(monkeypatch):
     monkeypatch.setattr(SplitMix64, "normals", normals_with_a_zero_row)
     for field, d in (("real", 3), ("complex", 5)):
         with np.errstate(all="raise"):
-            block = _probe_block(np.ones(d), d, field, 5, 1)
+            block = _probe_blocks(np.ones((1, d)), d, [field], 5, [1])[0]
         assert not block[1].any()
         assert np.allclose(np.linalg.norm(block[2:], axis=1), 1.0)
     base = PAIR
@@ -672,7 +676,7 @@ def test_every_tolerance_entry_rejects_a_tolerance_that_is_not_finite_and_positi
             _TOLERANCE_ENTRIES[entry](tolerance)
 
 
-@pytest.mark.parametrize("tolerance", ["abc", None, [1e-9], 10**400])
+@pytest.mark.parametrize("tolerance", ["abc", None, [1e-9], 10**400, "1e-9", b"1e-9", True])
 def test_a_tolerance_that_is_not_a_number_raises_bad_params(tolerance):
     message = f"tolerance must be a finite number > 0, got {tolerance!r}"
     with pytest.raises(BadParams) as excinfo:

@@ -35,7 +35,7 @@ from framecalc.frames import (
     random_parseval,
 )
 from framecalc.identities import (
-    _probe_block,
+    _probe_blocks,
     operator_identity_check,
     partial_structure_check,
     self_adjoint_product_check,
@@ -282,9 +282,10 @@ def test_rejected_first_gaussian_draws_go_on_in_their_own_stream(monkeypatch, na
     assert_rows_match(rows, scalar_rows(name, config))
 
 
+# the first attempt is drawn in the stack, so 999 more make the 1,000;
+# random_parseval is the stack of one family
 @pytest.mark.parametrize("draw, stacked", [
-    (lambda: random_parseval(3, 4, 7), 0),
-    # the first attempt is drawn in the stack, so 999 more make the 1,000
+    (lambda: random_parseval(3, 4, 7), 1),
     (lambda: run_suite("general", RunConfig(seed=7, trials=1, dim_range=(3, 3),
                                             count_range=(4, 4))), 1),
     (lambda: frames._parseval_stack(3, [4, 5], [7, 8], ["real", "complex"]), 1),
@@ -331,7 +332,9 @@ def test_empty_and_nonempty_completions_share_a_group():
 
 def test_batched_completions_are_the_public_ones(monkeypatch):
     # a row sees the mixing unitary only in rounding, so compare the added
-    # families themselves: kept rows, in order, against complete_to_tight
+    # families themselves: kept rows, in order, against complete_to_tight,
+    # whose mixing unitary is the isometry stack of one seed; this pins that
+    # a trial's unitary does not depend on its stack-mates
     monkeypatch.setattr(sweeps, "_PROCS", 1)
     draw, solve, reducers = sweeps._SUITES["extension"]
     compare = sweeps._extension_compare
@@ -382,6 +385,8 @@ def _drawn_groups(monkeypatch, name: str, config: RunConfig) -> list:
 def test_each_trials_probes_are_bitwise_its_own_probe_block(monkeypatch, config):
     # a trial given a neighbour's probe seed moves its row only in rounding,
     # so compare the probe blocks themselves, against a replay of the stream
+    # drawn as a stack of one family: a trial's probes do not depend on its
+    # stack-mates
     shared = 0
     for group in _drawn_groups(monkeypatch, "extension", config):
         for k, t in enumerate(group.trials):
@@ -392,7 +397,7 @@ def test_each_trials_probes_are_bitwise_its_own_probe_block(monkeypatch, config)
                 rng.uniform()  # lam's stretch
             rng.next_raw()  # the mixing seed
             f = rng.unit_vector(d, field)
-            want = _probe_block(f, d, field, 20, rng.next_raw())
+            want = _probe_blocks(f[None], d, [field], 20, [rng.next_raw()])[0]
             assert (group.probes[k].shape, group.probes[k].tobytes()) == (
                 want.shape, want.tobytes()), t
         shared += len(set(group.fields)) == 2
