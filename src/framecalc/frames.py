@@ -478,7 +478,9 @@ def _isometries(ambient: int, dim: int, seeds: list[int], fields: list[str]) -> 
     the Q factors, their columns rotated so that R has a positive real
     diagonal (a zero entry counts as 1)."""
     g = group_normals([SplitMix64(seed) for seed in seeds], [ambient * dim] * len(seeds), fields)
-    q, r = np.linalg.qr(np.reshape(g, (len(seeds), ambient, dim)))
+    # one seed's draw is the whole stack; a stack of none still needs an array
+    flat = g[0] if len(g) == 1 else np.concatenate([np.empty(0, np.complex128), *g])
+    q, r = np.linalg.qr(flat.reshape(len(seeds), ambient, dim))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[np.abs(d) == 0.0] = 1.0
     return q * (d / np.abs(d))[..., None, :]

@@ -8,12 +8,13 @@ function of (suite, seed, trials, ranges) and the suite section of an
 "all" run is byte-identical to the same suite run alone.
 
 A suite is a draw function, a solve function and the reducers that fold
-its rows into a summary; `run_suite` feeds blocks of at most _BLOCK
-trials to the one runner, so memory stays bounded at any trial count.
-Every suite is batched: the block's trials are grouped by d alone. Real
-and complex trials share a group, since every family is stored as
-complex128 and a real one only has zero imaginary parts; the field is a
-tag that each trial carries into its draws and its real-part checks.
+its rows into a summary; the one runner, `_sweep`, cuts each suite's
+trials into blocks of at most _BLOCK, so every stack stays bounded at any
+trial count. Every suite is batched: a block's trials are grouped by d
+alone. Real and complex trials share a group, since every family is
+stored as complex128 and a real one only has zero imaginary parts; the
+field is a tag that each trial carries into its draws and its real-part
+checks.
 
 A group is one record of columns, entry k of each for the group's k-th
 trial. The runner makes it with `d`, `trials`, `streams` (each just
@@ -63,17 +64,18 @@ count, flag and string; it depends on the other trials of its group only
 in rounding. A failing check raises for the first failing trial of the
 group at that check.
 
-A block of at least 2 * _SPLIT_TRIALS trials, in a process that runs no
-other Python thread, shares its d groups out between this process and
-forked children: at most one process per CPU it may run on and one per
-_SPLIT_TRIALS trials, with a greedy balance of sum(n * d^2) per group. A
-group's draws and solve do not depend on where it runs, so the rows, and
-every byte printed from them, are those of a run on one process
-(`taskset -c 0` gives one). Each process draws and solves its
-groups one at a time, and errors merge in serial order: the block raises
-the exception, type and message, that a run on one process raises, that
-of the first group, in order of first appearance, whose draw or solve
-raises.
+The split is decided once per call, over units: every d group of every
+block of every suite of the call, in serial order (suite, block, first
+appearance). A call of at least 2 * _SPLIT_TRIALS trials in all, in a
+process that runs no other Python thread, shares its units out between
+this process and one forked child per extra process: at most one process
+per CPU it may run on and one per _SPLIT_TRIALS trials, with a greedy
+balance of sum(n * d^2) per unit. A unit's draws and solve do not depend
+on where it runs, so the rows, and every byte printed from them, are
+those of a run on one process (`taskset -c 0` gives one). Each process
+draws and solves its units one at a time, and errors merge in serial
+order: the call raises the exception, type and message, that a run on one
+process raises, that of the first unit whose draw or solve raises.
 
 Results are JSON-ready dicts, one per trial; the summary counts
 passed/failed/borderline (borderline only ever nonzero for the
@@ -148,10 +150,11 @@ from .rng import (
     group_unit_vectors,
 )
 
-_BLOCK = 1024  # trials drawn and solved together; bounds the size of the stacks
-# processes a block's d groups are shared out to, at most one per CPU
-# this process may run on, and the trials per process below which the fork
-# costs more than it saves (a 40-trial block stays on one process)
+_BLOCK = 1024  # trials of one suite grouped by d together; bounds the size of the stacks
+# processes a call's d groups are shared out to, at most one per CPU this
+# process may run on, and the trials per process, counted over every suite
+# of the call, below which a fork costs more than it saves (one suite at 40
+# trials stays on one process, seven suites at 40 trials split)
 _PROCS = (len(os.sched_getaffinity(0))
           if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
 _SPLIT_TRIALS = 50
@@ -570,61 +573,72 @@ def _extension_solve(group: SimpleNamespace, tol: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the runner: a block of trials in, one row per trial out, in trial order
+# the runner: a call's suites in, one row per trial out, in trial order
 
 
-def _run_block(name: str, trials: range, config: RunConfig) -> list[dict]:
-    """One row per trial of the block, in trial order.
+def _procs(trials: int, units: int) -> int:
+    """How many processes `units` d groups of `trials` trials in all are
+    shared out to; one while another Python thread runs, which no fork copies."""
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(_PROCS, trials // _SPLIT_TRIALS, units))
 
-    A shape pre-pass groups the trials by d, and the groups are shared out
-    between this process and forked children (see the module docstring);
-    each process draws and solves its own groups.
+
+def _sweep(names: list[str], config: RunConfig) -> list[list[dict]]:
+    """The rows of each suite of `names`, one per trial, in trial order.
+
+    A shape pre-pass groups each block of each suite by d, and all the
+    call's groups are shared out between this process and forked children
+    (see the module docstring); each process draws and solves its own.
     """
-    groups: dict[int, list[tuple[int, SplitMix64, str, int]]] = {}
-    cost: dict[int, int] = {}
-    for t, rng, field, d, n in _draw_shapes(name, trials, config):
-        groups.setdefault(d, []).append((t, rng, field, n))
-        cost[d] = cost.get(d, 0) + n * d * d
-    procs = max(1, min(_PROCS, len(trials) // _SPLIT_TRIALS, len(groups)))
-    if threading.active_count() > 1:  # fork copies no other thread of this process
-        procs = 1
-    owner: dict[int, int] = {}
-    loads = [0] * procs
-    for key in sorted(groups, key=lambda key: -cost[key]):  # the costliest to the least loaded
-        owner[key] = p = loads.index(min(loads))
-        loads[p] += cost[key]
-    parts = [[(index, key, members) for index, (key, members) in enumerate(groups.items())
-              if owner[key] == p] for p in range(len(loads))]
+    units: list[tuple] = []
+    cost: list[int] = []
+    for i, name in enumerate(names):
+        for start in range(0, config.trials, _BLOCK):
+            groups: dict[int, list[tuple[int, SplitMix64, str, int]]] = {}
+            block = range(start, min(start + _BLOCK, config.trials))
+            for t, rng, field, d, n in _draw_shapes(name, block, config):
+                groups.setdefault(d, []).append((t, rng, field, n))
+            for d, members in groups.items():
+                units.append((len(units), i, d, members))
+                cost.append(d * d * sum(n for *_, n in members))
+    owner = [0] * len(units)
+    loads = [0] * _procs(len(names) * config.trials, len(units))
+    for index in sorted(range(len(units)), key=lambda index: -cost[index]):
+        owner[index] = p = loads.index(min(loads))  # the costliest to the least loaded
+        loads[p] += cost[index]
+    parts = [[unit for unit, o in zip(units, owner) if o == p] for p in range(len(loads))]
     local, children = parts[:1], []
     try:
         for part in parts[1:]:
             try:
-                children.append(_fork_part(name, part, config.tol))
+                children.append(_fork_part(names, part, config.tol))
             except OSError:  # no process to spare: solve the part here
                 local.append(part)
-        results = [_solve_part(name, part, config.tol) for part in local]
+        results = [_solve_part(names, part, config.tol) for part in local]
         while children:
-            results.append(_collect(name, *children.pop(0)))
+            results.append(_collect(*children.pop(0)))
     finally:
         for pid, fd in children:
             os.close(fd)
             os.waitpid(pid, 0)
-    rows = {t: row for part_rows, _ in results for t, row in part_rows.items()}
+    rows = {key: row for part_rows, _ in results for key, row in part_rows.items()}
     failures = [failure for _, failure in results if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return [rows[t] for t in trials]
+    return [[rows[i, t] for t in range(config.trials)] for i in range(len(names))]
 
 
-def _solve_part(name: str, part: list[tuple], tol: float) -> tuple[dict, tuple | None]:
-    """Rows by trial of the groups in `part`, each (serial index, d,
-    [(trial, stream after the shape, field, n), ...]), and the first failure
-    as (serial index, exception), or None. Each group becomes one record,
-    which is drawn and then solved, in serial group order, as on one
-    process; a failure stops the part."""
-    draw, solve, _ = _SUITES[name]
-    rows: dict[int, dict] = {}
-    for index, d, members in part:
+def _solve_part(names: list[str], part: list[tuple], tol: float) -> tuple[dict, tuple | None]:
+    """Rows by (suite position, trial) of the units in `part`, each (serial
+    index, position in `names`, d, [(trial, stream after the shape, field,
+    n), ...]), and the first failure as (serial index, exception), or None.
+    Each unit becomes one group record, which is drawn and then solved, in
+    serial order, as on one process; a failure stops the part."""
+    rows: dict[tuple[int, int], dict] = {}
+    for index, i, d, members in part:
+        name = names[i]
+        draw, solve, _ = _SUITES[name]
         trials, streams, fields, counts = (list(column) for column in zip(*members))
         group = SimpleNamespace(d=d, trials=trials, streams=streams, fields=fields, counts=counts,
                                 real=np.array([field == "real" for field in fields]))
@@ -634,14 +648,14 @@ def _solve_part(name: str, part: list[tuple], tol: float) -> tuple[dict, tuple |
             values = [column.tolist() if isinstance(column, np.ndarray) else column
                       for column in columns.values()]
             for t, n, field, *row in zip(trials, counts, fields, *values, strict=True):
-                rows[t] = {"suite": name, "trial": t, "d": d, "n": n, "field": field,
-                           **dict(zip(columns, row))}
+                rows[i, t] = {"suite": name, "trial": t, "d": d, "n": n, "field": field,
+                              **dict(zip(columns, row))}
         except Exception as exc:  # carried to the merge, which raises it in serial order
             return rows, (index, exc)
     return rows, None
 
 
-def _collect(name: str, pid: int, fd: int) -> tuple:
+def _collect(pid: int, fd: int) -> tuple:
     """The result a forked child pickled into the pipe `fd`, once the child
     has been reaped; FrameError if it exited without sending one."""
     try:
@@ -650,12 +664,12 @@ def _collect(name: str, pid: int, fd: int) -> tuple:
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0:
-        raise FrameError(f"a {name} sweep worker exited with status {status} "
+        raise FrameError(f"a sweep worker exited with status {status} "
                          f"before sending its rows")
     return pickle.loads(payload)
 
 
-def _fork_part(name: str, part: list[tuple], tol: float) -> tuple[int, int]:
+def _fork_part(names: list[str], part: list[tuple], tol: float) -> tuple[int, int]:
     """Fork a child that solves `part` and writes its pickled result to a
     pipe; returns the child's pid and the pipe's read end. The child always
     leaves through os._exit, so it never returns into the caller's stack or
@@ -676,7 +690,7 @@ def _fork_part(name: str, part: list[tuple], tol: float) -> tuple[int, int]:
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pickle.dump(_solve_part(name, part, tol), pipe)
+                pickle.dump(_solve_part(names, part, tol), pipe)
             status = 0
         finally:
             os._exit(status)
@@ -782,21 +796,24 @@ def run_suite(name: str, config: RunConfig) -> tuple[list[dict], dict]:
         raise BadParams(
             f"unknown suite {name!r}; expected one of {list(SUITE_NAMES) + ['all']}"
         ) from None
-    rows = []
-    for start in range(0, config.trials, _BLOCK):
-        rows += _run_block(name, range(start, min(start + _BLOCK, config.trials)), config)
+    rows = _sweep([name], config)[0]
     return rows, _summarize(rows, reducers)
 
 
 def run_suites(names: list[str], config: RunConfig) -> tuple[list[dict], dict]:
-    """Run several suites sequentially; summaries nest under their names."""
-    all_results: list[dict] = []
-    summaries = []
-    for name in names:
-        results, summary = run_suite(name, config)
-        all_results.extend(results)
-        summaries.append((name, summary))
+    """Run several suites; summaries nest under their names. A call of
+    several known suites that splits shares all their d groups at once; any
+    other is one run_suite call per suite, in order (one request each to
+    bench/tracer.py). Every suite has a d group, so len(names) units decide.
+    """
+    if (len(names) > 1 and all(name in _SUITES for name in names)
+            and _procs(len(names) * config.trials, len(names)) > 1):
+        runs = [(rows, _summarize(rows, _SUITES[name][2]))
+                for name, rows in zip(names, _sweep(names, config))]
+    else:
+        runs = [run_suite(name, config) for name in names]
+    summaries = [(name, summary) for name, (_, summary) in zip(names, runs)]
     combined = {key: sum(s[key] for _, s in summaries) for key in _TALLY}
     combined["max_rel_diff"] = max([0.0] + [s["max_rel_diff"] for _, s in summaries])
     combined["suites"] = dict(summaries)
-    return all_results, combined
+    return [row for rows, _ in runs for row in rows], combined

@@ -48,6 +48,7 @@ from framecalc.frames import (
     TAU_FRAME_COEFF,
     TAU_ID,
     FrameBounds,
+    _gaussian_group,
     _parseval_stack,
     as_vector,
     norm_sq,
@@ -651,6 +652,25 @@ def test_a_parseval_stack_row_is_bitwise_random_parseval(d, data):
     for rows, n, seed, field in zip(stack, counts, seeds, fields):
         assert rows[:n].tobytes() == random_parseval(d, n, seed, field).vectors.tobytes()
         assert not rows[n:].any()
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_a_gaussian_group_row_is_bitwise_random_gaussian(d):
+    # the redraw loop draws through random_gaussian and every stacked first
+    # attempt through _gaussian_group: two definitions of one seeded draw
+    families = [(n, seed, field) for n in sorted({1, d, 2 * d + 1, 64})
+                for seed in (0, 7, 2**64 - 3) for field in ("real", "complex")]
+    singles = [random_gaussian(d, n, seed, field).vectors for n, seed, field in families]
+    for rows, (n, seed, field) in zip(singles, families):
+        alone = _gaussian_group(d, [n], [seed], [field])[0]
+        assert alone.shape == (1, n, d)
+        assert alone[0].tobytes() == rows.tobytes()
+    counts, seeds, fields = (list(column) for column in zip(*families))
+    stack = _gaussian_group(d, counts, seeds, fields)[0]
+    assert stack.shape == (len(families), 64, d)
+    for member, rows, n in zip(stack, singles, counts):
+        assert member[:n].tobytes() == rows.tobytes()
+        assert not member[n:].any()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -554,19 +554,63 @@ def _solve_in_parent_only(monkeypatch, name, action):
     monkeypatch.setitem(sweeps._SUITES, name, (draw, guarded, reducers))
 
 
-@pytest.mark.parametrize("procs", [2, 3])
-def test_split_runs_are_bitwise_the_serial_run(monkeypatch, procs):
-    monkeypatch.setattr(sweeps, "_BLOCK", 64)
-    monkeypatch.setattr(sweeps, "_SPLIT_TRIALS", 16)  # split the 64-trial blocks, not the last 8
-    monkeypatch.setattr(sweeps, "_PROCS", 1)
-    serial = run_suites(list(SUITE_NAMES), SPLIT)
+def _counted_forks(monkeypatch) -> list:
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.mark.parametrize("procs", [2, 3])
+def test_split_runs_are_bitwise_the_serial_run(monkeypatch, procs):
+    monkeypatch.setattr(sweeps, "_BLOCK", 64)  # four blocks per suite, the last of 8 trials
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
+    serial = run_suites(list(SUITE_NAMES), SPLIT)
+    forks = _counted_forks(monkeypatch)
     monkeypatch.setattr(sweeps, "_PROCS", procs)
     split = run_suites(list(SUITE_NAMES), SPLIT)
     assert json.dumps(split) == json.dumps(serial)
-    assert len(forks) == len(SUITE_NAMES) * 3 * (procs - 1)
+    assert len(forks) == procs - 1  # one worker per extra process for the whole call
+    assert_no_child_left()
+
+
+FORTY = RunConfig(seed=101, trials=40)
+
+
+def test_a_forty_trial_run_of_every_suite_splits_and_is_bitwise_the_serial_run(monkeypatch):
+    # each suite alone stays on one process (40 // _SPLIT_TRIALS == 0); the call does not
+    monkeypatch.setattr(sweeps, "_PROCS", 1)
+    serial = run_suites(list(SUITE_NAMES), FORTY)
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(sweeps, "_PROCS", 2)
+    split = run_suites(list(SUITE_NAMES), FORTY)
+    assert json.dumps(split) == json.dumps(serial)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_the_first_failing_suite_in_names_order_raises_across_suites(monkeypatch):
+    # the first suite fails in this process only and the last in every worker
+    # only, so a worker holding the last suite sends back a failure of its own
+    first, last = SUITE_NAMES[0], SUITE_NAMES[-1]
+    parent = os.getpid()
+    for name, here in ((first, True), (last, False)):
+        draw, solve, reducers = sweeps._SUITES[name]
+
+        def failing(group, tol, _name=name, _here=here, _solve=solve):
+            if (os.getpid() == parent) == _here:
+                raise ValueError(_name)
+            return _solve(group, tol)
+
+        monkeypatch.setitem(sweeps._SUITES, name, (draw, failing, reducers))
+    sent = []
+    collect = sweeps._collect
+    monkeypatch.setattr(sweeps, "_collect", lambda *args: sent.append(collect(*args)) or sent[-1])
+    for procs in (1, 2):
+        monkeypatch.setattr(sweeps, "_PROCS", procs)
+        with pytest.raises(ValueError, match=f"^{first}$"):
+            run_suites(list(SUITE_NAMES), FORTY)
+    assert [str(failure[1]) for _, failure in sent] == [last]
     assert_no_child_left()
 
 
@@ -634,9 +678,7 @@ def test_a_split_run_with_no_process_to_spare_solves_every_part_here(monkeypatch
 def test_a_process_running_other_threads_does_not_fork(monkeypatch):
     monkeypatch.setattr(sweeps, "_PROCS", 1)
     serial = run_suite("pfi", SPLIT)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = _counted_forks(monkeypatch)
     monkeypatch.setattr(sweeps, "_PROCS", 2)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(60,))
@@ -650,15 +692,22 @@ def test_a_process_running_other_threads_does_not_fork(monkeypatch):
     assert forks == []
 
 
-def test_a_dead_worker_is_a_frame_error(monkeypatch):
+_RUNS = pytest.mark.parametrize("run", [lambda: run_suite("pfi", SPLIT),
+                                         lambda: run_suites(list(SUITE_NAMES), FORTY)],
+                                 ids=["one suite", "every suite"])
+
+
+@_RUNS
+def test_a_dead_worker_is_a_frame_error(monkeypatch, run):
     monkeypatch.setattr(sweeps, "_PROCS", 2)
     _solve_in_parent_only(monkeypatch, "pfi", lambda: os._exit(1))
     with pytest.raises(FrameError, match="exited with status 1 before sending its rows"):
-        run_suite("pfi", SPLIT)
+        run()
     assert_no_child_left()
 
 
-def test_an_interrupt_in_the_parent_reaps_the_worker(monkeypatch):
+@_RUNS
+def test_an_interrupt_in_the_parent_reaps_the_worker(monkeypatch, run):
     monkeypatch.setattr(sweeps, "_PROCS", 2)
     draw, solve, reducers = sweeps._SUITES["pfi"]
     parent = os.getpid()
@@ -670,13 +719,14 @@ def test_an_interrupt_in_the_parent_reaps_the_worker(monkeypatch):
 
     monkeypatch.setitem(sweeps._SUITES, "pfi", (draw, interrupted, reducers))
     with pytest.raises(KeyboardInterrupt):
-        run_suite("pfi", SPLIT)
+        run()
     assert_no_child_left()
 
 
-def test_split_cli_output_is_the_serial_output(monkeypatch, capfd):
+@pytest.mark.parametrize("trials", ["40", "200"])
+def test_split_cli_output_is_the_serial_output(monkeypatch, capfd, trials):
     # capfd reads file descriptors 1 and 2, which the worker shares
-    argv = ["property-run", "--suite", "all", "--trials", "200", "--seed", "101"]
+    argv = ["property-run", "--suite", "all", "--trials", trials, "--seed", "101"]
     printed = []
     for procs in (1, 2):
         monkeypatch.setattr(sweeps, "_PROCS", procs)
@@ -686,6 +736,7 @@ def test_split_cli_output_is_the_serial_output(monkeypatch, capfd):
     assert out1 == out2
     assert json.loads(out1)["summary"]["failed"] == 0
     assert err1 == err2 == ""
+    assert_no_child_left()
 
 
 def test_a_dead_worker_is_a_json_error_from_the_cli(monkeypatch, capfd):
