@@ -14,12 +14,17 @@ Randomized inputs (--J random, --f random, embeddings) draw from
 deterministic streams derived from --seed: child 0 feeds J, child 1
 feeds E, child 2 feeds f, and the subspace embedding isometry is drawn
 from SplitMix64(--seed) itself.
+
+A size above 2**24 (--dim, --count, --ambient-dim, either end of
+--dim-range and --count-range) is a usage error at parse time; a size
+below it that cannot be allocated is a MemoryError document, exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import re
 import sys
@@ -370,11 +375,28 @@ def cmd_property_run(args, argv: list[str]) -> tuple[dict | None, int]:
 # argument parsing
 
 
+# Past this, numpy can report an oversized shape as a ValueError or an
+# OverflowError instead of a MemoryError. At or below it, even a stack of
+# 1,024 (one sweep block) complex 2**24 x 2**24 matrices, 2**62 bytes, is
+# inside numpy's size limit, so an oversize is a MemoryError.
+_MAX_SIZE = 2**24
+
+
+def _size(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value > _MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"{text!r} is above the largest size, 2**24")
+    return value
+
+
 def _range_pair(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+),(\d+)", text.strip())
     if not m:
         raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}")
-    return int(m.group(1)), int(m.group(2))
+    return _size(m.group(1)), _size(m.group(2))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a frame and write it as JSON")
     p.add_argument("kind", choices=[k.replace("_", "-") for k in _GENERATORS])
-    p.add_argument("--dim", type=int)
-    p.add_argument("--count", type=int)
+    p.add_argument("--dim", type=_size)
+    p.add_argument("--count", type=_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", choices=("real", "complex"), default="real")
     p.add_argument("--out")
@@ -411,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="components '1,0' or '0.5+0.5j,...', '@file.json', or 'random'")
     p.add_argument("--lambda", dest="lam", default=None,
                    help="tight value for --variant tight (number or 'auto')")
-    p.add_argument("--ambient-dim", type=int, default=None)
+    p.add_argument("--ambient-dim", type=_size, default=None)
     p.add_argument("--parsevalize", action="store_true",
                    help="convert the frame before checking")
     p.add_argument("--tolerance", type=float, default=TAU_ID)
@@ -449,8 +471,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception, code: int) -> int:
+    # numpy raises subclasses of MemoryError; the document names the builtin
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    print(_dump({"error": {"type": name, "message": str(exc)}}), end="")
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status.
+
+    Without `argv`, main runs as the program: the console script,
+    `python -m framecalc.cli` and `sys.exit(main())` each end the process
+    when it returns. In that case it freezes the garbage collector first,
+    so the objects the imports made are never traversed again, by the
+    command's own full collections or by those at interpreter shutdown.
+    With `argv` (tests, benchmarks, library callers) the process goes on,
+    and the collector is left alone.
+    """
     if argv is None:
+        gc.freeze()
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -460,12 +500,10 @@ def main(argv: list[str] | None = None) -> int:
         env, code = args.func(args, argv)
         if env is not None:
             print(_dump(env), end="")
-    except (BadParams, FrameFormatError, OSError) as exc:
-        print(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}), end="")
-        return 2
+    except (BadParams, FrameFormatError, OSError, MemoryError) as exc:
+        return _error(exc, 2)
     except FrameError as exc:
-        print(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}), end="")
-        return 1
+        return _error(exc, 1)
     return code
 
 

@@ -1,6 +1,7 @@
 """Command behavior through the console entry point."""
 
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -12,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import framecalc
 from framecalc import Frame, canonical_dual, complete_to_tight, read_frame, write_frame
-from framecalc.cli import main
+from framecalc.cli import build_parser, main
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -100,6 +101,54 @@ def test_a_generator_that_gives_up_is_a_json_domain_error(capsys, monkeypatch):
     error = _strict_error(captured.out)
     assert error["type"] == "NoConvergence"
     assert error["message"] == "no 64 x 64 Gaussian draw with cond(S) <= 1000 found"
+
+
+_HUGE = str(10**18)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "harmonic", "--dim", "2", "--count", _HUGE],
+    ["gen", "onb", "--dim", _HUGE],
+    ["gen", "random-gaussian", "--dim", _HUGE, "--count", _HUGE],
+    ["identity", "FRAME", "--variant", "subspace", "--ambient-dim", _HUGE],
+    ["property-run", "--suite", "pfi", "--trials", "1", "--dim-range", f"2,{_HUGE}",
+     "--count-range", f"2,{_HUGE}"],
+], ids=["count", "dim", "dim-and-count", "ambient-dim", "ranges"])
+def test_a_size_above_the_limit_is_refused_at_parse_time(capsys, mercedes_file, argv):
+    # each of these failed inside numpy with a traceback, exit 1 and no stdout
+    with pytest.raises(SystemExit) as exc:
+        main([mercedes_file if arg == "FRAME" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "above the largest size, 2**24" in captured.err
+
+
+def test_the_size_limit_is_two_to_the_24(capsys):
+    # parsed only: a command run at these sizes could try to allocate
+    parser = build_parser()
+    args = parser.parse_args(["gen", "harmonic", "--dim", str(2**24), "--count", str(2**24)])
+    assert (args.dim, args.count) == (2**24, 2**24)
+    args = parser.parse_args(["property-run", "--dim-range", f"1,{2**24}"])
+    assert args.dim_range == (1, 2**24)
+    for argv in (["gen", "onb", "--dim", str(2**24 + 1)],
+                 ["property-run", "--count-range", f"2,{2**24 + 1}"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+
+
+def test_an_allocation_that_fails_is_a_json_usage_error(capsys, monkeypatch):
+    class _ArrayMemoryError(MemoryError):  # numpy's own is private
+        pass
+
+    def oversized(dim, count):
+        raise _ArrayMemoryError(f"Unable to allocate an array with shape ({count}, {dim})")
+
+    monkeypatch.setitem(framecalc.frames._GENERATORS, "harmonic", oversized)
+    code = main(["gen", "harmonic", "--dim", "3", "--count", "7"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert _strict_error(captured.out) == {
+        "type": "MemoryError", "message": "Unable to allocate an array with shape (7, 3)"}
 
 
 def test_analyze_bounds(capsys, pair_file):
@@ -707,6 +756,37 @@ def test_a_command_imports_only_the_modules_it_runs(mercedes_file, command, code
         f"framecalc.{name}" for name in loaded}
 
 
+_AS_PROGRAM = """
+import gc, sys
+from framecalc.cli import main
+sys.argv = ["framecalc", "gen", "mercedes"]
+code = main()
+print(gc.get_freeze_count(), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_main_as_the_program_freezes_the_collector():
+    # the process ends when main returns, so no collection, not even the
+    # shutdown ones, needs to traverse what the imports made
+    src = str(Path(framecalc.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _AS_PROGRAM],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=False)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["dim"] == 2
+    assert int(proc.stderr) > 0
+
+
+def test_main_with_argv_leaves_the_collector_alone(capsys):
+    # a caller that goes on after main returns keeps its objects collectable
+    fresh = [[] for _ in range(10)]  # tracked, so a freeze would count them
+    before = gc.get_freeze_count()
+    assert main(["gen", "mercedes"]) == 0
+    assert gc.get_freeze_count() == before
+    assert json.loads(capsys.readouterr().out)["dim"] == 2
+    del fresh
+
+
 # ---------------------------------------------------------------------------
 # the CLI contract over drawn argv: one strict-JSON document, exit 0/1/2, no
 # traceback; main runs in-process with its streams redirected, since capsys
@@ -781,17 +861,27 @@ _TOLERANCE = (st.sampled_from(["1e-9", "0.5", "1e-300", "1e300"]),
 _SEED = (st.integers(-2, 16).map(str),
          st.one_of(st.integers(-2**70, 2**70).map(str), st.just("x")))
 _OUT = (st.just("{dir}/out.json"), st.just("{dir}/nope/out.json"))
+# no huge trial count: property-run builds every trial before it solves any
+_TRIALS = (st.integers(1, 3).map(str), st.integers(-2, 0).map(str))
+
+
+# sizes past the parser's limit, so large that numpy fails on them at once,
+# without allocating
+_HUGE_SIZES = st.integers(10**18, 10**30)
 
 
 def _sizes(low: int, top: int):
-    return st.integers(low, top).map(str), st.integers(-2, low - 1).map(str)
+    return (st.integers(low, top).map(str),
+            st.one_of(st.integers(-2, low - 1), _HUGE_SIZES).map(str))
 
 
 def _ranges(top: int):
     pairs = st.tuples(st.integers(-1, top), st.integers(-1, top)).map(lambda p: "%d,%d" % p)
+    huge = st.tuples(st.one_of(st.integers(1, top), _HUGE_SIZES), _HUGE_SIZES).map(
+        lambda p: "%d,%d" % p)
     return (st.tuples(st.integers(1, top), st.integers(1, top)).map(
                 lambda p: "%d,%d" % tuple(sorted(p))),
-            st.one_of(pairs, st.sampled_from(["x", "1,2,3", ""])))
+            st.one_of(pairs, huge, st.sampled_from(["x", "1,2,3", ""])))
 
 
 def _choice(valid: list, hostile: str = "bogus"):
@@ -816,7 +906,7 @@ _COMMANDS = {
                "out": _OUT},
     "property-run": {"suite": _choice(["pfi", "general", "overlap", "bounds", "equivalence",
                                        "sj", "extension", "all"]),
-                     "seed": _SEED, "trials": _sizes(1, 3), "dim-range": _ranges(16),
+                     "seed": _SEED, "trials": _TRIALS, "dim-range": _ranges(16),
                      "count-range": _ranges(64), "tolerance": _TOLERANCE, "quiet": None,
                      "out": _OUT},
 }
@@ -851,6 +941,9 @@ def argv_dir(tmp_path_factory):
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(argv=_argv(), vector=_vector_files(), frame=_frame_files())
+# a huge size is one value among many, so pin one that numpy fails on
+@example(argv=["property-run", "--trials", "1", "--count-range", f"49,{10**18}"],
+         vector=b"[1]", frame=b"[]")
 def test_any_argv_prints_one_strict_json_document_or_is_an_argparse_error(argv_dir, argv,
                                                                           vector, frame):
     (argv_dir / "vec.json").write_bytes(vector)

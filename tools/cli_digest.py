@@ -127,6 +127,9 @@ COMMANDS = [
     "extend g16.json --lambda inf",
     "identity p16.json --variant tight --lambda inf",
     "identity merc.json --J 0 --f 1e308,1e308",
+    # sizes above 2**24: refused at parse time, before numpy sees them
+    "gen harmonic --dim 2 --count 1000000000000000000",
+    "identity merc.json --variant subspace --ambient-dim 1000000000000000000",
 ]
 
 # the vector files the `--f @file` commands read, as exact JSON text
