@@ -23,7 +23,6 @@ below it that cannot be allocated is a MemoryError document, exit 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import re
@@ -199,7 +198,7 @@ def cmd_gen(args, argv: list[str]) -> tuple[dict | None, int]:
         "count": frame.count,
         "field": frame.field,
         "path": args.out,
-        "bounds": dataclasses.asdict(bounds),
+        "bounds": bounds._asdict(),
     }
     config = argparse.Namespace(kind=args.kind, **params, out=args.out)
     env = _envelope(argv, config, [result], _single_summary(True))
@@ -216,7 +215,7 @@ def cmd_analyze(args, argv: list[str]) -> tuple[dict | None, int]:
             "dim": frame.dim,
             "count": frame.count,
             "field": frame.field,
-            "bounds": dataclasses.asdict(bounds),
+            "bounds": bounds._asdict(),
         }
         env = _envelope(argv, args, [result], _single_summary(True), omit=("tolerance",))
         return env, 0
@@ -292,7 +291,7 @@ def cmd_identity(args, argv: list[str]) -> tuple[dict | None, int]:
     else:
         report = subspace_identity_report(sub, subset, f, tol)
     result["f"] = _vector_echo(f)
-    result["report"] = dataclasses.asdict(report)
+    result["report"] = report._asdict()
     env = _envelope(argv, args, [result], _single_summary(report.passed, report.rel_diff))
     return env, 0 if report.passed else 1
 
@@ -310,7 +309,7 @@ def cmd_equiv(args, argv: list[str]) -> tuple[dict | None, int]:
     result = {
         "subset": subset,
         "f": _vector_echo(f),
-        "conditions": [dataclasses.asdict(c) for c in report.conditions],
+        "conditions": [c._asdict() for c in report.conditions],
         "consistent": report.consistent,
         "borderline": report.borderline,
     }
@@ -338,7 +337,7 @@ def cmd_extend(args, argv: list[str]) -> tuple[dict | None, int]:
         "lambda_used": lam_used,
         "added_count": completion.count,
         "union_tight_dev": cmp.union_tight_devs[0],
-        "compare": dataclasses.asdict(cmp),
+        "compare": cmp._asdict(),
     }
     if args.out is not None:
         write_frame(completion, args.out)

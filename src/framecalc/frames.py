@@ -44,6 +44,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -226,8 +227,7 @@ def subset_mask(subset, n: int) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
-class FrameBounds:
+class FrameBounds(NamedTuple):
     """Extreme eigenvalues of the frame operator plus derived flags.
 
     lower/upper are clamped at zero (Gram roundoff can dip a hair below).
@@ -326,8 +326,7 @@ def partial_operator_matrix(frame: Frame, subset) -> np.ndarray:
     return _partial_operator(frame.vectors, subset_mask(subset, frame.count))
 
 
-@dataclass(frozen=True)
-class BesselCheck:
+class BesselCheck(NamedTuple):
     """Operator-norm sandwich for the coefficient energy.
 
     lhs1 <= rhs1:  ||S f||^2 <= ||S|| * sum |<f, f_i>|^2
@@ -363,8 +362,7 @@ def bessel_inequality_check(frame: Frame, f) -> BesselCheck:
     return BesselCheck(*sides, passed=bool(passed))
 
 
-@dataclass(frozen=True, eq=False)
-class SubspaceFrame:
+class SubspaceFrame(NamedTuple):
     """A frame for a subspace, carried inside a larger ambient space.
 
     frame:     the embedded vectors, ambient-dimensional rows

@@ -27,7 +27,7 @@ tolerance that is not a finite number > 0 raises BadParams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ from .linalg import (
 from .rng import SplitMix64, group_normals
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """One verified equality: sides, residual, and the terms behind them."""
 
     lhs: float
@@ -324,8 +323,7 @@ def subspace_identity_report(sub: SubspaceFrame, subset, f,
                          tolerance, extra_ok=projection_dev <= tolerance * _scale(t_f))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Lower bound for the mixed quantity sum_J |<f,f_i>|^2 + ||S_Jc f||^2.
 
     complement_value swaps J and Jc; the identity forces the two forms to
@@ -375,8 +373,7 @@ def three_quarters_check(frame: Frame, subset, f, tolerance: float = TAU_ID) -> 
     return _mixed_bound_check(frame, subset, f, 0.75, tolerance)
 
 
-@dataclass(frozen=True)
-class PartialStructure:
+class PartialStructure(NamedTuple):
     """Operator-level structure of a Parseval partial sum S_J.
 
     S_J - S_J^2 equals S_J S_Jc, is Hermitian, and is positive
@@ -425,8 +422,7 @@ def partial_structure_check(frame: Frame, subset, tolerance: float = TAU_ID) -> 
     )
 
 
-@dataclass(frozen=True)
-class OperatorIdentityCheck:
+class OperatorIdentityCheck(NamedTuple):
     """For S + T = I: S - T = S^2 - T^2 (no self-adjointness needed)."""
 
     residual: float
@@ -459,8 +455,7 @@ def operator_identity_check(s, t, tolerance: float = TAU_ID) -> OperatorIdentity
     return OperatorIdentityCheck(residual=float(residual), passed=bool(passed))
 
 
-@dataclass(frozen=True)
-class SelfAdjointProductCheck:
+class SelfAdjointProductCheck(NamedTuple):
     """For S + T = I: S and T are self-adjoint iff S* T is."""
 
     s_self_adjoint: bool
@@ -492,15 +487,13 @@ def self_adjoint_product_check(s, t, tolerance: float = TAU_ID) -> SelfAdjointPr
     )
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     label: str
     residual: float
     holds: bool
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Six conditions that hold or fail together for a Parseval split.
 
     (i)   sum_J |<f,f_i>|^2 = ||S_J f||^2
@@ -568,8 +561,7 @@ def equivalence_conditions(frame: Frame, subset, f,
     )
 
 
-@dataclass(frozen=True)
-class SpanEquality:
+class SpanEquality(NamedTuple):
     """Equal frame operators force equal spans; spans via spectral projectors."""
 
     operators_equal: bool
@@ -614,8 +606,7 @@ def span_equality_check(first: Frame, second: Frame,
     )
 
 
-@dataclass(frozen=True)
-class TightExtensionCompare:
+class TightExtensionCompare(NamedTuple):
     """Two completions of the same family to the same tight value share
     added energy, added operator, and added span.
 

@@ -29,7 +29,7 @@ Tolerances:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +116,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + _adjoint(m)) / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Spectral factorization M = V diag(w) V* with w ascending.
 
     eigenvalues:  real float64, sorted ascending, shape (..., d)

@@ -151,6 +151,9 @@ from .rng import (
 )
 
 _BLOCK = 1024  # trials of one suite grouped by d together; bounds the size of the stacks
+# the bytes of the largest group stack a run may ask for: one block of one
+# d, each family padded to n_max rows of d_max complex128 entries
+_MAX_STACK_BYTES = 2**30
 # processes a call's d groups are shared out to, at most one per CPU this
 # process may run on, and the trials per process, counted over every suite
 # of the call, below which a fork costs more than it saves (one suite at 40
@@ -179,6 +182,10 @@ class RunConfig:
             raise BadParams(f"bad dim_range {self.dim_range}")
         if not d_min <= n_min <= n_max or n_max < d_max:
             raise BadParams(f"bad count_range {self.count_range} for dims {self.dim_range}")
+        stack = min(self.trials, _BLOCK) * n_max * d_max * 16
+        if stack > _MAX_STACK_BYTES:
+            raise BadParams(f"the largest group stack, {stack} bytes, is above 2**30; "
+                            "lower trials, count_range or dim_range")
         if self.tolerance is not None:
             as_tolerance(self.tolerance)
 

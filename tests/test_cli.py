@@ -18,6 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 import framecalc
 from framecalc import Frame, canonical_dual, complete_to_tight, read_frame, write_frame
 from framecalc.cli import build_parser, main
+from framecalc.frames import FrameBounds
+from framecalc.identities import ConditionResult, IdentityReport, TightExtensionCompare
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -53,6 +55,24 @@ def run_cli(capsys, *argv):
 
 # ---------------------------------------------------------------------------
 # gen and analyze
+
+
+@pytest.mark.parametrize("argv, path, record", [
+    (["gen", "mercedes", "--out", "OUT"], ("bounds",), FrameBounds),
+    (["analyze", "FRAME"], ("bounds",), FrameBounds),
+    (["identity", "FRAME", "--J", "0", "--f", "1,0"], ("report",), IdentityReport),
+    (["equiv", "FRAME", "--J", "0", "--f", "1,0"], ("conditions", 0), ConditionResult),
+    (["extend", "FRAME", "--lambda", "2"], ("compare",), TightExtensionCompare),
+], ids=["gen", "analyze", "identity", "equiv", "extend"])
+def test_a_printed_record_has_the_records_fields_as_keys(capsys, mercedes_file, tmp_path, argv,
+                                                         path, record):
+    replace = {"FRAME": mercedes_file, "OUT": str(tmp_path / "out.json")}
+    code, out = run_cli(capsys, *(replace.get(arg, arg) for arg in argv))
+    assert code == 0
+    printed = json.loads(out)["results"][0]
+    for key in path:
+        printed = printed[key]
+    assert set(printed) == set(record._fields)
 
 
 def test_gen_to_stdout(capsys):
@@ -134,6 +154,21 @@ def test_the_size_limit_is_two_to_the_24(capsys):
                  ["property-run", "--count-range", f"2,{2**24 + 1}"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--count-range", f"2,{2**24}"],
+    ["--trials", "1", "--dim-range", f"2,{2**24}", "--count-range", f"2,{2**24}"],
+], ids=["count-range", "both-ranges"])
+def test_a_run_whose_largest_stack_is_above_2_to_the_30_bytes_is_a_json_usage_error(
+        capsys, argv):
+    # RunConfig refuses it before any trial is drawn
+    code = main(["property-run", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    error = _strict_error(captured.out)
+    assert error["type"] == "BadParams"
+    assert "above 2**30" in error["message"]
 
 
 def test_an_allocation_that_fails_is_a_json_usage_error(capsys, monkeypatch):
@@ -912,21 +947,52 @@ _COMMANDS = {
 }
 
 
+_RANDOM_KINDS = ("random-gaussian", "random-parseval")
+# the sizes each generator takes; given any other set of sizes, gen stops
+# at BadParams before it reads one
+_GEN_SIZES = {"onb": {"dim"}, "doubled-onb": {"dim"}, "mercedes": set(),
+              "harmonic": {"dim", "count"}, **{kind: {"dim", "count"} for kind in _RANDOM_KINDS}}
+
+
+def _gen_reads(size: str):
+    return lambda given: _GEN_SIZES[given[""]] == {"dim", "count"} & {*given, size}
+
+
+# The options that a command reads only at some values of the others, each
+# with the test of those values, and the defaults that the tests see when
+# the option they look at is not given. A hostile value goes only to an
+# option that the command reads.
+_READ_WHEN = {
+    "gen": {"dim": _gen_reads("dim"), "count": _gen_reads("count"),
+            "seed": lambda given: given[""] in _RANDOM_KINDS,
+            "field": lambda given: given[""] in _RANDOM_KINDS},
+    "analyze": {"out": lambda given: given["mode"] != "bounds"},
+    "identity": {"E": lambda given: given["variant"] == "overlap",
+                 "lambda": lambda given: given["variant"] == "tight",
+                 "ambient-dim": lambda given: given["variant"] == "subspace"},
+}
+_DEFAULTS = {"mode": "bounds", "variant": "pfi"}
+
+
 @st.composite
 def _argv(draw):
     """A command, its positional argument and some of its flags, in any order.
     At most one value is hostile: a command stops at its first bad value, so
-    with several the checks after the first would seldom run."""
+    with several the checks after the first would seldom run. That value
+    goes to an option that the drawn command reads, such as --ambient-dim
+    only with --variant subspace."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    options = _COMMANDS[command]
-    hostile = draw(st.sampled_from([None, *(name for name in options if options[name])]))
-    argv, flags = [command], []
-    for name, option in options.items():
-        value = None if option is None else draw(option[1] if name == hostile else option[0])
-        if name == "":
-            argv.append(value)
-        elif name == hostile or draw(st.booleans()):
-            flags.append([f"--{name}"] + ([] if value is None else [value]))
+    options, read_when = _COMMANDS[command], _READ_WHEN.get(command, {})
+    given = {name: None if option is None else draw(option[0])
+             for name, option in options.items() if name == "" or draw(st.booleans())}
+    seen = {**_DEFAULTS, **given}
+    hostile = draw(st.sampled_from([None, *(
+        name for name in options
+        if options[name] and read_when.get(name, lambda _: True)(seen))]))
+    if hostile is not None:
+        given[hostile] = draw(options[hostile][1])
+    argv = [command] + ([given.pop("")] if "" in given else [])
+    flags = [[f"--{name}"] + ([] if value is None else [value]) for name, value in given.items()]
     return argv + [arg for flag in draw(st.permutations(flags)) for arg in flag]
 
 
@@ -941,7 +1007,8 @@ def argv_dir(tmp_path_factory):
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(argv=_argv(), vector=_vector_files(), frame=_frame_files())
-# a huge size is one value among many, so pin one that numpy fails on
+# a huge range end, which the parser refuses; past the parser, RunConfig's
+# stack bound refuses it before numpy sees it
 @example(argv=["property-run", "--trials", "1", "--count-range", f"49,{10**18}"],
          vector=b"[1]", frame=b"[]")
 def test_any_argv_prints_one_strict_json_document_or_is_an_argparse_error(argv_dir, argv,

@@ -42,6 +42,7 @@ from framecalc import (
     tight_identity_report,
     embed_subspace_frame,
 )
+from framecalc import frames, identities, linalg
 from framecalc.frames import (
     TAU_ID,
     canonical_dual,
@@ -932,3 +933,43 @@ def test_a_stacked_equivalence_is_each_familys_own(stack, tolerance):
             assert all(_bitwise(s[..., k], a) for s, a in zip(stacked, alone)), k
             scale = _python_scale(column[6:])
             assert _bitwise(stacked[0][:, k], [r / scale for r in column[:6]])
+
+
+# ---------------------------------------------------------------------------
+# the result records: each field order is the key order of a record's
+# dict form, and so of every JSON document built from it
+
+_RECORD_FIELDS = {
+    identities.IdentityReport: (
+        "lhs", "rhs", "abs_diff", "rel_diff", "tolerance", "passed", "terms"),
+    identities.BoundCheck: (
+        "value", "bound", "complement_value", "symmetry_rel_diff", "passed"),
+    identities.PartialStructure: (
+        "residual_identity", "min_eig_product", "min_eig_gap", "herm_defect_product", "passed"),
+    identities.OperatorIdentityCheck: ("residual", "passed"),
+    identities.SelfAdjointProductCheck: (
+        "s_self_adjoint", "t_self_adjoint", "product_self_adjoint", "equivalence_holds"),
+    identities.ConditionResult: ("label", "residual", "holds"),
+    identities.EquivalenceReport: ("conditions", "consistent", "borderline", "tolerance"),
+    identities.SpanEquality: ("operators_equal", "spans_equal", "lemma_respected"),
+    identities.TightExtensionCompare: (
+        "union_tight_devs", "energy_equal", "operator_equal", "span_equal",
+        "max_energy_rel_diff", "passed"),
+    frames.FrameBounds: (
+        "lower", "upper", "is_frame", "is_parseval", "is_tight", "tight_value"),
+    frames.BesselCheck: ("lhs1", "rhs1", "lhs2", "rhs2", "passed"),
+    frames.SubspaceFrame: ("ambient_dim", "frame", "projector"),
+    linalg.EigenDecomposition: ("eigenvalues", "eigenvectors"),
+}
+
+
+@pytest.mark.parametrize("record", _RECORD_FIELDS, ids=lambda record: record.__name__)
+def test_a_record_keeps_its_field_order_and_is_immutable(record):
+    fields = _RECORD_FIELDS[record]
+    assert record._fields == fields
+    value = record._make(range(len(fields)))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, -1)
+    with pytest.raises(AttributeError):
+        value.extra = -1

@@ -59,6 +59,27 @@ def test_config_validation():
     assert RunConfig(seed=0, trials=1, tolerance=1e-7).tol == 1e-7
 
 
+@pytest.mark.parametrize("trials, dim_range, count_range, refused", [
+    (10**4, (2, 16), (2, 64), False),  # a full block at the default ranges: 16 MiB
+    (1024, (2, 16), (2, 4096), False),  # 1024 * 4096 * 16 * 16 = 2**30 bytes
+    (1024, (2, 16), (2, 4097), True),
+    (10**6, (2, 16), (2, 4097), True),  # the stack is one block, whatever the trial count
+    (1, (2, 4), (2, 2**24), False),
+    (1, (2, 5), (2, 2**24), True),
+    (100, (2, 16), (2, 2**24 + 1), True),
+    (1, (2, 2**24), (2, 2**24), True),
+], ids=["defaults", "at-the-bound", "above", "many-trials", "one-trial", "one-trial-above",
+        "huge-count", "both-huge"])
+def test_a_config_whose_largest_stack_is_above_2_to_the_30_bytes_is_refused(
+        trials, dim_range, count_range, refused):
+    # built only: a config that passes here is never run, so nothing is drawn
+    if not refused:
+        RunConfig(seed=0, trials=trials, dim_range=dim_range, count_range=count_range)
+        return
+    with pytest.raises(BadParams, match="above 2\\*\\*30"):
+        RunConfig(seed=0, trials=trials, dim_range=dim_range, count_range=count_range)
+
+
 def test_unknown_suite():
     with pytest.raises(BadParams):
         run_suite("telemetry", SMALL)

@@ -130,6 +130,9 @@ COMMANDS = [
     # sizes above 2**24: refused at parse time, before numpy sees them
     "gen harmonic --dim 2 --count 1000000000000000000",
     "identity merc.json --variant subspace --ambient-dim 1000000000000000000",
+    # sizes at the limit whose group stack, 2**52 bytes, is above 2**30: refused
+    # before any trial is drawn
+    "property-run --trials 1 --dim-range 16777216,16777216 --count-range 16777216,16777216",
 ]
 
 # the vector files the `--f @file` commands read, as exact JSON text

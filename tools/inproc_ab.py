@@ -106,6 +106,8 @@ def _plain(value):
     """A JSON-ready form of a call's result, for the row hash."""
     if dataclasses.is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):  # a NamedTuple record
+        return {name: _plain(v) for name, v in zip(value._fields, value)}
     if isinstance(value, np.ndarray):
         return hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
     if isinstance(value, (list, tuple)):
