@@ -103,6 +103,14 @@ def as_tolerance(value) -> float:
     return tol
 
 
+def as_integer(value, what: str) -> int:
+    """Coerce an int or a numpy integer, but not a bool, to an int; `what`
+    names the value in the BadParams that anything else raises."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise BadParams(f"{what} must be an integer, got {value!r}")
+
+
 def norm_sq(v: np.ndarray):
     """||v||^2 as a float; over a stack (..., d), an array of one per vector."""
     sq = np.vecdot(v, v).real

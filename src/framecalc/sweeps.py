@@ -7,8 +7,8 @@ inside a trial happens in a fixed documented order, so a run is a pure
 function of (suite, seed, trials, ranges) and the suite section of an
 "all" run is byte-identical to the same suite run alone.
 
-A suite is a draw function, a solve function and the reducers that fold
-its rows into a summary; the one runner, `_sweep`, cuts each suite's
+A suite is a draw function, a solve function and the summary fields it
+computes from its record; the one runner, `_sweep`, cuts each suite's
 trials into blocks of at most _BLOCK, so every stack stays bounded at any
 trial count. Every suite is batched: a block's trials are grouped by d
 alone. Real and complex trials share a group, since every family is
@@ -26,9 +26,10 @@ the equivalence `unions` (a structured trial sets its own count), the sj
 `raw` matrices and the general `reduction`. The draw makes every draw of
 every trial, in the order a trial run alone makes them; the solve takes
 the record and the tolerance, draws nothing, and returns a dict of named
-columns, one entry per trial. The runner makes one row per trial from
-them, after the leading keys (suite, trial, d, n, field), taking arrays
-through .tolist() so every value is a Python number, bool or string.
+columns, one entry per trial, arrays and lists, which follow the columns
+suite, trial, d, n (the counts after the draw) and field. `_sweep` merges
+each suite's groups into one record in trial order, every entry a Python
+number, bool, string or None (arrays through .tolist()).
 The draws are lockstep: each trial's shape is three raw outputs of its
 stream, made for the whole block in one group draw, and each draw step
 (J, f, E, a raw matrix, a group's Gaussian frames) is one group draw of
@@ -77,9 +78,9 @@ draws and solves its units one at a time, and errors merge in serial
 order: the call raises the exception, type and message, that a run on one
 process raises, that of the first unit whose draw or solve raises.
 
-Results are JSON-ready dicts, one per trial; the summary counts
-passed/failed/borderline (borderline only ever nonzero for the
-equivalence suite) and tracks the worst residuals seen.
+A suite's rows, one JSON-ready dict per trial, and its summary are made
+from its record. The summary counts passed/failed/borderline (borderline
+only ever nonzero for the equivalence suite) and folds the worst residuals.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ import pickle
 import threading
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,6 +114,7 @@ from .frames import (
     _spectral_rows,
     _synthesis,
     _union_operator,
+    as_integer,
     as_tolerance,
     embed_subspace_frame,
     norm_sq,
@@ -174,6 +177,13 @@ class RunConfig:
     tolerance: float | None = None
 
     def __post_init__(self):
+        for name in ("seed", "trials"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        for name in ("dim_range", "count_range"):
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise BadParams(f"{name} must be a pair of integers, got {pair!r}")
+            object.__setattr__(self, name, tuple(as_integer(end, name) for end in pair))
         d_min, d_max = self.dim_range
         n_min, n_max = self.count_range
         if self.trials < 1:
@@ -580,7 +590,7 @@ def _extension_solve(group: SimpleNamespace, tol: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the runner: a call's suites in, one row per trial out, in trial order
+# the runner: a call's suites in, one record of columns per suite out
 
 
 def _procs(trials: int, units: int) -> int:
@@ -591,12 +601,13 @@ def _procs(trials: int, units: int) -> int:
     return max(1, min(_PROCS, trials // _SPLIT_TRIALS, units))
 
 
-def _sweep(names: list[str], config: RunConfig) -> list[list[dict]]:
-    """The rows of each suite of `names`, one per trial, in trial order.
+def _sweep(names: list[str], config: RunConfig) -> list[dict]:
+    """The record of each suite of `names`: its columns, one entry per
+    trial, in trial order (see the module docstring).
 
     A shape pre-pass groups each block of each suite by d, and all the
-    call's groups are shared out between this process and forked children
-    (see the module docstring); each process draws and solves its own.
+    call's groups are shared out between this process and forked children;
+    each process draws and solves its own.
     """
     units: list[tuple] = []
     cost: list[int] = []
@@ -629,20 +640,29 @@ def _sweep(names: list[str], config: RunConfig) -> list[list[dict]]:
         for pid, fd in children:
             os.close(fd)
             os.waitpid(pid, 0)
-    rows = {key: row for part_rows, _ in results for key, row in part_rows.items()}
     failures = [failure for _, failure in results if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return [[rows[i, t] for t in range(config.trials)] for i in range(len(names))]
+    # each suite's trials as tuples of their entries, every one a Python value,
+    # sorted by the trial entry and turned back into columns
+    keys, trials = [()] * len(names), [[] for _ in names]
+    for groups, _ in results:
+        for i, columns in groups:
+            keys[i] = columns.keys()
+            trials[i].extend(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                   for c in columns.values()), strict=True))
+    return [dict(zip(keys[i], zip(*sorted(suite, key=itemgetter(1)))))
+            for i, suite in enumerate(trials)]
 
 
-def _solve_part(names: list[str], part: list[tuple], tol: float) -> tuple[dict, tuple | None]:
-    """Rows by (suite position, trial) of the units in `part`, each (serial
-    index, position in `names`, d, [(trial, stream after the shape, field,
-    n), ...]), and the first failure as (serial index, exception), or None.
-    Each unit becomes one group record, which is drawn and then solved, in
-    serial order, as on one process; a failure stops the part."""
-    rows: dict[tuple[int, int], dict] = {}
+def _solve_part(names: list[str], part: list[tuple], tol: float) -> tuple[list, tuple | None]:
+    """The columns of the units in `part`, each (serial index, position in
+    `names`, d, [(trial, stream after the shape, field, n), ...]), as
+    (position in `names`, columns), and the first failure as (serial
+    index, exception), or None. Each unit becomes one group record, which
+    is drawn and then solved, in serial order, as on one process; a failure
+    stops the part."""
+    groups: list[tuple[int, dict]] = []
     for index, i, d, members in part:
         name = names[i]
         draw, solve, _ = _SUITES[name]
@@ -650,16 +670,13 @@ def _solve_part(names: list[str], part: list[tuple], tol: float) -> tuple[dict, 
         group = SimpleNamespace(d=d, trials=trials, streams=streams, fields=fields, counts=counts,
                                 real=np.array([field == "real" for field in fields]))
         try:
-            draw(group)
-            columns = solve(group, tol)
-            values = [column.tolist() if isinstance(column, np.ndarray) else column
-                      for column in columns.values()]
-            for t, n, field, *row in zip(trials, counts, fields, *values, strict=True):
-                rows[i, t] = {"suite": name, "trial": t, "d": d, "n": n, "field": field,
-                              **dict(zip(columns, row))}
+            draw(group)  # the equivalence draw sets its own counts
+            size = len(trials)
+            groups.append((i, {"suite": [name] * size, "trial": trials, "d": [d] * size,
+                               "n": group.counts, "field": fields, **solve(group, tol)}))
         except Exception as exc:  # carried to the merge, which raises it in serial order
-            return rows, (index, exc)
-    return rows, None
+            return groups, (index, exc)
+    return groups, None
 
 
 def _collect(pid: int, fd: int) -> tuple:
@@ -708,103 +725,90 @@ def _fork_part(names: list[str], part: list[tuple], tol: float) -> tuple[int, in
 # ---------------------------------------------------------------------------
 # summaries
 #
-# A reducer is (key, fold, initial, source). The source is a row field,
-# whose None values are skipped, or a function of the row that returns the
-# values to fold in order. Folds take (running result, value); max and min
-# keep the running result unless the value beats it, so a NaN residual
-# never replaces a number already held.
-
-
-def _count(total: int, flag) -> int:
-    return total + bool(flag)
-
-
-def _verdict(row: dict) -> str:
-    if row.get("borderline", False):
-        return "borderline"
-    return "passed" if row["passed"] else "failed"
-
+# A suite's summary is the tally of its record's `passed` and `borderline`
+# columns, then the fields that the third element of its _SUITES entry
+# computes from the record. A max or a min folds its columns' values from
+# 0.0 or inf, skipping None; a value replaces the one held only when it
+# beats it, so a NaN residual never replaces a number already held.
 
 _TALLY = ("total", "passed", "failed", "borderline")
-_MAX_REL = ("max_rel_diff", max, 0.0, "rel_diff")
 _INF = float("inf")
 
 
-def _pattern_kind(row: dict) -> str | None:
-    """all_true, all_false or split for an equivalence row; None if borderline."""
-    if row["borderline"]:
-        return None
-    if "F" not in row["pattern"]:
-        return "all_true"
-    return "all_false" if "T" not in row["pattern"] else "split"
+def _tally(record: dict) -> dict:
+    """total, passed, failed and borderline; a borderline trial (only ever
+    in the equivalence suite) is neither passed nor failed."""
+    flags = record.get("borderline", [False] * len(record["passed"]))
+    passed = sum(p and not b for p, b in zip(record["passed"], flags))
+    total, borderline = len(flags), sum(flags)
+    return dict(zip(_TALLY, (total, passed, total - passed - borderline, borderline)))
+
+
+def _max(record: dict, *keys: str) -> float:
+    return max([0.0, *(value for key in keys for value in record[key] if value is not None)])
+
+
+def _min(record: dict, key: str) -> float:
+    return min([_INF, *(value for value in record[key] if value is not None)])
+
+
+def _patterns(record: dict) -> dict:
+    """How many equivalence patterns that are not borderline are all true,
+    all false or split."""
+    patterns = [p for p, b in zip(record["pattern"], record["borderline"]) if not b]
+    all_true, all_false = sum("F" not in p for p in patterns), sum("T" not in p for p in patterns)
+    return {"all_true": all_true, "all_false": all_false,
+            "split": len(patterns) - all_true - all_false}
 
 
 _SUITES = {
-    "pfi": (_pfi_draw, _pfi_solve, (
-        ("max_rel_diff", max, 0.0,
-         lambda row: (row["rel_diff"], row["tight_reduction_rel"], row["subspace_rel"] or 0.0)),
-        ("min_side", min, _INF, "min_side"),
-        ("min_bound_ratio", min, _INF, "bound_ratio"),
-        ("max_tight_reduction_rel", max, 0.0, "tight_reduction_rel"),
-        ("subspace_trials", _count, 0, lambda row: (row["subspace_rel"] is not None,)),
-        ("max_subspace_rel", max, 0.0, "subspace_rel"),
-        ("max_projection_dev", max, 0.0, "projection_dev"),
-    )),
-    "general": (_general_draw, _general_solve, (
-        _MAX_REL,
-        ("max_cond", max, 0.0, "cond"),
-        ("reduction_trials", _count, 0, lambda row: (row["reduction_dev"] is not None,)),
-        ("max_reduction_dev", max, 0.0, "reduction_dev"),
-    )),
-    "overlap": (_overlap_draw, _overlap_solve, (_MAX_REL,)),
-    "bounds": (_bounds_draw, _bounds_solve, (
-        _MAX_REL,
-        ("max_recon_err", max, 0.0, "recon_err"),
-        ("max_additivity_err", max, 0.0, "additivity_err"),
-        ("max_parseval_dev", max, 0.0, "parseval_dev"),
-    )),
-    "equivalence": (_equivalence_draw, _equivalence_solve, (
-        _MAX_REL,
-        ("all_true", _count, 0, lambda row: (_pattern_kind(row) == "all_true",)),
-        ("all_false", _count, 0, lambda row: (_pattern_kind(row) == "all_false",)),
-        ("split", _count, 0, lambda row: (_pattern_kind(row) == "split",)),
-    )),
-    "sj": (_sj_draw, _sj_solve, (
-        _MAX_REL,
-        ("min_eig_product", min, _INF, "min_eig_product"),
-        ("min_eig_gap", min, _INF, "min_eig_gap"),
-        ("max_identity_residual", max, 0.0, "residual_identity"),
-    )),
-    "extension": (_extension_draw, _extension_solve, (
-        _MAX_REL,
-        ("max_operator_diff", max, 0.0, "operator_diff"),
-    )),
+    "pfi": (_pfi_draw, _pfi_solve, lambda r: {
+        "max_rel_diff": _max(r, "rel_diff", "tight_reduction_rel", "subspace_rel"),
+        "min_side": _min(r, "min_side"),
+        "min_bound_ratio": _min(r, "bound_ratio"),
+        "max_tight_reduction_rel": _max(r, "tight_reduction_rel"),
+        "subspace_trials": sum(value is not None for value in r["subspace_rel"]),
+        "max_subspace_rel": _max(r, "subspace_rel"),
+        "max_projection_dev": _max(r, "projection_dev"),
+    }),
+    "general": (_general_draw, _general_solve, lambda r: {
+        "max_rel_diff": _max(r, "rel_diff"),
+        "max_cond": _max(r, "cond"),
+        "reduction_trials": sum(value is not None for value in r["reduction_dev"]),
+        "max_reduction_dev": _max(r, "reduction_dev"),
+    }),
+    "overlap": (_overlap_draw, _overlap_solve, lambda r: {"max_rel_diff": _max(r, "rel_diff")}),
+    "bounds": (_bounds_draw, _bounds_solve, lambda r: {
+        "max_rel_diff": _max(r, "rel_diff"),
+        "max_recon_err": _max(r, "recon_err"),
+        "max_additivity_err": _max(r, "additivity_err"),
+        "max_parseval_dev": _max(r, "parseval_dev"),
+    }),
+    "equivalence": (_equivalence_draw, _equivalence_solve, lambda r: {
+        "max_rel_diff": _max(r, "rel_diff"), **_patterns(r)}),
+    "sj": (_sj_draw, _sj_solve, lambda r: {
+        "max_rel_diff": _max(r, "rel_diff"),
+        "min_eig_product": _min(r, "min_eig_product"),
+        "min_eig_gap": _min(r, "min_eig_gap"),
+        "max_identity_residual": _max(r, "residual_identity"),
+    }),
+    "extension": (_extension_draw, _extension_solve, lambda r: {
+        "max_rel_diff": _max(r, "rel_diff"),
+        "max_operator_diff": _max(r, "operator_diff"),
+    }),
 }
 
 
-def _summarize(rows: list[dict], reducers) -> dict:
-    """The tally of the rows' verdicts, then each reducer's fold of them."""
-    summary = dict.fromkeys(_TALLY, 0) | {key: initial for key, _, initial, _ in reducers}
-    summary["total"] = len(rows)
-    for row in rows:
-        summary[_verdict(row)] += 1
-        for key, fold, _, source in reducers:
-            values = source(row) if callable(source) else (row[source],)
-            for value in values:
-                if value is not None:
-                    summary[key] = fold(summary[key], value)
-    return summary
+def _results(name: str, record: dict) -> tuple[list[dict], dict]:
+    """The rows of suite `name`'s record, one dict per trial, and its summary."""
+    rows = [dict(zip(record, trial)) for trial in zip(*record.values())]
+    return rows, _tally(record) | _SUITES[name][2](record)
 
 
 def run_suite(name: str, config: RunConfig) -> tuple[list[dict], dict]:
-    try:
-        reducers = _SUITES[name][2]
-    except KeyError:
-        raise BadParams(
-            f"unknown suite {name!r}; expected one of {list(SUITE_NAMES) + ['all']}"
-        ) from None
-    rows = _sweep([name], config)[0]
-    return rows, _summarize(rows, reducers)
+    if name not in _SUITES:
+        raise BadParams(f"unknown suite {name!r}; expected one of {list(SUITE_NAMES) + ['all']}")
+    return _results(name, _sweep([name], config)[0])
 
 
 def run_suites(names: list[str], config: RunConfig) -> tuple[list[dict], dict]:
@@ -815,8 +819,7 @@ def run_suites(names: list[str], config: RunConfig) -> tuple[list[dict], dict]:
     """
     if (len(names) > 1 and all(name in _SUITES for name in names)
             and _procs(len(names) * config.trials, len(names)) > 1):
-        runs = [(rows, _summarize(rows, _SUITES[name][2]))
-                for name, rows in zip(names, _sweep(names, config))]
+        runs = [_results(name, record) for name, record in zip(names, _sweep(names, config))]
     else:
         runs = [run_suite(name, config) for name in names]
     summaries = [(name, summary) for name, (_, summary) in zip(names, runs)]

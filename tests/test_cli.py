@@ -1011,6 +1011,11 @@ def argv_dir(tmp_path_factory):
 # stack bound refuses it before numpy sees it
 @example(argv=["property-run", "--trials", "1", "--count-range", f"49,{10**18}"],
          vector=b"[1]", frame=b"[]")
+# Hypothesis draws some primitives from the literals of the modules already
+# imported, so which examples it reaches depends on the tests that ran
+# before; this one is reached in every order. Its completion overflows and
+# numpy warns: a known defect, left visible on purpose.
+@example(argv=["extend", "{dir}/merc.json", "--lambda", "1e300"], vector=b"[1]", frame=b"[]")
 def test_any_argv_prints_one_strict_json_document_or_is_an_argparse_error(argv_dir, argv,
                                                                           vector, frame):
     (argv_dir / "vec.json").write_bytes(vector)

@@ -59,6 +59,27 @@ def test_config_validation():
     assert RunConfig(seed=0, trials=1, tolerance=1e-7).tol == 1e-7
 
 
+@pytest.mark.parametrize("changes", [
+    {"seed": 1.5}, {"seed": "x"}, {"seed": None}, {"seed": True},
+    {"trials": True}, {"trials": 1.5}, {"trials": "3"}, {"trials": np.float64(3)},
+    {"dim_range": (2,)}, {"dim_range": 2}, {"dim_range": (2, 16, 3)}, {"dim_range": (2.0, 16)},
+    {"count_range": (2, "64")}, {"count_range": (False, 64)},
+], ids=repr)
+def test_a_config_refuses_what_is_not_an_integer(changes):
+    with pytest.raises(BadParams, match="must be"):
+        RunConfig(**({"seed": 1, "trials": 2} | changes))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**70, np.int64(-5), np.uint64(2**64 - 1)], ids=repr)
+def test_a_config_keeps_every_integer_seed_as_an_int(seed):
+    config = RunConfig(seed=seed, trials=np.int32(2), dim_range=[np.int64(2), 3],
+                       count_range=(np.uint8(2), 5))
+    assert (config.seed, config.trials, config.dim_range, config.count_range) == (
+        int(seed), 2, (2, 3), (2, 5))
+    assert {type(config.seed), type(config.trials),
+            *map(type, config.dim_range + config.count_range)} == {int}
+
+
 @pytest.mark.parametrize("trials, dim_range, count_range, refused", [
     (10**4, (2, 16), (2, 64), False),  # a full block at the default ranges: 16 MiB
     (1024, (2, 16), (2, 4096), False),  # 1024 * 4096 * 16 * 16 = 2**30 bytes
@@ -172,6 +193,127 @@ ORACLE_CONFIGS = {
     "small_d": RunConfig(seed=3, trials=50, dim_range=(1, 3), count_range=(1, 5)),
     "one_trial": RunConfig(seed=9, trials=1),
 }
+
+
+def _values(*keys):
+    return lambda row: [row[key] for key in keys]
+
+
+def _counted(total: int, flag) -> int:
+    return total + bool(flag)
+
+
+def _pattern_kind(row: dict) -> str | None:
+    if row["borderline"]:
+        return None
+    if "F" not in row["pattern"]:
+        return "all_true"
+    return "all_false" if "T" not in row["pattern"] else "split"
+
+
+_MAX_REL = ("max_rel_diff", max, 0.0, _values("rel_diff"))
+_INF = float("inf")
+# (key, fold, initial, the row's values to fold) of each summary field past the tally
+_REDUCERS = {
+    "pfi": [("max_rel_diff", max, 0.0, _values("rel_diff", "tight_reduction_rel", "subspace_rel")),
+            ("min_side", min, _INF, _values("min_side")),
+            ("min_bound_ratio", min, _INF, _values("bound_ratio")),
+            ("max_tight_reduction_rel", max, 0.0, _values("tight_reduction_rel")),
+            ("subspace_trials", _counted, 0, lambda row: [row["subspace_rel"] is not None]),
+            ("max_subspace_rel", max, 0.0, _values("subspace_rel")),
+            ("max_projection_dev", max, 0.0, _values("projection_dev"))],
+    "general": [_MAX_REL, ("max_cond", max, 0.0, _values("cond")),
+                ("reduction_trials", _counted, 0, lambda row: [row["reduction_dev"] is not None]),
+                ("max_reduction_dev", max, 0.0, _values("reduction_dev"))],
+    "overlap": [_MAX_REL],
+    "bounds": [_MAX_REL, ("max_recon_err", max, 0.0, _values("recon_err")),
+               ("max_additivity_err", max, 0.0, _values("additivity_err")),
+               ("max_parseval_dev", max, 0.0, _values("parseval_dev"))],
+    "equivalence": [_MAX_REL] + [
+        (kind, _counted, 0, lambda row, kind=kind: [_pattern_kind(row) == kind])
+        for kind in ("all_true", "all_false", "split")],
+    "sj": [_MAX_REL, ("min_eig_product", min, _INF, _values("min_eig_product")),
+           ("min_eig_gap", min, _INF, _values("min_eig_gap")),
+           ("max_identity_residual", max, 0.0, _values("residual_identity"))],
+    "extension": [_MAX_REL, ("max_operator_diff", max, 0.0, _values("operator_diff"))],
+}
+
+
+def reference_summary(name: str, rows: list[dict]) -> dict:
+    """The summary as the documented fold of the rows, one row at a time:
+    the tally, a borderline row counted apart from passed and failed, then
+    each field folded from its initial value, None skipped. max and min
+    keep the value held unless the next one beats it, so a NaN never
+    replaces it."""
+    summary = {"total": len(rows), "passed": 0, "failed": 0, "borderline": 0}
+    summary |= {key: initial for key, _, initial, _ in _REDUCERS[name]}
+    for row in rows:
+        summary["borderline" if row.get("borderline") else
+                "passed" if row["passed"] else "failed"] += 1
+        for key, fold, _, values in _REDUCERS[name]:
+            for value in values(row):
+                if value is not None:
+                    summary[key] = fold(summary[key], value)
+    return summary
+
+
+def assert_summary_is_the_fold(name: str, rows: list[dict], summary: dict):
+    want = reference_summary(name, rows)
+    assert list(summary.items()) == list(want.items())
+    assert [type(value) for value in summary.values()] == [type(value) for value in want.values()]
+
+
+@pytest.mark.parametrize("config", [SMALL, *ORACLE_CONFIGS.values()],
+                         ids=["small", *ORACLE_CONFIGS.keys()])
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_the_summary_is_the_fold_of_the_rows(name, config):
+    assert_summary_is_the_fold(name, *run_suite(name, config))
+
+
+def test_a_planted_nan_none_and_borderline_trial_fold_as_documented(monkeypatch):
+    # NaNs before and after the largest value, a subspace trial without a
+    # value, and a borderline trial that also failed
+    draw, solve, reducers = sweeps._SUITES["pfi"]
+
+    def planted(group, tol):
+        columns = solve(group, tol)
+        for k, t in enumerate(group.trials):
+            if t in (0, 30):
+                columns["rel_diff"][k] = columns["min_side"][k] = np.nan
+            if t == 10:
+                columns["subspace_rel"][k] = None
+            if t == 7:
+                columns["passed"][k] = False
+        columns["borderline"] = [t in (5, 7) for t in group.trials]
+        return columns
+
+    monkeypatch.setitem(sweeps._SUITES, "pfi", (draw, planted, reducers))
+    rows, summary = run_suite("pfi", SMALL)
+    assert_summary_is_the_fold("pfi", rows, summary)
+    assert np.isnan(rows[0]["rel_diff"]) and rows[10]["subspace_rel"] is None
+    assert (summary["passed"], summary["failed"], summary["borderline"]) == (38, 0, 2)
+    assert summary["subspace_trials"] == (SMALL.trials + 9) // 10 - 1
+    finite = [row["rel_diff"] for row in rows if not np.isnan(row["rel_diff"])]
+    assert summary["max_rel_diff"] >= max(finite) > 0.0
+    assert summary["min_side"] == min(row["min_side"] for row in rows
+                                      if not np.isnan(row["min_side"]))
+
+
+def test_a_borderline_equivalence_trial_has_no_pattern_kind(monkeypatch):
+    # trials 0 and 5 are orthogonal unions, whose pattern is all true
+    draw, solve, reducers = sweeps._SUITES["equivalence"]
+
+    def planted(group, tol):
+        columns = solve(group, tol)
+        columns["borderline"] = columns["borderline"] | np.isin(group.trials, [0, 5, 7])
+        return columns
+
+    monkeypatch.setitem(sweeps._SUITES, "equivalence", (draw, planted, reducers))
+    rows, summary = run_suite("equivalence", SMALL)
+    assert_summary_is_the_fold("equivalence", rows, summary)
+    assert [rows[t]["pattern"] for t in (0, 5)] == ["TTTTTT"] * 2
+    assert summary["borderline"] == 3
+    assert summary["all_true"] + summary["all_false"] + summary["split"] == SMALL.trials - 3
 
 
 def assert_rows_match(rows, reference):
@@ -607,6 +749,23 @@ def test_a_forty_trial_run_of_every_suite_splits_and_is_bitwise_the_serial_run(m
     split = run_suites(list(SUITE_NAMES), FORTY)
     assert json.dumps(split) == json.dumps(serial)
     assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("procs", [1, 2])
+def test_rows_and_summaries_hold_plain_python_values(monkeypatch, procs):
+    # json.dumps prints a numpy float as it prints a float, so the rows
+    # digest cannot see one; check the types themselves
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(sweeps, "_PROCS", procs)
+    rows, combined = run_suites(list(SUITE_NAMES), FORTY)
+    assert len(forks) == procs - 1
+    plain = {bool, int, float, str, type(None)}
+    for row in rows:
+        assert list(row)[:5] == ["suite", "trial", "d", "n", "field"]
+        assert {type(value) for value in row.values()} <= plain, row
+    for summary in (combined, *combined["suites"].values()):
+        assert {type(value) for key, value in summary.items() if key != "suites"} <= plain
     assert_no_child_left()
 
 
