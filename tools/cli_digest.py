@@ -133,6 +133,17 @@ COMMANDS = [
     # sizes at the limit whose group stack, 2**52 bytes, is above 2**30: refused
     # before any trial is drawn
     "property-run --trials 1 --dim-range 16777216,16777216 --count-range 16777216,16777216",
+    # exit 1 read off a summary whose failed count is nonzero, not off an error document
+    "identity g16.json --variant general --J random --seed 7 --tolerance 1e-300",
+    "analyze g16.json --mode dual --tolerance 1e-300",
+    "analyze g16.json --mode parsevalize --tolerance 1e-300 --out g16q.json",
+    # at 1e-300 pfi and general raise NotParseval; every bounds trial fails instead
+    "property-run --suite bounds --trials 20 --seed 5 --tolerance 1e-300",
+    "property-run --suite bounds --trials 20 --seed 5 --tolerance 1e-300 --quiet --out pr.json",
+    # borderline: neither passed nor failed, exit 0
+    "equiv merc.json --J 0 --f 1,0 --tolerance 0.1",
+    # the bounds of a Parseval (tight) frame
+    "analyze merc.json",
 ]
 
 # the vector files the `--f @file` commands read, as exact JSON text
