@@ -6,9 +6,11 @@ Every command prints exactly one JSON document to stdout: an envelope
 
 with summary counts {total, passed, failed, borderline, max_rel_diff}.
 No timestamps or environment data appear anywhere, so identical
-invocations produce byte-identical output. Exit status: 0 when nothing
-failed, 1 on a check failure or domain error (reported as a JSON error
-object), 2 on usage or IO problems.
+invocations produce byte-identical output. Each command returns its
+document; `main` alone prints it and reads the exit status off its
+summary: 1 when `failed` is nonzero, else 0, so a borderline check and a
+frame document (`gen` without --out, no summary) exit 0. An error prints
+a JSON error object: exit 2 for usage, IO and memory problems, else 1.
 
 Randomized inputs (--J random, --f random, embeddings) draw from
 deterministic streams derived from --seed: child 0 feeds J, child 1
@@ -19,8 +21,6 @@ A size above 2**24 (--dim, --count, --ambient-dim, either end of
 --dim-range and --count-range) is a usage error at parse time; a size
 below it that cannot be allocated is a MemoryError document, exit 2.
 """
-
-from __future__ import annotations
 
 import argparse
 import gc
@@ -47,7 +47,7 @@ from .frames import (
     subset_mask,
     tight_deviation,
 )
-from .frame_io import frame_to_document, json_complex, read_frame, write_frame
+from .frame_io import frame_to_document, json_complex, json_pairs, read_frame, write_frame
 from .linalg import frobenius
 from .rng import SplitMix64
 
@@ -84,6 +84,16 @@ def _single_summary(passed: bool, rel_diff: float = 0.0, borderline: bool = Fals
         "borderline": int(borderline),
         "max_rel_diff": float(rel_diff),
     }
+
+
+def _frame_out(result: dict, frame, out: str | None) -> list[dict]:
+    """[result] with `frame` written to --out and its path recorded, or else embedded."""
+    if out is not None:
+        write_frame(frame, out)
+        result["path"] = out
+    else:
+        result["frame"] = frame_to_document(frame)
+    return [result]
 
 
 def _parse_subset_spec(spec: str, n: int, rng: SplitMix64) -> list[int]:
@@ -157,10 +167,6 @@ def _parse_vector_spec(spec: str, dim: int, field: str, rng: SplitMix64) -> np.n
     return out
 
 
-def _vector_echo(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in v]
-
-
 def _parse_lambda(text: str | None) -> float | None:
     if text is None or text == "auto":
         return None
@@ -177,7 +183,7 @@ def _parse_lambda(text: str | None) -> float | None:
 # commands
 
 
-def cmd_gen(args, argv: list[str]) -> tuple[dict | None, int]:
+def cmd_gen(args, argv: list[str]) -> dict:
     params = {}
     if args.dim is not None:
         params["dim"] = args.dim
@@ -188,8 +194,7 @@ def cmd_gen(args, argv: list[str]) -> tuple[dict | None, int]:
         params["field"] = args.field
     frame = generate(args.kind, **params)
     if args.out is None:
-        print(_dump(frame_to_document(frame)), end="")
-        return None, 0
+        return frame_to_document(frame)
     write_frame(frame, args.out)
     bounds = frame_bounds(frame)
     result = {
@@ -201,11 +206,10 @@ def cmd_gen(args, argv: list[str]) -> tuple[dict | None, int]:
         "bounds": bounds._asdict(),
     }
     config = argparse.Namespace(kind=args.kind, **params, out=args.out)
-    env = _envelope(argv, config, [result], _single_summary(True))
-    return env, 0
+    return _envelope(argv, config, [result], _single_summary(True))
 
 
-def cmd_analyze(args, argv: list[str]) -> tuple[dict | None, int]:
+def cmd_analyze(args, argv: list[str]) -> dict:
     frame = read_frame(args.frame)
     tol = args.tolerance
     if args.mode == "bounds":
@@ -217,8 +221,7 @@ def cmd_analyze(args, argv: list[str]) -> tuple[dict | None, int]:
             "field": frame.field,
             "bounds": bounds._asdict(),
         }
-        env = _envelope(argv, args, [result], _single_summary(True), omit=("tolerance",))
-        return env, 0
+        return _envelope(argv, args, [result], _single_summary(True), omit=("tolerance",))
     if args.mode == "dual":
         derived = canonical_dual(frame)
         # reconstruction through the dual is the identity operator,
@@ -242,16 +245,11 @@ def cmd_analyze(args, argv: list[str]) -> tuple[dict | None, int]:
             "parseval_dev": err,
             "count": derived.count,
         }
-    if args.out is not None:
-        write_frame(derived, args.out)
-        result["path"] = args.out
-    else:
-        result["frame"] = frame_to_document(derived)
-    env = _envelope(argv, args, [result], _single_summary(passed, err), omit=("tolerance",))
-    return env, 0 if passed else 1
+    return _envelope(argv, args, _frame_out(result, derived, args.out),
+                     _single_summary(passed, err), omit=("tolerance",))
 
 
-def cmd_identity(args, argv: list[str]) -> tuple[dict | None, int]:
+def cmd_identity(args, argv: list[str]) -> dict:
     frame = read_frame(args.frame)
     if args.parsevalize:
         frame = parsevalize(frame)
@@ -290,13 +288,12 @@ def cmd_identity(args, argv: list[str]) -> tuple[dict | None, int]:
         report = overlap_identity_report(frame, subset, result["subset_e"], f, tol)
     else:
         report = subspace_identity_report(sub, subset, f, tol)
-    result["f"] = _vector_echo(f)
+    result["f"] = json_pairs(f)
     result["report"] = report._asdict()
-    env = _envelope(argv, args, [result], _single_summary(report.passed, report.rel_diff))
-    return env, 0 if report.passed else 1
+    return _envelope(argv, args, [result], _single_summary(report.passed, report.rel_diff))
 
 
-def cmd_equiv(args, argv: list[str]) -> tuple[dict | None, int]:
+def cmd_equiv(args, argv: list[str]) -> dict:
     frame = read_frame(args.frame)
     if args.parsevalize:
         frame = parsevalize(frame)
@@ -308,17 +305,16 @@ def cmd_equiv(args, argv: list[str]) -> tuple[dict | None, int]:
     report = equivalence_conditions(frame, subset, f, args.tolerance)
     result = {
         "subset": subset,
-        "f": _vector_echo(f),
+        "f": json_pairs(f),
         "conditions": [c._asdict() for c in report.conditions],
         "consistent": report.consistent,
         "borderline": report.borderline,
     }
-    summary = _single_summary(report.consistent, 0.0, report.borderline)
-    env = _envelope(argv, args, [result], summary)
-    return env, 0 if summary["failed"] == 0 else 1
+    return _envelope(argv, args, [result],
+                     _single_summary(report.consistent, 0.0, report.borderline))
 
 
-def cmd_extend(args, argv: list[str]) -> tuple[dict | None, int]:
+def cmd_extend(args, argv: list[str]) -> dict:
     frame = read_frame(args.frame)
     lam = _parse_lambda(args.lam)
     lam_used = frame_bounds(frame).upper if lam is None else lam
@@ -339,16 +335,11 @@ def cmd_extend(args, argv: list[str]) -> tuple[dict | None, int]:
         "union_tight_dev": cmp.union_tight_devs[0],
         "compare": cmp._asdict(),
     }
-    if args.out is not None:
-        write_frame(completion, args.out)
-        result["path"] = args.out
-    else:
-        result["frame"] = frame_to_document(completion)
-    env = _envelope(argv, args, [result], _single_summary(cmp.passed, cmp.max_energy_rel_diff))
-    return env, 0 if cmp.passed else 1
+    return _envelope(argv, args, _frame_out(result, completion, args.out),
+                     _single_summary(cmp.passed, cmp.max_energy_rel_diff))
 
 
-def cmd_property_run(args, argv: list[str]) -> tuple[dict | None, int]:
+def cmd_property_run(args, argv: list[str]) -> dict:
     from .sweeps import RunConfig, run_suites
 
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
@@ -364,10 +355,7 @@ def cmd_property_run(args, argv: list[str]) -> tuple[dict | None, int]:
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_dump(env))
-    if args.quiet:
-        print(_dump(summary, indent=None), end="")
-        return None, 0 if summary["failed"] == 0 else 1
-    return env, 0 if summary["failed"] == 0 else 1
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +484,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "tolerance", None) is not None:
             as_tolerance(args.tolerance)
-        env, code = args.func(args, argv)
-        if env is not None:
-            print(_dump(env), end="")
+        doc = args.func(args, argv)
+        summary = doc.get("summary", {})  # a frame document has none
+        quiet = getattr(args, "quiet", False)
+        print(_dump(summary if quiet else doc, None if quiet else 2), end="")
     except (BadParams, FrameFormatError, OSError, MemoryError) as exc:
         return _error(exc, 2)
     except FrameError as exc:
         return _error(exc, 1)
-    return code
+    return 1 if summary.get("failed") else 0
 
 
 if __name__ == "__main__":

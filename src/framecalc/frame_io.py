@@ -14,11 +14,11 @@ written with repr precision, so a write/read round trip reproduces the
 array bit for bit.
 """
 
-from __future__ import annotations
-
 import cmath
 import json
 from typing import Any
+
+import numpy as np
 
 from .errors import FrameFormatError
 from .frames import _FIELDS, Frame
@@ -42,11 +42,14 @@ def json_complex(entry: Any) -> complex | None:
     return complex(*parts)
 
 
+def json_pairs(a: np.ndarray) -> list:
+    """A complex array as nested lists with an [re, im] pair of floats in
+    place of each entry, the inverse of json_complex entry by entry."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 def frame_to_document(frame: Frame) -> dict[str, Any]:
-    vectors = [
-        [[float(z.real), float(z.imag)] for z in row] for row in frame.vectors
-    ]
-    return {"dim": frame.dim, "field": frame.field, "vectors": vectors}
+    return {"dim": frame.dim, "field": frame.field, "vectors": json_pairs(frame.vectors)}
 
 
 def frame_from_document(doc: Any) -> Frame:

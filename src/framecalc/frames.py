@@ -38,8 +38,6 @@ completions. A stack may hold real and complex families side by side;
 each family is checked and stripped by its own tag.
 """
 
-from __future__ import annotations
-
 import numbers
 import operator
 from dataclasses import dataclass, field as dc_field
@@ -286,9 +284,8 @@ def _match_field(vectors: np.ndarray, real) -> np.ndarray:
         return vectors
     fuzz = np.abs(vectors.imag).max(axis=(-2, -1), initial=0.0)
     scale = _scale([np.abs(vectors.real).max(axis=(-2, -1), initial=0.0)])
-    k = _first_failure(real & (fuzz > 1e-8 * scale))
-    if k is not None:
-        raise BadParams(f"real-tagged result has imaginary residue {np.ravel(fuzz)[k]:.3e}")
+    if (failure := _first_failure(real & (fuzz > 1e-8 * scale), fuzz)) is not None:
+        raise BadParams(f"real-tagged result has imaginary residue {failure[0]:.3e}")
     if real is True:
         return vectors.real.astype(np.complex128)
     return np.where(real[..., None, None], vectors.real, vectors)
@@ -449,15 +446,12 @@ def _completion(dec: EigenDecomposition, lam) -> tuple[np.ndarray, np.ndarray]:
     roundoff (tau grows with lam only when lam is positive, so -inf fails)."""
     w = dec.eigenvalues
     lam = np.asarray(lam, dtype=np.float64)
-    k = _first_failure(~(lam < np.inf))
-    if k is not None:
-        raise BadParams(f"lam {np.ravel(lam)[k]:.6g} is not finite")
+    if (failure := _first_failure(~(lam < np.inf), lam)) is not None:
+        raise BadParams(f"lam {failure[0]:.6g} is not finite")
     lam_max = w[..., -1]
     tau = TAU_PSD_COEFF * _scale([np.maximum(lam_max, 0.0), np.maximum(lam, 0.0)])
-    k = _first_failure(lam < lam_max - tau)
-    if k is not None:
-        raise LambdaTooSmall(
-            f"lam {np.ravel(lam)[k]:.6g} below lambda_max {np.ravel(lam_max)[k]:.6g}")
+    if (failure := _first_failure(lam < lam_max - tau, lam, lam_max)) is not None:
+        raise LambdaTooSmall(f"lam {failure[0]:.6g} below lambda_max {failure[1]:.6g}")
     wt = lam[..., None] - w
     wt = np.where(np.abs(wt) <= tau[..., None], 0.0, np.maximum(wt, 0.0))
     v = dec.eigenvectors

@@ -25,8 +25,6 @@ Every public check takes its tolerance through frames.as_tolerance, so a
 tolerance that is not a finite number > 0 raises BadParams.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np
@@ -100,11 +98,9 @@ def _report(lhs: float, rhs: float, terms: dict[str, float], tolerance: float,
 def _require_parseval(eigenvalues: np.ndarray, tolerance: float) -> None:
     """NotParseval unless each spectrum in (..., d) lies within tolerance of 1."""
     dev = np.abs(eigenvalues - 1.0).max(axis=-1)
-    k = _first_failure(dev > tolerance)
-    if k is not None:
+    if (failure := _first_failure(dev > tolerance, dev)) is not None:
         raise NotParseval(
-            f"frame operator deviates from identity by {np.ravel(dev)[k]:.3e} (> {tolerance:.1e})"
-        )
+            f"frame operator deviates from identity by {failure[0]:.3e} (> {tolerance:.1e})")
 
 
 def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> np.ndarray:
@@ -114,15 +110,12 @@ def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> np.ndarray
     and finite (at lam = inf the tolerance is inf too), and each distance is
     within tolerance * lam."""
     lam = np.asarray(lam, dtype=np.float64)
-    k = _first_failure(~(lam > 0.0) | (lam == np.inf))
-    if k is not None:
-        bad = np.ravel(lam)[k]
+    if (failure := _first_failure(~(lam > 0.0) | (lam == np.inf), lam)) is not None:
+        bad = failure[0]
         raise NotTight(f"tight value {bad:.6g} is not {'finite' if bad > 0.0 else 'positive'}")
     dev = np.abs(eigenvalues - lam[..., None]).max(axis=-1)
-    k = _first_failure(dev > tolerance * lam)
-    if k is not None:
-        lam = np.ravel(np.broadcast_to(lam, dev.shape))  # one lam may serve several spectra
-        raise NotTight(f"eigenvalues deviate from {lam[k]:.6g} by {np.ravel(dev)[k]:.3e}")
+    if (failure := _first_failure(dev > tolerance * lam, lam, dev)) is not None:
+        raise NotTight(f"eigenvalues deviate from {failure[0]:.6g} by {failure[1]:.3e}")
     return dev
 
 
@@ -434,9 +427,9 @@ def _require_resolution(s: np.ndarray, t: np.ndarray, tolerance: float) -> None:
     if s.shape != t.shape:
         raise PreconditionFailed(f"shapes differ: {s.shape} vs {t.shape}")
     gap = frobenius(s + t - np.eye(s.shape[-1]))
-    k = _first_failure(gap > tolerance * _scale([frobenius(s), frobenius(t)]))
-    if k is not None:
-        raise PreconditionFailed(f"S + T differs from I by {np.ravel(gap)[k]:.3e}")
+    scale = _scale([frobenius(s), frobenius(t)])
+    if (failure := _first_failure(gap > tolerance * scale, gap)) is not None:
+        raise PreconditionFailed(f"S + T differs from I by {failure[0]:.3e}")
 
 
 def _operator_identity(s: np.ndarray, t: np.ndarray, tolerance: float) -> tuple:

@@ -27,8 +27,6 @@ Tolerances:
     _scale    max(1, |v|, ...), the one scale floor of every relative check in the package
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np
@@ -65,11 +63,13 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _first_failure(flags) -> int | None:
-    """Flat index of the first True in a boolean array, None when there is none."""
+def _first_failure(flags, *values) -> tuple | None:
+    """None when a boolean array holds no True; else the entries of `values`,
+    each broadcast to the shape of `flags`, at its first True in C order."""
     if not flags.any():
         return None
-    return int(np.flatnonzero(flags)[0])
+    k = np.flatnonzero(flags)[0]
+    return tuple(np.broadcast_to(v, flags.shape).flat[k] for v in values)
 
 
 def frobenius(m: np.ndarray):
@@ -102,12 +102,9 @@ def require_hermitian(m) -> np.ndarray:
     a = _as_matrices(m)
     defect = hermitian_defect(a)
     scale = _scale([frobenius(a)])
-    k = _first_failure(defect > TAU_HERM * scale)
-    if k is not None:
+    if (failure := _first_failure(defect > TAU_HERM * scale, defect, scale)) is not None:
         raise NotHermitian(
-            f"Hermitian defect {np.ravel(defect)[k]:.3e} exceeds {TAU_HERM:.1e} * "
-            f"{np.ravel(scale)[k]:.3e}"
-        )
+            f"Hermitian defect {failure[0]:.3e} exceeds {TAU_HERM:.1e} * {failure[1]:.3e}")
     return a
 
 
@@ -189,9 +186,9 @@ def spectral_apply(dec: EigenDecomposition, fn: str) -> np.ndarray:
         lam_min = lam_max = np.zeros(w.shape[:-1])
     tau = TAU_PSD_COEFF * _scale([np.maximum(lam_max, 0.0)])
     # the inverse family also fails on lambda_min in [-tau, tau]
-    k = _first_failure(lam_min <= tau if fn != "sqrt" else lam_min < -tau)
-    if k is not None:
-        lam_k, tau_k = np.ravel(lam_min)[k], np.ravel(tau)[k]
+    flags = lam_min <= tau if fn != "sqrt" else lam_min < -tau
+    if (failure := _first_failure(flags, lam_min, tau)) is not None:
+        lam_k, tau_k = failure
         if lam_k < -tau_k:
             raise NotPSD(f"eigenvalue {lam_k:.3e} below -{tau_k:.1e}")
         raise SingularMatrix(f"eigenvalue {lam_k:.3e} within {tau_k:.1e} of zero")

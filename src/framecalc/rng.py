@@ -50,8 +50,6 @@ The uint64 sequence is bit-reproducible everywhere; floating-point outputs
 are deterministic for a given platform's libm.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 _GOLDEN = 0x9E3779B97F4A7C15

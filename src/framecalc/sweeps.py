@@ -83,8 +83,6 @@ from its record. The summary counts passed/failed/borderline (borderline
 only ever nonzero for the equivalence suite) and folds the worst residuals.
 """
 
-from __future__ import annotations
-
 import os
 import pickle
 import threading
@@ -805,20 +803,29 @@ def _results(name: str, record: dict) -> tuple[list[dict], dict]:
     return rows, _tally(record) | _SUITES[name][2](record)
 
 
+def _require_suites(names: list[str]) -> None:
+    """BadParams for the first name that is unknown or given before."""
+    for i, name in enumerate(names):
+        if name not in _SUITES:
+            raise BadParams(f"unknown suite {name!r}; expected one of {[*SUITE_NAMES, 'all']}")
+        if name in names[:i]:
+            raise BadParams(f"suite {name!r} is named more than once")
+
+
 def run_suite(name: str, config: RunConfig) -> tuple[list[dict], dict]:
-    if name not in _SUITES:
-        raise BadParams(f"unknown suite {name!r}; expected one of {list(SUITE_NAMES) + ['all']}")
+    _require_suites([name])
     return _results(name, _sweep([name], config)[0])
 
 
 def run_suites(names: list[str], config: RunConfig) -> tuple[list[dict], dict]:
-    """Run several suites; summaries nest under their names. A call of
-    several known suites that splits shares all their d groups at once; any
-    other is one run_suite call per suite, in order (one request each to
-    bench/tracer.py). Every suite has a d group, so len(names) units decide.
+    """Run several distinct suites; summaries nest under their names. Every
+    name is checked before any trial is drawn. A call of several suites that
+    splits shares all their d groups at once; any other is one run_suite call
+    per suite, in order (one request each to bench/tracer.py). Every suite
+    has a d group, so len(names) units decide.
     """
-    if (len(names) > 1 and all(name in _SUITES for name in names)
-            and _procs(len(names) * config.trials, len(names)) > 1):
+    _require_suites(names)
+    if len(names) > 1 and _procs(len(names) * config.trials, len(names)) > 1:
         runs = [_results(name, record) for name, record in zip(names, _sweep(names, config))]
     else:
         runs = [run_suite(name, config) for name in names]

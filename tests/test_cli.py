@@ -1016,6 +1016,9 @@ def argv_dir(tmp_path_factory):
 # before; this one is reached in every order. Its completion overflows and
 # numpy warns: a known defect, left visible on purpose.
 @example(argv=["extend", "{dir}/merc.json", "--lambda", "1e300"], vector=b"[1]", frame=b"[]")
+# every trial fails, so the exit status is read off a summary, here printed alone
+@example(argv=["property-run", "--suite", "bounds", "--trials", "3", "--tolerance", "1e-300",
+               "--quiet"], vector=b"[1]", frame=b"[]")
 def test_any_argv_prints_one_strict_json_document_or_is_an_argparse_error(argv_dir, argv,
                                                                           vector, frame):
     (argv_dir / "vec.json").write_bytes(vector)
@@ -1032,4 +1035,10 @@ def test_any_argv_prints_one_strict_json_document_or_is_an_argparse_error(argv_d
         f"non-strict {token}"))
     assert code in (0, 1, 2)
     assert (code == 2) <= ("error" in doc)
+    if "error" in doc:
+        assert code in (1, 2)
+    else:
+        # under --quiet the document is the summary; a frame document has none
+        summary = doc.get("summary", doc)
+        assert code == (1 if summary.get("failed", 0) else 0)
     assert "Traceback" not in err.getvalue()

@@ -106,6 +106,29 @@ def test_unknown_suite():
         run_suite("telemetry", SMALL)
 
 
+def _no_sweep(*args):
+    raise AssertionError("a trial was drawn")
+
+
+@pytest.mark.parametrize("names", [["overlap", "overlap"], ["pfi", "bounds", "pfi"]])
+def test_a_suite_named_twice_is_refused_before_any_trial_is_drawn(monkeypatch, names):
+    monkeypatch.setattr(sweeps, "_sweep", _no_sweep)
+    for procs in (1, 2):
+        monkeypatch.setattr(sweeps, "_PROCS", procs)
+        with pytest.raises(BadParams, match="is named more than once"):
+            run_suites(names, RunConfig(seed=1, trials=600))
+
+
+@pytest.mark.parametrize("names", [["pfi", "telemetry"], ["telemetry", "pfi"], ["telemetry"]])
+def test_an_unknown_suite_is_refused_before_any_trial_is_drawn(monkeypatch, names):
+    with pytest.raises(BadParams) as solo:
+        run_suite("telemetry", SMALL)
+    monkeypatch.setattr(sweeps, "_sweep", _no_sweep)
+    with pytest.raises(BadParams) as several:
+        run_suites(names, SMALL)
+    assert str(several.value) == str(solo.value)
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_passes_at_small_scale(name):
     results, summary = run_suite(name, SMALL)
