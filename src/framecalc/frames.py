@@ -7,7 +7,9 @@ tagged by `field`), stored row-wise. The frame operator
 
 is cached on construction and its eigendecomposition on first use
 (`Frame.spectrum`), so every check that is a function of the spectrum of S
-shares one factorization; inner products are linear in the first argument
+shares one factorization. The canonical dual, the Parseval companion and
+the projector onto the span are derived from that spectrum once per frame
+too, on first use; inner products are linear in the first argument
 and conjugate-linear in the second, so the coefficient vector is
 c_i = <f, f_i> = sum_j f[j] * conj(f_i[j]).
 
@@ -123,6 +125,12 @@ class Frame:
     vectors:  (n, d) complex128, row i is f_i; n = 0 is allowed and means
               the empty Bessel family (operator 0)
     field:    "real" or "complex"; real requires exactly zero imaginary parts
+
+    What is a function of the frame alone is computed once, on first use:
+    the spectrum, the canonical dual and the Parseval companion (so a repeat
+    canonical_dual or parsevalize call returns the same Frame) and the span
+    projector. A derivation that raises, as NotAFrame does, caches nothing
+    and raises again on the next call.
     """
 
     dim: int
@@ -160,6 +168,20 @@ class Frame:
         Its arrays are read-only, like `vectors` and `operator`.
         """
         return hermitian_eig(self.operator)
+
+    @cached_property
+    def _dual(self) -> "Frame":
+        return _converted(self, "inverse")
+
+    @cached_property
+    def _parseval(self) -> "Frame":
+        return _converted(self, "inv_sqrt")
+
+    @cached_property
+    def _span(self) -> np.ndarray:
+        p = _span_projector(self.spectrum)
+        p.setflags(write=False)
+        return p
 
     @property
     def count(self) -> int:
@@ -311,14 +333,26 @@ def _converted(frame: Frame, fn: str) -> Frame:
 def canonical_dual(frame: Frame) -> Frame:
     """Dual family S^{-1} f_i; reconstruction sum <f, dual_i> f_i = f.
 
-    Raises NotAFrame when the lower frame bound is numerically zero.
+    Computed once per frame: a repeat call returns the same Frame. Raises
+    NotAFrame, on every call, when the lower frame bound is numerically zero.
     """
-    return _converted(frame, "inverse")
+    return frame._dual
 
 
 def parsevalize(frame: Frame) -> Frame:
-    """Canonical Parseval companion S^{-1/2} f_i (same spans, operator I)."""
-    return _converted(frame, "inv_sqrt")
+    """Canonical Parseval companion S^{-1/2} f_i (same spans, operator I);
+    computed once per frame and raising on every call, as canonical_dual."""
+    return frame._parseval
+
+
+def _span_projector(dec: EigenDecomposition) -> np.ndarray:
+    """Orthogonal projector onto the range of each PSD matrix with spectrum
+    dec: its eigenvectors for eigenvalues above TAU_FRAME_COEFF * the top one."""
+    w = dec.eigenvalues
+    # with a top eigenvalue <= 0 no eigenvalue is > 0, so the range is {0}
+    keep = w > TAU_FRAME_COEFF * np.maximum(w[..., -1:], 0.0)
+    v = dec.eigenvectors * keep[..., None, :]
+    return hermitize(v @ _adjoint(v))
 
 
 def coefficients(frame: Frame, f) -> np.ndarray:
@@ -428,8 +462,10 @@ def complete_to_tight(frame: Frame, lam: float | None = None, mix_seed: int | No
     same added operator and span.
 
     Raises LambdaTooSmall when lam < lambda_max(S) beyond roundoff, and
-    BadParams when lam is NaN or +inf.
+    BadParams when lam is NaN or +inf or mix_seed is not None or an integer.
     """
+    if mix_seed is not None:
+        mix_seed = as_integer(mix_seed, "mix_seed")
     dec = frame.spectrum
     root, keep = _completion(dec, dec.eigenvalues[-1] if lam is None else float(lam))
     cols = root[:, keep]
@@ -469,7 +505,7 @@ def random_isometry(ambient_dim: int, dim: int, seed: int, field: str = "complex
         raise BadParams(f"need 1 <= dim <= ambient_dim, got {dim}, {ambient_dim}")
     if field not in _FIELDS:
         raise BadParams(f"field must be one of {_FIELDS}, got {field!r}")
-    return _isometries(ambient_dim, dim, [seed], [field])[0]
+    return _isometries(ambient_dim, dim, [as_integer(seed, "seed")], [field])[0]
 
 
 def _isometries(ambient: int, dim: int, seeds: list[int], fields: list[str]) -> np.ndarray:
@@ -550,7 +586,8 @@ def _require_gaussian(dim: int, count: int, field: str) -> None:
 def random_gaussian(dim: int, count: int, seed: int, field: str = "real") -> Frame:
     """Independent standard normal entries (complex normal for field "complex")."""
     _require_gaussian(dim, count, field)
-    return Frame(dim, SplitMix64(seed).normals(count * dim, field).reshape(count, dim), field)
+    rows = SplitMix64(as_integer(seed, "seed")).normals(count * dim, field)
+    return Frame(dim, rows.reshape(count, dim), field)
 
 
 def _conditioning(eigenvalues: np.ndarray) -> tuple:
@@ -591,7 +628,8 @@ def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Fra
     if count < dim:
         raise BadParams(f"need count >= dim, got dim={dim}, count={count}")
     _require_gaussian(dim, count, field)
-    return Frame(dim, _parseval_stack(dim, [count], [seed], [field])[0], field)
+    rows = _parseval_stack(dim, [count], [as_integer(seed, "seed")], [field])[0]
+    return Frame(dim, rows, field)
 
 
 def _conditioned_stack(dim: int, counts: list[int], seeds: list[int], fields: list[str],

@@ -38,7 +38,6 @@ from .errors import (
     PreconditionFailed,
 )
 from .frames import (
-    TAU_FRAME_COEFF,
     TAU_ID,
     Frame,
     SubspaceFrame,
@@ -47,6 +46,7 @@ from .frames import (
     _partial_operator,
     _synthesis,
     _union_operator,
+    as_integer,
     as_tolerance,
     as_vector,
     canonical_dual,
@@ -56,7 +56,6 @@ from .frames import (
 )
 from .linalg import (
     TAU_HERM,
-    EigenDecomposition,
     _adjoint,
     _first_failure,
     _scale,
@@ -562,36 +561,27 @@ class SpanEquality(NamedTuple):
     lemma_respected: bool
 
 
-def _span_projector(dec: EigenDecomposition) -> np.ndarray:
-    """Orthogonal projector onto the range of each PSD matrix with spectrum
-    dec: its eigenvectors for eigenvalues above TAU_FRAME_COEFF * the top one."""
-    w = dec.eigenvalues
-    # with a top eigenvalue <= 0 no eigenvalue is > 0, so the range is {0}
-    keep = w > TAU_FRAME_COEFF * np.maximum(w[..., -1:], 0.0)
-    v = dec.eigenvectors * keep[..., None, :]
-    return hermitize(v @ _adjoint(v))
-
-
 def _close(a: np.ndarray, b: np.ndarray, tolerance: float):
     """||A - B||_F <= tolerance * max(1, ||A||_F, ||B||_F), per pair in (..., d, d)."""
     return frobenius(a - b) <= tolerance * _scale([frobenius(a), frobenius(b)])
 
 
-def _span_equality(s1: np.ndarray, s2: np.ndarray, dec1: EigenDecomposition,
-                   dec2: EigenDecomposition, tolerance: float) -> tuple:
+def _span_equality(s1: np.ndarray, s2: np.ndarray, p1: np.ndarray, p2: np.ndarray,
+                   tolerance: float) -> tuple:
     """(operators equal, spans equal) of each pair of frame operators with
-    their spectra."""
-    return (_close(s1, s2, tolerance),
-            _close(_span_projector(dec1), _span_projector(dec2), tolerance))
+    the projectors onto their spans (frames._span_projector)."""
+    return _close(s1, s2, tolerance), _close(p1, p2, tolerance)
 
 
 def span_equality_check(first: Frame, second: Frame,
                         tolerance: float = TAU_ID) -> SpanEquality:
+    """Whether the two frame operators are equal, and the two spans; each
+    frame's span projector is computed once, on its first check."""
     tolerance = as_tolerance(tolerance)
     if first.dim != second.dim:
         raise PreconditionFailed(f"dims differ: {first.dim} vs {second.dim}")
     operators_equal, spans_equal = _span_equality(first.operator, second.operator,
-                                                  first.spectrum, second.spectrum, tolerance)
+                                                  first._span, second._span, tolerance)
     return SpanEquality(
         operators_equal=bool(operators_equal),
         spans_equal=bool(spans_equal),
@@ -633,15 +623,15 @@ def _probe_blocks(f: np.ndarray, d: int, fields: list[str], trials: int,
 
 
 def _extension_compare(probes: np.ndarray, first: np.ndarray, second: np.ndarray,
-                       s1: np.ndarray, s2: np.ndarray, dec1: EigenDecomposition,
-                       dec2: EigenDecomposition, tolerance: float) -> tuple:
+                       s1: np.ndarray, s2: np.ndarray, p1: np.ndarray, p2: np.ndarray,
+                       tolerance: float) -> tuple:
     """(max energy rel diff, energy equal, operator equal, span equal) of each
-    pair of added families (..., k, d), with their operators and spectra,
-    over the probe vectors (..., m, d)."""
+    pair of added families (..., k, d), with their operators and span
+    projectors, over the probe vectors (..., m, d)."""
     e1, e2 = (_energy(probes @ _adjoint(added)) for added in (first, second))
     # fmax skips a NaN ratio, as the running max over single probes did
     max_rel = np.fmax.reduce(np.abs(e1 - e2) / _scale([e1, e2]), axis=-1, initial=0.0)
-    return (max_rel, max_rel <= tolerance) + _span_equality(s1, s2, dec1, dec2, tolerance)
+    return (max_rel, max_rel <= tolerance) + _span_equality(s1, s2, p1, p2, tolerance)
 
 
 def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame,
@@ -654,10 +644,13 @@ def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame
     that the two added families have equal coefficient energy on the given
     f and on `trials` seeded random unit vectors, equal frame operators,
     and equal spans. A union's operator is the sum of its parts' cached
-    ones, and only its eigenvalues are computed. The probes are
-    _probe_blocks of one family, and their energies one product per family.
+    ones, and only its eigenvalues are computed; each added family's span
+    projector is computed once, on its first comparison, so a repeat call
+    reads it. The probes are _probe_blocks of one family, and their
+    energies one product per family. BadParams when seed is not an integer.
     """
     tolerance = as_tolerance(tolerance)
+    seed = as_integer(seed, "seed")
     lam = float(lam)
     for added in (added_first, added_second):
         if added.dim != base.dim:
@@ -671,7 +664,7 @@ def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame
     probes = _probe_blocks(as_vector(f, base.dim)[None], base.dim, [field], trials, [seed])[0]
     max_rel, energy_equal, operator_equal, span_equal = _extension_compare(
         probes, added_first.vectors, added_second.vectors, added_first.operator,
-        added_second.operator, added_first.spectrum, added_second.spectrum, tolerance)
+        added_second.operator, added_first._span, added_second._span, tolerance)
     return TightExtensionCompare(
         union_tight_devs=tuple(devs.tolist()),
         energy_equal=bool(energy_equal),

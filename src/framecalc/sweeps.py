@@ -109,6 +109,7 @@ from .frames import (
     _operator,
     _parseval_stack,
     _partial_operator,
+    _span_projector,
     _spectral_rows,
     _synthesis,
     _union_operator,
@@ -574,7 +575,7 @@ def _extension_solve(group: SimpleNamespace, tol: float) -> dict:
     ops = [_finite_operator(rows) for rows in added]
     _require_tight(hermitian_eigvals(_union_operator(s, np.stack(ops))), lam, tol)
     max_rel, energy_equal, operator_equal, span_equal = _extension_compare(
-        group.probes, *added, *ops, *map(hermitian_eig, ops), tol)
+        group.probes, *added, *ops, *(_span_projector(hermitian_eig(op)) for op in ops), tol)
     return {
         "lam": lam,
         "added_count": added_count,

@@ -58,6 +58,7 @@ from framecalc.identities import (
     general_identity_report,
     parseval_identity_report,
     span_equality_check,
+    tight_extension_compare,
     tight_identity_report,
 )
 from framecalc.linalg import TAU_PSD_COEFF, as_matrix, hermitian_eig, hermitize, psd_apply
@@ -508,6 +509,30 @@ def test_spectrum_is_read_only():
         fr.spectrum = hermitian_eig(np.eye(3))
 
 
+def test_dual_and_companion_are_computed_once():
+    for built in SPECTRUM_FRAMES:
+        fr = Frame(built.dim, built.vectors, built.field)  # nothing derived yet
+        for derive in (canonical_dual, parsevalize):
+            got = derive(fr)
+            assert derive(fr) is got
+            fresh = derive(Frame(fr.dim, fr.vectors, fr.field))
+            assert (got.field, got.vectors.tobytes()) == (fresh.field, fresh.vectors.tobytes())
+            with pytest.raises(ValueError):
+                got.vectors[0, 0] = 0.0
+        span_equality_check(fr, fr)
+        assert not fr._span.flags.writeable
+
+
+def test_a_non_frame_raises_on_every_call_and_caches_nothing():
+    fr = Frame(2, [E1, E1])
+    for _ in range(2):
+        for call in (canonical_dual, parsevalize,
+                     lambda fr: general_identity_report(fr, [0], E1)):
+            with pytest.raises(NotAFrame):
+                call(fr)
+    assert not {"_dual", "_parseval"} & set(vars(fr))
+
+
 def _match_real(rows, field):
     return rows.real.astype(np.complex128) if field == "real" else rows
 
@@ -652,6 +677,45 @@ def test_a_parseval_stack_row_is_bitwise_random_parseval(d, data):
     for rows, n, seed, field in zip(stack, counts, seeds, fields):
         assert rows[:n].tobytes() == random_parseval(d, n, seed, field).vectors.tobytes()
         assert not rows[n:].any()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 16), data=st.data())
+def test_a_gaussian_group_family_is_bitwise_random_gaussian(d, data):
+    # the stacked first attempts and the redraw loop are two definitions of
+    # one seeded draw; a family must not depend on its group-mates
+    families = data.draw(st.lists(st.tuples(st.integers(1, 64), st.integers(0, 2**64 - 1),
+                                            st.sampled_from(("real", "complex"))),
+                                  min_size=1, max_size=5))
+    counts, seeds, fields = (list(column) for column in zip(*families))
+    stack = _gaussian_group(d, counts, seeds, fields)[0]
+    assert stack.shape == (len(families), max(counts), d)
+    for rows, n, seed, field in zip(stack, counts, seeds, fields):
+        assert rows[:n].tobytes() == random_gaussian(d, n, seed, field).vectors.tobytes()
+        assert not rows[n:].any()
+
+
+_NOT_TIGHT = random_gaussian(3, 5, 1, "complex")
+_LAM = 4.0 * frame_bounds(_NOT_TIGHT).upper
+_COMPLETIONS = (complete_to_tight(_NOT_TIGHT, _LAM), complete_to_tight(_NOT_TIGHT, _LAM, 2))
+# each seeded entry point, as a function of its seed with a comparable result
+_SEEDED = {
+    "random_parseval": lambda seed: random_parseval(2, 3, seed).vectors.tobytes(),
+    "random_gaussian": lambda seed: random_gaussian(3, 4, seed).vectors.tobytes(),
+    "random_isometry": lambda seed: random_isometry(4, 2, seed).tobytes(),
+    "complete_to_tight": lambda seed: complete_to_tight(_NOT_TIGHT, None, seed).vectors.tobytes(),
+    "tight_extension_compare": lambda seed: tight_extension_compare(
+        _NOT_TIGHT, *_COMPLETIONS, _LAM, E1 + [0.5], 20, seed),
+}
+
+
+@pytest.mark.parametrize("entry", _SEEDED)
+def test_a_seed_must_be_an_integer(entry):
+    call = _SEEDED[entry]
+    for bad in (1.5, True):
+        with pytest.raises(BadParams, match="seed must be an integer"):
+            call(bad)
+    assert call(np.int64(7)) == call(7)
 
 
 @pytest.mark.parametrize("d", range(1, 17))

@@ -10,6 +10,8 @@ CHANGES.md.
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -37,3 +39,18 @@ def test_cli_output_matches_the_committed_digest():
 def test_sweep_rows_match_the_committed_digest():
     _compare("rows_digest.txt", rows_digest.digest_in_process(ROOT / "src"),
              "python3 tools/rows_digest.py --against <parent>/src")
+
+
+def test_the_digest_runs_its_frame_writers_before_the_concurrent_rest():
+    assert cli_digest.parallel_start(cli_digest.COMMANDS) == 4
+
+
+@pytest.mark.parametrize("commands", [
+    ["identity b.json", "gen mercedes --out b.json"],
+    ["gen mercedes --out a.json", "identity a.json", "extend a.json --out b.json",
+     "analyze a.json --out b.json"],
+    ["identity a.json --f @v.json", "gen harmonic --dim 2 --count 3 --out v.json"],
+])
+def test_the_digest_refuses_to_run_commands_sharing_a_file_concurrently(commands):
+    with pytest.raises(ValueError):
+        cli_digest.parallel_start(commands)

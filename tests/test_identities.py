@@ -423,6 +423,29 @@ def test_extension_compare_hand_case():
     assert chk.max_energy_rel_diff <= 1e-12
 
 
+def test_general_report_reads_the_memoized_dual():
+    fr = random_gaussian(4, 9, 3, "real")
+    f = [0.3, -0.5, 0.7, 0.2]
+    first = general_identity_report(fr, [0, 3, 4], f)
+    assert general_identity_report(fr, [0, 3, 4], f) == first
+    assert general_identity_report(fr, [0, 3, 4], f, dual=canonical_dual(fr)) == first
+
+
+def test_span_and_extension_checks_repeat_on_one_frame():
+    base = random_gaussian(3, 5, 1, "complex")
+    lam = 1.5 * frame_bounds(base).upper
+    trio = [base, complete_to_tight(base, lam), complete_to_tight(base, lam, 4)]
+    copies = [Frame(fr.dim, fr.vectors, fr.field) for fr in trio]  # nothing derived yet
+    compare = tight_extension_compare(*trio, lam, [1.0, 0.5, -2.0], 20, 3)
+    spans = span_equality_check(*trio[1:])
+    for _ in range(2):
+        assert tight_extension_compare(*trio, lam, [1.0, 0.5, -2.0], 20, 3) == compare
+        assert span_equality_check(*trio[1:]) == spans
+    assert tight_extension_compare(*copies, lam, [1.0, 0.5, -2.0], 20, 3) == compare
+    assert span_equality_check(*copies[1:]) == spans
+    assert compare.passed and spans.spans_equal
+
+
 def test_extension_compare_rejects_untight_union():
     with pytest.raises(NotTight):
         tight_extension_compare(PAIR, Frame(2, [E1], "real"), Frame(2, [E2], "real"), 2.0, E1)

@@ -4,8 +4,10 @@ Runs every command below as `python -W error -m framecalc.cli ...` in a
 fresh temporary directory, with relative file names, so the echoed
 `command` field does not depend on where the tool runs. The vector files
 of VECTOR_FILES and the frame files of FRAME_FILES are written there
-first. Commands run in order; the first few write the frame files the
-later ones read. Prints one line per command:
+first. The leading commands that write the frame files later ones read
+run one at a time, in order; the rest run two at a time, which
+`parallel_start` first checks is safe from their argv alone. Prints one
+line per command, in COMMANDS order:
 
     <exit code> <sha256> <stderr bytes> <argv>
 
@@ -46,6 +48,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 COMMANDS = [
@@ -181,24 +185,55 @@ def _out_file(argv: list[str]) -> str | None:
     return argv[argv.index("--out") + 1] if "--out" in argv else None
 
 
+def _in_files(argv: list[str]) -> set[str]:
+    """The files a command reads: its .json arguments other than its --out
+    name, with the `@` of `--f @file` dropped."""
+    return {arg.removeprefix("@") for arg, prev in zip(argv, [None, *argv])
+            if arg.endswith(".json") and prev != "--out"}
+
+
+def parallel_start(commands: list[str]) -> int:
+    """The index of the first command that may run concurrently with the rest:
+    the one after the last command whose --out file a later command reads.
+    ValueError unless the commands from there on have distinct --out names
+    and none of them reads a file that another of them writes."""
+    argvs = [command.split() for command in commands]
+    outs = [_out_file(argv) for argv in argvs]
+    start = max((k + 1 for k, out in enumerate(outs)
+                 if any(out in _in_files(argv) for argv in argvs[k + 1:])), default=0)
+    written = [out for out in outs[start:] if out is not None]
+    if len(written) != len(set(written)):
+        raise ValueError(f"concurrent commands share an --out name: {sorted(written)}")
+    for k in range(start, len(commands)):
+        for j in range(start, len(commands)):
+            if j != k and outs[k] in _in_files(argvs[j]):
+                raise ValueError(f"{commands[j]!r} reads {outs[k]}, which {commands[k]!r} writes")
+    return start
+
+
+def _run(work: str, env: dict, command: str) -> tuple[str, int, bytes, bytes | None, int]:
+    argv = command.split()
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "framecalc.cli", *argv],
+        cwd=work, env=env, capture_output=True, check=False,
+    )
+    out = _out_file(argv)
+    path = Path(work) / out if out is not None else None
+    written = path.read_bytes() if path is not None and path.exists() else None
+    return command, proc.returncode, proc.stdout, written, len(proc.stderr)
+
+
 def run_commands(src: Path) -> list[tuple[str, int, bytes, bytes | None, int]]:
-    """(command, exit code, stdout, --out file bytes or None, stderr length) per command."""
+    """(command, exit code, stdout, --out file bytes or None, stderr length) per
+    command, in COMMANDS order."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    runs = []
-    with tempfile.TemporaryDirectory() as work:
+    start = parallel_start(COMMANDS)
+    with tempfile.TemporaryDirectory() as work, ThreadPoolExecutor(2) as pool:
         for name, text in {**VECTOR_FILES, **FRAME_FILES}.items():
             (Path(work) / name).write_text(text, encoding="utf-8")
-        for command in COMMANDS:
-            argv = command.split()
-            proc = subprocess.run(
-                [sys.executable, "-W", "error", "-m", "framecalc.cli", *argv],
-                cwd=work, env=env, capture_output=True, check=False,
-            )
-            out = _out_file(argv)
-            path = Path(work) / out if out is not None else None
-            written = path.read_bytes() if path is not None and path.exists() else None
-            runs.append((command, proc.returncode, proc.stdout, written, len(proc.stderr)))
-    return runs
+        run = partial(_run, work, env)
+        runs = [run(command) for command in COMMANDS[:start]]
+        return runs + list(pool.map(run, COMMANDS[start:]))
 
 
 def digest_line(run) -> str:
