@@ -7,11 +7,11 @@ tagged by `field`), stored row-wise. The frame operator
 
 is cached on construction and its eigendecomposition on first use
 (`Frame.spectrum`), so every check that is a function of the spectrum of S
-shares one factorization. The canonical dual, the Parseval companion and
-the projector onto the span are derived from that spectrum once per frame
-too, on first use; inner products are linear in the first argument
-and conjugate-linear in the second, so the coefficient vector is
-c_i = <f, f_i> = sum_j f[j] * conj(f_i[j]).
+shares one factorization. The Parseval deviation max_i |lambda_i(S) - 1|,
+the canonical dual, the Parseval companion and the projector onto the span
+are derived from that spectrum once per frame too, on first use; inner
+products are linear in the first argument and conjugate-linear in the
+second, so the coefficient vector is c_i = <f, f_i> = sum_j f[j] * conj(f_i[j]).
 
 Partial sums over an index subset J give the partial frame operator S_J,
 the object every identity in `identities` is built from. The remaining
@@ -81,7 +81,10 @@ _FIELDS = ("real", "complex")
 
 def as_vector(f, dim: int) -> np.ndarray:
     """Coerce to a finite complex128 vector of length dim."""
-    v = np.asarray(f, dtype=np.complex128)
+    try:
+        v = np.asarray(f, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParams(f"vector does not convert to complex numbers: {exc}") from None
     if v.shape != (dim,):
         raise DimensionMismatch(f"expected a vector of length {dim}, got shape {v.shape}")
     if not np.isfinite(v).all():
@@ -127,10 +130,12 @@ class Frame:
     field:    "real" or "complex"; real requires exactly zero imaginary parts
 
     What is a function of the frame alone is computed once, on first use:
-    the spectrum, the canonical dual and the Parseval companion (so a repeat
-    canonical_dual or parsevalize call returns the same Frame) and the span
-    projector. A derivation that raises, as NotAFrame does, caches nothing
-    and raises again on the next call.
+    the spectrum, the Parseval deviation max_i |lambda_i(S) - 1| (a float,
+    read by frame_bounds and by every Parseval-only report), the canonical
+    dual and the Parseval companion (so a repeat canonical_dual or
+    parsevalize call returns the same Frame) and the span projector. A
+    derivation that raises, as NotAFrame does, caches nothing and raises
+    again on the next call.
     """
 
     dim: int
@@ -168,6 +173,10 @@ class Frame:
         Its arrays are read-only, like `vectors` and `operator`.
         """
         return hermitian_eig(self.operator)
+
+    @cached_property
+    def _parseval_dev(self) -> float:
+        return float(np.abs(self.spectrum.eigenvalues - 1.0).max())
 
     @cached_property
     def _dual(self) -> "Frame":
@@ -278,7 +287,7 @@ def frame_bounds(frame: Frame) -> FrameBounds:
     lower = max(float(w[0]), 0.0)
     upper = max(float(w[-1]), 0.0)
     is_frame = lower > TAU_FRAME_COEFF * upper
-    is_parseval = bool(np.max(np.abs(w - 1.0)) <= TAU_ID)
+    is_parseval = frame._parseval_dev <= TAU_ID
     mean = float(np.mean(w))
     is_tight = mean > 0.0 and bool(np.max(np.abs(w - mean)) <= TAU_ID * mean)
     return FrameBounds(

@@ -15,7 +15,8 @@ product formulas, positivity), a six-way equivalence for when the energy
 split is exact, and span/operator comparisons for tight completions.
 
 Every equality produces an IdentityReport. Residuals are scaled by the one
-floor, linalg._scale, of |lhs|, |rhs| and every recorded term: the sides
+floor, max(1, |lhs|, |rhs|, |every recorded term|): _report takes it on
+Python floats and _residual, its stacked form, with linalg._scale. The sides
 are small differences of the recorded degree-2 terms, which set the
 cancellation scale. A verdict survives rescaling f or the frame only while
 the largest term is at least 1 and finite: below 1 the floor makes the
@@ -82,22 +83,26 @@ class IdentityReport(NamedTuple):
 
 def _report(lhs: float, rhs: float, terms: dict[str, float], tolerance: float,
             extra_ok: bool = True) -> IdentityReport:
-    abs_diff, rel_diff = map(float, _residual(lhs, rhs, terms.values()))
+    """_residual of one family, on Python floats: max(1.0, ...) with 1.0
+    first never takes a NaN for the scale, as fmax does not."""
+    lhs, rhs, terms = float(lhs), float(rhs), {k: float(v) for k, v in terms.items()}
+    abs_diff = abs(lhs - rhs)
+    rel_diff = abs_diff / max(1.0, abs(lhs), abs(rhs), *map(abs, terms.values()))
     return IdentityReport(
-        lhs=float(lhs),
-        rhs=float(rhs),
+        lhs=lhs,
+        rhs=rhs,
         abs_diff=abs_diff,
         rel_diff=rel_diff,
         tolerance=float(tolerance),
-        passed=bool(rel_diff <= tolerance) and bool(extra_ok),
-        terms={k: float(v) for k, v in terms.items()},
+        passed=rel_diff <= tolerance and bool(extra_ok),
+        terms=terms,
     )
 
 
-def _require_parseval(eigenvalues: np.ndarray, tolerance: float) -> None:
-    """NotParseval unless each spectrum in (..., d) lies within tolerance of 1."""
-    dev = np.abs(eigenvalues - 1.0).max(axis=-1)
-    if (failure := _first_failure(dev > tolerance, dev)) is not None:
+def _require_parseval(dev, tolerance: float) -> None:
+    """NotParseval unless each Parseval deviation max_i |lambda_i(S) - 1|, a
+    float (Frame._parseval_dev) or an array of one per family, is within tolerance."""
+    if (failure := _first_failure(np.greater(dev, tolerance), dev)) is not None:
         raise NotParseval(
             f"frame operator deviates from identity by {failure[0]:.3e} (> {tolerance:.1e})")
 
@@ -129,8 +134,8 @@ def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> np.ndarray
 
 def _residual(lhs, rhs, terms) -> tuple:
     """(|lhs - rhs|, relative residual) of each family's lhs = rhs, scaled
-    by _scale of both sides and every recorded term. The arithmetic is that
-    of Python floats: inf and NaN pass through without a warning."""
+    by _scale of both sides and every recorded term: the stacked form of
+    _report's, bitwise. inf and NaN pass through without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         abs_diff = abs(lhs - rhs)
         return abs_diff, abs_diff / _scale([lhs, rhs, *terms])
@@ -195,7 +200,7 @@ def parseval_identity_report(frame: Frame, subset, f, tolerance: float = TAU_ID)
     tolerance.
     """
     tolerance = as_tolerance(tolerance)
-    _require_parseval(frame.spectrum.eigenvalues, tolerance)
+    _require_parseval(frame._parseval_dev, tolerance)
     mask = subset_mask(subset, frame.count)
     c = coefficients(frame, f)
     return _split_report(_PARSEVAL_TERMS, _norm_sides(frame.vectors, c, mask), tolerance)
@@ -253,10 +258,9 @@ _OVERLAP_TERMS = ("norm_s_j_union_e_f", "norm_s_jc_minus_e_f", "norm_sj_f", "nor
 
 
 def _overlap_terms(vectors: np.ndarray, c: np.ndarray, j: np.ndarray, e: np.ndarray) -> list:
-    """The _OVERLAP_TERMS, for J and a disjoint E."""
-    _, n_je, _, n_jce = _norm_sides(vectors, c, j | e)
-    _, n_j, _, n_jc = _norm_sides(vectors, c, j)
-    return [n_je, n_jce, n_j, n_jc, 2.0 * norm_sq(np.where(e, c, 0.0))]
+    """The _OVERLAP_TERMS, for J and a disjoint E: four synthesis norms and no energies."""
+    norms = [norm_sq(_synthesis(vectors, np.where(m, c, 0.0))) for m in (j | e, ~(j | e), j, ~j)]
+    return norms + [2.0 * norm_sq(np.where(e, c, 0.0))]
 
 
 def _overlap_lhs_rhs(terms) -> tuple:
@@ -275,7 +279,7 @@ def overlap_identity_report(frame: Frame, subset_j, subset_e, f,
     Raises EOverlapsJ when E meets J, NotParseval as usual.
     """
     tolerance = as_tolerance(tolerance)
-    _require_parseval(frame.spectrum.eigenvalues, tolerance)
+    _require_parseval(frame._parseval_dev, tolerance)
     j = subset_mask(subset_j, frame.count)
     e = subset_mask(subset_e, frame.count)
     overlap = np.flatnonzero(j & e).tolist()
@@ -347,7 +351,7 @@ def _bound_verdict(sides, norm_f, coefficient: float, tolerance: float) -> tuple
 def _mixed_bound_check(frame: Frame, subset, f, coefficient: float,
                        tolerance: float) -> BoundCheck:
     tolerance = as_tolerance(tolerance)
-    _require_parseval(frame.spectrum.eigenvalues, tolerance)
+    _require_parseval(frame._parseval_dev, tolerance)
     mask = subset_mask(subset, frame.count)
     v = as_vector(f, frame.dim)
     sides = _norm_sides(frame.vectors, coefficients(frame, v), mask)
@@ -387,8 +391,7 @@ def _partial_structure(s_j: np.ndarray, s_jc: np.ndarray, tolerance: float) -> t
     gap = s_j - s_j @ s_j
     residual = frobenius(gap - product)
     herm_defect = hermitian_defect(product)
-    min_eig_product = hermitian_eigvals(hermitize(product))[..., 0]
-    min_eig_gap = hermitian_eigvals(hermitize(gap))[..., 0]
+    min_eig_product, min_eig_gap = hermitian_eigvals(hermitize(np.stack([product, gap])))[..., 0]
     scale = _scale([frobenius(s_j), frobenius(s_jc)])
     ok = (
         (residual <= tolerance * scale)
@@ -401,10 +404,10 @@ def _partial_structure(s_j: np.ndarray, s_jc: np.ndarray, tolerance: float) -> t
 
 def partial_structure_check(frame: Frame, subset, tolerance: float = TAU_ID) -> PartialStructure:
     tolerance = as_tolerance(tolerance)
-    _require_parseval(frame.spectrum.eigenvalues, tolerance)
+    _require_parseval(frame._parseval_dev, tolerance)
     mask = subset_mask(subset, frame.count)
     residual, min_eig_product, min_eig_gap, herm_defect, ok = _partial_structure(
-        _partial_operator(frame.vectors, mask), _partial_operator(frame.vectors, ~mask), tolerance)
+        *_partial_operator(frame.vectors, np.stack([mask, ~mask])), tolerance)
     return PartialStructure(
         residual_identity=float(residual),
         min_eig_product=float(min_eig_product),
@@ -540,7 +543,7 @@ def _equivalence_verdict(residuals, norm_f, tolerance: float) -> tuple:
 def equivalence_conditions(frame: Frame, subset, f,
                            tolerance: float = TAU_ID) -> EquivalenceReport:
     tolerance = as_tolerance(tolerance)
-    _require_parseval(frame.spectrum.eigenvalues, tolerance)
+    _require_parseval(frame._parseval_dev, tolerance)
     mask = subset_mask(subset, frame.count)
     v = as_vector(f, frame.dim)
     scaled, holds, consistent, borderline = _equivalence_verdict(
@@ -655,7 +658,7 @@ def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame
     for added in (added_first, added_second):
         if added.dim != base.dim:
             raise DimensionMismatch(f"dims differ: {base.dim} vs {added.dim}")
-    if not isinstance(trials, (int, np.integer)) or trials < 0:
+    if (trials := as_integer(trials, "trials")) < 0:
         raise BadParams(f"trials must be a non-negative integer, got {trials!r}")
     devs = _require_tight(hermitian_eigvals(_union_operator(
         base.operator, np.stack([added_first.operator, added_second.operator]))), lam, tolerance)

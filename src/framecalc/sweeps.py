@@ -283,7 +283,7 @@ def _parseval_group(group: SimpleNamespace, tol: float, built: dict | None = Non
     for k, rows in built.items():
         vectors[k, :len(rows)] = rows
     w = hermitian_eigvals(_operator(vectors))
-    _require_parseval(w, tol)
+    _require_parseval(np.abs(w - 1.0).max(axis=-1), tol)
     return vectors, _masks(group.subset, vectors.shape[1]), w
 
 

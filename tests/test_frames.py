@@ -523,6 +523,24 @@ def test_dual_and_companion_are_computed_once():
         assert not fr._span.flags.writeable
 
 
+def test_the_parseval_deviation_is_computed_once():
+    for built in SPECTRUM_FRAMES:
+        fr = Frame(built.dim, built.vectors, built.field)  # nothing derived yet
+        assert "_parseval_dev" not in vars(fr)
+        dev = fr._parseval_dev
+        assert type(dev) is float
+        assert np.float64(dev).tobytes() == np.abs(fr.spectrum.eigenvalues - 1).max().tobytes()
+        frame_bounds(fr)
+        if frame_bounds(fr).is_parseval:
+            parseval_identity_report(fr, [0], np.eye(fr.dim)[0])
+        assert fr._parseval_dev is dev  # a recomputed float would be a new object
+
+
+@pytest.mark.parametrize("fr", SPECTRUM_FRAMES)
+def test_is_parseval_reads_the_memoized_deviation(fr):
+    assert frame_bounds(fr).is_parseval == (fr._parseval_dev <= TAU_ID)
+
+
 def test_a_non_frame_raises_on_every_call_and_caches_nothing():
     fr = Frame(2, [E1, E1])
     for _ in range(2):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from framecalc import (
     NotTight,
     PreconditionFailed,
     RunConfig,
+    bessel_inequality_check,
     doubled_onb,
     equivalence_conditions,
     general_identity_report,
@@ -107,6 +109,31 @@ def test_pfi_sides_nonnegative():
 def test_pfi_rejects_non_parseval():
     with pytest.raises(NotParseval):
         parseval_identity_report(PAIR, [0], E1)
+
+
+# each report that needs a Parseval frame, on one frame
+_PARSEVAL_ONLY = {
+    "parseval": lambda fr: parseval_identity_report(fr, [0], E1),
+    "overlap": lambda fr: overlap_identity_report(fr, [0], [1], E1),
+    "half": lambda fr: half_bound_check(fr, [0], E1),
+    "three_quarters": lambda fr: three_quarters_check(fr, [0], E1),
+    "partial_structure": lambda fr: partial_structure_check(fr, [0]),
+    "equivalence": lambda fr: equivalence_conditions(fr, [0], E1),
+}
+
+
+@pytest.mark.parametrize("entry", _PARSEVAL_ONLY)
+def test_a_non_parseval_frame_raises_on_every_call(entry):
+    # the deviation is memoized on the frame, the check is not: PAIR's
+    # operator diag(2, 1) deviates by 1, and every call raises
+    fr = Frame(2, PAIR.vectors, "real")
+    message = "frame operator deviates from identity by 1.000e+00 (> 1.0e-09)"
+    for _ in range(3):
+        with pytest.raises(NotParseval) as excinfo:
+            _PARSEVAL_ONLY[entry](fr)
+        assert str(excinfo.value) == message
+    assert fr._parseval_dev == 1.0
+    _PARSEVAL_ONLY[entry](mercedes())  # and a Parseval frame passes the check
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +504,20 @@ def test_extension_compare_rejects_the_zero_tight_value():
         tight_extension_compare(zero, EMPTY, EMPTY, 0.0, E1)
 
 
-@pytest.mark.parametrize("trials", [-1, 2.5, "3"])
+@pytest.mark.parametrize("trials", [-1, 2.5, "3", True])
 def test_extension_compare_rejects_a_bad_trial_count(trials):
-    with pytest.raises(BadParams, match="^trials must be a non-negative integer, got "):
+    # a count that is not an integer (a bool included) fails frames.as_integer,
+    # a negative one the range check after it
+    rule = "a non-negative integer" if type(trials) is int else "an integer"
+    with pytest.raises(BadParams, match=f"^trials must be {rule}, got {re.escape(repr(trials))}$"):
         tight_extension_compare(PAIR, Frame(2, [E2], "real"), Frame(2, [E2], "real"), 2.0, E1,
                                 trials=trials)
+
+
+def test_extension_compare_takes_a_numpy_integer_trial_count():
+    first, second = Frame(2, [E2], "real"), Frame(2, [E2], "real")
+    compare = tight_extension_compare(PAIR, first, second, 2.0, E1, trials=3)
+    assert tight_extension_compare(PAIR, first, second, 2.0, E1, trials=np.int64(3)) == compare
 
 
 def test_extension_compare_rejects_mismatched_dims_and_overflowing_unions():
@@ -700,6 +736,34 @@ def test_every_tolerance_entry_rejects_a_tolerance_that_is_not_finite_and_positi
             _TOLERANCE_ENTRIES[entry](tolerance)
 
 
+_R = 1.0 / np.sqrt(2.0)
+# every public call that takes a vector f, as a function of f
+_VECTOR_ENTRIES = {
+    "coefficients": lambda f: coefficients(mercedes(), f),
+    "bessel": lambda f: bessel_inequality_check(mercedes(), f),
+    "parseval": lambda f: parseval_identity_report(mercedes(), [0], f),
+    "general": lambda f: general_identity_report(mercedes(), [0], f),
+    "tight": lambda f: tight_identity_report(mercedes(), [0], f),
+    "overlap": lambda f: overlap_identity_report(mercedes(), [0], [1], f),
+    "subspace": lambda f: subspace_identity_report(
+        embed_subspace_frame(mercedes(), 2, np.eye(2)), [0], f),
+    "half": lambda f: half_bound_check(mercedes(), [0], f),
+    "three_quarters": lambda f: three_quarters_check(mercedes(), [0], f),
+    "equivalence": lambda f: equivalence_conditions(mercedes(), [0], f),
+    "extension_compare": lambda f: tight_extension_compare(
+        PAIR, Frame(2, [E2], "real"), Frame(2, [[0.0, _R], [0.0, _R]], "real"), 2.0, f),
+}
+
+
+@pytest.mark.parametrize("f", ["ab", {}, object(), [1.0, "a"], [10**400, 0]],
+                         ids=["str", "dict", "object", "mixed", "huge_int"])
+@pytest.mark.parametrize("entry", _VECTOR_ENTRIES)
+def test_a_vector_that_does_not_convert_raises_bad_params(entry, f):
+    with pytest.raises(BadParams, match="^vector does not convert to complex numbers: "):
+        _VECTOR_ENTRIES[entry](f)
+    _VECTOR_ENTRIES[entry](E1)  # and a vector that converts is checked as before
+
+
 @pytest.mark.parametrize("tolerance", ["abc", None, [1e-9], 10**400, "1e-9", b"1e-9", True])
 def test_a_tolerance_that_is_not_a_number_raises_bad_params(tolerance):
     message = f"tolerance must be a finite number > 0, got {tolerance!r}"
@@ -876,8 +940,9 @@ def test_a_unitary_change_of_basis_keeps_every_verdict(case, basis_seed):
 # stacked verdicts: a family's verdict is the one it gets alone, and the
 # scalar rules of max(1.0, ...) hold on every stack, non-finite terms included
 
-_HOSTILE = st.one_of(st.floats(width=64),
-                     st.sampled_from([0.0, -0.0, 1.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]))
+_HOSTILE = st.one_of(st.floats(width=64), st.floats(-2.0, 2.0),
+                     st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
+                                      math.inf, -math.inf, math.nan]))
 
 
 @st.composite
@@ -917,6 +982,10 @@ def test_a_stacked_residual_is_each_familys_own(stack, tolerance):
             column = stack[:, k].tolist()
             alone = _residual(column[0], column[1], column[2:])
             assert all(_bitwise(s[k], a) for s, a in zip(stacked, alone)), k
+            # a public report takes the same floor on Python floats, in _report
+            rep = identities._report(column[0], column[1], dict(enumerate(column[2:])), tolerance)
+            assert _bitwise(stacked[0][k], rep.abs_diff) and _bitwise(stacked[1][k], rep.rel_diff)
+            assert type(rep.rel_diff) is float and rep.passed == (stacked[1][k] <= tolerance)
             # the scalar rule it replaces: a NaN value never becomes the scale
             scale = _python_scale(column)
             assert not math.isnan(scale)

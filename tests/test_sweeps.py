@@ -955,7 +955,7 @@ def test_a_dead_worker_is_a_json_error_from_the_cli(monkeypatch, capfd):
 # (hermitian_eig, hermitian_eigvals) calls per suite at the benchmark's reference
 # run: seed 101, 1,000 trials of each suite but extension (100), on one process
 _DECOMPOSITIONS = {"pfi": (34, 15), "general": (166, 0), "overlap": (29, 15), "bounds": (31, 0),
-                   "equivalence": (175, 15), "sj": (42, 45), "extension": (45, 15)}
+                   "equivalence": (175, 15), "sj": (42, 30), "extension": (45, 15)}
 
 
 def test_every_decomposition_goes_through_the_public_names(monkeypatch):

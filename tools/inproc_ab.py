@@ -5,7 +5,11 @@ times the benchmark's `sweep_mix` and `library_calls` requests on each,
 every request once per side per round, alternating which side goes first.
 It prints per-suite and per-kind medians, the number of paired runs the
 second tree (B) won, the ratio median(A) / median(B), and a hash of the
-rows each side returned:
+rows each side returned. Per side and per workload it then prints the
+benchmark's own latency metrics, `trials_per_s` and `call_ms_p50/p90/p99`
+over the per-request medians, computed as `bench/run.py`'s
+`_latency_metrics` computes them but without its speed factor, so that a
+claimed metric can be compared in one interpreter:
 
     python3 tools/inproc_ab.py --a path/to/parent/src [--b path/to/src]
                                [--rounds 10] [--seed 1]
@@ -122,6 +126,7 @@ def run(a: Side, b: Side, rounds: int) -> dict:
     requests = ([("sweep", key) for key in a.sweeps.requests()]
                 + [("library", key) for key in a.library.requests()])
     times = {side.label: {} for side in (a, b)}
+    per_request = {side.label: {} for side in (a, b)}
     hashes = {side.label: hashlib.sha256() for side in (a, b)}
     for r in range(rounds):
         for i, req in enumerate(requests):
@@ -131,10 +136,26 @@ def run(a: Side, b: Side, rounds: int) -> dict:
                 out, seconds = side.call(req)
                 group = req[1][1] if req[0] == "sweep" else req[1][0]
                 times[side.label].setdefault((req[0], group), []).append(seconds)
+                per_request[side.label].setdefault(req, []).append(seconds)
                 if r == 0:
                     hashes[side.label].update(json.dumps(_plain(out)).encode())
         print(f"round {r + 1}/{rounds} done", file=sys.stderr, flush=True)
-    return {"times": times, "hashes": {k: h.hexdigest() for k, h in hashes.items()}}
+    latency = {label: {workload: _latency_metrics(
+        {req: ts for req, ts in reqs.items() if req[0] == workload},
+        (a.sweeps if workload == "sweep" else a.library).work)
+        for workload in ("sweep", "library")} for label, reqs in per_request.items()}
+    return {"times": times, "latency": latency,
+            "hashes": {k: h.hexdigest() for k, h in hashes.items()}}
+
+
+def _latency_metrics(per_request: dict, work) -> dict:
+    """trials_per_s and call_ms_p50/p90/p99 over the median time of each
+    distinct request, as bench/run.py's _latency_metrics with a speed
+    factor of 1; work(key) is the trials one request of the workload runs."""
+    med = np.array([1e3 * statistics.median(ts) for ts in per_request.values()])
+    trials = sum(work(key) for _, key in per_request)
+    return {"trials_per_s": trials / (med.sum() / 1e3),
+            **{f"call_ms_p{q}": float(np.percentile(med, q)) for q in (50, 90, 99)}}
 
 
 def report(result: dict) -> None:
@@ -147,6 +168,13 @@ def report(result: dict) -> None:
         wins = sum(y < x for x, y in zip(sa, sb))
         print(f"{key[0]:8} {key[1]:28} {len(sa):5d} {ma:9.4f} {mb:9.4f} "
               f"{ma / mb:6.3f} {wins:4d}/{len(sa)}")
+    print(f"{'workload':8} {'side':4} {'trials_per_s':>13} {'p50 ms':>9} {'p90 ms':>9} "
+          f"{'p99 ms':>9}")
+    for workload in ("sweep", "library"):
+        for label, latency in result["latency"].items():
+            m = latency[workload]
+            print(f"{workload:8} {label:4} {m['trials_per_s']:13.1f} {m['call_ms_p50']:9.4f} "
+                  f"{m['call_ms_p90']:9.4f} {m['call_ms_p99']:9.4f}")
     for label, digest in result["hashes"].items():
         print(f"rows {label} {digest}")
 
