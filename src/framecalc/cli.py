@@ -318,11 +318,11 @@ def cmd_extend(args, argv: list[str]) -> dict:
     frame = read_frame(args.frame)
     lam = _parse_lambda(args.lam)
     lam_used = frame_bounds(frame).upper if lam is None else lam
-    completion = complete_to_tight(frame, lam, mix_seed=args.mix_seed)
+    completion = complete_to_tight(frame, lam_used, mix_seed=args.mix_seed)
 
     # the printed completion against one mixed by the next seed
     base_mix = args.mix_seed if args.mix_seed is not None else 0
-    second = complete_to_tight(frame, lam, mix_seed=base_mix + 1)
+    second = complete_to_tight(frame, lam_used, mix_seed=base_mix + 1)
     probe = np.zeros(frame.dim, dtype=np.complex128)
     probe[0] = 1.0
     from .identities import tight_extension_compare

@@ -7,8 +7,11 @@ tagged by `field`), stored row-wise. The frame operator
 
 is cached on construction and its eigendecomposition on first use
 (`Frame.spectrum`), so every check that is a function of the spectrum of S
-shares one factorization. The Parseval deviation max_i |lambda_i(S) - 1|,
-the canonical dual, the Parseval companion and the projector onto the span
+shares one factorization. Two rules on it are each written once, as a
+stacked kernel that every module calls: _bounds (the frame bounds, the
+frame test, cond(S)) and _tightness (the distance from lam*I and the
+lam-tightness test; Parseval is lam = 1). The Parseval deviation, the
+canonical dual, the Parseval companion and the projector onto the span
 are derived from that spectrum once per frame too, on first use; inner
 products are linear in the first argument and conjugate-linear in the
 second, so the coefficient vector is c_i = <f, f_i> = sum_j f[j] * conj(f_i[j]).
@@ -144,7 +147,7 @@ class Frame:
     operator: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+        if as_integer(self.dim, "dim") < 1:
             raise BadParams(f"dim must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))
         a = np.array(self.vectors, dtype=np.complex128, copy=True)
@@ -176,7 +179,7 @@ class Frame:
 
     @cached_property
     def _parseval_dev(self) -> float:
-        return float(np.abs(self.spectrum.eigenvalues - 1.0).max())
+        return float(_tightness(self.spectrum.eigenvalues, 1.0)[1])
 
     @cached_property
     def _dual(self) -> "Frame":
@@ -264,15 +267,34 @@ def subset_mask(subset, n: int) -> np.ndarray:
     return mask
 
 
-class FrameBounds(NamedTuple):
-    """Extreme eigenvalues of the frame operator plus derived flags.
+def _bounds(w: np.ndarray) -> tuple:
+    """(lower, upper, is_frame, cond) of each ascending spectrum in (..., d): the
+    end eigenvalues clamped at zero (Gram roundoff can dip a hair below),
+    lower > TAU_FRAME_COEFF * upper, and cond = upper / lower where a frame."""
+    lower, upper = np.maximum(w[..., 0], 0.0), np.maximum(w[..., -1], 0.0)
+    is_frame = lower > TAU_FRAME_COEFF * upper
+    # divide only where lower > 0; cond < 1e10 there, so nothing overflows
+    return lower, upper, is_frame, upper / np.where(is_frame, lower, 1.0)
 
-    lower/upper are clamped at zero (Gram roundoff can dip a hair below).
-    is_frame:    lower > 1e-10 * upper
-    is_parseval: every eigenvalue within TAU_ID of 1
-    is_tight:    every eigenvalue within TAU_ID * mean of the mean
-    tight_value: the mean eigenvalue when is_tight, else None
-    """
+
+def _tightness(w: np.ndarray, lam=None, tol: float = TAU_ID) -> tuple:
+    """(lam, dist, tight) of each ascending spectrum in (..., d), lam by default
+    the mean eigenvalue (inf, without a warning, where the sum overflows): dist
+    = max_i |lambda_i - lam|, tight = dist <= tol * lam with lam positive and
+    finite (at 0 the tolerance vanishes, at inf it is inf)."""
+    if lam is None:
+        with np.errstate(over="ignore"):
+            lam = w.mean(axis=-1)
+    lam = np.asarray(lam, dtype=np.float64)
+    dist = np.abs(w - lam[..., None]).max(axis=-1)
+    return lam, dist, (lam > 0.0) & (lam < np.inf) & (dist <= tol * lam)
+
+
+class FrameBounds(NamedTuple):
+    """Extreme eigenvalues of the frame operator plus derived flags: lower,
+    upper and is_frame by _bounds; is_parseval when Frame._parseval_dev <= TAU_ID;
+    is_tight by _tightness at the mean (tight_identity_report's rule, so a mean
+    that overflows is not tight) and tight_value the mean then, else None."""
 
     lower: float
     upper: float
@@ -283,27 +305,16 @@ class FrameBounds(NamedTuple):
 
 
 def frame_bounds(frame: Frame) -> FrameBounds:
-    w = frame.spectrum.eigenvalues
-    lower = max(float(w[0]), 0.0)
-    upper = max(float(w[-1]), 0.0)
-    is_frame = lower > TAU_FRAME_COEFF * upper
-    is_parseval = frame._parseval_dev <= TAU_ID
-    mean = float(np.mean(w))
-    is_tight = mean > 0.0 and bool(np.max(np.abs(w - mean)) <= TAU_ID * mean)
-    return FrameBounds(
-        lower=lower,
-        upper=upper,
-        is_frame=is_frame,
-        is_parseval=is_parseval,
-        is_tight=is_tight,
-        tight_value=mean if is_tight else None,
-    )
+    lower, upper, is_frame, _ = _bounds(frame.spectrum.eigenvalues)
+    mean, _, is_tight = _tightness(frame.spectrum.eigenvalues)
+    return FrameBounds(float(lower), float(upper), bool(is_frame),
+                       frame._parseval_dev <= TAU_ID, bool(is_tight),
+                       float(mean) if is_tight else None)
 
 
 def tight_deviation(frame: Frame, lam: float) -> float:
     """max_i |lambda_i(S) - lam|, the distance from being lam-tight."""
-    w = frame.spectrum.eigenvalues
-    return float(np.max(np.abs(w - lam)))
+    return float(_tightness(frame.spectrum.eigenvalues, lam)[1])
 
 
 def _match_field(vectors: np.ndarray, real) -> np.ndarray:
@@ -332,7 +343,7 @@ def _spectral_rows(vectors: np.ndarray, dec: EigenDecomposition, fn: str, real) 
 def _converted(frame: Frame, fn: str) -> Frame:
     """The frame of rows g(S) f_i, g the spectral function fn; NotAFrame
     when the lower frame bound is numerically zero."""
-    if not frame_bounds(frame).is_frame:
+    if not _bounds(frame.spectrum.eigenvalues)[2]:
         raise NotAFrame("lower frame bound is numerically zero")
     return Frame(frame.dim, _spectral_rows(frame.vectors, frame.spectrum, fn,
                                             frame.field == "real"),
@@ -356,10 +367,9 @@ def parsevalize(frame: Frame) -> Frame:
 
 def _span_projector(dec: EigenDecomposition) -> np.ndarray:
     """Orthogonal projector onto the range of each PSD matrix with spectrum
-    dec: its eigenvectors for eigenvalues above TAU_FRAME_COEFF * the top one."""
+    dec: its eigenvectors for eigenvalues above TAU_FRAME_COEFF * _bounds' upper."""
     w = dec.eigenvalues
-    # with a top eigenvalue <= 0 no eigenvalue is > 0, so the range is {0}
-    keep = w > TAU_FRAME_COEFF * np.maximum(w[..., -1:], 0.0)
+    keep = w > TAU_FRAME_COEFF * _bounds(w)[1][..., None]
     v = dec.eigenvectors * keep[..., None, :]
     return hermitize(v @ _adjoint(v))
 
@@ -402,11 +412,11 @@ def _bessel(vectors: np.ndarray, c: np.ndarray, lower, upper) -> tuple:
 
 def bessel_inequality_check(frame: Frame, f) -> BesselCheck:
     """Check both energy inequalities; needs a frame for the inverse side."""
-    bounds = frame_bounds(frame)
-    if not bounds.is_frame:
+    lower, upper, is_frame, _ = _bounds(frame.spectrum.eigenvalues)
+    if not is_frame:
         raise NotAFrame("inverse-norm inequality needs a nonzero lower bound")
     c = coefficients(frame, f)
-    *sides, passed = map(float, _bessel(frame.vectors, c, bounds.lower, bounds.upper))
+    *sides, passed = map(float, _bessel(frame.vectors, c, lower, upper))
     return BesselCheck(*sides, passed=bool(passed))
 
 
@@ -476,7 +486,7 @@ def complete_to_tight(frame: Frame, lam: float | None = None, mix_seed: int | No
     if mix_seed is not None:
         mix_seed = as_integer(mix_seed, "mix_seed")
     dec = frame.spectrum
-    root, keep = _completion(dec, dec.eigenvalues[-1] if lam is None else float(lam))
+    root, keep = _completion(dec, _bounds(dec.eigenvalues)[1] if lam is None else float(lam))
     cols = root[:, keep]
     if mix_seed is not None and cols.shape[1]:
         cols = cols @ random_isometry(cols.shape[1], cols.shape[1], mix_seed, frame.field)
@@ -494,7 +504,7 @@ def _completion(dec: EigenDecomposition, lam) -> tuple[np.ndarray, np.ndarray]:
     if (failure := _first_failure(~(lam < np.inf), lam)) is not None:
         raise BadParams(f"lam {failure[0]:.6g} is not finite")
     lam_max = w[..., -1]
-    tau = TAU_PSD_COEFF * _scale([np.maximum(lam_max, 0.0), np.maximum(lam, 0.0)])
+    tau = TAU_PSD_COEFF * _scale([_bounds(w)[1], np.maximum(lam, 0.0)])
     if (failure := _first_failure(lam < lam_max - tau, lam, lam_max)) is not None:
         raise LambdaTooSmall(f"lam {failure[0]:.6g} below lambda_max {failure[1]:.6g}")
     wt = lam[..., None] - w
@@ -510,6 +520,7 @@ def random_isometry(ambient_dim: int, dim: int, seed: int, field: str = "complex
     With ambient_dim == dim it is a Haar-style unitary (orthogonal for
     field "real").
     """
+    ambient_dim, dim = as_integer(ambient_dim, "ambient_dim"), as_integer(dim, "dim")
     if not 1 <= dim <= ambient_dim:
         raise BadParams(f"need 1 <= dim <= ambient_dim, got {dim}, {ambient_dim}")
     if field not in _FIELDS:
@@ -537,14 +548,14 @@ def _isometries(ambient: int, dim: int, seeds: list[int], fields: list[str]) -> 
 
 def onb(dim: int) -> Frame:
     """Standard orthonormal basis of R^dim."""
-    if dim < 1:
+    if (dim := as_integer(dim, "dim")) < 1:
         raise BadParams("dim must be >= 1")
     return Frame(dim, np.eye(dim, dtype=np.complex128), "real")
 
 
 def doubled_onb(dim: int) -> Frame:
     """Each basis vector twice, scaled 1/sqrt(2): Parseval with 2*dim vectors."""
-    if dim < 1:
+    if (dim := as_integer(dim, "dim")) < 1:
         raise BadParams("dim must be >= 1")
     rows = np.repeat(np.eye(dim, dtype=np.complex128), 2, axis=0) / np.sqrt(2.0)
     return Frame(dim, rows, "real")
@@ -562,6 +573,7 @@ def mercedes() -> Frame:
 
 def harmonic(dim: int, count: int) -> Frame:
     """Rows of the count-point DFT matrix restricted to dim columns, over sqrt(count)."""
+    dim, count = as_integer(dim, "dim"), as_integer(count, "count")
     if dim < 1 or count < dim:
         raise BadParams(f"need count >= dim >= 1, got dim={dim}, count={count}")
     k = np.arange(count).reshape(-1, 1)
@@ -594,6 +606,7 @@ def _require_gaussian(dim: int, count: int, field: str) -> None:
 
 def random_gaussian(dim: int, count: int, seed: int, field: str = "real") -> Frame:
     """Independent standard normal entries (complex normal for field "complex")."""
+    dim, count = as_integer(dim, "dim"), as_integer(count, "count")
     _require_gaussian(dim, count, field)
     rows = SplitMix64(as_integer(seed, "seed")).normals(count * dim, field)
     return Frame(dim, rows.reshape(count, dim), field)
@@ -601,13 +614,8 @@ def random_gaussian(dim: int, count: int, seed: int, field: str = "real") -> Fra
 
 def _conditioning(eigenvalues: np.ndarray) -> tuple:
     """(accepted, cond(S)) of each ascending spectrum of S in (..., d): a draw
-    is accepted when it is a frame (lower bound above TAU_FRAME_COEFF *
-    upper, both clamped at zero) with cond(S) = upper / lower <= MAX_COND."""
-    lower = np.maximum(eigenvalues[..., 0], 0.0)
-    upper = np.maximum(eigenvalues[..., -1], 0.0)
-    is_frame = lower > TAU_FRAME_COEFF * upper
-    # divide only where lower > 0; cond < 1e10 there, so nothing overflows
-    cond = upper / np.where(is_frame, lower, 1.0)
+    is accepted when _bounds finds a frame with cond(S) <= MAX_COND."""
+    *_, is_frame, cond = _bounds(eigenvalues)
     return is_frame & (cond <= MAX_COND), cond
 
 
@@ -634,6 +642,7 @@ def random_parseval(dim: int, count: int, seed: int, field: str = "real") -> Fra
     well-conditioned seeds give the same frame as a direct conversion.
     It is _parseval_stack of one family.
     """
+    dim, count = as_integer(dim, "dim"), as_integer(count, "count")
     if count < dim:
         raise BadParams(f"need count >= dim, got dim={dim}, count={count}")
     _require_gaussian(dim, count, field)

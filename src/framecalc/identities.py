@@ -46,6 +46,7 @@ from .frames import (
     _energy,
     _partial_operator,
     _synthesis,
+    _tightness,
     _union_operator,
     as_integer,
     as_tolerance,
@@ -107,20 +108,16 @@ def _require_parseval(dev, tolerance: float) -> None:
             f"frame operator deviates from identity by {failure[0]:.3e} (> {tolerance:.1e})")
 
 
-def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> np.ndarray:
-    """The largest distance of each spectrum in (..., d) from its lam, which
-    broadcasts over them; NotTight unless each lam is positive (the all-zero
-    family would otherwise pass at lam = 0, where the tolerance vanishes)
-    and finite (at lam = inf the tolerance is inf too), and each distance is
-    within tolerance * lam."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if (failure := _first_failure(~(lam > 0.0) | (lam == np.inf), lam)) is not None:
-        bad = failure[0]
-        raise NotTight(f"tight value {bad:.6g} is not {'finite' if bad > 0.0 else 'positive'}")
-    dev = np.abs(eigenvalues - lam[..., None]).max(axis=-1)
-    if (failure := _first_failure(dev > tolerance * lam, lam, dev)) is not None:
-        raise NotTight(f"eigenvalues deviate from {failure[0]:.6g} by {failure[1]:.3e}")
-    return dev
+def _require_tight(eigenvalues: np.ndarray, lam, tolerance: float) -> tuple:
+    """(lam, dist) of frames._tightness, lam None for the mean eigenvalue;
+    NotTight for the first spectrum in (..., d) that it finds not tight."""
+    lam, dev, tight = _tightness(eigenvalues, lam, tolerance)
+    if (failure := _first_failure(~tight, lam, dev)) is not None:
+        bad, dist = failure
+        if not 0.0 < bad < np.inf:
+            raise NotTight(f"tight value {bad:.6g} is not {'finite' if bad > 0.0 else 'positive'}")
+        raise NotTight(f"eigenvalues deviate from {bad:.6g} by {dist:.3e}")
+    return lam, dev
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +236,11 @@ def tight_identity_report(frame: Frame, subset, f, lam: float | None = None,
     lhs = lam * sum_J |<f, f_i>|^2 - ||S_J f||^2, rhs over the complement.
     With lam omitted, the mean eigenvalue of the frame operator is used.
 
-    Raises NotTight when lam is not positive (the all-zero family would
-    otherwise pass at lam = 0, where the tolerance vanishes) or when some
-    eigenvalue differs from lam by more than tolerance * lam.
+    Raises NotTight unless the frame is lam-tight by frames._tightness.
     """
     tolerance = as_tolerance(tolerance)
-    w = frame.spectrum.eigenvalues
-    lam = float(np.mean(w)) if lam is None else float(lam)
-    _require_tight(w, lam, tolerance)
+    lam = float(_require_tight(frame.spectrum.eigenvalues, lam if lam is None else float(lam),
+                               tolerance)[0])
     mask = subset_mask(subset, frame.count)
     c = coefficients(frame, f)
     return _split_report(_TIGHT_TERMS, _norm_sides(frame.vectors, c, mask, weight=lam),
@@ -660,7 +654,7 @@ def tight_extension_compare(base: Frame, added_first: Frame, added_second: Frame
             raise DimensionMismatch(f"dims differ: {base.dim} vs {added.dim}")
     if (trials := as_integer(trials, "trials")) < 0:
         raise BadParams(f"trials must be a non-negative integer, got {trials!r}")
-    devs = _require_tight(hermitian_eigvals(_union_operator(
+    _, devs = _require_tight(hermitian_eigvals(_union_operator(
         base.operator, np.stack([added_first.operator, added_second.operator]))), lam, tolerance)
     fields = (base.field, added_first.field, added_second.field)
     field = "complex" if "complex" in fields else "real"

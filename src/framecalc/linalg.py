@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotPSD, SingularMatrix
+from .errors import BadParams, NoConvergence, NotHermitian, NotPSD, SingularMatrix
 
 TAU_HERM = 1e-10
 TAU_EIG = 1e-10
@@ -40,9 +40,17 @@ TAU_PSD_COEFF = 1e-12
 _SPECTRAL_FUNCTIONS = ("inverse", "sqrt", "inv_sqrt")
 
 
+def _as_complex(m) -> np.ndarray:
+    """m as a complex128 array; BadParams when numpy cannot convert it."""
+    try:
+        return np.asarray(m, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParams(f"matrix does not convert to complex numbers: {exc}") from None
+
+
 def _as_matrices(m) -> np.ndarray:
     """Coerce to a finite complex128 stack (..., d, d) of square matrices."""
-    a = np.asarray(m, dtype=np.complex128)
+    a = _as_complex(m)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -52,7 +60,7 @@ def _as_matrices(m) -> np.ndarray:
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite square complex128 matrix."""
-    a = np.asarray(m, dtype=np.complex128)
+    a = _as_complex(m)
     if a.ndim != 2:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
     return _as_matrices(a)

@@ -100,6 +100,7 @@ from .frames import (
     Frame,
     _analysis,
     _bessel,
+    _bounds,
     _completion,
     _conditioned_stack,
     _finite_operator,
@@ -112,6 +113,7 @@ from .frames import (
     _span_projector,
     _spectral_rows,
     _synthesis,
+    _tightness,
     _union_operator,
     as_integer,
     as_tolerance,
@@ -283,7 +285,7 @@ def _parseval_group(group: SimpleNamespace, tol: float, built: dict | None = Non
     for k, rows in built.items():
         vectors[k, :len(rows)] = rows
     w = hermitian_eigvals(_operator(vectors))
-    _require_parseval(np.abs(w - 1.0).max(axis=-1), tol)
+    _require_parseval(_tightness(w, 1.0)[1], tol)
     return vectors, _masks(group.subset, vectors.shape[1]), w
 
 
@@ -511,8 +513,7 @@ def _bounds_solve(group: SimpleNamespace, tol: float) -> dict:
     vectors, s, dec, cond = group.conditioned
     f, real = group.f, group.real
     nf = norm_sq(f)
-    w = dec.eigenvalues
-    lower, upper = np.maximum(w[:, 0], 0.0), np.maximum(w[:, -1], 0.0)
+    lower, upper, *_ = _bounds(dec.eigenvalues)
     _, _, energy, _, sandwich_ok = _bessel(vectors, _analysis(vectors, f), lower, upper)
     slack = tol * _scale([energy, upper * nf])
     inequality_ok = (lower * nf - slack <= energy) & (energy <= upper * nf + slack)
@@ -559,7 +560,7 @@ def _extension_solve(group: SimpleNamespace, tol: float) -> dict:
     """
     d = group.d
     _, s, dec = _gaussian_group(d, group.counts, group.seed, group.fields)
-    upper = np.maximum(dec.eigenvalues[:, -1], 0.0).tolist()
+    upper = _bounds(dec.eigenvalues)[1].tolist()
     lam = np.array([u if stretch is None else u * stretch
                     for u, stretch in zip(upper, group.stretch)])
     root, keep = _completion(dec, lam)

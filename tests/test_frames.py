@@ -20,6 +20,7 @@ from framecalc import (
     NotAFrame,
     NotHermitian,
     NotIsometry,
+    NotTight,
     bessel_inequality_check,
     canonical_dual,
     coefficients,
@@ -48,8 +49,10 @@ from framecalc.frames import (
     TAU_FRAME_COEFF,
     TAU_ID,
     FrameBounds,
+    _bounds,
     _gaussian_group,
     _parseval_stack,
+    _tightness,
     as_vector,
     norm_sq,
 )
@@ -799,3 +802,121 @@ def test_real_document_rejects_imaginary():
     doc["vectors"][0][1] = [0.0, 0.5]
     with pytest.raises(FrameFormatError):
         frame_from_document(doc)
+
+
+# ---------------------------------------------------------------------------
+# the frame-bound and tightness rules, each one stacked kernel
+
+# sizes and counts of every entry point that takes them, each as a function
+# of that one argument with a comparable result
+_SIZED = {
+    "Frame.dim": lambda k: Frame(k, np.eye(3)).vectors.tobytes(),
+    "onb": lambda k: onb(k).vectors.tobytes(),
+    "doubled_onb": lambda k: doubled_onb(k).vectors.tobytes(),
+    "harmonic.dim": lambda k: harmonic(k, 5).vectors.tobytes(),
+    "harmonic.count": lambda k: harmonic(2, k).vectors.tobytes(),
+    "random_gaussian.dim": lambda k: random_gaussian(k, 4, 1).vectors.tobytes(),
+    "random_gaussian.count": lambda k: random_gaussian(2, k, 1).vectors.tobytes(),
+    "random_parseval.dim": lambda k: random_parseval(k, 4, 1).vectors.tobytes(),
+    "random_parseval.count": lambda k: random_parseval(2, k, 1).vectors.tobytes(),
+    "random_isometry.ambient_dim": lambda k: random_isometry(k, 2, 1).tobytes(),
+    "random_isometry.dim": lambda k: random_isometry(4, k, 1).tobytes(),
+}
+
+
+@pytest.mark.parametrize("entry", _SIZED)
+def test_a_size_must_be_an_integer(entry):
+    call = _SIZED[entry]
+    for bad in (2.5, True, "3"):
+        with pytest.raises(BadParams, match="must be an integer, got"):
+            call(bad)
+    assert call(np.int64(3)) == call(3)
+
+
+def test_harmonic_refuses_a_fractional_count():
+    # 4.5 used to give 5 vectors over sqrt(4.5), which is not Parseval
+    with pytest.raises(BadParams, match="^count must be an integer, got 4.5$"):
+        harmonic(2, 4.5)
+
+
+# ascending spectra of PSD operators: exact zeros, Gram roundoff below zero,
+# ordinary values, and values large enough that a mean of 2 of them overflows
+_EIGENVALUES = st.one_of(
+    st.sampled_from((0.0, -1e-17, 1.0, 8e307)),
+    st.floats(min_value=0.0, max_value=1e3),
+    st.floats(min_value=0.0, max_value=8e307),
+)
+
+
+@st.composite
+def _spectra(draw):
+    d, k = draw(st.integers(1, 16)), draw(st.integers(1, 6))
+    entries = draw(st.lists(_EIGENVALUES, min_size=d * k, max_size=d * k))
+    return np.sort(np.array(entries).reshape(k, d), axis=-1)
+
+
+def _bits(values) -> list[bytes]:
+    return [np.asarray(v).tobytes() for v in values]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(w=_spectra(), data=st.data())
+def test_a_stacked_rule_is_each_familys_own(w, data):
+    lams = np.array(data.draw(st.lists(_EIGENVALUES, min_size=len(w), max_size=len(w))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing mean must not warn either
+        stacked = [_bounds(w), _tightness(w), _tightness(w, lams), _tightness(w, 1.0, 1e-6)]
+        for k, row in enumerate(w):
+            alone = [_bounds(row), _tightness(row), _tightness(row, lams[k]),
+                     _tightness(row, 1.0, 1e-6)]
+            for together, single in zip(stacked, alone):
+                # a scalar lam comes back as given, once for the whole stack
+                assert _bits([np.broadcast_to(v, len(w))[k] for v in together]) == _bits(single)
+    lam = stacked[1][0]
+    with np.errstate(over="ignore"):
+        assert np.array_equal(np.isinf(lam), np.isinf(w.sum(axis=-1) / w.shape[-1]))
+
+
+@st.composite
+def _tightness_frames(draw):
+    """Tight frames at scales from 0 to past the mean's overflow, some with one
+    vector stretched, and Gaussian frames, which are not tight."""
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("doubled_onb", "harmonic", "gaussian")))
+    if kind == "gaussian":
+        return random_gaussian(d, draw(st.integers(1, 8)), draw(st.integers(0, 2**64 - 1)))
+    rows = (doubled_onb(d) if kind == "doubled_onb"
+            else harmonic(d, draw(st.integers(d, 8)))).vectors.copy()
+    rows *= draw(st.sampled_from((0.0, 1e-150, 1.0, 3.0, 1e100, 9e153)))
+    rows[0] *= draw(st.sampled_from((1.0, 1.0, 1.0 + 1e-12, 1.0 + 1e-8, 1.1)))
+    return Frame(d, rows, "real" if kind == "doubled_onb" else "complex")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fr=_tightness_frames())
+def test_frame_bounds_and_the_tight_report_agree_on_tightness(fr):
+    try:
+        tight_identity_report(fr, [], np.zeros(fr.dim))
+        reported = True
+    except NotTight:
+        reported = False
+    bounds = frame_bounds(fr)
+    assert bounds.is_tight == reported
+    assert (bounds.tight_value is None) == (not reported)
+
+
+def test_an_overflowing_mean_is_not_tight_and_does_not_warn():
+    fr = Frame(3, 9e153 * np.eye(3), "real")  # S = 8.1e307 * I
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = frame_bounds(fr)
+        assert (bounds.is_tight, bounds.tight_value) == (False, None)
+        assert (bounds.lower, bounds.upper, bounds.is_frame) == (8.1e307, 8.1e307, True)
+        with pytest.raises(NotTight, match="^tight value inf is not finite$"):
+            tight_identity_report(fr, [], [1.0, 0.0, 0.0])
+
+
+def test_the_frame_bounds_are_clamped_at_zero():
+    lower, upper, is_frame, cond = _bounds(np.array([[-1e-17, 1.0], [-3e-17, -1e-17]]))
+    assert lower.tolist() == [0.0, 0.0] and upper.tolist() == [1.0, 0.0]
+    assert is_frame.tolist() == [False, False] and cond.tolist() == [1.0, 0.0]

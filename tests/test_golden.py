@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import cli_digest  # noqa: E402
+import loc  # noqa: E402
 import rows_digest  # noqa: E402
 
 
@@ -54,3 +55,12 @@ def test_the_digest_runs_its_frame_writers_before_the_concurrent_rest():
 def test_the_digest_refuses_to_run_commands_sharing_a_file_concurrently(commands):
     with pytest.raises(ValueError):
         cli_digest.parallel_start(commands)
+
+
+def test_the_line_counter_skips_blanks_comments_and_docstrings():
+    text = ('"""Module\ndoc."""\n\nimport os  # kept\n\n\ndef f():\n    """One line."""\n'
+            '    # a comment alone\n    return "not a docstring"\n')
+    assert loc.counts(text) == (10, 3)
+    assert loc.report({"a.py": (9, 3)}, {"a.py": (10, 5), "b.py": (2, 1)}) == [
+        "     9    -1      3    -2 a.py", "     0    -2      0    -1 b.py",
+        "     9    -3      3    -3 total"]

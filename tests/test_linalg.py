@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecalc.errors import FrameError, NoConvergence, NotHermitian, NotPSD, SingularMatrix
+from framecalc.errors import (
+    BadParams,
+    FrameError,
+    NoConvergence,
+    NotHermitian,
+    NotPSD,
+    SingularMatrix,
+)
+from framecalc.identities import operator_identity_check, self_adjoint_product_check
 from framecalc.linalg import (
     TAU_HERM,
     EigenDecomposition,
@@ -117,6 +125,17 @@ def test_roundoff_negative_clamped_to_zero():
 def test_unknown_spectral_function():
     with pytest.raises(ValueError):
         psd_apply(np.eye(2), "log")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: operator_identity_check("a", "b"),
+    lambda: self_adjoint_product_check("a", "b"),
+    lambda: hermitian_eig("a"),
+    lambda: psd_apply([["x"]], "inverse"),
+], ids=["operator_identity_check", "self_adjoint_product_check", "hermitian_eig", "psd_apply"])
+def test_a_matrix_that_does_not_convert_raises_bad_params(call):
+    with pytest.raises(BadParams, match="^matrix does not convert to complex numbers: "):
+        call()
 
 
 def _stack(seed: int, k: int, d: int) -> np.ndarray:

@@ -148,6 +148,10 @@ COMMANDS = [
     "equiv merc.json --J 0 --f 1,0 --tolerance 0.1",
     # the bounds of a Parseval (tight) frame
     "analyze merc.json",
+    # S = 8.1e307 * I: the mean eigenvalue overflows, so the frame counts as not
+    # tight, in the bounds (exit 0) and in the tight identity (NotTight, exit 1)
+    "analyze huge.json",
+    "identity huge.json --variant tight --J 0 --f 1,0,0",
 ]
 
 # the vector files the `--f @file` commands read, as exact JSON text
@@ -161,6 +165,8 @@ VECTOR_FILES = {
 FRAME_FILES = {
     "small.json": '{"dim": 2, "field": "real", "vectors": [[[0.1, 0], [0, 0]],'
                   ' [[0.02, 0], [0.05, 0]]]}\n',
+    "huge.json": '{"dim": 3, "field": "real", "vectors": [[[9e153, 0], [0, 0], [0, 0]],'
+                 ' [[0, 0], [9e153, 0], [0, 0]], [[0, 0], [0, 0], [9e153, 0]]]}\n',
 }
 
 FLOAT_GAP = 1e-12
